@@ -31,7 +31,6 @@ from .core import (
 from .kernel import (
     DiscreteOperator,
     PowerKernelOracle,
-    apply_operator,
     assemble_operator,
     eval_fplap_pv,
     gagliardo_energy,

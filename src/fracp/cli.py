@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -70,11 +71,81 @@ DEFAULTS = {
 }
 
 
+def _is_number(v, lo=-math.inf, strict=False, integer=False) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    if isinstance(v, float) and not (math.isfinite(v) and (v.is_integer() or not integer)):
+        return False
+    return v > lo if strict else v >= lo
+
+
+# (description, test) per config value; ranges that depend on the problem
+# (s in (0, 1), delta < s p, ...) stay with the modules that own them
+_REAL = ("a number", _is_number)
+_POSITIVE = ("a positive number", lambda v: _is_number(v, 0.0, strict=True))
+_NONNEGATIVE = ("a nonnegative number", lambda v: _is_number(v, 0.0))
+_COUNT = ("a positive integer", lambda v: _is_number(v, 1, integer=True))
+_TEXT = ("a string", lambda v: isinstance(v, str))
+
+
+def _or_auto(rule):
+    what, test = rule
+    return (f'"auto" or {what}', lambda v: v == "auto" or test(v))
+
+
+def _list_of(rule, length=None):
+    what, test = rule
+    size = f"{length} entries" if length else "a nonempty list"
+    return (
+        f"{size}, each {what}",
+        lambda v: isinstance(v, list)
+        and len(v) > 0
+        and (length is None or len(v) == length)
+        and all(test(x) for x in v),
+    )
+
+
+RULES = {
+    "params": {key: _REAL for key in DEFAULTS["params"]},
+    "grid": {"n": _COUNT, "grading": _or_auto(_REAL)},
+    "solver": {
+        "eps0": _POSITIVE,
+        "halvings": _COUNT,
+        "tol": _POSITIVE,
+        "mu0": _NONNEGATIVE,
+        "solver_tol": _POSITIVE,
+    },
+    "analysis": {
+        "theta_list": _or_auto(_list_of(_REAL)),
+        "n_list": _list_of(_COUNT),
+        "fit_window": _or_auto(_list_of(_NONNEGATIVE, 2)),
+        "delta_list": _list_of(_REAL),
+    },
+    "barrier": {
+        "alpha": _or_auto(_REAL),
+        "lambda": _or_auto(_NONNEGATIVE),
+        "rho": _POSITIVE,
+        "eta": _POSITIVE,
+        "tol": _POSITIVE,
+    },
+    "oracle": {
+        "alpha_fracs": _list_of(_REAL),
+        "s_list": _list_of(_REAL),
+        "p_list": _list_of(_REAL),
+        "tol": _POSITIVE,
+    },
+    "output": {"directory": _TEXT, "formats": _list_of(_TEXT)},
+}
+
+
 def _merge_block(name: str, given: dict) -> dict:
     base = dict(DEFAULTS[name])
     for key, val in given.items():
         if key not in base:
             raise ConfigParse(f"unknown key {name}.{key!r}")
+        what, test = RULES[name][key]
+        if not test(val):
+            raise ConfigParse(f"{name}.{key} must be {what}, got {val!r}")
         base[key] = val
     return base
 
@@ -229,7 +300,8 @@ def _exp_solve(cfg, outdir, formats):
     grid = _grid(cfg, params)
     results, u_min, incs = _continuation(cfg, params, grid)
     last = results[-1]
-    ok = last.positivity_ok
+    converged = incs[-1] <= float(cfg["solver"]["tol"])
+    ok = last.positivity_ok and converged
     if "csv" in formats:
         rows = [{"x": x, "u": u} for x, u in zip(grid.nodes, u_min.values)]
         write_csv(outdir / "solution.csv", ["x", "u"], rows)
@@ -241,6 +313,7 @@ def _exp_solve(cfg, outdir, formats):
         "solves": len(results),
         "final_eps": float(cfg["solver"]["eps0"]) * 2.0 ** -(len(results) - 1),
         "increments": [float(i) for i in incs],
+        "continuation_converged": converged,
         "final_residual": last.residual,
         "positivity_margin": last.positivity_margin,
         "iterations_total": int(sum(r.iterations for r in results)),

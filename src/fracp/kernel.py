@@ -16,6 +16,7 @@ Conventions fixed here and recorded in every report:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -44,7 +45,6 @@ __all__ = [
     "phi_constant",
     "DiscreteOperator",
     "assemble_operator",
-    "apply_operator",
     "eval_fplap_pv",
     "gagliardo_energy",
     "tail_norm",
@@ -262,7 +262,8 @@ class DiscreteOperator:
 
     energy(v) = sum_{i != j} w_ij |v_i - v_j|^p + 2 sum_i m_i b_i |v_i|^p is
     the discrete Gagliardo seminorm of the zero-extended interpolant raised
-    to the p-th power; apply(v) is the exact gradient of energy(v)/p.
+    to the p-th power; apply(v) is the exact gradient of energy(v)/p and
+    hessian(v, out) its Jacobian.
     """
 
     grid: Grid
@@ -272,11 +273,19 @@ class DiscreteOperator:
     w: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     m: np.ndarray = field(repr=False)
-    _lin: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.grid.n
+
+    @property
+    def _linear(self) -> bool:
+        return self.p == 2.0 and self.mu == 0.0
+
+    @functools.cached_property
+    def _diag(self) -> np.ndarray:
+        # at p = 2 the operator is the matrix 2 (diag(_diag) - w)
+        return self.w.sum(axis=1) + self.m * self.b
 
     def _check(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -284,16 +293,13 @@ class DiscreteOperator:
             raise ShapeMismatch(f"vector shape {v.shape}, operator size {self.n}")
         return v
 
-    def _linear_matrix(self) -> np.ndarray:
-        if self._lin is None:
-            diag = self.w.sum(axis=1) + self.m * self.b
-            self._lin = 2.0 * (np.diag(diag) - self.w)
-        return self._lin
+    def _apply_linear(self, v) -> np.ndarray:
+        return 2.0 * (self._diag * v - self.w @ v)
 
     def apply(self, v) -> np.ndarray:
         v = self._check(v)
-        if self.p == 2.0 and self.mu == 0.0:
-            return self._linear_matrix() @ v
+        if self._linear:
+            return self._apply_linear(v)
         d = v[:, None] - v[None, :]
         su = smoothed_updiff(d, self.p, self.mu)
         return 2.0 * (self.w * su).sum(axis=1) + 2.0 * self.m * self.b * smoothed_updiff(
@@ -302,22 +308,32 @@ class DiscreteOperator:
 
     def energy(self, v) -> float:
         v = self._check(v)
-        if self.p == 2.0 and self.mu == 0.0:
-            return float(v @ (self._linear_matrix() @ v))
+        if self._linear:
+            return float(v @ self._apply_linear(v))
         d = v[:, None] - v[None, :]
         inter = float((self.w * pair_power(d, self.p, self.mu)).sum())
         conf = float(2.0 * (self.m * self.b * pair_power(v, self.p, self.mu)).sum())
         return inter + conf
 
-    def hessian_diag(self, v) -> np.ndarray:
-        """Diagonal curvature of energy/p, used for curvature-scaled descent."""
+    def hessian(self, v, out: np.ndarray) -> np.ndarray:
+        """Dense Hessian of energy/p at v, written into the n x n array out.
+
+        2 (diag(L 1) - L) + diag(2 m b psi'(v)) with L_ij = w_ij psi'(v_i - v_j),
+        psi' the slope of smoothed_updiff; symmetric positive semidefinite,
+        and definite when psi'(v_i) > 0 at every node.
+        """
         v = self._check(v)
-        if self.p == 2.0 and self.mu == 0.0:
-            return 2.0 * (self.w.sum(axis=1) + self.m * self.b)
-        d = v[:, None] - v[None, :]
-        cw = _updiff_curvature(d, self.p, self.mu)
-        cv = _updiff_curvature(v, self.p, self.mu)
-        return 2.0 * (self.w * cw).sum(axis=1) + 2.0 * self.m * self.b * cv
+        n = self.n
+        if self._linear:
+            np.multiply(self.w, -2.0, out=out)
+            out.flat[:: n + 1] += 2.0 * self._diag
+            return out
+        curv = _updiff_curvature(v[:, None] - v[None, :], self.p, self.mu)
+        np.multiply(self.w, curv, out=out)
+        diag = out.sum(axis=1) + self.m * self.b * _updiff_curvature(v, self.p, self.mu)
+        out *= -2.0
+        out.flat[:: n + 1] += 2.0 * diag
+        return out
 
     def energy_over_p(self, v) -> float:
         return self.energy(v) / self.p
@@ -339,9 +355,6 @@ def assemble_operator(grid: Grid, s: float, p: float, mu: float = 0.0) -> Discre
         raise OutOfRange(f"mu must be nonnegative, got {mu}")
     if p >= 2.0 and mu != 0.0:
         raise OutOfRange("smoothing mu must be 0 for p >= 2")
-    if p < 2.0 and mu == 0.0:
-        # assembly itself is fine; solvers will refuse, flag early here too
-        pass
     sp = s * p
     if sp >= p:
         raise OutOfRange("s*p must stay below p")
@@ -418,11 +431,6 @@ def assemble_operator(grid: Grid, s: float, p: float, mu: float = 0.0) -> Discre
     b = ((x - grid.a) ** (-sp) + (grid.b - x) ** (-sp)) / sp
     m = grid.masses
     return DiscreteOperator(grid=grid, s=s, p=p, mu=float(mu), w=w, b=b, m=m)
-
-
-def apply_operator(op: DiscreteOperator, v) -> np.ndarray:
-    """Gradient of the discrete energy over p at nodal vector v."""
-    return op.apply(v)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ epsilon-continuation toward the minimal solution.
 The discrete objective for the regularized problem is
     (1/p) * energy(v) - sum_i m_i K_i H_eps(v_i),
 strictly convex because the energy is strictly convex and H_eps is concave.
-Minimization uses gradient descent with a Barzilai-Borwein spectral step and
-Armijo backtracking, so the energy decreases at every accepted step.
+Minimization uses damped Newton steps: the dense Hessian (the operator's
+weighted graph Laplacian plus the reaction curvature) is factored in place by
+Cholesky, and Armijo backtracking makes the objective decrease at every
+accepted step.  A solve returns only once the gradient sup-norm meets its
+target.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .core import Grid, GridFunction, ProblemParams, Zero
 from .errors import (
@@ -143,54 +147,82 @@ class SolveResult:
     positivity_ok: bool = True
 
 
-_EPS = float(np.finfo(float).eps)
+#: Armijo sufficient-decrease constant
+_ARMIJO = 1e-4
+#: predicted decrease, relative to the objective, below which energy
+#: differences are rounding noise and the full step is judged by the gradient
+_FLOOR = 1e-10
+#: step halvings before the line search gives up
+_HALVINGS = 60
+#: Levenberg shifts tried, each ten times the last, before a step gives up
+_SHIFTS = 24
 
 
-def _descend(value, grad, hess_diag, v0, gtol, max_iter):
-    """Curvature-scaled descent: direction -g/diag(Hessian), spectral
-    (Barzilai-Borwein) step length in the scaled metric, Armijo backtracking
-    with an allowance of a few ulps so rounding noise in the energy cannot
-    stall the gradient from converging."""
-    v = np.asarray(v0, dtype=float).copy()
+def _newton_direction(hess, v, g, H):
+    """Solve H(v) d = -g with H factored in place in the buffer H.
+
+    Where the Hessian is not numerically positive definite (at p > 2 it
+    vanishes at v = 0) the diagonal is shifted, Levenberg style, until the
+    factorization succeeds; a failed factorization has overwritten the
+    buffer, so every attempt rebuilds it.
+    """
+    shift = 0.0
+    for _ in range(_SHIFTS):
+        hess(v, H)
+        if shift:
+            H.flat[:: len(v) + 1] += shift
+        else:
+            dmax = float(H.diagonal().max())
+        try:
+            # H is symmetric and C-ordered, so H.T is its F-ordered view and
+            # LAPACK factors it without a copy
+            factor = cho_factor(H.T, overwrite_a=True, check_finite=False)
+        except LinAlgError:
+            if shift:
+                shift *= 10.0
+            else:
+                shift = 1e-8 * dmax if dmax > 0.0 else float(np.abs(g).max())
+            continue
+        return cho_solve(factor, -g, check_finite=False)
+    raise NoConvergence(f"Hessian not positive definite after a shift of {shift:.3e}")
+
+
+def _newton(value, grad, hess, v0, gtol, max_iter):
+    """Damped Newton minimization of a smooth convex objective.
+
+    hess(v, out) writes the Hessian at v into the n x n buffer out, which is
+    allocated once and refilled at every step.  Steps are Armijo-backtracked;
+    when the predicted decrease drops below what the objective resolves and
+    the full step fails Armijo, it is accepted if it lowers |g|.  Returns
+    (v, iterations, |g|, value) once |g| <= gtol.
+    """
+    v = np.array(v0, dtype=float)
     g = grad(v)
     fv = value(v)
     gnorm = float(np.abs(g).max())
     if gnorm <= gtol:
         return v, 0, gnorm, fv
-    t = 1.0
+    H = np.empty((len(v), len(v)))
     for it in range(1, max_iter + 1):
-        D = hess_diag(v)
-        dmax = float(D.max())
-        if not dmax > 0.0:
-            D = np.ones_like(D)
-        else:
-            D = np.maximum(D, 1e-14 * dmax)
-        d = -g / D
+        d = _newton_direction(hess, v, g, H)
         slope = float(g @ d)
-        allow = 64.0 * _EPS * max(abs(fv), 1e-300)
-        step = t
-        accepted = False
-        for _ in range(60):
+        floor = -slope <= _FLOOR * abs(fv)
+        step = 1.0
+        for _ in range(_HALVINGS):
             v_new = v + step * d
             f_new = value(v_new)
-            if f_new <= fv + 1e-4 * step * slope + allow:
-                accepted = True
+            if f_new <= fv + _ARMIJO * step * slope:
+                g_new = grad(v_new)
                 break
+            if floor and step == 1.0:
+                g_new = grad(v_new)
+                if float(np.abs(g_new).max()) < gnorm:
+                    break
             step *= 0.5
-        if not accepted:
-            # energy evaluation hit its rounding floor; accept only if the
-            # gradient already sits near the target
-            if gnorm <= 10.0 * gtol:
-                return v, it, gnorm, fv
+        else:
             raise NoConvergence(
                 f"line search stalled at |g| = {gnorm:.3e} (target {gtol:.3e})"
             )
-        g_new = grad(v_new)
-        s = v_new - v
-        y = g_new - g
-        sy = float(s @ y)
-        t = float(s @ (D * s)) / sy if sy > 1e-300 else step * 2.0
-        t = min(max(t, 1e-8), 1e8)
         v, g, fv = v_new, g_new, f_new
         gnorm = float(np.abs(g).max())
         if gnorm <= gtol:
@@ -201,7 +233,7 @@ def _descend(value, grad, hess_diag, v0, gtol, max_iter):
 def _require_smoothing(op: DiscreteOperator):
     if op.p < 2.0 and op.mu == 0.0:
         raise SmoothingRequired(
-            "p < 2 needs a positive smoothing parameter mu for the descent solver"
+            "p < 2 needs a positive smoothing parameter mu for the Newton solver"
         )
 
 
@@ -214,14 +246,14 @@ def _solve_objective(
     def grad(v):
         return op.apply(v) - rhs_grad(v)
 
-    def hess_diag(v):
-        d = op.hessian_diag(v)
+    def hess(v, out):
+        op.hessian(v, out)
         if rhs_curv is not None:
-            d = d + rhs_curv(v)
-        return d
+            out.flat[:: op.n + 1] += rhs_curv(v)
+        return out
 
     gtol = tol * max(scale, 1e-300)
-    v, iters, gnorm, fv = _descend(value, grad, hess_diag, v0, gtol, max_iter)
+    v, iters, gnorm, fv = _newton(value, grad, hess, v0, gtol, max_iter)
     return v, iters, gnorm / max(scale, 1e-300), fv
 
 
@@ -295,7 +327,7 @@ def solve_approximated(
     v = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float).copy()
     iters_total = 0
     for k, mu in enumerate(mus):
-        op_mu = dataclasses.replace(op, mu=mu, _lin=None) if op.mu != mu else op
+        op_mu = dataclasses.replace(op, mu=mu) if op.mu != mu else op
         loose = tol if k == len(mus) - 1 else max(tol, 1e-6)
         v, iters, res, _ = _solve_objective(
             op_mu,

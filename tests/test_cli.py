@@ -13,7 +13,7 @@ SCHEMA = json.loads((REPO / "docs" / "report_schema.json").read_text())
 QUICK = {
     "params": {"s": 0.5, "p": 2.0, "gamma": 1.0, "delta": 0.5},
     "grid": {"n": 96, "grading": "auto"},
-    "solver": {"eps0": 0.5, "halvings": 6, "tol": 1e-3},
+    "solver": {"eps0": 0.5, "halvings": 10, "tol": 1e-3},
     "analysis": {"theta_list": [1.0], "n_list": [48, 96, 192], "delta_list": [0.6, 0.8]},
     "oracle": {"alpha_fracs": [0.5], "s_list": [0.5], "p_list": [2.0]},
     "output": {"formats": ["csv", "json", "plotdata"]},
@@ -51,6 +51,34 @@ class TestConfig:
     def test_missing_file_exit_1(self, tmp_path):
         assert run("classify", str(tmp_path / "nope.json"), str(tmp_path / "o")) == 1
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"grid": {"n": "abc"}},
+            {"grid": {"n": 12.5}},
+            {"grid": {"n": True}},
+            {"grid": {"grading": "steep"}},
+            {"params": {"s": None}},
+            {"solver": {"tol": -1e-4}},
+            {"solver": {"halvings": 0}},
+            {"analysis": {"n_list": []}},
+            {"analysis": {"fit_window": [0.01]}},
+            {"output": {"formats": "csv"}},
+        ],
+    )
+    def test_bad_value_is_config_error_exit_1(self, tmp_path, capsys, payload):
+        cfg = write_cfg(tmp_path, payload)
+        with pytest.raises(ConfigParse):
+            load_config(cfg)
+        out = tmp_path / "out"
+        assert main(["classify", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_integral_float_count_accepted(self, tmp_path):
+        assert load_config(write_cfg(tmp_path, {"grid": {"n": 64.0}}))["grid"]["n"] == 64.0
+
 
 class TestSubcommands:
     def test_classify_nonexistent_regime_exits_zero(self, tmp_path):
@@ -87,6 +115,8 @@ class TestSubcommands:
         rep = json.loads((out1 / "report.json").read_text())
         jsonschema.validate(rep, SCHEMA)
         assert rep["overall_passed"] is True
+        solve = next(e for e in rep["experiments"] if e["id"] == "solve")
+        assert solve["record"]["continuation_converged"] is True
         ids = [e["id"] for e in rep["experiments"]]
         assert ids == [
             "classify", "oracle", "barrier-check", "solve",
@@ -96,6 +126,24 @@ class TestSubcommands:
             if f1.suffix in (".csv", ".dat"):
                 f2 = out2 / f1.name
                 assert f2.read_bytes() == f1.read_bytes(), f1.name
+
+    def test_unconverged_continuation_fails_solve(self, tmp_path):
+        # four halvings at p = 1.5 leave the last increment far above tol
+        payload = {
+            "params": {"s": 0.5, "p": 1.5, "gamma": 1.0, "delta": 0.5},
+            "grid": {"n": 64, "grading": "auto"},
+            "solver": {"eps0": 0.5, "halvings": 4, "tol": 1e-4},
+        }
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run("solve", cfg, str(out)) == 2
+        rep = json.loads((out / "report.json").read_text())
+        jsonschema.validate(rep, SCHEMA)
+        rec = rep["experiments"][0]
+        assert rec["passed"] is False
+        assert rec["record"]["continuation_converged"] is False
+        assert rec["record"]["increments"][-1] > 1e-4
+        assert rec["record"]["positivity_margin"] > 0.0
 
     def test_exponent_fit_csv_columns(self, tmp_path):
         payload = dict(QUICK)

@@ -207,10 +207,30 @@ class TestAssembleOperator:
             fd[i] = (op.energy_over_p(vp) - op.energy_over_p(vm)) / (2 * h)
         assert np.abs(fd - grad).max() <= 1e-6 * np.abs(grad).max()
 
+    @pytest.mark.parametrize("s,p,mu", [(0.5, 2.0, 0.0), (0.5, 3.0, 0.0), (0.6, 1.5, 1e-2)])
+    def test_hessian_is_jacobian_of_apply(self, s, p, mu):
+        n = 32
+        op = assemble_operator(build_grid(0, 1, n, 1.5), s, p, mu=mu)
+        v = np.random.default_rng(2).uniform(-1, 1, n)
+        out = np.full((n, n), np.nan)
+        H = op.hessian(v, out)
+        assert H is out
+        assert np.array_equal(H, H.T)
+        h = 1e-6
+        fd = np.empty((n, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            fd[:, j] = (op.apply(v + e) - op.apply(v - e)) / (2 * h)
+        assert np.abs(fd - H).max() <= 1e-6 * np.abs(H).max()
+        assert np.linalg.eigvalsh(H).min() > 0.0
+
     def test_shape_mismatch(self):
         op = assemble_operator(build_grid(0, 1, 16, 1), 0.5, 2.0)
         with pytest.raises(ShapeMismatch):
             op.apply(np.zeros(17))
+        with pytest.raises(ShapeMismatch):
+            op.hessian(np.zeros(17), np.empty((16, 16)))
 
     def test_mu_rules(self):
         g = build_grid(0, 1, 8, 1)
