@@ -25,7 +25,6 @@ from .core import (
     build_grid,
     classify_regime,
     default_grading,
-    distance_fields,
     make_params,
 )
 from .kernel import (
@@ -34,10 +33,8 @@ from .kernel import (
     assemble_operator,
     eval_fplap_pv,
     gagliardo_energy,
-    halfspace_constant,
     bracket_constants,
     phi_constant,
-    tail_norm,
     updiff,
 )
 from .barrier import (
@@ -60,6 +57,7 @@ from .solver import (
 from .analysis import (
     ExponentFit,
     ScanTable,
+    barrier_scales,
     comparison_check,
     fit_boundary_exponent,
     hardy_quotient,

@@ -30,6 +30,7 @@ __all__ = [
     "hardy_quotient",
     "ComparisonReport",
     "comparison_check",
+    "barrier_scales",
     "NonexistenceTable",
     "nonexistence_scan",
     "InequalityReport",
@@ -139,13 +140,15 @@ def fit_boundary_exponent(
 
 @dataclass
 class ScanTable:
-    """Energies of u_min**theta across meshes with the divergence verdicts."""
+    """Energies of u_min**theta across meshes with the divergence verdicts;
+    increments maps each n to its continuation's last increment."""
 
     rows: list
     slopes: dict
     classes: dict
     lambda_cap: float
     consistent: dict
+    increments: dict
 
     def classification_monotone(self) -> bool:
         thetas = sorted(self.classes)
@@ -200,11 +203,16 @@ def sobolev_scan(
     q = default_grading(params) if grading is None else float(grading)
     rows = []
     energies = {t: [] for t in theta_list}
+    increments = {}
     for n in n_list:
         grid = build_grid(params.a, params.b, n, q)
-        _, u_min, _ = continuation(params, grid, eps0=eps0, halvings=halvings, tol=tol)
+        op = assemble_operator(grid, params.s, params.p)
+        _, u_min, incs = continuation(
+            params, grid, eps0=eps0, halvings=halvings, tol=tol, op=op
+        )
+        increments[n] = incs[-1]
         for t in theta_list:
-            e = gagliardo_energy(u_min, t, params.s, params.p)
+            e = gagliardo_energy(u_min, t, op)
             energies[t].append(e)
             rows.append({"theta": t, "n": n, "energy": e})
     slopes = {}
@@ -218,7 +226,7 @@ def sobolev_scan(
         classes[t] = "Divergent" if slope > DIVERGENCE_SLOPE else "Bounded"
         expect_bounded = t > report.lambda_cap
         consistent[t] = (classes[t] == "Bounded") == expect_bounded
-    return ScanTable(rows, slopes, classes, report.lambda_cap, consistent)
+    return ScanTable(rows, slopes, classes, report.lambda_cap, consistent, increments)
 
 
 def hardy_quotient(u: GridFunction, theta: float, s: float, p: float) -> float:
@@ -266,6 +274,33 @@ def comparison_check(u_sub, u, u_super, tol: float = 1e-3) -> ComparisonReport:
     return ComparisonReport(sub_viol, super_viol, tol)
 
 
+def barrier_scales(u: GridFunction, params: ProblemParams, alpha: float, eta: float,
+                   c5: float, c6: float):
+    """Scales (c_sub, c_super) for comparing u with the Sub and Super barriers
+    of power alpha in the strip {d < eta}.
+
+    c5 and c6 are the boundary-barrier constants c5_hat and c6_hat of
+    verify_boundary_barrier; kappa = min u / d**s and the sup of u on
+    {d >= eta/2} match the barriers to u where the strip ends.
+    """
+    s, p, gamma = params.s, params.p, params.gamma
+    d = u.grid.distance()
+    v = u.values
+    kappa = float((v / d**s).min())
+    kappa_eta2 = float(v[d >= eta / 2.0].max())
+    c_sub = min(
+        (eta / 2.0) ** (s - alpha) * kappa,
+        (1.0 / (2.0**gamma * c6)) ** (1.0 / (gamma + p - 1.0)) if c6 > 0 else 1.0,
+        1.0,
+    )
+    c_super = max(
+        (2.0 / eta) ** alpha * kappa_eta2,
+        (1.0 / c5) ** (1.0 / (p - 1.0)),
+        (1.0 / c5) ** (1.0 / (gamma + p - 1.0)),
+    )
+    return c_sub, c_super
+
+
 @dataclass
 class NonexistenceTable:
     """Trend data as delta increases toward s*p: fitted boundary exponents
@@ -300,10 +335,14 @@ def nonexistence_scan(
     for dl in delta_list:
         if dl >= sp:
             raise RegimeError(f"delta = {dl} is outside the solvable range [0, {sp})")
+    # the operator does not depend on delta
+    op = assemble_operator(grid, params_base.s, params_base.p)
     rows = []
     for dl in delta_list:
         pars = params_base.with_delta(float(dl))
-        _, u_min, incs = continuation(pars, grid, eps0=eps0, halvings=halvings, tol=tol)
+        _, u_min, incs = continuation(
+            pars, grid, eps0=eps0, halvings=halvings, tol=tol, op=op
+        )
         fit = fit_boundary_exponent(u_min, window=fit_window, params=pars)
         hq = hardy_quotient(u_min, 1.0, pars.s, pars.p)
         rows.append(
@@ -312,7 +351,7 @@ def nonexistence_scan(
                 "alpha_star": classify_regime(pars).alpha_star,
                 "fitted_exponent": 0.5 * (fit.slope_left + fit.slope_right),
                 "hardy_quotient": hq,
-                "last_increment": incs[-1] if incs else math.nan,
+                "last_increment": incs[-1],
             }
         )
     return NonexistenceTable(rows)
@@ -378,7 +417,7 @@ def inequality_props(
     if params is None:
         params = ProblemParams(0.5, 2.0, 1.0, 0.5)
     grid = build_grid(params.a, params.b, n, default_grading(params))
-    op = assemble_operator(grid, params.s, params.p, mu=0.0 if params.p >= 2.0 else 1e-2)
+    op = assemble_operator(grid, params.s, params.p)
     res = solve_approximated(params, grid, eps, tol=1e-11, op=op)
     u = res.u.values
     weights = weight_values(params, WeightSpec("eps", params.delta, eps=eps), grid.distance())

@@ -30,6 +30,7 @@ from .barrier import (
 )
 from .solver import continuation
 from .analysis import (
+    barrier_scales,
     comparison_check,
     default_fit_window,
     fit_boundary_exponent,
@@ -53,7 +54,7 @@ SUBCOMMANDS = (
 DEFAULTS = {
     "params": {"s": 0.5, "p": 2.0, "gamma": 1.0, "delta": 0.5, "a": 0.0, "b": 1.0},
     "grid": {"n": 256, "grading": "auto"},
-    "solver": {"eps0": 0.5, "halvings": 12, "tol": 1e-4, "mu0": 0.0, "solver_tol": 1e-10},
+    "solver": {"eps0": 0.5, "halvings": 12, "tol": 1e-4, "solver_tol": 1e-10},
     "analysis": {
         "theta_list": [1.0],
         "n_list": [64, 128, 256],
@@ -112,7 +113,6 @@ RULES = {
         "eps0": _POSITIVE,
         "halvings": _COUNT,
         "tol": _POSITIVE,
-        "mu0": _NONNEGATIVE,
         "solver_tol": _POSITIVE,
     },
     "analysis": {
@@ -228,8 +228,12 @@ def _continuation(cfg, params, grid):
         halvings=int(sb["halvings"]),
         tol=float(sb["tol"]),
         solver_tol=float(sb["solver_tol"]),
-        mu0=float(sb["mu0"]),
     )
+
+
+def _converged(increments, cfg) -> bool:
+    """Every continuation's last increment is at most solver.tol."""
+    return all(inc <= float(cfg["solver"]["tol"]) for inc in increments)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +304,7 @@ def _exp_solve(cfg, outdir, formats):
     grid = _grid(cfg, params)
     results, u_min, incs = _continuation(cfg, params, grid)
     last = results[-1]
-    converged = incs[-1] <= float(cfg["solver"]["tol"])
+    converged = _converged(incs[-1:], cfg)
     ok = last.positivity_ok and converged
     if "csv" in formats:
         rows = [{"x": x, "u": u} for x, u in zip(grid.nodes, u_min.values)]
@@ -370,7 +374,8 @@ def _exp_sobolev_scan(cfg, outdir, formats):
         tol=float(sb["tol"]),
         grading=grading,
     )
-    ok = all(table.consistent.values()) and table.classification_monotone()
+    converged = _converged(table.increments.values(), cfg)
+    ok = all(table.consistent.values()) and table.classification_monotone() and converged
     rows = [
         {
             "theta": r["theta"], "n": r["n"], "energy": r["energy"],
@@ -399,6 +404,8 @@ def _exp_sobolev_scan(cfg, outdir, formats):
         "slopes": {str(k): v for k, v in table.slopes.items()},
         "classes": {str(k): v for k, v in table.classes.items()},
         "consistent": {str(k): bool(v) for k, v in table.consistent.items()},
+        "last_increments": {str(k): v for k, v in table.increments.items()},
+        "continuation_converged": converged,
     }
 
 
@@ -414,7 +421,9 @@ def _exp_nonexistence(cfg, outdir, formats):
         halvings=int(sb["halvings"]),
         tol=float(sb["tol"]),
     )
-    ok = table.exponents_decreasing()
+    decreasing = table.exponents_decreasing()
+    converged = _converged([r["last_increment"] for r in table.rows], cfg)
+    ok = decreasing and converged
     if "csv" in formats:
         write_csv(
             outdir / "nonexistence_scan.csv",
@@ -432,7 +441,11 @@ def _exp_nonexistence(cfg, outdir, formats):
             [r["delta"] for r in table.rows],
             [r["hardy_quotient"] for r in table.rows],
         )
-    return ok, {"rows": table.rows, "exponents_decreasing": ok}
+    return ok, {
+        "rows": table.rows,
+        "exponents_decreasing": decreasing,
+        "continuation_converged": converged,
+    }
 
 
 def _exp_compare(cfg, outdir, formats):
@@ -449,25 +462,13 @@ def _exp_compare(cfg, outdir, formats):
     eta = float(bb["eta"])
     tol = float(bb["tol"])
     rec = verify_boundary_barrier(params, spec, grid, eta)
-    c5, c6 = rec.details["c5_hat"], rec.details["c6_hat"]
-    s, p, gamma, alpha = params.s, params.p, params.gamma, spec.alpha
-    d = grid.distance()
-    u = u_min.values
-    kappa = float((u / d**s).min())
-    kappa_eta2 = float(u[d >= eta / 2.0].max())
-    c_sub = min(
-        (eta / 2.0) ** (s - alpha) * kappa,
-        (1.0 / (2.0**gamma * c6)) ** (1.0 / (gamma + p - 1.0)) if c6 > 0 else 1.0,
-        1.0,
-    )
-    c_super = max(
-        (2.0 / eta) ** alpha * kappa_eta2,
-        (1.0 / c5) ** (1.0 / (p - 1.0)),
-        (1.0 / c5) ** (1.0 / (gamma + p - 1.0)),
+    c_sub, c_super = barrier_scales(
+        u_min, params, spec.alpha, eta, rec.details["c5_hat"], rec.details["c6_hat"]
     )
     sub = barrier_profile(spec, grid, "Sub")
     sup = barrier_profile(spec, grid, "Super")
-    strip = d < eta
+    u = u_min.values
+    strip = grid.distance() < eta
     cmp_strip = comparison_check(
         c_sub * sub.values[strip], u[strip], c_super * sup.values[strip], tol=tol
     )
@@ -490,7 +491,7 @@ def _exp_compare(cfg, outdir, formats):
         )
     return ok, {
         "lambda": lam,
-        "alpha": alpha,
+        "alpha": spec.alpha,
         "eta": eta,
         "c_sub": c_sub,
         "c_super": c_super,
@@ -512,8 +513,7 @@ EXPERIMENTS = {
 }
 
 
-def run(subcommand: str, config_path: str, out_dir: str | None = None,
-        threads: int | None = None, seed: int = 0) -> int:
+def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int = 0) -> int:
     """Execute one subcommand; returns the process exit code."""
     if subcommand not in SUBCOMMANDS:
         print(f"error: unknown subcommand {subcommand!r}", file=sys.stderr)
@@ -555,7 +555,6 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
         "tool": {"name": "fracp", "version": __version__},
         "config": cfg,
         "seed": int(seed),
-        "threads": int(threads) if threads is not None else 1,
         "conventions": {
             "pv_includes_factor_2": True,
             "apply_is_gradient_of_energy_over_p": True,
@@ -593,20 +592,12 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker hint; falls back to FRACP_THREADS (results are thread-stable)")
     parser.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
     try:
         args = parser.parse_args(argv)
     except SystemExit:
         return 1
-    threads = args.threads
-    if threads is None:
-        import os
-
-        env = os.environ.get("FRACP_THREADS")
-        threads = int(env) if env else None
-    return run(args.subcommand, args.config, args.out, threads, args.seed)
+    return run(args.subcommand, args.config, args.out, args.seed)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Problem parameters, regime classification, graded meshes and distance fields.
+"""Problem parameters, regime classification, graded meshes and grid functions.
 
 The problem family lives on an interval Omega = (a, b) and is governed by the
 quadruple (s, p, gamma, delta): fractional order, integrability exponent,
@@ -222,56 +222,6 @@ def build_grid(a: float, b: float, n: int, q: float = 1.0) -> Grid:
         b - width * 2.0 ** (q - 1.0) * (1.0 - t) ** q,
     )
     return Grid(a=float(a), b=float(b), q=float(q), nodes=x)
-
-
-# ---------------------------------------------------------------------------
-# extended distance field
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtendedDistance:
-    """Signed, clipped extension of the distance function.
-
-    Inside Omega it equals dist(x, boundary).  Outside it equals
-    -dist(x, boundary) within a collar of width lambda**(1/alpha), and the
-    constant -lambda**(1/alpha) beyond.  The map is 1-Lipschitz on R.
-    """
-
-    a: float
-    b: float
-    lam: float
-    alpha: float
-    rho: float
-
-    @property
-    def collar(self) -> float:
-        return self.lam ** (1.0 / self.alpha) if self.lam > 0.0 else 0.0
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = np.minimum(x - self.a, self.b - x)
-        outside_dist = np.maximum(np.maximum(self.a - x, x - self.b), 0.0)
-        out_val = -np.minimum(outside_dist, self.collar)
-        val = np.where(inside > 0.0, inside, out_val)
-        return val if val.ndim else float(val)
-
-
-def distance_fields(grid: Grid, lam: float, alpha: float, rho: float):
-    """Per-node distances plus the extended-distance descriptor.
-
-    lam >= 0, rho > 0; alpha in (0, 1) is only constrained against s when the
-    result feeds a barrier profile.
-    """
-    if lam < 0.0:
-        raise OutOfRange(f"lambda must be nonnegative, got {lam}")
-    if rho <= 0.0:
-        raise OutOfRange(f"rho must be positive, got {rho}")
-    if not (0.0 < alpha < 1.0):
-        raise OutOfRange(f"alpha must lie in (0, 1), got {alpha}")
-    d = grid.distance()
-    d_e = ExtendedDistance(a=grid.a, b=grid.b, lam=float(lam), alpha=float(alpha), rho=float(rho))
-    return d, d_e
 
 
 # ---------------------------------------------------------------------------

@@ -33,20 +33,12 @@ class ExtensionUnsupported(FracpError, ValueError):
     """Exterior extension descriptor has no computable integral here."""
 
 
-class SmoothingRequired(FracpError, ValueError):
-    """p < 2 requested without a positive smoothing parameter."""
-
-
 class ShapeMismatch(FracpError, ValueError):
     """Vector length does not match the operator or grid."""
 
 
 class NegativeBase(FracpError, ValueError):
     """Fractional power of a negative nodal value requested."""
-
-
-class SingularMatrix(FracpError, ValueError):
-    """Angular constant requested for a non-invertible matrix."""
 
 
 class RegimeError(FracpError, ValueError):

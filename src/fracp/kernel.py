@@ -2,9 +2,8 @@
 
 Contents: the nonlinear difference [a - b]**(p-1), the power-barrier scalar
 Phi(alpha, s, p) with its bracketing constants, principal-value evaluation of
-the operator on grid functions, assembly of the discrete energy/operator,
-Gagliardo-type energies, tail norms, and the planar half-space angular
-constant.
+the operator on grid functions, assembly of the discrete energy/operator and
+Gagliardo-type energies.
 
 Conventions fixed here and recorded in every report:
   * the pointwise operator carries a factor 2 in front of the principal
@@ -17,7 +16,6 @@ Conventions fixed here and recorded in every report:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +31,6 @@ from .errors import (
     PointTooCloseToBoundary,
     QuadratureFail,
     ShapeMismatch,
-    SingularMatrix,
 )
 
 __all__ = [
@@ -47,8 +44,6 @@ __all__ = [
     "assemble_operator",
     "eval_fplap_pv",
     "gagliardo_energy",
-    "tail_norm",
-    "halfspace_constant",
 ]
 
 
@@ -263,16 +258,17 @@ class DiscreteOperator:
     energy(v) = sum_{i != j} w_ij |v_i - v_j|^p + 2 sum_i m_i b_i |v_i|^p is
     the discrete Gagliardo seminorm of the zero-extended interpolant raised
     to the p-th power; apply(v) is the exact gradient of energy(v)/p and
-    hessian(v, out) its Jacobian.
+    hessian(v, out) its Jacobian.  mu smooths the pair differences (see
+    smoothed_updiff); assembly leaves it 0 and the solver sets it for p < 2.
     """
 
     grid: Grid
     s: float
     p: float
-    mu: float
     w: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     m: np.ndarray = field(repr=False)
+    mu: float = 0.0
 
     @property
     def n(self) -> int:
@@ -339,7 +335,7 @@ class DiscreteOperator:
         return self.energy(v) / self.p
 
 
-def assemble_operator(grid: Grid, s: float, p: float, mu: float = 0.0) -> DiscreteOperator:
+def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     """Assemble pair weights by exact kernel integration against the hat basis.
 
     Cell pairs at index distance >= 2 use closed-form integrals of the kernel
@@ -351,10 +347,6 @@ def assemble_operator(grid: Grid, s: float, p: float, mu: float = 0.0) -> Discre
     """
     if not (0.0 < s < 1.0) or p <= 1.0:
         raise OutOfRange(f"need 0 < s < 1 and p > 1, got s={s}, p={p}")
-    if mu < 0.0:
-        raise OutOfRange(f"mu must be nonnegative, got {mu}")
-    if p >= 2.0 and mu != 0.0:
-        raise OutOfRange("smoothing mu must be 0 for p >= 2")
     sp = s * p
     if sp >= p:
         raise OutOfRange("s*p must stay below p")
@@ -430,7 +422,7 @@ def assemble_operator(grid: Grid, s: float, p: float, mu: float = 0.0) -> Discre
     x = grid.nodes
     b = ((x - grid.a) ** (-sp) + (grid.b - x) ** (-sp)) / sp
     m = grid.masses
-    return DiscreteOperator(grid=grid, s=s, p=p, mu=float(mu), w=w, b=b, m=m)
+    return DiscreteOperator(grid=grid, s=s, p=p, w=w, b=b, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -511,26 +503,14 @@ def eval_fplap_pv(u: GridFunction, x: float, s: float, p: float, cut: float | No
 
 
 # ---------------------------------------------------------------------------
-# energies and norms
+# energies
 # ---------------------------------------------------------------------------
 
-_OP_CACHE: dict = {}
 
-
-def _cached_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
-    key = (grid.a, grid.b, grid.q, grid.n, s, p)
-    op = _OP_CACHE.get(key)
-    if op is None:
-        op = assemble_operator(grid, s, p, mu=0.0)
-        if len(_OP_CACHE) > 12:
-            _OP_CACHE.pop(next(iter(_OP_CACHE)))
-        _OP_CACHE[key] = op
-    return op
-
-
-def gagliardo_energy(u: GridFunction, theta: float, s: float, p: float) -> float:
+def gagliardo_energy(u: GridFunction, theta: float, op: DiscreteOperator) -> float:
     """Discrete [u**theta]_{s,p}^p for the zero-extended grid function.
 
+    op is the operator assembled on u's grid for the (s, p) of the seminorm.
     Interior double sum plus twice the mass-weighted confinement term.  The
     divergence decision under mesh refinement belongs to the scan driver;
     this returns the single-grid value.
@@ -545,72 +525,4 @@ def gagliardo_energy(u: GridFunction, theta: float, s: float, p: float) -> float
     if theta != 1.0 and np.any(vals < 0.0):
         raise NegativeBase("theta != 1 requires nonnegative nodal values")
     v = vals if theta == 1.0 else vals**theta
-    op = _cached_operator(u.grid, s, p)
     return op.energy(v)
-
-
-def tail_norm(u: GridFunction, s: float, p: float) -> float:
-    """Membership integral int_R |u|^{p-1} (1 + |x|)^{-1-s p} dx."""
-    sp = s * p
-    grid = u.grid
-    a, b = grid.a, grid.b
-
-    def dens(z):
-        return np.abs(u(z)) ** (p - 1.0) * (1.0 + np.abs(z)) ** (-1.0 - sp)
-
-    inner = _gauss_segments(dens, np.column_stack((grid.edges[:-1], grid.edges[1:])))
-
-    ext = u.exterior
-    if not (hasattr(ext, "value") and hasattr(ext, "kinks")):
-        raise ExtensionUnsupported(f"no computable tail for {ext!r}")
-    kinks = sorted(ext.kinks(a, b))
-    left_breaks = [k for k in kinks if k < a]
-    right_breaks = [k for k in kinks if k > b]
-
-    total = inner
-    pieces = []
-    lo = -math.inf
-    for k in left_breaks + [a]:
-        pieces.append((lo, k))
-        lo = k
-    lo = b
-    for k in right_breaks + [math.inf]:
-        pieces.append((lo, k))
-        lo = k
-    for lo, hi in pieces:
-        if lo == hi:
-            continue
-        val, _ = quad(lambda z: float(dens(np.asarray(z))), lo, hi, limit=200)
-        total += val
-    return float(total)
-
-
-def halfspace_constant(A, s: float, p: float, rel_tol: float = 1e-9) -> float:
-    """Planar angular constant (1/2) int_{S^1} |e2 . v|^{s p} |A v|^{-2-s p} dv.
-
-    Periodic trapezoidal quadrature in the angle with doubling until the
-    value stabilizes.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.shape != (2, 2):
-        raise ShapeMismatch(f"expected a 2x2 matrix, got shape {A.shape}")
-    scale = np.abs(A).max()
-    if scale == 0.0 or abs(np.linalg.det(A)) < 1e-14 * scale * scale:
-        raise SingularMatrix("matrix must be invertible")
-    sp = s * p
-
-    def value(nang: int) -> float:
-        th = np.arange(nang) * (2.0 * math.pi / nang)
-        v = np.stack((np.cos(th), np.sin(th)))
-        av = A @ v
-        norms = np.sqrt((av * av).sum(axis=0))
-        integ = np.abs(v[1]) ** sp * norms ** (-2.0 - sp)
-        return 0.5 * integ.sum() * (2.0 * math.pi / nang)
-
-    prev = value(512)
-    for nang in (1024, 2048, 4096, 8192, 16384, 32768, 65536):
-        cur = value(nang)
-        if abs(cur - prev) <= rel_tol * abs(cur) + 1e-14:
-            return cur
-        prev = cur
-    return prev

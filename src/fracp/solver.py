@@ -8,7 +8,9 @@ Minimization uses damped Newton steps: the dense Hessian (the operator's
 weighted graph Laplacian plus the reaction curvature) is factored in place by
 Cholesky, and Armijo backtracking makes the objective decrease at every
 accepted step.  A solve returns only once the gradient sup-norm meets its
-target.
+target.  For p < 2 the solver smooths the pair differences with mu = MU_FLOOR
+(see smoothed_updiff) so that the Hessian exists; the operator a caller
+passes in carries no smoothing.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import (
     PointTooCloseToBoundary,
     RegimeError,
     ShapeMismatch,
-    SmoothingRequired,
 )
 from .barrier import WeightSpec, weight_values
 from .kernel import DiscreteOperator, assemble_operator, eval_fplap_pv
@@ -41,6 +42,7 @@ __all__ = [
     "residual_check",
 ]
 
+#: smoothing of the pair differences for p < 2
 MU_FLOOR = 1e-8
 
 
@@ -230,11 +232,9 @@ def _newton(value, grad, hess, v0, gtol, max_iter):
     raise NoConvergence(f"no convergence after {max_iter} iterations (|g| = {gnorm:.3e})")
 
 
-def _require_smoothing(op: DiscreteOperator):
-    if op.p < 2.0 and op.mu == 0.0:
-        raise SmoothingRequired(
-            "p < 2 needs a positive smoothing parameter mu for the Newton solver"
-        )
+def _smoothed(op: DiscreteOperator) -> DiscreteOperator:
+    # psi' of the unsmoothed difference is infinite at 0 for p < 2
+    return dataclasses.replace(op, mu=MU_FLOOR) if op.p < 2.0 else op
 
 
 def _solve_objective(
@@ -270,32 +270,20 @@ def solve_fixed_rhs(
         raise ShapeMismatch(f"rhs shape {f.shape}, operator size {op.n}")
     if np.any(f < 0.0):
         raise OutOfRange("fixed right-hand side must be nonnegative")
-    _require_smoothing(op)
     if not np.any(f > 0.0):
         u = GridFunction(op.grid, np.zeros(op.n), Zero())
         return SolveResult(u, 0, 0.0, 0.0, 0.0)
+    op = _smoothed(op)
     mf = op.m * f
     scale = float(np.abs(mf).max())
     v0 = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float)
-    v, iters, res, _ = _solve_objective(
+    v, iters, res, fv = _solve_objective(
         op, lambda v: float(mf @ v), lambda v: mf, v0, tol, max_iter, scale
     )
     margin = float(v.min())
     ok = margin >= -1e-12
     u = GridFunction(op.grid, v, Zero())
-    return SolveResult(u, iters, res, op.energy_over_p(v) - float(mf @ v), margin, ok)
-
-
-def _mu_schedule(p: float, mu0: float):
-    if p >= 2.0:
-        return [0.0]
-    mu = mu0 if mu0 > 0.0 else 1e-2
-    out = []
-    while mu > MU_FLOOR:
-        out.append(mu)
-        mu *= 0.5
-    out.append(MU_FLOOR)
-    return out
+    return SolveResult(u, iters, res, fv, margin, ok)
 
 
 def solve_approximated(
@@ -304,7 +292,6 @@ def solve_approximated(
     eps: float,
     tol: float = 1e-10,
     max_iter: int = 40000,
-    mu0: float = 0.0,
     op: DiscreteOperator | None = None,
     v0=None,
 ) -> SolveResult:
@@ -312,40 +299,34 @@ def solve_approximated(
 
     The minimizer satisfies apply(u) = m * K_eps * h_eps(u) up to the
     requested tolerance and is strictly positive at interior nodes.
-    For p < 2 an internal mu-continuation drives the smoothing down to 1e-8.
+    For p < 2 it is one Newton solve with the pair differences smoothed at
+    mu = MU_FLOOR.  op, when given, is the operator assembled for (grid, s, p).
     """
     if params.delta >= params.sp:
         raise RegimeError(
             f"existence range requires delta < s*p, got {params.delta} >= {params.sp}"
         )
-    mus = _mu_schedule(params.p, mu0)
     if op is None:
-        op = assemble_operator(grid, params.s, params.p, mu=mus[0])
+        op = assemble_operator(grid, params.s, params.p)
+    op = _smoothed(op)
     weights = weight_values(params, WeightSpec("eps", params.delta, eps=eps), grid.distance())
     reaction = SingularEnergy(params=params, eps=eps, kvals=weights, masses=op.m)
     scale = float((op.m * weights * reaction.h_eps(np.zeros(op.n))).max())
-    v = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float).copy()
-    iters_total = 0
-    for k, mu in enumerate(mus):
-        op_mu = dataclasses.replace(op, mu=mu) if op.mu != mu else op
-        loose = tol if k == len(mus) - 1 else max(tol, 1e-6)
-        v, iters, res, _ = _solve_objective(
-            op_mu,
-            reaction.value,
-            reaction.grad,
-            v,
-            loose,
-            max_iter,
-            scale,
-            rhs_curv=reaction.curvature,
-        )
-        iters_total += iters
-        op = op_mu
+    v0 = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float)
+    v, iters, res, fv = _solve_objective(
+        op,
+        reaction.value,
+        reaction.grad,
+        v0,
+        tol,
+        max_iter,
+        scale,
+        rhs_curv=reaction.curvature,
+    )
     margin = float(v.min())
     ok = margin >= -1e-12
     u = GridFunction(grid, v, Zero())
-    energy = op.energy_over_p(v) - reaction.value(v)
-    return SolveResult(u, iters_total, res, energy, margin, ok)
+    return SolveResult(u, iters, res, fv, margin, ok)
 
 
 def continuation(
@@ -355,27 +336,27 @@ def continuation(
     halvings: int = 12,
     tol: float = 1e-4,
     solver_tol: float = 1e-10,
-    mu0: float = 0.0,
+    op: DiscreteOperator | None = None,
 ):
     """Warm-started solves for eps_k = eps0 * 2**-k.
 
     Stops early once the sup-norm increment between consecutive minimizers
     falls below tol; the last iterate approximates the minimal solution and
-    the recorded increment is its honest error proxy.
+    the recorded increment is its honest error proxy.  op, when given, is
+    the operator assembled for (grid, s, p); otherwise it is assembled here.
 
     Returns (results, u_min, increments).
     """
     if halvings < 2:
         raise OutOfRange(f"need at least 2 halvings, got {halvings}")
-    op = assemble_operator(grid, params.s, params.p, mu=_mu_schedule(params.p, mu0)[0])
+    if op is None:
+        op = assemble_operator(grid, params.s, params.p)
     results = []
     increments = []
     v_prev = None
     for k in range(halvings + 1):
         eps = eps0 * 2.0**-k
-        res = solve_approximated(
-            params, grid, eps, tol=solver_tol, mu0=mu0, op=op, v0=v_prev
-        )
+        res = solve_approximated(params, grid, eps, tol=solver_tol, op=op, v0=v_prev)
         results.append(res)
         if v_prev is not None:
             inc = float(np.abs(res.u.values - v_prev).max())

@@ -14,6 +14,7 @@ from fracp import (
     BarrierSpec,
     assemble_operator,
     barrier_profile,
+    barrier_scales,
     build_grid,
     classify_regime,
     comparison_check,
@@ -234,25 +235,13 @@ def test_c9_comparison_bracketing(case2_run):
     spec = BarrierSpec(alpha=alpha, lam=lam, rho=0.5, s=params.s, p=params.p)
     eta = 0.1
     rec = verify_boundary_barrier(params, spec, grid, eta)
-    c5, c6 = rec.details["c5_hat"], rec.details["c6_hat"]
-    s, p, gamma = params.s, params.p, params.gamma
-    d = grid.distance()
-    u = u_min.values
-    kappa = float((u / d**s).min())
-    kappa_eta2 = float(u[d >= eta / 2.0].max())
-    c_sub = min(
-        (eta / 2.0) ** (s - alpha) * kappa,
-        (1.0 / (2.0**gamma * c6)) ** (1.0 / (gamma + p - 1.0)),
-        1.0,
-    )
-    c_super = max(
-        (2.0 / eta) ** alpha * kappa_eta2,
-        (1.0 / c5) ** (1.0 / (p - 1.0)),
-        (1.0 / c5) ** (1.0 / (gamma + p - 1.0)),
+    c_sub, c_super = barrier_scales(
+        u_min, params, alpha, eta, rec.details["c5_hat"], rec.details["c6_hat"]
     )
     sub = barrier_profile(spec, grid, "Sub")
     sup = barrier_profile(spec, grid, "Super")
-    strip = d < eta
+    u = u_min.values
+    strip = grid.distance() < eta
     cmp = comparison_check(
         c_sub * sub.values[strip], u[strip], c_super * sup.values[strip], tol=1e-3
     )

@@ -4,6 +4,7 @@ import pytest
 from fracp import (
     GridFunction,
     Zero,
+    assemble_operator,
     build_grid,
     comparison_check,
     fit_boundary_exponent,
@@ -138,6 +139,23 @@ class TestNonexistenceScan:
         grid = build_grid(0, 1, 64, 2.0)
         with pytest.raises(RegimeError):
             nonexistence_scan(pars, [0.8, 1.0], grid)
+
+    def test_one_assembly_for_all_deltas(self, monkeypatch):
+        from fracp import analysis, solver
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assemble_operator(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "assemble_operator", counted)
+        monkeypatch.setattr(solver, "assemble_operator", counted)
+        pars = make_params(0.5, 2.0, 1.0, 0.5)
+        grid = build_grid(0, 1, 48, 2.0)
+        table = nonexistence_scan(pars, [0.6, 0.8], grid, halvings=4, tol=1e-2)
+        assert len(table.rows) == 2
+        assert len(calls) == 1
 
     def test_small_trend(self):
         pars = make_params(0.5, 2.0, 1.0, 0.5)

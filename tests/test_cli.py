@@ -115,8 +115,9 @@ class TestSubcommands:
         rep = json.loads((out1 / "report.json").read_text())
         jsonschema.validate(rep, SCHEMA)
         assert rep["overall_passed"] is True
-        solve = next(e for e in rep["experiments"] if e["id"] == "solve")
-        assert solve["record"]["continuation_converged"] is True
+        for e in rep["experiments"]:
+            if e["id"] in ("solve", "sobolev-scan", "nonexistence-scan"):
+                assert e["record"]["continuation_converged"] is True, e["id"]
         ids = [e["id"] for e in rep["experiments"]]
         assert ids == [
             "classify", "oracle", "barrier-check", "solve",
@@ -144,6 +145,26 @@ class TestSubcommands:
         assert rec["record"]["continuation_converged"] is False
         assert rec["record"]["increments"][-1] > 1e-4
         assert rec["record"]["positivity_margin"] > 0.0
+
+    @pytest.mark.parametrize("subcommand", ["sobolev-scan", "nonexistence-scan"])
+    def test_unconverged_continuation_fails_scan(self, tmp_path, subcommand):
+        # two halvings leave every last increment far above tol
+        payload = dict(QUICK)
+        payload["solver"] = {"eps0": 0.5, "halvings": 2, "tol": 1e-4}
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run(subcommand, cfg, str(out)) == 2
+        rep = json.loads((out / "report.json").read_text())
+        jsonschema.validate(rep, SCHEMA)
+        rec = rep["experiments"][0]
+        assert rec["passed"] is False
+        assert rec["record"]["continuation_converged"] is False
+        if subcommand == "sobolev-scan":
+            incs = list(rec["record"]["last_increments"].values())
+            assert len(incs) == len(QUICK["analysis"]["n_list"])
+        else:
+            incs = [r["last_increment"] for r in rec["record"]["rows"]]
+        assert min(incs) > 1e-4
 
     def test_exponent_fit_csv_columns(self, tmp_path):
         payload = dict(QUICK)

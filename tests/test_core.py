@@ -11,7 +11,6 @@ from fracp import (
     build_grid,
     classify_regime,
     default_grading,
-    distance_fields,
     make_params,
 )
 from fracp.errors import BadGrading, OutOfRange
@@ -137,29 +136,3 @@ class TestGrid:
         assert default_grading(make_params(0.5, 2, 1, 0.95)) == 4.0
         assert default_grading(make_params(0.5, 2, 0, 0)) == 1.0
 
-
-class TestDistanceFields:
-    def test_interior_value(self):
-        g = build_grid(0, 1, 3, 1)
-        d, _ = distance_fields(g, lam=0.1**0.25, alpha=0.25, rho=0.5)
-        assert d[0] == pytest.approx(0.25)
-
-    def test_exterior_collar_and_floor(self):
-        g = build_grid(0, 1, 8, 1)
-        lam = 0.1**0.25  # lam**(1/alpha) = 0.1
-        _, de = distance_fields(g, lam=lam, alpha=0.25, rho=0.5)
-        assert de(-0.05) == pytest.approx(-0.05)
-        assert de(-5.0) == pytest.approx(-0.1)
-        assert de(0.25) == pytest.approx(0.25)
-
-    @given(
-        x=st.floats(-4, 5),
-        y=st.floats(-4, 5),
-        lam=st.floats(0.0, 0.5),
-        alpha=st.floats(0.1, 0.9),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_one_lipschitz(self, x, y, lam, alpha):
-        g = build_grid(0, 1, 8, 1)
-        _, de = distance_fields(g, lam=lam, alpha=alpha, rho=1.0)
-        assert abs(de(x) - de(y)) <= abs(x - y) + 1e-12

@@ -17,7 +17,6 @@ from fracp.errors import (
     OutOfRange,
     RegimeError,
     ShapeMismatch,
-    SmoothingRequired,
 )
 from fracp.solver import SingularEnergy, residual_check
 
@@ -51,10 +50,13 @@ class TestSolveFixedRhs:
         with pytest.raises(ShapeMismatch):
             solve_fixed_rhs(op, np.ones(15))
 
-    def test_smoothing_required(self):
-        op = assemble_operator(build_grid(0, 1, 16, 1), 0.6, 1.5, mu=0.0)
-        with pytest.raises(SmoothingRequired):
-            solve_fixed_rhs(op, np.ones(16))
+    def test_p_below_two_on_plain_operator(self):
+        # the solver smooths p < 2 itself; the assembled operator has mu = 0
+        op = assemble_operator(build_grid(0, 1, 16, 1), 0.6, 1.5)
+        assert op.mu == 0.0
+        res = solve_fixed_rhs(op, np.ones(16))
+        assert res.residual <= 1e-10
+        assert res.positivity_ok
 
     def test_torsion_s075_uniform_512_converges(self):
         # a linear SPD system the earlier gradient descent gave up on at the
@@ -192,7 +194,7 @@ class TestSolveApproximated:
     def test_p_below_two_with_smoothing(self):
         pars = make_params(0.6, 1.5, 0.5, 0.2)
         grid = build_grid(0, 1, 48, 1.5)
-        res = solve_approximated(pars, grid, 0.25, tol=1e-8, mu0=1e-2)
+        res = solve_approximated(pars, grid, 0.25, tol=1e-8)
         assert res.positivity_margin > 0
 
     def test_weight_comparison(self):
@@ -232,6 +234,8 @@ class TestContinuation:
         for a, b in zip(results, results[1:]):
             assert np.min(b.u.values - a.u.values) > 0.0
         assert incs[-1] <= 1e-4
+        # one Newton solve per eps, all at the smoothing mu = MU_FLOOR
+        assert sum(r.iterations for r in results) <= 150
 
     def test_early_stop(self, singular_preset):
         grid = build_grid(0, 1, 64, 2.0)
