@@ -201,22 +201,27 @@ def test_c7_monotone_regularization():
 
 
 def test_c8_sobolev_threshold():
+    # 12 halvings as in configs/sobolev_*.json: with 10 the continuations
+    # stop above their tol and the energies come from unconverged iterates
     bounded = sobolev_scan(
-        PRESETS["sobolev_bounded"], [1.0], [128, 256, 512, 1024], halvings=10, tol=1e-4
+        PRESETS["sobolev_bounded"], [1.0], [128, 256, 512, 1024], halvings=12, tol=1e-4
     )
     energies = [r["energy"] for r in bounded.rows]
     ratios = [b / a for a, b in zip(energies, energies[1:])]
     ok_b = bounded.classes[1.0] == "Bounded" and all(r <= 1.1 for r in ratios)
 
     divergent = sobolev_scan(
-        PRESETS["sobolev_divergent"], [1.0, 3.0], [128, 256, 512, 1024], halvings=10, tol=1e-4
+        PRESETS["sobolev_divergent"], [1.0, 3.0], [128, 256, 512, 1024], halvings=12, tol=1e-4
     )
     ok_d = (
         divergent.classes[1.0] == "Divergent"
         and divergent.slopes[1.0] > 0.1
         and divergent.classes[3.0] == "Bounded"
     )
-    ok = ok_b and ok_d
+    converged = all(
+        inc <= 1e-4 for table in (bounded, divergent) for inc in table.increments.values()
+    )
+    ok = ok_b and ok_d and converged
     record_criterion(
         f"[{'PASS' if ok else 'FAIL'}] C8 Sobolev threshold: "
         f"Lam=0.75 ratios max {max(ratios):.3f} <= 1.1; "
@@ -224,6 +229,7 @@ def test_c8_sobolev_threshold():
     )
     assert ok_b
     assert ok_d
+    assert converged, (bounded.increments, divergent.increments)
 
 
 def test_c9_comparison_bracketing(case2_run):

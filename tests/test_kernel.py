@@ -27,7 +27,58 @@ from fracp.errors import (
     PointTooCloseToBoundary,
     ShapeMismatch,
 )
-from fracp.kernel import _cell_pair_J, _corner_rect
+from fracp.kernel import _cell_pair_J, _corner_rect, _far_hat_weights, _nudged_sp
+
+
+def _tensor_hat_integrals(X0, X1, Y0, Y1, sp, q):
+    """q x q tensor Gauss integrals of (1-u)(1-v), (1-u) v, u (1-v), u v
+    times (y-x)^(-1-sp) over each cell pair, one column per pair."""
+    xi, om = np.polynomial.legendre.leggauss(q)
+    u, om = 0.5 * (1.0 + xi), 0.5 * om
+    hX, hY = X1 - X0, Y1 - Y0
+    D = (
+        (Y0 - X1)[:, None, None]
+        + hX[:, None, None] * (1.0 - u)[None, :, None]
+        + hY[:, None, None] * u[None, None, :]
+    )
+    hats = np.stack((1.0 - u, u))
+    C = np.einsum("i,j,ai,bj,nij->abn", om, om, hats, hats, D ** (-1.0 - sp))
+    return C.reshape(4, -1) * (hX * hY)
+
+
+def _reference_weights(grid, s, p):
+    """Pair weights with the assembly's near band and a fixed 10-point far rule."""
+    n, t, sp = grid.n, grid.edges, s * p
+    M = np.zeros((n, n))
+    ld = np.longdouble
+    for gap in range(2, n + 1):
+        k = np.arange(n + 1 - gap)
+        X0, X1, Y0, Y1 = t[k], t[k + 1], t[k + gap], t[k + gap + 1]
+        near = Y0 - X1 <= 8.0 * np.maximum(X1 - X0, Y1 - Y0)
+        C = _tensor_hat_integrals(X0, X1, Y0, Y1, sp, 10)
+        J00, J01, J10, J11 = (
+            part.astype(float)
+            for part in _cell_pair_J(
+                X0[near].astype(ld), X1[near].astype(ld),
+                Y0[near].astype(ld), Y1[near].astype(ld), ld(_nudged_sp(sp)),
+            )
+        )
+        C[:, near] = (J00 - J10 - J01 + J11, J01 - J11, J10 - J11, J11)
+        xL, xR = np.maximum(k, 1) - 1, np.minimum(k + 1, n) - 1
+        yL, yR = k + gap - 1, np.minimum(k + gap + 1, n) - 1
+        for c, idx in zip(C, [(xL, yL), (xL, yR), (xR, yL), (xR, yR)]):
+            np.add.at(M, idx, c)
+    k = np.arange(1, n)
+    h = t[k + 1] - t[k]
+    np.add.at(M, (k - 1, k), h ** (1.0 - sp) / ((p - sp) * (p + 1.0 - sp)))
+    k = np.arange(1, n + 1)
+    hA, hB = t[k] - t[k - 1], t[k + 1] - t[k]
+    np.add.at(
+        M,
+        (np.maximum(k - 1, 1) - 1, np.minimum(k + 1, n) - 1),
+        _corner_rect(hA, hB, p - 1.0 - sp) / (hA + hB) ** p,
+    )
+    return M + M.T
 
 
 class TestUpdiff:
@@ -153,6 +204,21 @@ class TestCellPairIntegrals:
             )[0]
             assert val[0] == pytest.approx(ref, rel=2e-6)
 
+    @pytest.mark.parametrize("sp", [0.45, 1.0 + 5e-7, 1.5, 2.9, 4.5, 7.0])
+    def test_far_field_against_16_point_rule(self, sp):
+        # separation ratios on both sides of the order thresholds 32 and 256
+        geo = []
+        for r in (8.5, 32.0, 33.0, 256.0, 257.0, 2000.0):
+            for aspect in (0.1, 1.0, 10.0):
+                X0, hX, hY = 0.2, 1e-3, 1e-3 * aspect
+                Y0 = X0 + hX + r * max(hX, hY)
+                geo.append((X0, X0 + hX, Y0, Y0 + hY))
+        X0, X1, Y0, Y1 = np.array(geo).T
+        C = _far_hat_weights(X0, X1, Y0, Y1, sp)
+        ref = _tensor_hat_integrals(X0, X1, Y0, Y1, sp, 16)
+        assert np.all(C > 0.0)
+        assert np.abs(C / ref - 1.0).max() <= 1e-11
+
     def test_corner_rect(self):
         rho = 0.5
         ref = dblquad(lambda y, x: (y - x) ** rho, 0.0, 0.13, 0.13, 0.34)[0]
@@ -172,6 +238,47 @@ class TestAssembleOperator:
             assert op.w.min() >= 0.0
             assert np.abs(np.diag(op.w)).max() == 0.0
             assert np.all(op.b > 0) and np.all(op.m > 0)
+
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    @pytest.mark.parametrize("s,p", [(0.25, 1.5), (0.25, 3.0), (0.75, 1.5), (0.75, 3.0)])
+    def test_weights_match_fixed_order_reference(self, grading, s, p):
+        g = build_grid(0, 1, 128, grading)
+        w = assemble_operator(g, s, p).w
+        ref = _reference_weights(g, s, p)
+        assert np.array_equal(w, w.T)
+        assert w.min() >= 0.0
+        assert np.abs(np.diag(w)).max() == 0.0
+        off = ~np.eye(128, dtype=bool)
+        assert np.all(ref[off] > 0.0)
+        assert np.abs(w[off] / ref[off] - 1.0).max() <= 1e-10
+
+    @pytest.mark.parametrize("s,p,mu", [(0.5, 3.0, 0.0), (0.6, 1.5, 1e-2), (0.5, 3.0, 1e-3)])
+    def test_in_place_passes_match_plain_formulas(self, s, p, mu):
+        n = 32
+        op = dataclasses.replace(assemble_operator(build_grid(0, 1, n, 1.5), s, p), mu=mu)
+        v = np.random.default_rng(4).uniform(-1, 1, n)
+
+        def pair_terms(t):
+            # updiff, pair power and updiff slope written out, without reuse
+            if mu == 0.0:
+                return (np.sign(t) * np.abs(t) ** (p - 1.0), np.abs(t) ** p,
+                        (p - 1.0) * np.abs(t) ** (p - 2.0))
+            q = t * t + mu * mu
+            return (q ** (0.5 * (p - 2.0)) * t, q ** (0.5 * p) - mu**p,
+                    q ** (0.5 * (p - 4.0)) * ((p - 1.0) * t * t + mu * mu))
+
+        su, pp, curv = pair_terms(v[:, None] - v[None, :])
+        su_v, pp_v, curv_v = pair_terms(v)
+        mb = op.m * op.b
+        apply = 2.0 * (op.w * su).sum(axis=1) + 2.0 * mb * su_v
+        energy = float((op.w * pp).sum()) + float(2.0 * (mb * pp_v).sum())
+        H = op.w * curv
+        diag = H.sum(axis=1) + mb * curv_v
+        H *= -2.0
+        H.flat[:: n + 1] += 2.0 * diag
+        assert np.array_equal(op.apply(v), apply)
+        assert op.energy(v) == energy
+        assert np.array_equal(op.hessian(v, np.empty((n, n))), H)
 
     def test_apply_zero(self):
         op = assemble_operator(build_grid(0, 1, 16, 1), 0.5, 2.0)
