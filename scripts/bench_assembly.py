@@ -2,7 +2,7 @@
 """Layer timings: operator assembly and one p = 3 continuation.
 
 Times `assemble_operator` (s = 1/2, graded mesh of [0, 1] with grading 2) at
-each n and p, `--repeats` times each, and one `continuation` at p = 3 (s = 1/2,
+each n and p, three times each, and one `continuation` at p = 3 (s = 1/2,
 gamma = 1, delta = 1/2, n = 512, eps0 = 1/2, 12 halvings, tol = 1e-4, the
 continuation of the benchmark's fine_mesh workload) with the minor page faults
 and user and system time that `getrusage` counts over it.  Prints one JSON
@@ -11,7 +11,6 @@ object.  One BLAS thread gives the steadiest numbers:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_assembly.py
 """
 
-import argparse
 import json
 import resource
 import statistics
@@ -20,14 +19,18 @@ import time
 from fracp import assemble_operator, build_grid, continuation, make_params
 from fracp.core import default_grading
 
+NS = (256, 1024, 2048, 4096)
+PS = (1.5, 2.0, 3.0)
+REPEATS = 3
 
-def time_assembly(ns, ps, repeats):
+
+def time_assembly():
     rows = []
-    for n in ns:
+    for n in NS:
         grid = build_grid(0.0, 1.0, n, 2.0)
-        for p in ps:
+        for p in PS:
             runs = []
-            for _ in range(repeats):
+            for _ in range(REPEATS):
                 t0 = time.perf_counter()
                 assemble_operator(grid, 0.5, p)
                 runs.append(time.perf_counter() - t0)
@@ -51,15 +54,10 @@ def time_continuation():
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--n", type=int, nargs="+", default=[256, 1024, 2048, 4096])
-    ap.add_argument("--p", type=float, nargs="+", default=[1.5, 2.0, 3.0])
-    ap.add_argument("--repeats", type=int, default=3)
-    args = ap.parse_args()
     # the continuation first, in a fresh process, so its page faults are its own
     cont = time_continuation()
     print(json.dumps({"p3_continuation_n512": cont,
-                      "assemble_operator": time_assembly(args.n, args.p, args.repeats)}))
+                      "assemble_operator": time_assembly()}))
 
 
 if __name__ == "__main__":

@@ -264,16 +264,19 @@ def _hat_rule(q):
     xi, om = np.polynomial.legendre.leggauss(q)
     u = 0.5 * (1.0 + xi)
     hats = 0.5 * om[:, None] * np.column_stack((1.0 - u, u))
-    return u, np.einsum("ia,jb->abij", hats, hats).reshape(4, q * q)
+    return u, (hats.T[:, None, :, None] * hats.T[None, :, None, :]).reshape(4, q * q)
 
 
 # Far-field Gauss orders by separation ratio r = (Y0 - X1) / max(hX, hY) > 8:
 # 6 points up to r = 32, 4 up to 256, 3 beyond.  Against a 20-point tensor
 # rule each hat contribution is then within 1e-11 relative for 0.3 <= sp <= 7
 # and cell aspect ratios 1e-2..1e2; the worst case, 4 points at r = 32 and
-# sp = 7, is 7.5e-12.  One point fewer per tier misses 1e-11 at sp = 7.
+# sp = 7, is 7.5e-12.  One point fewer per tier misses 1e-11 at sp = 7, and
+# the errors grow with sp (4 points at r = 32: 1.4e-11 at sp = 8), so
+# assemble_operator refuses sp above _FAR_SP_MAX.
 _FAR_R_MAX = np.array([32.0, 256.0])
 _FAR_RULES = tuple(_hat_rule(q) for q in (6, 4, 3))
+_FAR_SP_MAX = 7.0
 
 
 def _far_hat_weights(X0, X1, Y0, Y1, sp):
@@ -398,7 +401,8 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     Cell pairs at index distance >= 2 integrate the kernel times products of
     the piecewise-linear hat weights: in closed form (long double) when the
     pair is within 8 cell widths, and beyond that by tensor Gauss-Legendre
-    whose order (6, 4, 3 points) falls as the separation ratio grows.  Every
+    whose order (6, 4, 3 points) falls as the separation ratio grows; those
+    orders are verified for s*p <= 7, and larger s*p raises OutOfRange.  Every
     far contribution is a sum of positive terms, so those weights are
     nonnegative by construction.  The singular band (same-cell and
     corner-touching cell pairs) is treated symmetrically through the local
@@ -411,6 +415,11 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     sp = s * p
     if sp >= p:
         raise OutOfRange("s*p must stay below p")
+    if sp > _FAR_SP_MAX:
+        raise OutOfRange(
+            f"s*p = {sp} exceeds {_FAR_SP_MAX}, the largest value the far-field "
+            "Gauss orders are verified for"
+        )
     n = grid.n
     t = grid.edges
     spn = _nudged_sp(sp)

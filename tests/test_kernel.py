@@ -206,9 +206,10 @@ class TestCellPairIntegrals:
 
     @pytest.mark.parametrize("sp", [0.45, 1.0 + 5e-7, 1.5, 2.9, 4.5, 7.0])
     def test_far_field_against_16_point_rule(self, sp):
-        # separation ratios on both sides of the order thresholds 32 and 256
+        # separation ratios on both sides of the order thresholds 32 and 256,
+        # and r = 129, where 3 points would miss 1e-11 at sp = 7 (3.1e-11)
         geo = []
-        for r in (8.5, 32.0, 33.0, 256.0, 257.0, 2000.0):
+        for r in (8.5, 32.0, 33.0, 129.0, 256.0, 257.0, 2000.0):
             for aspect in (0.1, 1.0, 10.0):
                 X0, hX, hY = 0.2, 1e-3, 1e-3 * aspect
                 Y0 = X0 + hX + r * max(hX, hY)
@@ -230,6 +231,13 @@ class TestAssembleOperator:
         g = build_grid(0, 1, 3, 1)
         op = assemble_operator(g, 0.5, 2.0)
         assert op.b[1] == pytest.approx(4.0, rel=1e-14)  # (2 + 2) / 1 at x = 1/2
+
+    def test_sp_above_verified_range(self):
+        # the far-field orders are verified up to sp = 7
+        g = build_grid(0, 1, 16, 1)
+        assemble_operator(g, 0.7, 10.0)
+        with pytest.raises(OutOfRange):
+            assemble_operator(g, 0.8, 10.0)
 
     def test_weights_symmetric_nonnegative(self):
         for q in (1.0, 2.0, 4.0):
