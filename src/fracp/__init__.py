@@ -42,7 +42,6 @@ from .barrier import (
     VerificationRecord,
     WeightSpec,
     barrier_profile,
-    singular_weight,
     verify_boundary_barrier,
     verify_power_estimate,
 )

@@ -328,7 +328,6 @@ def nonexistence_scan(
     eps0: float = 0.5,
     halvings: int = 12,
     tol: float = 1e-4,
-    fit_window: tuple | None = None,
 ) -> NonexistenceTable:
     """Solve along delta increasing toward s*p and record the blow-up trend."""
     sp = params_base.sp
@@ -343,7 +342,7 @@ def nonexistence_scan(
         _, u_min, incs = continuation(
             pars, grid, eps0=eps0, halvings=halvings, tol=tol, op=op
         )
-        fit = fit_boundary_exponent(u_min, window=fit_window, params=pars)
+        fit = fit_boundary_exponent(u_min, params=pars)
         hq = hardy_quotient(u_min, 1.0, pars.s, pars.p)
         rows.append(
             {
@@ -382,15 +381,19 @@ def _power_gap_holds(x: float, y: float, q: float, eps: float) -> bool:
     return lhs >= rhs - 1e-12 * max(1.0, lhs, rhs)
 
 
+#: problem, regularization and power Phi(t) = t**theta of the composition check
+_PROPS_PARAMS = ProblemParams(0.5, 2.0, 1.0, 0.5)
+_PROPS_EPS = 0.25
+_PROPS_THETA = 2.0
+#: slack of the composition check, relative to the larger side
+_PROPS_SLACK = 1e-8
+
+
 def inequality_props(
     seed: int,
     samples: int,
-    params: ProblemParams | None = None,
     n: int = 96,
-    eps: float = 0.25,
-    theta: float = 2.0,
     n_test_vectors: int = 100,
-    tol_scale: float = 1e-8,
 ) -> InequalityReport:
     """Randomized checks of the two elementary inequalities.
 
@@ -414,8 +417,7 @@ def inequality_props(
         if not _power_gap_holds(x, y, q, e):
             gap_failures += 1
 
-    if params is None:
-        params = ProblemParams(0.5, 2.0, 1.0, 0.5)
+    params, eps, theta = _PROPS_PARAMS, _PROPS_EPS, _PROPS_THETA
     grid = build_grid(params.a, params.b, n, default_grading(params))
     op = assemble_operator(grid, params.s, params.p)
     res = solve_approximated(params, grid, eps, tol=1e-11, op=op)
@@ -438,7 +440,7 @@ def inequality_props(
         lhs = pairing(u**theta, phi)
         phip = theta * u ** (theta - 1.0)
         rhs = rhs_pairing(np.abs(phip) ** (p - 2.0) * phip, phi)
-        slack = tol_scale * max(1.0, abs(rhs), abs(lhs))
+        slack = _PROPS_SLACK * max(1.0, abs(rhs), abs(lhs))
         if lhs > rhs + slack:
             comp_failures += 1
             worst = max(worst, lhs - rhs)

@@ -1,11 +1,10 @@
-"""Barrier profiles, singular weights with regularized envelopes, and the
-numerical verification of the power-barrier and boundary-barrier estimates
+"""Barrier profiles, singular weights, and the numerical verification of the power-barrier and boundary-barrier estimates
 on the interval domain."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,9 +31,7 @@ from .kernel import eval_fplap_pv, phi_constant
 __all__ = [
     "BarrierSpec",
     "WeightSpec",
-    "WeightField",
     "barrier_profile",
-    "singular_weight",
     "VerificationRecord",
     "verify_power_estimate",
     "verify_boundary_barrier",
@@ -105,58 +102,33 @@ def barrier_profile(spec: BarrierSpec, grid: Grid, kind: str) -> GridFunction:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight variant: 'exact' K = d**(-delta), 'eps' the regularization
-    (d + eps**((gamma+p-1)/(sp-delta)))**(-delta), or 'lambda' the version
-    (d + lam**(1/alpha_star0))**(-delta)."""
+    """Weight variant: 'exact' K = d**(-delta) or 'eps' the regularization
+    (d + eps**((gamma+p-1)/(sp-delta)))**(-delta)."""
 
     kind: str
     delta: float
     eps: float | None = None
-    lam: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("exact", "eps", "lambda"):
+        if self.kind not in ("exact", "eps"):
             raise SpecInvalid(f"unknown weight kind {self.kind!r}")
         if self.delta < 0.0:
             raise SpecInvalid(f"delta must be nonnegative, got {self.delta}")
         if self.kind == "eps" and (self.eps is None or self.eps <= 0.0):
             raise SpecInvalid("eps variant needs eps > 0")
-        if self.kind == "lambda" and (self.lam is None or self.lam < 0.0):
-            raise SpecInvalid("lambda variant needs lam >= 0")
-
-
-@dataclass(frozen=True)
-class WeightField:
-    """Nodal weight values plus the envelope check against the canonical
-    comparison profile (d + sigma)**(-delta)."""
-
-    values: np.ndarray = field(repr=False)
-    sigma: float
-    delta: float
-    env_lo: float
-    env_hi: float
-
-    @property
-    def envelope_ok(self) -> bool:
-        return self.env_lo > 0.0 and math.isfinite(self.env_hi)
 
 
 def weight_shift(params: ProblemParams, spec: WeightSpec) -> float:
     """Regularization length added to d by the chosen variant."""
-    s, p, gamma, delta = params.s, params.p, params.gamma, spec.delta
-    sp = params.sp
+    delta, sp = spec.delta, params.sp
     if spec.kind == "exact":
         return 0.0
     if delta >= sp:
         raise RegimeError(
             f"regularized weights need delta < s*p, got delta={delta}, sp={sp}"
         )
-    if spec.kind == "eps":
-        expo = (gamma + p - 1.0) / (sp - delta)
-        return float(spec.eps**expo)
-    # lambda variant regularizes at scale lam**(1/alpha_star0)
-    alpha_star0 = (sp - delta) / (p - 1.0)
-    return float(spec.lam ** (1.0 / alpha_star0)) if spec.lam > 0.0 else 0.0
+    expo = (params.gamma + params.p - 1.0) / (sp - delta)
+    return float(spec.eps**expo)
 
 
 def weight_values(params: ProblemParams, spec: WeightSpec, d) -> np.ndarray:
@@ -166,28 +138,6 @@ def weight_values(params: ProblemParams, spec: WeightSpec, d) -> np.ndarray:
     if spec.delta == 0.0:
         return np.ones_like(d)
     return (d + sigma) ** (-spec.delta)
-
-
-def singular_weight(params: ProblemParams, spec: WeightSpec, grid: Grid) -> WeightField:
-    """Nodal weight values together with the envelope constants.
-
-    For the canonical weight the regularized variant is exactly
-    (d + sigma)**(-delta), so both envelope constants equal 1.
-    """
-    sigma = weight_shift(params, spec)
-    d = grid.distance()
-    vals = weight_values(params, spec, d)
-    if spec.delta == 0.0:
-        env = np.ones_like(d)
-    else:
-        env = vals * (d + sigma) ** spec.delta
-    return WeightField(
-        values=vals,
-        sigma=sigma,
-        delta=spec.delta,
-        env_lo=float(env.min()),
-        env_hi=float(env.max()),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +195,20 @@ def _window_seminorm(alpha: float, s: float, p: float, lam: float, lo: float, hi
     return 2.0 * val, 2.0 * err
 
 
+#: half-line chart points where the scaled principal value is compared to 2*Phi
+_POWER_SAMPLES = np.linspace(0.15, 0.85, 10)
+#: largest relative deviation of that ratio from 1
+_RATIO_TOL = 0.01
+#: grading of the half-line chart mesh
+_POWER_GRADING = 2.0
+
+
 def verify_power_estimate(
     alpha: float,
     s: float,
     p: float,
     lam: float,
-    sample_points=None,
-    tol: float = 0.01,
     n: int = 2048,
-    grading: float = 2.0,
 ) -> VerificationRecord:
     """Three-part check of the power-barrier estimate on the half-line chart.
 
@@ -270,20 +225,18 @@ def verify_power_estimate(
     oracle = phi_constant(alpha, s, p)
     chain_ok = oracle.c1 - 1e-10 <= oracle.phi <= oracle.c2 + 1e-10
 
-    grid = build_grid(0.0, 1.0, n, grading)
+    grid = build_grid(0.0, 1.0, n, _POWER_GRADING)
     rho = 1.0 + 2.0 * (lam ** (1.0 / alpha) if lam > 0.0 else 0.0)
     spec = BarrierSpec(alpha=alpha, lam=lam, rho=rho, s=s, p=p)
     u = barrier_profile(spec, grid, "U")
-    if sample_points is None:
-        sample_points = np.linspace(0.15, 0.85, 10)
     sh = spec.shift
     ratios = []
-    for x in np.asarray(sample_points, dtype=float):
+    for x in _POWER_SAMPLES:
         pv = eval_fplap_pv(u, float(x), s, p)
         ratios.append(pv * (x + sh) ** spec.beta / (2.0 * oracle.phi))
     ratios = np.asarray(ratios)
     max_dev = float(np.abs(ratios - 1.0).max())
-    ratio_ok = max_dev <= tol
+    ratio_ok = max_dev <= _RATIO_TOL
 
     sem_val, sem_err = _window_seminorm(alpha, s, p, lam, 0.0, 1.0)
     sem_ok = math.isfinite(sem_val) and sem_val >= 0.0
@@ -303,7 +256,7 @@ def verify_power_estimate(
             "chain_ok": bool(chain_ok),
             "ratios": ratios,
             "max_ratio_deviation": max_dev,
-            "ratio_tol": tol,
+            "ratio_tol": _RATIO_TOL,
             "window_seminorm": sem_val,
             "window_seminorm_err": sem_err,
             "pv_includes_factor_2": True,
@@ -311,7 +264,11 @@ def verify_power_estimate(
     )
 
 
-def _pv_probe_nodes(grid: Grid, eta: float, max_probes: int) -> np.ndarray:
+#: PV probes per strip, spread evenly over the eligible nodes
+_MAX_PROBES = 24
+
+
+def _pv_probe_nodes(grid: Grid, eta: float) -> np.ndarray:
     """Nodes inside the boundary strip that the PV evaluator can handle."""
     d = grid.distance()
     ok = np.zeros(grid.n, dtype=bool)
@@ -319,8 +276,8 @@ def _pv_probe_nodes(grid: Grid, eta: float, max_probes: int) -> np.ndarray:
         if d[i] < eta and d[i] > 5.0 * grid.local_width(float(x)):
             ok[i] = True
     idx = np.where(ok)[0]
-    if len(idx) > max_probes:
-        sel = np.linspace(0, len(idx) - 1, max_probes).round().astype(int)
+    if len(idx) > _MAX_PROBES:
+        sel = np.linspace(0, len(idx) - 1, _MAX_PROBES).round().astype(int)
         idx = idx[np.unique(sel)]
     return grid.nodes[idx]
 
@@ -343,7 +300,6 @@ def verify_boundary_barrier(
     spec: BarrierSpec,
     grid: Grid,
     eta: float,
-    max_probes: int = 24,
 ) -> VerificationRecord:
     """Empirical boundary-barrier constants in the strip {d < eta}.
 
@@ -363,7 +319,7 @@ def verify_boundary_barrier(
         raise WindowTooThin(
             f"boundary strip eta={eta} holds {n_in_strip} nodes, need >= 16"
         )
-    probes = _pv_probe_nodes(grid, eta, max_probes)
+    probes = _pv_probe_nodes(grid, eta)
     if len(probes) == 0:
         raise WindowTooThin("no PV-eligible nodes inside the boundary strip")
     s, p = params.s, params.p

@@ -10,6 +10,7 @@ Reruns of an unchanged config byte-reproduce all CSV and plotdata artifacts
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .core import build_grid, classify_regime, default_grading, make_params
-from .errors import ConfigParse, FracpError
+from .errors import ConfigParse, FracpError, OutOfRange
 from .kernel import phi_constant
 from .barrier import (
     BarrierSpec,
@@ -170,6 +171,10 @@ def load_config(path: str) -> dict:
         if not isinstance(block, dict):
             raise ConfigParse(f"config block {name!r} must be an object")
         cfg[name] = _merge_block(name, block)
+    try:
+        make_params(**cfg["params"])
+    except OutOfRange as exc:
+        raise ConfigParse(f"params: {exc}") from exc
     return cfg
 
 
@@ -197,43 +202,52 @@ def write_plotdata(path: Path, xs, ys) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _params(cfg):
-    pb = cfg["params"]
-    return make_params(pb["s"], pb["p"], pb["gamma"], pb["delta"], pb["a"], pb["b"])
+class _Run:
+    """One run's config and the problem data its experiments share.
 
+    params and regime are computed from the config at once; the grid and the
+    configured continuation on first use, after which every experiment reads
+    the same values.  A failure is not cached, so each experiment that needs
+    the value raises it again.
+    """
 
-def _grid(cfg, params):
-    gb = cfg["grid"]
-    q = default_grading(params) if gb["grading"] == "auto" else float(gb["grading"])
-    return build_grid(params.a, params.b, int(gb["n"]), q)
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.params = make_params(**cfg["params"])
+        self.regime = classify_regime(self.params)
 
+    @functools.cached_property
+    def grid(self):
+        gb, params = self.cfg["grid"], self.params
+        q = default_grading(params) if gb["grading"] == "auto" else float(gb["grading"])
+        return build_grid(params.a, params.b, int(gb["n"]), q)
 
-def _barrier_spec(cfg, params, report, lam_fallback):
-    bb = cfg["barrier"]
-    if bb["alpha"] == "auto":
-        alpha = report.alpha_star if report.case_flag == "CaseAlphaStar" else 0.5 * report.alpha_star0
-        alpha = min(max(alpha, 1e-3), 0.95 * params.s)
-    else:
-        alpha = float(bb["alpha"])
-    lam = lam_fallback if bb["lambda"] == "auto" else float(bb["lambda"])
-    return BarrierSpec(alpha=alpha, lam=lam, rho=float(bb["rho"]), s=params.s, p=params.p)
+    @functools.cached_property
+    def solution(self):
+        """(results, u_min, increments) of the configured continuation."""
+        sb = self.cfg["solver"]
+        return continuation(
+            self.params,
+            self.grid,
+            eps0=float(sb["eps0"]),
+            halvings=int(sb["halvings"]),
+            tol=float(sb["tol"]),
+            solver_tol=float(sb["solver_tol"]),
+        )
 
+    def converged(self, increments) -> bool:
+        """Every continuation's last increment is at most solver.tol."""
+        return all(inc <= float(self.cfg["solver"]["tol"]) for inc in increments)
 
-def _continuation(cfg, params, grid):
-    sb = cfg["solver"]
-    return continuation(
-        params,
-        grid,
-        eps0=float(sb["eps0"]),
-        halvings=int(sb["halvings"]),
-        tol=float(sb["tol"]),
-        solver_tol=float(sb["solver_tol"]),
-    )
-
-
-def _converged(increments, cfg) -> bool:
-    """Every continuation's last increment is at most solver.tol."""
-    return all(inc <= float(cfg["solver"]["tol"]) for inc in increments)
+    def barrier_spec(self, lam_fallback) -> BarrierSpec:
+        bb, params, report = self.cfg["barrier"], self.params, self.regime
+        if bb["alpha"] == "auto":
+            alpha = report.alpha_star if report.case_flag == "CaseAlphaStar" else 0.5 * report.alpha_star0
+            alpha = min(max(alpha, 1e-3), 0.95 * params.s)
+        else:
+            alpha = float(bb["alpha"])
+        lam = lam_fallback if bb["lambda"] == "auto" else float(bb["lambda"])
+        return BarrierSpec(alpha=alpha, lam=lam, rho=float(bb["rho"]), s=params.s, p=params.p)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +255,8 @@ def _converged(increments, cfg) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _exp_classify(cfg, outdir, formats):
-    params = _params(cfg)
-    report = classify_regime(params)
-    rec = {
+def _regime_record(report) -> dict:
+    return {
         "alpha_star": report.alpha_star,
         "alpha_star0": report.alpha_star0,
         "lambda_cap": report.lambda_cap,
@@ -255,11 +267,14 @@ def _exp_classify(cfg, outdir, formats):
         "sobolev_flag": report.sobolev_flag,
         "notes": list(report.notes),
     }
-    return True, rec
 
 
-def _exp_oracle(cfg, outdir, formats):
-    ob = cfg["oracle"]
+def _exp_classify(run, outdir, formats):
+    return True, _regime_record(run.regime)
+
+
+def _exp_oracle(run, outdir, formats):
+    ob = run.cfg["oracle"]
     rows = []
     all_ok = True
     for s in ob["s_list"]:
@@ -279,15 +294,11 @@ def _exp_oracle(cfg, outdir, formats):
     return all_ok, {"cases": len(rows), "failures": sum(not r["pass"] for r in rows)}
 
 
-def _exp_barrier_check(cfg, outdir, formats):
-    params = _params(cfg)
-    report = classify_regime(params)
-    grid = _grid(cfg, params)
-    bb = cfg["barrier"]
-    lam = 0.05 if bb["lambda"] == "auto" else float(bb["lambda"])
-    spec = _barrier_spec(cfg, params, report, lam)
+def _exp_barrier_check(run, outdir, formats):
+    params, grid = run.params, run.grid
+    spec = run.barrier_spec(0.05)
     rec1 = verify_power_estimate(spec.alpha, params.s, params.p, spec.lam, n=max(grid.n, 512))
-    rec2 = verify_boundary_barrier(params, spec, grid, float(bb["eta"]))
+    rec2 = verify_boundary_barrier(params, spec, grid, float(run.cfg["barrier"]["eta"]))
     rows = []
     for rec in (rec1, rec2):
         for key, val in rec.details.items():
@@ -299,12 +310,11 @@ def _exp_barrier_check(cfg, outdir, formats):
     return ok, {"power_estimate": rec1.to_dict(), "boundary_barrier": rec2.to_dict()}
 
 
-def _exp_solve(cfg, outdir, formats):
-    params = _params(cfg)
-    grid = _grid(cfg, params)
-    results, u_min, incs = _continuation(cfg, params, grid)
+def _exp_solve(run, outdir, formats):
+    grid = run.grid
+    results, u_min, incs = run.solution
     last = results[-1]
-    converged = _converged(incs[-1:], cfg)
+    converged = run.converged(incs[-1:])
     ok = last.positivity_ok and converged
     if "csv" in formats:
         rows = [{"x": x, "u": u} for x, u in zip(grid.nodes, u_min.values)]
@@ -315,7 +325,7 @@ def _exp_solve(cfg, outdir, formats):
             write_plotdata(outdir / "increments.dat", range(1, len(incs) + 1), incs)
     return ok, {
         "solves": len(results),
-        "final_eps": float(cfg["solver"]["eps0"]) * 2.0 ** -(len(results) - 1),
+        "final_eps": float(run.cfg["solver"]["eps0"]) * 2.0 ** -(len(results) - 1),
         "increments": [float(i) for i in incs],
         "continuation_converged": converged,
         "final_residual": last.residual,
@@ -332,15 +342,13 @@ def _fit_band(report, s):
     return (report.alpha_star - 0.05, report.alpha_star + 0.05)
 
 
-def _exp_exponent_fit(cfg, outdir, formats):
-    params = _params(cfg)
-    report = classify_regime(params)
-    grid = _grid(cfg, params)
-    _, u_min, _ = _continuation(cfg, params, grid)
-    fw = cfg["analysis"]["fit_window"]
+def _exp_exponent_fit(run, outdir, formats):
+    grid = run.grid
+    _, u_min, _ = run.solution
+    fw = run.cfg["analysis"]["fit_window"]
     window = default_fit_window(grid) if fw == "auto" else (float(fw[0]), float(fw[1]))
-    fit = fit_boundary_exponent(u_min, window=window, params=params)
-    lo, hi = _fit_band(report, params.s)
+    fit = fit_boundary_exponent(u_min, window=window, params=run.params)
+    lo, hi = _fit_band(run.regime, run.params.s)
     ok = lo <= fit.slope_left <= hi and lo <= fit.slope_right <= hi
     if "csv" in formats:
         write_csv(
@@ -360,13 +368,12 @@ def _exp_exponent_fit(cfg, outdir, formats):
     }
 
 
-def _exp_sobolev_scan(cfg, outdir, formats):
-    params = _params(cfg)
-    ab, sb, gb = cfg["analysis"], cfg["solver"], cfg["grid"]
+def _exp_sobolev_scan(run, outdir, formats):
+    ab, sb, gb = run.cfg["analysis"], run.cfg["solver"], run.cfg["grid"]
     grading = None if gb["grading"] == "auto" else float(gb["grading"])
-    thetas = suggested_theta_list(params) if ab["theta_list"] == "auto" else ab["theta_list"]
+    thetas = suggested_theta_list(run.params) if ab["theta_list"] == "auto" else ab["theta_list"]
     table = sobolev_scan(
-        params,
+        run.params,
         thetas,
         ab["n_list"],
         eps0=float(sb["eps0"]),
@@ -374,7 +381,7 @@ def _exp_sobolev_scan(cfg, outdir, formats):
         tol=float(sb["tol"]),
         grading=grading,
     )
-    converged = _converged(table.increments.values(), cfg)
+    converged = run.converged(table.increments.values())
     ok = all(table.consistent.values()) and table.classification_monotone() and converged
     rows = [
         {
@@ -409,20 +416,18 @@ def _exp_sobolev_scan(cfg, outdir, formats):
     }
 
 
-def _exp_nonexistence(cfg, outdir, formats):
-    params = _params(cfg)
-    grid = _grid(cfg, params)
-    ab, sb = cfg["analysis"], cfg["solver"]
+def _exp_nonexistence(run, outdir, formats):
+    ab, sb = run.cfg["analysis"], run.cfg["solver"]
     table = nonexistence_scan(
-        params,
+        run.params,
         ab["delta_list"],
-        grid,
+        run.grid,
         eps0=float(sb["eps0"]),
         halvings=int(sb["halvings"]),
         tol=float(sb["tol"]),
     )
     decreasing = table.exponents_decreasing()
-    converged = _converged([r["last_increment"] for r in table.rows], cfg)
+    converged = run.converged([r["last_increment"] for r in table.rows])
     ok = decreasing and converged
     if "csv" in formats:
         write_csv(
@@ -448,17 +453,13 @@ def _exp_nonexistence(cfg, outdir, formats):
     }
 
 
-def _exp_compare(cfg, outdir, formats):
-    params = _params(cfg)
-    report = classify_regime(params)
-    grid = _grid(cfg, params)
-    results, u_min, _ = _continuation(cfg, params, grid)
-    eps_fin = float(cfg["solver"]["eps0"]) * 2.0 ** -(len(results) - 1)
-    bb = cfg["barrier"]
+def _exp_compare(run, outdir, formats):
+    params, grid = run.params, run.grid
+    results, u_min, _ = run.solution
+    bb = run.cfg["barrier"]
     # matched scales: with alpha = alpha_star the barrier shift equals the
     # weight regularization length, so lambda = eps is the aligned choice
-    lam = eps_fin if bb["lambda"] == "auto" else float(bb["lambda"])
-    spec = _barrier_spec(cfg, params, report, lam)
+    spec = run.barrier_spec(float(run.cfg["solver"]["eps0"]) * 2.0 ** -(len(results) - 1))
     eta = float(bb["eta"])
     tol = float(bb["tol"])
     rec = verify_boundary_barrier(params, spec, grid, eta)
@@ -490,7 +491,7 @@ def _exp_compare(cfg, outdir, formats):
             rows,
         )
     return ok, {
-        "lambda": lam,
+        "lambda": spec.lam,
         "alpha": spec.alpha,
         "eta": eta,
         "c_sub": c_sub,
@@ -531,6 +532,7 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int
         return 1
     outdir.mkdir(parents=True, exist_ok=True)
 
+    shared = _Run(cfg)
     names = list(EXPERIMENTS) if subcommand == "all" else [subcommand]
     experiments = []
     overall = True
@@ -539,7 +541,7 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int
         t0 = time.time()
         entry = {"id": name}
         try:
-            ok, record = EXPERIMENTS[name](cfg, outdir, formats)
+            ok, record = EXPERIMENTS[name](shared, outdir, formats)
             entry["passed"] = bool(ok)
             entry["record"] = record
         except FracpError as exc:
@@ -550,7 +552,6 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int
         overall &= entry["passed"]
         experiments.append(entry)
 
-    regime = _exp_classify(cfg, outdir, formats)[1]
     report = {
         "tool": {"name": "fracp", "version": __version__},
         "config": cfg,
@@ -560,7 +561,7 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int
             "apply_is_gradient_of_energy_over_p": True,
             "deterministic_reductions": True,
         },
-        "regime": regime,
+        "regime": _regime_record(shared.regime),
         "experiments": experiments,
         "overall_passed": bool(overall),
         "timings": {"total_s": time.time() - t_start},

@@ -521,24 +521,21 @@ def _split_segments(breaks: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.column_stack((edges[:-1], edges[1:]))
 
 
-def eval_fplap_pv(u: GridFunction, x: float, s: float, p: float, cut: float | None = None):
+def eval_fplap_pv(u: GridFunction, x: float, s: float, p: float):
     """Principal value of the operator at an interior point x.
 
     Returns 2 * lim int_{|z-x|>eps} [u(x)-u(z)]^{p-1} |x-z|^{-1-s p} dz, with
-    the symmetric core of radius `cut` excluded, the rest of the line handled
-    by dense panel quadrature plus adaptive exterior tails, and the core
-    contribution recovered by Richardson extrapolation over the two radii
-    (cut, cut/2); the exclusion error scales like cut**(p(1-s)) for smooth
-    profiles.
+    the symmetric core of radius cut = 2 h (h the local cell width at x)
+    excluded, the rest of the line handled by dense panel quadrature plus
+    adaptive exterior tails, and the core contribution recovered by
+    Richardson extrapolation over the two radii (cut, cut/2); the exclusion
+    error scales like cut**(p(1-s)) for smooth profiles.
     """
     grid = u.grid
     a, b = grid.a, grid.b
     if not a < x < b:
         raise PointTooCloseToBoundary(f"x = {x} is not strictly interior to ({a}, {b})")
-    h_loc = grid.local_width(x)
-    r0 = 2.0 * h_loc if cut is None else float(cut)
-    if r0 < h_loc * (1.0 - 1e-12):
-        raise OutOfRange(f"cut = {r0} is below the local cell width {h_loc}")
+    r0 = 2.0 * grid.local_width(x)
     if min(x - a, b - x) < 2.0 * r0:
         raise PointTooCloseToBoundary(
             f"dist(x, boundary) = {min(x - a, b - x)} < 2*cut = {2 * r0}"

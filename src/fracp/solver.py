@@ -50,10 +50,8 @@ MU_FLOOR = 1e-8
 class SingularEnergy:
     """Reaction data for the eps-regularized problem.
 
-    g_eps is the capped singular nonlinearity min(t**-gamma, 1/eps), G_eps its
-    primitive normalized by G_eps(1) = 0; h_eps(t) = (max(t,0) + eps)**-gamma
-    is the regularized reaction actually driving the approximated problem and
-    H_eps its primitive with H_eps(0) = 0.
+    h_eps(t) = (max(t,0) + eps)**-gamma is the regularized reaction driving
+    the approximated problem and H_eps its primitive with H_eps(0) = 0.
     """
 
     params: ProblemParams
@@ -68,34 +66,6 @@ class SingularEnergy:
     @property
     def gamma(self) -> float:
         return self.params.gamma
-
-    def g_eps(self, t):
-        t = np.asarray(t, dtype=float)
-        cap = 1.0 / self.eps
-        with np.errstate(divide="ignore", over="ignore"):
-            pw = np.where(t > 0.0, t, 1.0) ** (-self.gamma)
-        out = np.where(t > 0.0, np.minimum(pw, cap), cap)
-        return out if out.ndim else float(out)
-
-    def G_eps(self, t):
-        """Primitive of g_eps with G_eps(1) = 0 (eps < 1 assumed for the cap)."""
-        t = np.asarray(t, dtype=float)
-        gamma = self.gamma
-        cap = 1.0 / self.eps
-        tstar = self.eps ** (1.0 / gamma) if gamma > 0.0 else 0.0
-
-        def powprim(x):
-            # primitive of x**-gamma vanishing at 1
-            if gamma == 1.0:
-                return np.log(x)
-            return (x ** (1.0 - gamma) - 1.0) / (1.0 - gamma)
-
-        if gamma == 0.0:
-            out = np.minimum(1.0, cap) * (t - 1.0)
-            return out if out.ndim else float(out)
-        safe = np.maximum(t, tstar)
-        out = np.where(t >= tstar, powprim(safe), powprim(tstar) + cap * (t - tstar))
-        return out if out.ndim else float(out)
 
     def h_eps(self, t):
         t = np.asarray(t, dtype=float)
@@ -158,6 +128,8 @@ _FLOOR = 1e-10
 _HALVINGS = 60
 #: Levenberg shifts tried, each ten times the last, before a step gives up
 _SHIFTS = 24
+#: Newton iterations before a solve gives up
+_MAX_ITER = 40000
 
 
 def _newton_direction(hess, v, g, H):
@@ -238,7 +210,7 @@ def _smoothed(op: DiscreteOperator) -> DiscreteOperator:
 
 
 def _solve_objective(
-    op: DiscreteOperator, rhs_value, rhs_grad, v0, tol, max_iter, scale, rhs_curv=None
+    op: DiscreteOperator, rhs_value, rhs_grad, v0, tol, scale, rhs_curv=None
 ):
     def value(v):
         return op.energy_over_p(v) - rhs_value(v)
@@ -253,17 +225,11 @@ def _solve_objective(
         return out
 
     gtol = tol * max(scale, 1e-300)
-    v, iters, gnorm, fv = _newton(value, grad, hess, v0, gtol, max_iter)
+    v, iters, gnorm, fv = _newton(value, grad, hess, v0, gtol, _MAX_ITER)
     return v, iters, gnorm / max(scale, 1e-300), fv
 
 
-def solve_fixed_rhs(
-    op: DiscreteOperator,
-    f,
-    tol: float = 1e-10,
-    max_iter: int = 40000,
-    v0=None,
-) -> SolveResult:
+def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
     """Minimize (1/p) energy(v) - <f, v>_m for nodal data f >= 0."""
     f = np.asarray(f, dtype=float)
     if f.shape != (op.n,):
@@ -276,9 +242,8 @@ def solve_fixed_rhs(
     op = _smoothed(op)
     mf = op.m * f
     scale = float(np.abs(mf).max())
-    v0 = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float)
     v, iters, res, fv = _solve_objective(
-        op, lambda v: float(mf @ v), lambda v: mf, v0, tol, max_iter, scale
+        op, lambda v: float(mf @ v), lambda v: mf, np.zeros(op.n), tol, scale
     )
     margin = float(v.min())
     ok = margin >= -1e-12
@@ -291,7 +256,6 @@ def solve_approximated(
     grid: Grid,
     eps: float,
     tol: float = 1e-10,
-    max_iter: int = 40000,
     op: DiscreteOperator | None = None,
     v0=None,
 ) -> SolveResult:
@@ -319,7 +283,6 @@ def solve_approximated(
         reaction.grad,
         v0,
         tol,
-        max_iter,
         scale,
         rhs_curv=reaction.curvature,
     )

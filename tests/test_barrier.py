@@ -7,7 +7,6 @@ from fracp import (
     barrier_profile,
     build_grid,
     make_params,
-    singular_weight,
     verify_boundary_barrier,
     verify_power_estimate,
 )
@@ -93,39 +92,26 @@ class TestSingularWeight:
         val = weight_values(pars, WeightSpec("eps", 0.5, eps=eps), 0.25)
         assert val == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
-    def test_envelope_constants_are_one(self, grid):
-        pars = make_params(0.5, 2.0, 1.0, 0.5)
-        wf = singular_weight(pars, WeightSpec("eps", 0.5, eps=0.3), grid)
-        assert wf.env_lo == pytest.approx(1.0, rel=1e-12)
-        assert wf.env_hi == pytest.approx(1.0, rel=1e-12)
-
     def test_eps_monotone_as_eps_decreases(self, grid):
         pars = make_params(0.5, 2.0, 1.0, 0.5)
         prev = None
         for eps in (0.5, 0.25, 0.125, 0.0625):
-            vals = singular_weight(pars, WeightSpec("eps", 0.5, eps=eps), grid).values
+            vals = weight_values(pars, WeightSpec("eps", 0.5, eps=eps), grid.distance())
             if prev is not None:
                 assert np.all(vals >= prev - 1e-15)
             prev = vals
-        exact = singular_weight(pars, WeightSpec("exact", 0.5), grid).values
+        exact = weight_values(pars, WeightSpec("exact", 0.5), grid.distance())
         assert np.all(prev <= exact + 1e-15)
 
     def test_delta_zero_degenerates_to_one(self, grid):
         pars = make_params(0.5, 2.0, 1.0, 0.0)
-        wf = singular_weight(pars, WeightSpec("eps", 0.0, eps=0.1), grid)
-        assert np.all(wf.values == 1.0)
+        vals = weight_values(pars, WeightSpec("eps", 0.0, eps=0.1), grid.distance())
+        assert np.all(vals == 1.0)
 
     def test_regime_error(self, grid):
         pars = make_params(0.5, 2.0, 1.0, 1.5)
         with pytest.raises(RegimeError):
-            singular_weight(pars, WeightSpec("eps", 1.5, eps=0.1), grid)
-
-    def test_lambda_variant_scale(self, grid):
-        pars = make_params(0.5, 2.0, 0.0, 0.5)
-        wf = singular_weight(pars, WeightSpec("lambda", 0.5, lam=0.1), grid)
-        # alpha_star0 = 0.5, so the shift is lam**2
-        d = grid.distance()
-        assert np.allclose(wf.values, (d + 0.01) ** -0.5)
+            weight_values(pars, WeightSpec("eps", 1.5, eps=0.1), grid.distance())
 
 
 class TestVerifyPowerEstimate:

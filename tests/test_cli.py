@@ -4,8 +4,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from fracp import cli
 from fracp.cli import DEFAULTS, load_config, main, run
 from fracp.errors import ConfigParse
+from fracp.solver import continuation
 
 REPO = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO / "docs" / "report_schema.json").read_text())
@@ -64,6 +66,9 @@ class TestConfig:
             {"analysis": {"n_list": []}},
             {"analysis": {"fit_window": [0.01]}},
             {"output": {"formats": "csv"}},
+            {"params": {"s": 1.5}},
+            {"params": {"p": 1.0}},
+            {"params": {"a": 1.0, "b": 0.0}},
         ],
     )
     def test_bad_value_is_config_error_exit_1(self, tmp_path, capsys, payload):
@@ -127,6 +132,18 @@ class TestSubcommands:
             if f1.suffix in (".csv", ".dat"):
                 f2 = out2 / f1.name
                 assert f2.read_bytes() == f1.read_bytes(), f1.name
+
+    def test_all_runs_one_continuation(self, tmp_path, monkeypatch):
+        # solve, exponent-fit and compare share the continuation of one run
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return continuation(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "continuation", counted)
+        assert run("all", write_cfg(tmp_path, QUICK), str(tmp_path / "out")) == 0
+        assert len(calls) == 1
 
     def test_unconverged_continuation_fails_solve(self, tmp_path):
         # four halvings at p = 1.5 leave the last increment far above tol

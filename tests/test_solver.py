@@ -107,21 +107,6 @@ class TestSingularEnergy:
         k = np.ones(32)
         return SingularEnergy(params=pars, eps=eps, kvals=k, masses=grid.masses)
 
-    def test_g_cap(self):
-        se = self.make(1.0, eps=0.25)
-        assert se.g_eps(2.0) == pytest.approx(0.5)
-        assert se.g_eps(0.1) == pytest.approx(4.0)  # capped at 1/eps
-        assert se.g_eps(-1.0) == pytest.approx(4.0)
-
-    def test_G_normalization_and_primitive(self):
-        for gamma in (0.0, 0.5, 1.0, 2.0):
-            se = self.make(gamma, eps=0.25)
-            assert se.G_eps(1.0) == pytest.approx(0.0, abs=1e-14)
-            for t in (0.01, 0.3, 0.9, 2.5):
-                h = 1e-6
-                fd = (se.G_eps(t + h) - se.G_eps(t - h)) / (2 * h)
-                assert fd == pytest.approx(se.g_eps(t), rel=1e-5)
-
     def test_H_primitive_and_bounds(self):
         for gamma in (0.0, 0.5, 1.0, 2.0):
             se = self.make(gamma, eps=0.25)
@@ -135,7 +120,6 @@ class TestSingularEnergy:
             # nonincreasing
             ts = np.linspace(-1, 3, 101)
             assert np.all(np.diff(se.h_eps(ts)) <= 1e-15)
-            assert np.all(np.diff(se.g_eps(ts)) <= 1e-15)
 
 
 class TestSolveApproximated:
