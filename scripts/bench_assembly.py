@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Layer timings: operator assembly and one p = 3 continuation.
+"""Layer timings: operator assembly and two continuations.
 
 Times `assemble_operator` (s = 1/2, graded mesh of [0, 1] with grading 2) at
-each n and p, three times each, and one `continuation` at p = 3 (s = 1/2,
-gamma = 1, delta = 1/2, n = 512, eps0 = 1/2, 12 halvings, tol = 1e-4, the
-continuation of the benchmark's fine_mesh workload) with the minor page faults
-and user and system time that `getrusage` counts over it.  Prints one JSON
-object.  One BLAS thread gives the steadiest numbers:
+each n and p, three times each, and two continuations (s = 1/2, gamma = 1,
+delta = 1/2, eps0 = 1/2, tol = 1e-4, default grading), each with the minor
+page faults and user and system time that `getrusage` counts over it and the
+Cholesky factorizations and CG steps its solves made:
+- p = 3, n = 512, 12 halvings: the continuation of the benchmark's fine_mesh
+  workload;
+- p = 2, n = 1024, 20 halvings: the case-2 continuation of
+  `configs/boundary_case2.json`.
+Prints one JSON object.  One BLAS thread gives the steadiest numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_assembly.py
 """
@@ -39,24 +43,30 @@ def time_assembly():
     return rows
 
 
-def time_continuation():
-    params = make_params(0.5, 3.0, 1.0, 0.5)
-    grid = build_grid(params.a, params.b, 512, default_grading(params))
+def time_continuation(p, n, halvings):
+    params = make_params(0.5, p, 1.0, 0.5)
+    grid = build_grid(params.a, params.b, n, default_grading(params))
     before = resource.getrusage(resource.RUSAGE_SELF)
     t0 = time.perf_counter()
-    continuation(params, grid, eps0=0.5, halvings=12, tol=1e-4)
+    results, _, _ = continuation(params, grid, eps0=0.5, halvings=halvings, tol=1e-4)
     wall = time.perf_counter() - t0
     after = resource.getrusage(resource.RUSAGE_SELF)
     return {"wall_s": round(wall, 4),
             "user_s": round(after.ru_utime - before.ru_utime, 4),
             "system_s": round(after.ru_stime - before.ru_stime, 4),
-            "minor_faults": after.ru_minflt - before.ru_minflt}
+            "minor_faults": after.ru_minflt - before.ru_minflt,
+            "newton_steps": sum(r.iterations for r in results),
+            "factorizations": sum(r.factorizations for r in results),
+            "cg_steps": sum(r.cg_steps for r in results)}
 
 
 def main():
-    # the continuation first, in a fresh process, so its page faults are its own
-    cont = time_continuation()
-    print(json.dumps({"p3_continuation_n512": cont,
+    # the continuations first, in a fresh process, so the page faults of the
+    # p = 3 one are its own
+    p3 = time_continuation(3.0, 512, 12)
+    p2 = time_continuation(2.0, 1024, 20)
+    print(json.dumps({"p3_continuation_n512": p3,
+                      "p2_case2_continuation_n1024": p2,
                       "assemble_operator": time_assembly()}))
 
 

@@ -316,6 +316,7 @@ def _exp_solve(run, outdir, formats):
     last = results[-1]
     converged = run.converged(incs[-1:])
     ok = last.positivity_ok and converged
+    eps0 = float(run.cfg["solver"]["eps0"])
     if "csv" in formats:
         rows = [{"x": x, "u": u} for x, u in zip(grid.nodes, u_min.values)]
         write_csv(outdir / "solution.csv", ["x", "u"], rows)
@@ -325,12 +326,21 @@ def _exp_solve(run, outdir, formats):
             write_plotdata(outdir / "increments.dat", range(1, len(incs) + 1), incs)
     return ok, {
         "solves": len(results),
-        "final_eps": float(run.cfg["solver"]["eps0"]) * 2.0 ** -(len(results) - 1),
+        "final_eps": eps0 * 2.0 ** -(len(results) - 1),
         "increments": [float(i) for i in incs],
         "continuation_converged": converged,
         "final_residual": last.residual,
         "positivity_margin": last.positivity_margin,
         "iterations_total": int(sum(r.iterations for r in results)),
+        "stages": [
+            {
+                "eps": eps0 * 2.0**-k,
+                "newton_steps": r.iterations,
+                "factorizations": r.factorizations,
+                "cg_steps": r.cg_steps,
+            }
+            for k, r in enumerate(results)
+        ],
     }
 
 

@@ -11,6 +11,16 @@ accepted step.  A solve returns only once the gradient sup-norm meets its
 target.  For p < 2 the solver smooths the pair differences with mu = MU_FLOOR
 (see smoothed_updiff) so that the Hessian exists; the operator a caller
 passes in carries no smoothing.
+
+At p = 2 the Hessian is the fixed operator plus the diagonal reaction
+curvature, so a Cholesky factor stays a good preconditioner after v and eps
+move.  There the Newton system is first solved by conjugate gradients
+preconditioned with the last factor kept (inexact Newton with a stale-factor
+preconditioner, run to a sup-norm residual of _CG_RTOL |g| so that the
+minimizers do not move); the Hessian is rebuilt and refactored only when CG
+needs more than _CG_MAX steps.  A continuation keeps one factor across all its
+eps stages.  At p != 2 a Hessian product needs a power of every pair
+difference, as building the Hessian does, so there every step factors.
 """
 
 from __future__ import annotations
@@ -117,6 +127,9 @@ class SolveResult:
     energy: float
     positivity_margin: float
     positivity_ok: bool = True
+    #: Cholesky factorizations and preconditioned CG steps the solve made
+    factorizations: int = 0
+    cg_steps: int = 0
 
 
 #: Armijo sufficient-decrease constant
@@ -130,42 +143,106 @@ _HALVINGS = 60
 _SHIFTS = 24
 #: Newton iterations before a solve gives up
 _MAX_ITER = 40000
+#: CG stops once the residual sup-norm is at most _CG_RTOL |g|
+_CG_RTOL = 1e-12
+#: CG steps before the kept factor counts as stale and the Hessian is refactored
+_CG_MAX = 8
 
 
-def _newton_direction(hess, v, g, H):
-    """Solve H(v) d = -g with H factored in place in the buffer H.
+class _Factor:
+    """The n x n Hessian buffer of a solve and the Cholesky factor kept in it.
 
-    Where the Hessian is not numerically positive definite (at p > 2 it
-    vanishes at v = 0) the diagonal is shifted, Levenberg style, until the
-    factorization succeeds; a failed factorization has overwritten the
-    buffer, so every attempt rebuilds it.
+    One object serves every Newton step of a solve, or of every stage of a
+    continuation, so the buffer is allocated once.  cho is the factor of the
+    last Hessian factored (None when the buffer holds none); factorizations
+    and cg_steps count the work done through this object.
     """
-    shift = 0.0
-    for _ in range(_SHIFTS):
-        hess(v, H)
-        if shift:
-            H.flat[:: len(v) + 1] += shift
-        else:
-            dmax = float(H.diagonal().max())
-        try:
-            # H is symmetric and C-ordered, so H.T is its F-ordered view and
-            # LAPACK factors it without a copy
-            factor = cho_factor(H.T, overwrite_a=True, check_finite=False)
-        except LinAlgError:
+
+    def __init__(self, n: int):
+        self.buffer = np.empty((n, n))
+        self.cho = None
+        self.factorizations = 0
+        self.cg_steps = 0
+
+    def refactor(self, hess, v, g):
+        """Factor the Hessian at v in the buffer and keep the factor.
+
+        Where the Hessian is not numerically positive definite (at p > 2 it
+        vanishes at v = 0) the diagonal is shifted, Levenberg style, until the
+        factorization succeeds; a failed factorization has overwritten the
+        buffer, so every attempt rebuilds it.
+        """
+        # the buffer is about to be overwritten
+        self.cho = None
+        H = self.buffer
+        shift = 0.0
+        for _ in range(_SHIFTS):
+            hess(v, H)
             if shift:
-                shift *= 10.0
+                H.flat[:: len(v) + 1] += shift
             else:
-                shift = 1e-8 * dmax if dmax > 0.0 else float(np.abs(g).max())
-            continue
-        return cho_solve(factor, -g, check_finite=False)
-    raise NoConvergence(f"Hessian not positive definite after a shift of {shift:.3e}")
+                dmax = float(H.diagonal().max())
+            try:
+                # H is symmetric and C-ordered, so H.T is its F-ordered view
+                # and LAPACK factors it without a copy
+                self.cho = cho_factor(H.T, overwrite_a=True, check_finite=False)
+            except LinAlgError:
+                if shift:
+                    shift *= 10.0
+                else:
+                    shift = 1e-8 * dmax if dmax > 0.0 else float(np.abs(g).max())
+                continue
+            self.factorizations += 1
+            return
+        raise NoConvergence(f"Hessian not positive definite after a shift of {shift:.3e}")
+
+    def pcg(self, hvp, b):
+        """Solve H x = b by CG preconditioned with the kept factor, where
+        hvp(x) = H x.  Returns x once the sup-norm residual is at most
+        _CG_RTOL |b|, or None after _CG_MAX steps or without a factor."""
+        if self.cho is None:
+            return None
+        tol = _CG_RTOL * float(np.abs(b).max())
+        x = cho_solve(self.cho, b, check_finite=False)
+        r = b - hvp(x)
+        d = rz = None
+        for _ in range(_CG_MAX):
+            if float(np.abs(r).max()) <= tol:
+                return x
+            z = cho_solve(self.cho, r, check_finite=False)
+            rz, rz_old = r @ z, rz
+            d = z if d is None else z + (rz / rz_old) * d
+            Hd = hvp(d)
+            alpha = rz / (d @ Hd)
+            x = x + alpha * d
+            r = r - alpha * Hd
+            self.cg_steps += 1
+            if float(np.abs(r).max()) <= tol:
+                # the updated residual drifts from the true one: confirm
+                r = b - hvp(x)
+        return x if float(np.abs(r).max()) <= tol else None
+
+    def direction(self, hess, v, g, hvp):
+        """Newton direction d with H(v) d = -g.
+
+        hvp, when not None, is x -> H(v) x, and CG with the kept factor is
+        tried first; the Hessian is refactored when CG gives up or hvp is None.
+        """
+        if hvp is not None:
+            d = self.pcg(hvp, -g)
+            if d is not None:
+                return d
+        self.refactor(hess, v, g)
+        return cho_solve(self.cho, -g, check_finite=False)
 
 
-def _newton(value, grad, hess, v0, gtol, max_iter):
+def _newton(value, grad, hess, v0, gtol, max_iter, factor, hvp=None):
     """Damped Newton minimization of a smooth convex objective.
 
-    hess(v, out) writes the Hessian at v into the n x n buffer out, which is
-    allocated once and refilled at every step.  Steps are Armijo-backtracked;
+    hess(v, out) writes the Hessian at v into out, the n x n buffer of factor
+    (a _Factor).  hvp, when given, maps v to the product x -> H(v) x, and each
+    Newton system is then first solved by CG preconditioned with the kept
+    factor.  Steps are Armijo-backtracked;
     when the predicted decrease drops below what the objective resolves and
     the full step fails Armijo, it is accepted if it lowers |g|.  Returns
     (v, iterations, |g|, value) once |g| <= gtol.
@@ -176,9 +253,8 @@ def _newton(value, grad, hess, v0, gtol, max_iter):
     gnorm = float(np.abs(g).max())
     if gnorm <= gtol:
         return v, 0, gnorm, fv
-    H = np.empty((len(v), len(v)))
     for it in range(1, max_iter + 1):
-        d = _newton_direction(hess, v, g, H)
+        d = factor.direction(hess, v, g, None if hvp is None else hvp(v))
         slope = float(g @ d)
         floor = -slope <= _FLOOR * abs(fv)
         step = 1.0
@@ -210,8 +286,11 @@ def _smoothed(op: DiscreteOperator) -> DiscreteOperator:
 
 
 def _solve_objective(
-    op: DiscreteOperator, rhs_value, rhs_grad, v0, tol, scale, rhs_curv=None
+    op: DiscreteOperator, rhs_value, rhs_grad, v0, tol, scale, factor, rhs_curv=None
 ):
+    """Newton solve of the objective; returns (v, iterations, normalized |g|,
+    value, factorizations, CG steps)."""
+
     def value(v):
         return op.energy_over_p(v) - rhs_value(v)
 
@@ -224,9 +303,24 @@ def _solve_objective(
             out.flat[:: op.n + 1] += rhs_curv(v)
         return out
 
+    def hvp(v):
+        # at p = 2 the Hessian is the operator plus the reaction curvature
+        curv = 0.0 if rhs_curv is None else rhs_curv(v)
+        return lambda x: op.apply(x) + curv * x
+
     gtol = tol * max(scale, 1e-300)
-    v, iters, gnorm, fv = _newton(value, grad, hess, v0, gtol, _MAX_ITER)
-    return v, iters, gnorm / max(scale, 1e-300), fv
+    nfac, ncg = factor.factorizations, factor.cg_steps
+    v, iters, gnorm, fv = _newton(
+        value, grad, hess, v0, gtol, _MAX_ITER, factor, hvp if op._linear else None
+    )
+    return (
+        v,
+        iters,
+        gnorm / max(scale, 1e-300),
+        fv,
+        factor.factorizations - nfac,
+        factor.cg_steps - ncg,
+    )
 
 
 def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
@@ -242,13 +336,13 @@ def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
     op = _smoothed(op)
     mf = op.m * f
     scale = float(np.abs(mf).max())
-    v, iters, res, fv = _solve_objective(
-        op, lambda v: float(mf @ v), lambda v: mf, np.zeros(op.n), tol, scale
+    v, iters, res, fv, nfac, ncg = _solve_objective(
+        op, lambda v: float(mf @ v), lambda v: mf, np.zeros(op.n), tol, scale, _Factor(op.n)
     )
     margin = float(v.min())
     ok = margin >= -1e-12
     u = GridFunction(op.grid, v, Zero())
-    return SolveResult(u, iters, res, fv, margin, ok)
+    return SolveResult(u, iters, res, fv, margin, ok, nfac, ncg)
 
 
 def solve_approximated(
@@ -258,6 +352,7 @@ def solve_approximated(
     tol: float = 1e-10,
     op: DiscreteOperator | None = None,
     v0=None,
+    factor: _Factor | None = None,
 ) -> SolveResult:
     """Solve the eps-regularized problem by convex minimization.
 
@@ -265,6 +360,9 @@ def solve_approximated(
     requested tolerance and is strictly positive at interior nodes.
     For p < 2 it is one Newton solve with the pair differences smoothed at
     mu = MU_FLOOR.  op, when given, is the operator assembled for (grid, s, p).
+    factor, when given, is the Hessian buffer and kept Cholesky factor of
+    the continuation this solve is a stage of; otherwise the solve makes its
+    own.
     """
     if params.delta >= params.sp:
         raise RegimeError(
@@ -277,19 +375,20 @@ def solve_approximated(
     reaction = SingularEnergy(params=params, eps=eps, kvals=weights, masses=op.m)
     scale = float((op.m * weights * reaction.h_eps(np.zeros(op.n))).max())
     v0 = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float)
-    v, iters, res, fv = _solve_objective(
+    v, iters, res, fv, nfac, ncg = _solve_objective(
         op,
         reaction.value,
         reaction.grad,
         v0,
         tol,
         scale,
+        _Factor(op.n) if factor is None else factor,
         rhs_curv=reaction.curvature,
     )
     margin = float(v.min())
     ok = margin >= -1e-12
     u = GridFunction(grid, v, Zero())
-    return SolveResult(u, iters, res, fv, margin, ok)
+    return SolveResult(u, iters, res, fv, margin, ok, nfac, ncg)
 
 
 def continuation(
@@ -307,6 +406,7 @@ def continuation(
     falls below tol; the last iterate approximates the minimal solution and
     the recorded increment is its honest error proxy.  op, when given, is
     the operator assembled for (grid, s, p); otherwise it is assembled here.
+    Every stage shares one Hessian buffer, and at p = 2 one kept factor.
 
     Returns (results, u_min, increments).
     """
@@ -314,12 +414,15 @@ def continuation(
         raise OutOfRange(f"need at least 2 halvings, got {halvings}")
     if op is None:
         op = assemble_operator(grid, params.s, params.p)
+    factor = _Factor(op.n)
     results = []
     increments = []
     v_prev = None
     for k in range(halvings + 1):
         eps = eps0 * 2.0**-k
-        res = solve_approximated(params, grid, eps, tol=solver_tol, op=op, v0=v_prev)
+        res = solve_approximated(
+            params, grid, eps, tol=solver_tol, op=op, v0=v_prev, factor=factor
+        )
         results.append(res)
         if v_prev is not None:
             inc = float(np.abs(res.u.values - v_prev).max())
@@ -329,6 +432,10 @@ def continuation(
                 break
         v_prev = res.u.values
     return results, results[-1].u, increments
+
+
+#: most probe nodes residual_check evaluates
+_MAX_PROBES = 200
 
 
 @dataclass
@@ -343,14 +450,13 @@ def residual_check(
     u: GridFunction,
     params: ProblemParams,
     weight: WeightSpec | None = None,
-    min_distance_cells: float = 4.0,
     min_distance: float = 0.0,
-    max_probes: int = 200,
 ) -> ResidualReport:
     """Strong-form spot check: PV value of u against K(x)/u(x)**gamma.
 
-    Probes are interior nodes with d > min_distance_cells * local cell width
-    (and d > min_distance when given).  gamma > 0 requires u > 0 on probes.
+    Probes are interior nodes with d > 4 local cell widths (and d >
+    min_distance when given), at most _MAX_PROBES of them spread evenly.
+    gamma > 0 requires u > 0 on probes.
     """
     grid = u.grid
     weight = weight or WeightSpec("exact", params.delta)
@@ -358,12 +464,12 @@ def residual_check(
     eligible = []
     for i, x in enumerate(grid.nodes):
         hloc = grid.local_width(float(x))
-        if d[i] > max(min_distance_cells * hloc, 4.0 * hloc, min_distance) and d[i] > 0:
+        if d[i] > max(4.0 * hloc, min_distance) and d[i] > 0:
             eligible.append(i)
     if not eligible:
         raise PointTooCloseToBoundary("no probe nodes far enough from the boundary")
-    if len(eligible) > max_probes:
-        sel = np.linspace(0, len(eligible) - 1, max_probes).round().astype(int)
+    if len(eligible) > _MAX_PROBES:
+        sel = np.linspace(0, len(eligible) - 1, _MAX_PROBES).round().astype(int)
         eligible = [eligible[j] for j in np.unique(sel)]
     idx = np.asarray(eligible, dtype=int)
     uvals = u.values[idx]

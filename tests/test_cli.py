@@ -111,6 +111,14 @@ class TestSubcommands:
         assert sol[0] == "x,u"
         assert len(sol) == 97
         assert (out / "solution_profile.dat").exists()
+        rep = json.loads((out / "report.json").read_text())
+        rec = rep["experiments"][0]["record"]
+        stages = rec["stages"]
+        assert [st["eps"] for st in stages] == [0.5 * 2.0**-k for k in range(rec["solves"])]
+        assert sum(st["newton_steps"] for st in stages) == rec["iterations_total"]
+        # p = 2: the kept factor and CG replace most factorizations
+        assert 1 <= sum(st["factorizations"] for st in stages) < rec["iterations_total"]
+        assert all(st["cg_steps"] > 0 for st in stages[1:])
 
     def test_all_report_schema_and_reproducibility(self, tmp_path):
         cfg = write_cfg(tmp_path, QUICK)
@@ -128,6 +136,10 @@ class TestSubcommands:
             "classify", "oracle", "barrier-check", "solve",
             "exponent-fit", "sobolev-scan", "nonexistence-scan", "compare",
         ]
+        # stages are counts only, so the report part they add is reproducible
+        rep2 = json.loads((out2 / "report.json").read_text())
+        stages = rep["experiments"][3]["record"]["stages"]
+        assert rep2["experiments"][3]["record"]["stages"] == stages
         for f1 in sorted(out1.iterdir()):
             if f1.suffix in (".csv", ".dat"):
                 f2 = out2 / f1.name

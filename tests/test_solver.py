@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from fracp import (
     GridFunction,
@@ -12,7 +13,10 @@ from fracp import (
     solve_approximated,
     solve_fixed_rhs,
 )
+from fracp import solver
+from fracp.barrier import weight_values
 from fracp.errors import (
+    NoConvergence,
     NonPositiveValues,
     OutOfRange,
     RegimeError,
@@ -88,11 +92,11 @@ class TestSolveFixedRhs:
                 iterates.append(v.copy())
             return op.hessian(v, out)
 
-        from fracp.solver import _newton
+        from fracp.solver import _Factor, _newton
 
         v, iters, gnorm, fv = _newton(
             value, lambda v: op.apply(v) - mf, hess, np.zeros(48),
-            gtol=1e-8 * mf.max(), max_iter=200,
+            gtol=1e-8 * mf.max(), max_iter=200, factor=_Factor(48),
         )
         assert gnorm <= 1e-8 * mf.max()
         assert len(iterates) == iters >= 5
@@ -228,6 +232,124 @@ class TestContinuation:
         )
         assert len(results) < 31
         assert incs[-1] <= 1e-3
+
+
+def _reference_newton(op, reaction, v, gtol):
+    """The solver's damped Newton iteration with every system solved by
+    np.linalg.solve on the explicitly built Hessian."""
+
+    def value(v):
+        return op.energy_over_p(v) - reaction.value(v)
+
+    def grad(v):
+        return op.apply(v) - reaction.grad(v)
+
+    H = np.empty((op.n, op.n))
+    g, fv = grad(v), value(v)
+    while np.abs(g).max() > gtol:
+        op.hessian(v, H)
+        H.flat[:: op.n + 1] += reaction.curvature(v)
+        d = np.linalg.solve(H, -g)
+        slope = g @ d
+        step = 1.0
+        for _ in range(60):
+            v_new = v + step * d
+            f_new, g_new = value(v_new), grad(v_new)
+            if f_new <= fv + 1e-4 * step * slope:
+                break
+            floor = -slope <= 1e-10 * abs(fv)
+            if floor and step == 1.0 and np.abs(g_new).max() < np.abs(g).max():
+                break
+            step *= 0.5
+        else:
+            raise AssertionError("reference line search stalled")
+        v, g, fv = v_new, g_new, f_new
+    return v
+
+
+def _reference_minimizers(params, grid, op, stages):
+    """Minimizers of the first `stages` eps stages of a continuation from
+    eps0 = 1/2, each found by _reference_newton from the one before."""
+    out = []
+    v = np.zeros(op.n)
+    for k in range(stages):
+        eps = 0.5 * 2.0**-k
+        kvals = weight_values(params, WeightSpec("eps", params.delta, eps=eps), grid.distance())
+        reaction = SingularEnergy(params=params, eps=eps, kvals=kvals, masses=op.m)
+        scale = float((op.m * kvals * reaction.h_eps(np.zeros(op.n))).max())
+        v = _reference_newton(op, reaction, v, 1e-10 * scale)
+        out.append(v)
+    return out
+
+
+class TestKeptFactor:
+    """p = 2 continuations keep one Cholesky factor and solve the Newton
+    systems by CG preconditioned with it."""
+
+    @pytest.fixture(scope="class")
+    def case2_256(self, singular_preset):
+        """The case-2 continuation at n = 256 and its reference minimizers."""
+        grid = build_grid(0, 1, 256, default_grading(singular_preset))
+        op = assemble_operator(grid, 0.5, 2.0)
+        results, _, _ = continuation(singular_preset, grid, eps0=0.5, halvings=20, tol=1e-4, op=op)
+        reference = _reference_minimizers(singular_preset, grid, op, len(results))
+        return singular_preset, grid, op, results, reference
+
+    def test_minimizers_match_direct_solves(self, case2_256):
+        _, _, _, results, reference = case2_256
+        for r, v in zip(results, reference):
+            assert np.abs(r.u.values - v).max() <= 1e-12
+        assert sum(r.factorizations for r in results) <= 4
+        assert sum(r.cg_steps for r in results) > 0
+
+    def test_failed_factorization_discards_kept_factor(self, case2_256, monkeypatch):
+        params, grid, op, _, reference = case2_256
+        calls = 0
+
+        def failing_once(a, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 2:
+                # a failed factorization leaves the buffer overwritten
+                a[...] = np.nan
+                raise LinAlgError("injected")
+            return cho_factor(a, *args, **kwargs)
+
+        cho_factor = solver.cho_factor
+        monkeypatch.setattr(solver, "cho_factor", failing_once)
+        results, _, _ = continuation(params, grid, eps0=0.5, halvings=20, tol=1e-4, op=op)
+        assert calls >= 3
+        assert len(results) == len(reference)
+        for r, v in zip(results, reference):
+            assert np.abs(r.u.values - v).max() <= 1e-12
+
+    def test_failed_refactor_keeps_no_factor(self, case2_256, monkeypatch):
+        # a factorization that fails at every shift has overwritten the
+        # buffer, so no factor may be left to precondition with
+        op = case2_256[2]
+        factor = solver._Factor(op.n)
+        v = np.ones(op.n)
+        g = op.apply(v)
+        factor.refactor(op.hessian, v, g)
+        assert factor.cho is not None
+
+        def failing(a, *args, **kwargs):
+            a[...] = np.nan
+            raise LinAlgError("injected")
+
+        monkeypatch.setattr(solver, "cho_factor", failing)
+        with pytest.raises(NoConvergence):
+            factor.refactor(op.hessian, v, g)
+        assert factor.cho is None
+        assert factor.factorizations == 1
+
+    def test_p3_factors_every_step(self):
+        params = make_params(0.5, 3.0, 1.0, 0.5)
+        grid = build_grid(0, 1, 64, default_grading(params))
+        results, _, _ = continuation(params, grid, eps0=0.5, halvings=12, tol=1e-4)
+        for r in results:
+            assert r.factorizations == r.iterations
+            assert r.cg_steps == 0
 
 
 class TestResidualCheck:
