@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Layer timings: operator assembly and two continuations.
+"""Layer timings: operator assembly, principal-value probes and two
+continuations.
 
 Times `assemble_operator` (s = 1/2, graded mesh of [0, 1] with grading 2) at
-each n and p, three times each, and two continuations (s = 1/2, gamma = 1,
+each n and p, three times each; one `eval_fplap_pv` probe at x = 0.37, three
+times each, for s = 1/2, p = 2 on the n = 2048 mesh of grading 2, one per
+exterior kind: the torsion function (zero exterior) and the Super and U
+barriers (alpha = 1/4, lambda = 1/10); and two continuations (s = 1/2, gamma = 1,
 delta = 1/2, eps0 = 1/2, tol = 1e-4, default grading), each with the minor
 page faults and user and system time that `getrusage` counts over it and the
 Cholesky factorizations and CG steps its solves made:
@@ -20,7 +24,18 @@ import resource
 import statistics
 import time
 
-from fracp import assemble_operator, build_grid, continuation, make_params
+import numpy as np
+
+from fracp import (
+    BarrierSpec,
+    assemble_operator,
+    barrier_profile,
+    build_grid,
+    continuation,
+    eval_fplap_pv,
+    make_params,
+    solve_fixed_rhs,
+)
 from fracp.core import default_grading
 
 NS = (256, 1024, 2048, 4096)
@@ -40,6 +55,24 @@ def time_assembly():
                 runs.append(time.perf_counter() - t0)
             rows.append({"n": n, "p": p, "runs_s": [round(t, 4) for t in runs],
                          "median_s": round(statistics.median(runs), 4)})
+    return rows
+
+
+def time_pv_probes():
+    grid = build_grid(0.0, 1.0, 2048, 2.0)
+    spec = BarrierSpec(alpha=0.25, lam=0.1, rho=1.0, s=0.5, p=2.0)
+    torsion = solve_fixed_rhs(assemble_operator(grid, 0.5, 2.0), np.ones(grid.n)).u
+    rows = []
+    for kind, u in (("Zero", torsion),
+                    ("Super", barrier_profile(spec, grid, "Super")),
+                    ("U", barrier_profile(spec, grid, "U"))):
+        runs = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            eval_fplap_pv(u, 0.37, 0.5, 2.0)
+            runs.append(time.perf_counter() - t0)
+        rows.append({"exterior": kind, "runs_ms": [round(1e3 * t, 3) for t in runs],
+                     "median_ms": round(1e3 * statistics.median(runs), 3)})
     return rows
 
 
@@ -67,6 +100,7 @@ def main():
     p2 = time_continuation(2.0, 1024, 20)
     print(json.dumps({"p3_continuation_n512": p3,
                       "p2_case2_continuation_n1024": p2,
+                      "pv_probe_n2048": time_pv_probes(),
                       "assemble_operator": time_assembly()}))
 
 

@@ -339,7 +339,7 @@ def nonexistence_scan(
     rows = []
     for dl in delta_list:
         pars = params_base.with_delta(float(dl))
-        _, u_min, incs = continuation(
+        results, u_min, incs = continuation(
             pars, grid, eps0=eps0, halvings=halvings, tol=tol, op=op
         )
         fit = fit_boundary_exponent(u_min, params=pars)
@@ -351,6 +351,9 @@ def nonexistence_scan(
                 "fitted_exponent": 0.5 * (fit.slope_left + fit.slope_right),
                 "hardy_quotient": hq,
                 "last_increment": incs[-1],
+                "newton_steps": sum(r.iterations for r in results),
+                "factorizations": sum(r.factorizations for r in results),
+                "cg_steps": sum(r.cg_steps for r in results),
             }
         )
     return NonexistenceTable(rows)

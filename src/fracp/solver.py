@@ -19,8 +19,11 @@ preconditioned with the last factor kept (inexact Newton with a stale-factor
 preconditioner, run to a sup-norm residual of _CG_RTOL |g| so that the
 minimizers do not move); the Hessian is rebuilt and refactored only when CG
 needs more than _CG_MAX steps.  A continuation keeps one factor across all its
-eps stages.  At p != 2 a Hessian product needs a power of every pair
-difference, as building the Hessian does, so there every step factors.
+eps stages.  Each solve with the factor, a CG preconditioner step or a Newton
+direction after refactoring, is two level-2 BLAS triangular solves (dtrsv) on
+the factor where LAPACK left it, with no copy.  At p != 2 a Hessian product
+needs a power of every pair difference, as building the Hessian does, so
+there every step factors.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg.blas import dtrsv
 
 from .core import Grid, GridFunction, ProblemParams, Zero
 from .errors import (
@@ -153,9 +157,12 @@ class _Factor:
     """The n x n Hessian buffer of a solve and the Cholesky factor kept in it.
 
     One object serves every Newton step of a solve, or of every stage of a
-    continuation, so the buffer is allocated once.  cho is the factor of the
-    last Hessian factored (None when the buffer holds none); factorizations
-    and cg_steps count the work done through this object.
+    continuation, so the buffer is allocated once.  cho is the upper Cholesky
+    factor U, H = U^T U, of the last Hessian factored (None when the buffer
+    holds none): the F-ordered transpose of the buffer, whose upper triangle
+    LAPACK has overwritten, so each solve with it is two BLAS triangular
+    solves that read it in place.  factorizations and cg_steps count the work
+    done through this object.
     """
 
     def __init__(self, n: int):
@@ -185,7 +192,7 @@ class _Factor:
             try:
                 # H is symmetric and C-ordered, so H.T is its F-ordered view
                 # and LAPACK factors it without a copy
-                self.cho = cho_factor(H.T, overwrite_a=True, check_finite=False)
+                self.cho, _ = cho_factor(H.T, overwrite_a=True, check_finite=False)
             except LinAlgError:
                 if shift:
                     shift *= 10.0
@@ -196,6 +203,11 @@ class _Factor:
             return
         raise NoConvergence(f"Hessian not positive definite after a shift of {shift:.3e}")
 
+    def _solve(self, b):
+        """x with U^T U x = b for the kept factor: U^T y = b, then U x = y."""
+        y = dtrsv(self.cho, b, trans=1)
+        return dtrsv(self.cho, y, trans=0, overwrite_x=1)
+
     def pcg(self, hvp, b):
         """Solve H x = b by CG preconditioned with the kept factor, where
         hvp(x) = H x.  Returns x once the sup-norm residual is at most
@@ -203,13 +215,13 @@ class _Factor:
         if self.cho is None:
             return None
         tol = _CG_RTOL * float(np.abs(b).max())
-        x = cho_solve(self.cho, b, check_finite=False)
+        x = self._solve(b)
         r = b - hvp(x)
         d = rz = None
         for _ in range(_CG_MAX):
             if float(np.abs(r).max()) <= tol:
                 return x
-            z = cho_solve(self.cho, r, check_finite=False)
+            z = self._solve(r)
             rz, rz_old = r @ z, rz
             d = z if d is None else z + (rz / rz_old) * d
             Hd = hvp(d)
@@ -233,7 +245,7 @@ class _Factor:
             if d is not None:
                 return d
         self.refactor(hess, v, g)
-        return cho_solve(self.cho, -g, check_finite=False)
+        return self._solve(-g)
 
 
 def _newton(value, grad, hess, v0, gtol, max_iter, factor, hvp=None):

@@ -140,6 +140,14 @@ class TestSubcommands:
         rep2 = json.loads((out2 / "report.json").read_text())
         stages = rep["experiments"][3]["record"]["stages"]
         assert rep2["experiments"][3]["record"]["stages"] == stages
+        # and so are the solver counts of each nonexistence-scan row
+        counts = [
+            [(r["newton_steps"], r["factorizations"], r["cg_steps"]) for r in
+             report["experiments"][6]["record"]["rows"]]
+            for report in (rep, rep2)
+        ]
+        assert counts[0] == counts[1]
+        assert all(f >= 1 and n >= 1 for n, f, _ in counts[0])
         for f1 in sorted(out1.iterdir()):
             if f1.suffix in (".csv", ".dat"):
                 f2 = out2 / f1.name

@@ -27,7 +27,15 @@ from fracp.errors import (
     PointTooCloseToBoundary,
     ShapeMismatch,
 )
-from fracp.kernel import _cell_pair_J, _corner_rect, _far_hat_weights, _nudged_sp
+from fracp.core import PowerTail
+from fracp.kernel import (
+    _cell_pair_J,
+    _corner_rect,
+    _far_hat_weights,
+    _gauss_segments,
+    _nudged_sp,
+    _split_segments,
+)
 
 
 def _tensor_hat_integrals(X0, X1, Y0, Y1, sp, q):
@@ -369,7 +377,70 @@ class TestAssembleOperator:
         assert errs[-1] < errs[0]
 
 
+def _reference_pv(u, x, s, p):
+    """eval_fplap_pv with the same panels inside t_max and the exterior tail
+    from adaptive quadrature with the algebraic weight of its integrand.
+
+    In tau = (t_max / t)**sp the tail is t_max**-sp / sp * int_0^1 q dtau,
+    with q = [u(x) - u(x+t)]^{p-1} + [u(x) - u(x-t)]^{p-1}; q tau**beta is
+    bounded, with beta = alpha (p-1) / sp for the PowerTail exterior and 0
+    for the exteriors that are constant far out."""
+    grid, sp, ux = u.grid, s * p, float(u(x))
+    a, b = grid.a, grid.b
+
+    def q(t):
+        return updiff(ux, u(x + t), p) + updiff(ux, u(x - t), p)
+
+    def pair(t):
+        return q(t) * t ** (-1.0 - sp)
+
+    kinks = np.asarray(u.exterior.kinks(a, b), dtype=float)
+    radii = np.unique(np.abs(np.concatenate((grid.edges, kinks)) - x))
+    t_max = max(x - a, b - x, *np.abs(kinks - x))
+    r0 = 2.0 * grid.local_width(x)
+    base = _gauss_segments(pair, _split_segments(radii, r0, t_max))
+    annulus = _gauss_segments(pair, _split_segments(radii, 0.5 * r0, r0))
+    beta = u.exterior.alpha * (p - 1.0) / sp if isinstance(u.exterior, PowerTail) else 0.0
+    # the weighted rule also samples tau = 0, where t is infinite
+    tau_min = max((t_max / 1e250) ** sp, 1e-300)
+
+    def smooth(tau):
+        tau = max(tau, tau_min)
+        return q(t_max * tau ** (-1.0 / sp)) * tau**beta
+
+    tail, _ = quad(
+        smooth, 0.0, 1.0, weight="alg", wvar=(-beta, 0.0),
+        epsabs=1e-300, epsrel=1e-12, limit=500,
+    )
+    kappa = p * (1.0 - s)
+    fac = 2.0**kappa / (2.0**kappa - 1.0)
+    return 2.0 * (base + t_max**-sp / sp * tail + annulus * fac)
+
+
 class TestEvalPV:
+    @pytest.mark.parametrize(
+        "s, p, alpha", [(0.5, 2.0, 0.3), (0.5, 3.0, 0.45), (0.75, 1.5, 0.2), (0.08, 1.25, 0.05)]
+    )
+    @pytest.mark.parametrize("kind", ["Zero", "Sub", "Super", "U"])
+    def test_exterior_tail_against_weighted_quadrature(self, s, p, alpha, kind):
+        from fracp import BarrierSpec, barrier_profile, solve_fixed_rhs
+
+        grid = build_grid(0, 1, 256, 2.0)
+        if kind == "Zero":
+            op = assemble_operator(grid, s, p)
+            profiles = [solve_fixed_rhs(op, np.ones(grid.n), tol=1e-11).u]
+        else:
+            profiles = [
+                barrier_profile(BarrierSpec(alpha=alpha, lam=lam, rho=1.0, s=s, p=p), grid, kind)
+                for lam in (0.0, 0.2)
+            ]
+        for u in profiles:
+            for x in (0.2, 0.8):
+                pv = eval_fplap_pv(u, x, s, p)
+                # at sp = 0.1 the tail's radii would overflow without a cap
+                assert np.isfinite(pv)
+                assert pv == pytest.approx(_reference_pv(u, x, s, p), rel=1e-10, abs=0.0)
+
     def test_constant_function_maps_to_zero(self):
         g = build_grid(0, 1, 64, 1)
         u = GridFunction(g, np.full(64, 3.7), Constant(3.7))

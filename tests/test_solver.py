@@ -343,6 +343,23 @@ class TestKeptFactor:
         assert factor.cho is None
         assert factor.factorizations == 1
 
+    def test_triangular_solves_read_only_the_kept_factor(self, case2_256):
+        op = case2_256[2]
+        factor = solver._Factor(op.n)
+        v = np.ones(op.n)
+        factor.refactor(op.hessian, v, op.apply(v))
+        H = op.hessian(v, np.empty((op.n, op.n)))
+        # the factor is the buffer itself, in the order BLAS reads without a copy
+        assert factor.cho.flags.f_contiguous
+        assert np.shares_memory(factor.cho, factor.buffer)
+        # LAPACK leaves the other triangle unused: a wrong lower or trans
+        # flag reads the NaN or solves the wrong system
+        factor.cho[np.tril_indices(op.n, -1)] = np.nan
+        b = np.random.default_rng(7).standard_normal(op.n)
+        ref = np.linalg.solve(H, b)
+        x = factor._solve(b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_p3_factors_every_step(self):
         params = make_params(0.5, 3.0, 1.0, 0.5)
         grid = build_grid(0, 1, 64, default_grading(params))
