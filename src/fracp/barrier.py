@@ -15,18 +15,18 @@ from .core import (
     GridFunction,
     PowerTail,
     ProblemParams,
+    barrier_shift,
     build_grid,
     check_eta,
 )
 from .errors import (
-    AlphaOutOfRange,
     CollarTooThin,
     MembershipViolation,
     RegimeError,
     SpecInvalid,
     WindowTooThin,
 )
-from .kernel import eval_fplap_pv, phi_constant
+from .kernel import check_alpha, eval_fplap_pv, phi_constant, power_beta
 
 __all__ = [
     "BarrierSpec",
@@ -50,10 +50,7 @@ class BarrierSpec:
     p: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < self.s):
-            raise AlphaOutOfRange(
-                f"alpha must lie in (0, s) = (0, {self.s}), got {self.alpha}"
-            )
+        check_alpha(self.alpha, self.s)
         if self.lam < 0.0:
             raise SpecInvalid(f"lambda must be nonnegative, got {self.lam}")
         if self.beta <= 0.0:
@@ -65,11 +62,11 @@ class BarrierSpec:
 
     @property
     def beta(self) -> float:
-        return self.s * self.p - self.alpha * (self.p - 1.0)
+        return power_beta(self.alpha, self.s, self.p)
 
     @property
     def shift(self) -> float:
-        return self.lam ** (1.0 / self.alpha) if self.lam > 0.0 else 0.0
+        return barrier_shift(self.alpha, self.lam)
 
 
 def barrier_profile(spec: BarrierSpec, grid: Grid, kind: str) -> GridFunction:
@@ -175,7 +172,7 @@ def _window_seminorm(alpha: float, s: float, p: float, lam: float, lo: float, hi
     ratio variable; finite for alpha in (0, s) when lam > 0 and for
     alpha in (s - 1/p, s) when lam = 0.
     """
-    sh = lam ** (1.0 / alpha) if lam > 0.0 else 0.0
+    sh = barrier_shift(alpha, lam)
     w0, w1 = lo + sh, hi + sh
     sp = s * p
 
@@ -216,8 +213,7 @@ def verify_power_estimate(
     principal value scaled by (x + lambda**(1/alpha))**beta against 2*Phi,
     (iii) finiteness of the windowed Gagliardo energy.
     """
-    if not (0.0 < alpha < s):
-        raise AlphaOutOfRange(f"alpha must lie in (0, s) = (0, {s}), got {alpha}")
+    check_alpha(alpha, s)
     if lam == 0.0 and alpha <= s - 1.0 / p:
         raise MembershipViolation(
             f"lambda = 0 requires alpha > s - 1/p = {s - 1.0 / p}, got {alpha}"
@@ -226,7 +222,7 @@ def verify_power_estimate(
     chain_ok = oracle.c1 - 1e-10 <= oracle.phi <= oracle.c2 + 1e-10
 
     grid = build_grid(0.0, 1.0, n, _POWER_GRADING)
-    rho = 1.0 + 2.0 * (lam ** (1.0 / alpha) if lam > 0.0 else 0.0)
+    rho = 1.0 + 2.0 * barrier_shift(alpha, lam)
     spec = BarrierSpec(alpha=alpha, lam=lam, rho=rho, s=s, p=p)
     u = barrier_profile(spec, grid, "U")
     sh = spec.shift
@@ -270,16 +266,7 @@ _MAX_PROBES = 24
 
 def _pv_probe_nodes(grid: Grid, eta: float) -> np.ndarray:
     """Nodes inside the boundary strip that the PV evaluator can handle."""
-    d = grid.distance()
-    ok = np.zeros(grid.n, dtype=bool)
-    for i, x in enumerate(grid.nodes):
-        if d[i] < eta and d[i] > 5.0 * grid.local_width(float(x)):
-            ok[i] = True
-    idx = np.where(ok)[0]
-    if len(idx) > _MAX_PROBES:
-        sel = np.linspace(0, len(idx) - 1, _MAX_PROBES).round().astype(int)
-        idx = idx[np.unique(sel)]
-    return grid.nodes[idx]
+    return grid.nodes[grid.probe_indices(5.0, _MAX_PROBES, below=eta)]
 
 
 def _barrier_constants(spec: BarrierSpec, grid: Grid, probes, s, p):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import build_grid, classify_regime, default_grading, make_params
+from .core import CASE_ALPHA_STAR, CASE_S, build_grid, classify_regime, default_grading, make_params
 from .errors import ConfigParse, FracpError, OutOfRange
 from .kernel import phi_constant
 from .barrier import (
@@ -242,7 +242,7 @@ class _Run:
     def barrier_spec(self, lam_fallback) -> BarrierSpec:
         bb, params, report = self.cfg["barrier"], self.params, self.regime
         if bb["alpha"] == "auto":
-            alpha = report.alpha_star if report.case_flag == "CaseAlphaStar" else 0.5 * report.alpha_star0
+            alpha = report.alpha_star if report.case_flag == CASE_ALPHA_STAR else 0.5 * report.alpha_star0
             alpha = min(max(alpha, 1e-3), 0.95 * params.s)
         else:
             alpha = float(bb["alpha"])
@@ -347,7 +347,7 @@ def _exp_solve(run, outdir, formats):
 def _fit_band(report, s):
     # CaseS admits d^s from below and d^(s-eps) from above; the strongly
     # singular case pins alpha_star on both sides
-    if report.case_flag == "CaseS":
+    if report.case_flag == CASE_S:
         return (s - 0.1, s + 0.05)
     return (report.alpha_star - 0.05, report.alpha_star + 0.05)
 

@@ -9,6 +9,7 @@ function of that quadruple.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -187,13 +188,24 @@ class Grid:
         duals = np.concatenate(([self.a], mids, [self.b]))
         return np.diff(duals)
 
-    def local_width(self, x: float) -> float:
-        """Width of the cell containing x (max with neighbours for safety)."""
-        k = int(np.searchsorted(self.edges, x, side="right")) - 1
-        k = min(max(k, 0), len(self.widths) - 1)
-        lo = max(k - 1, 0)
-        hi = min(k + 2, len(self.widths))
-        return float(self.widths[lo:hi].max())
+    def local_width(self, x):
+        """Width of the cell containing x (max with neighbours for safety), at
+        a point or at each of an array of points."""
+        w = self.widths
+        last = len(w) - 1
+        k = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, last)
+        out = np.maximum(np.maximum(w[np.maximum(k - 1, 0)], w[k]), w[np.minimum(k + 1, last)])
+        return out if out.ndim else float(out)
+
+    def probe_indices(self, cells: float, cap: int, above: float = 0.0, below: float = math.inf):
+        """Indices of the nodes whose distance d to the boundary exceeds
+        `cells` local widths and `above` and stays below `below`; at most cap
+        of them, spread evenly."""
+        d = self.distance()
+        idx = np.flatnonzero((d > cells * self.local_width(self.nodes)) & (d > above) & (d < below))
+        if len(idx) > cap:
+            idx = idx[np.unique(np.linspace(0, len(idx) - 1, cap).round().astype(int))]
+        return idx
 
     def distance(self, x=None) -> np.ndarray:
         """Distance to the boundary, at the nodes by default."""
@@ -260,6 +272,11 @@ class Constant:
         return ()
 
 
+def barrier_shift(alpha: float, lam: float) -> float:
+    """lambda**(1/alpha), the shift of the power barrier (0 at lambda = 0)."""
+    return lam ** (1.0 / alpha) if lam > 0.0 else 0.0
+
+
 @dataclass(frozen=True)
 class PowerTail:
     """Shifted-power profile ((z - a + lambda**(1/alpha))_+)**alpha outside.
@@ -275,7 +292,7 @@ class PowerTail:
 
     @property
     def shift(self) -> float:
-        return self.lam ** (1.0 / self.alpha) if self.lam > 0.0 else 0.0
+        return barrier_shift(self.alpha, self.lam)
 
     def value(self, z, a, b):
         z = np.asarray(z, dtype=float)
@@ -304,7 +321,7 @@ class CollarTail:
 
     @property
     def shift(self) -> float:
-        return self.lam ** (1.0 / self.alpha) if self.lam > 0.0 else 0.0
+        return barrier_shift(self.alpha, self.lam)
 
     def value(self, z, a, b):
         z = np.asarray(z, dtype=float)
@@ -339,20 +356,25 @@ class GridFunction:
             )
         object.__setattr__(self, "values", vals)
 
-    def boundary_values(self):
+    @functools.cached_property
+    def _interpolant(self):
+        """Interpolation nodes and values: the grid's, with the exterior's
+        trace at both endpoints."""
         a, b = self.grid.a, self.grid.b
-        return float(self.exterior.value(a, a, b)), float(self.exterior.value(b, a, b))
+        va, vb = float(self.exterior.value(a, a, b)), float(self.exterior.value(b, a, b))
+        xp = np.concatenate(([a], self.grid.nodes, [b]))
+        fp = np.concatenate(([va], self.values, [vb]))
+        return xp, fp
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
         a, b = self.grid.a, self.grid.b
-        va, vb = self.boundary_values()
-        xp = np.concatenate(([a], self.grid.nodes, [b]))
-        fp = np.concatenate(([va], self.values, [vb]))
-        inner = np.interp(np.clip(z, a, b), xp, fp)
-        outer = self.exterior.value(z, a, b)
-        out = np.where((z >= a) & (z <= b), inner, outer)
-        return out if out.ndim else float(out)
+        out = np.interp(np.clip(z, a, b), *self._interpolant)
+        outside = ~((z >= a) & (z <= b))
+        if not out.ndim:
+            return float(self.exterior.value(z, a, b)) if outside else float(out)
+        out[outside] = self.exterior.value(z[outside], a, b)
+        return out
 
 def check_eta(grid: Grid, eta: float) -> None:
     """Boundary strips must stay below half the domain width."""

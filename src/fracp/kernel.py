@@ -135,9 +135,16 @@ class PowerKernelOracle:
     c2: float
 
 
-def _check_alpha(alpha: float, s: float) -> None:
+def check_alpha(alpha: float, s: float) -> None:
+    """Barrier exponents lie in (0, s)."""
     if not (0.0 < alpha < s):
         raise AlphaOutOfRange(f"alpha must lie in (0, s) = (0, {s}), got {alpha}")
+
+
+def power_beta(alpha: float, s: float, p: float) -> float:
+    """beta = s*p - alpha*(p-1), the decay exponent of the operator applied to
+    the power barrier of exponent alpha."""
+    return s * p - alpha * (p - 1.0)
 
 
 def bracket_constants(alpha: float, s: float, p: float):
@@ -147,9 +154,9 @@ def bracket_constants(alpha: float, s: float, p: float):
     beta >= 1: c1 = 1/(sp), c2 = 1/(sp) + max(1, beta-1)/(p (1-s)).
     The midpoint st is the canonical choice in the admissible band (s, beta).
     """
-    _check_alpha(alpha, s)
+    check_alpha(alpha, s)
     sp = s * p
-    beta = sp - alpha * (p - 1.0)
+    beta = power_beta(alpha, s, p)
     if beta < 1.0:
         st = 0.5 * (s + beta)
         c1 = (st - s) / (st * s) / p
@@ -167,11 +174,11 @@ def phi_constant(alpha: float, s: float, p: float, tol: float = 1e-8) -> PowerKe
     y = 1 and, for beta < 1, a second one y**(beta-1) at y = 0; the integral
     is split at 1/2 so each half carries one endpoint.
     """
-    _check_alpha(alpha, s)
+    check_alpha(alpha, s)
     if tol <= 0.0:
         raise OutOfRange(f"tol must be positive, got {tol}")
     sp = s * p
-    beta = sp - alpha * (p - 1.0)
+    beta = power_beta(alpha, s, p)
     if beta <= 0.0:
         raise AlphaOutOfRange(f"derived beta = {beta} must be positive")
     c1, c2 = bracket_constants(alpha, s, p)

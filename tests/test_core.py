@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from fracp import (
     CASE_ALPHA_STAR,
     CASE_S,
+    Constant,
+    GridFunction,
     build_grid,
     classify_regime,
     default_grading,
@@ -131,8 +133,47 @@ class TestGrid:
         g = build_grid(0, 1, 33, 2.5)
         assert np.allclose(g.nodes + g.nodes[::-1], 1.0)
 
+    @pytest.mark.parametrize("n, q", [(16, 1.0), (96, 2.0), (1024, 3.0)])
+    def test_probes_match_node_loop(self, n, q):
+        g = build_grid(0, 1, n, q)
+
+        def width(x):
+            # the cell holding x and its neighbours
+            k = min(max(int(np.searchsorted(g.edges, x, side="right")) - 1, 0), n)
+            return g.widths[max(k - 1, 0) : k + 2].max()
+
+        widths = [width(x) for x in g.nodes]
+        assert np.array_equal(g.local_width(g.nodes), widths)
+        assert g.local_width(0.3) == width(0.3)
+        d = g.distance()
+        for cells, cap, above, below in ((4.0, 200, 0.1, math.inf), (5.0, 24, 0.0, 0.1)):
+            keep = [i for i in range(n) if d[i] > cells * widths[i] and above < d[i] < below]
+            if len(keep) > cap:
+                sel = np.linspace(0, len(keep) - 1, cap).round().astype(int)
+                keep = [keep[j] for j in np.unique(sel)]
+            assert g.probe_indices(cells, cap, above, below).tolist() == keep
+
     def test_default_grading_capped(self):
         assert default_grading(make_params(0.5, 2, 1, 0.5)) == pytest.approx(2.0)
         assert default_grading(make_params(0.5, 2, 1, 0.95)) == 4.0
         assert default_grading(make_params(0.5, 2, 0, 0)) == 1.0
 
+
+class TestGridFunction:
+    def test_exterior_evaluated_only_outside(self):
+        seen = []
+
+        class Spy(Constant):
+            def value(self, z, a, b):
+                seen.append(np.atleast_1d(z).copy())
+                return super().value(z, a, b)
+
+        u = GridFunction(build_grid(0, 1, 16, 2.0), np.ones(16), Spy(2.0))
+        z = np.linspace(-1, 2, 31)
+        outside = (z < 0) | (z > 1)
+        for _ in range(3):
+            assert np.all(u(z)[outside] == 2.0)
+        assert u(-0.5) == 2.0 and u(0.0) == 2.0
+        # the two endpoint traces once, then only the outside points
+        assert [len(t) for t in seen] == [1, 1, 20, 20, 20, 1]
+        assert all(np.all((t < 0) | (t > 1)) for t in seen[2:])

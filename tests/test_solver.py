@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
@@ -94,11 +96,10 @@ class TestSolveFixedRhs:
 
         from fracp.solver import _Factor, _newton
 
-        v, iters, gnorm, fv = _newton(
-            value, lambda v: op.apply(v) - mf, hess, np.zeros(48),
-            gtol=1e-8 * mf.max(), max_iter=200, factor=_Factor(48),
+        v, iters, res, fv = _newton(
+            value, lambda v: op.apply(v) - mf, hess, np.zeros(48), tol=1e-10, factor=_Factor(48)
         )
-        assert gnorm <= 1e-8 * mf.max()
+        assert res <= 1e-10
         assert len(iterates) == iters >= 5
         values = [value(u) for u in iterates] + [fv]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -225,6 +226,31 @@ class TestContinuation:
         # one Newton solve per eps, all at the smoothing mu = MU_FLOOR
         assert sum(r.iterations for r in results) <= 150
 
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_s08_p12_converges(self, delta):
+        # a gradient sup-norm target stalled here for 40 000 steps with the
+        # iterate already at the minimizer to rounding
+        pars = make_params(0.8, 1.2, 1.0, delta)
+        grid = build_grid(0, 1, 96, default_grading(pars))
+        results, _, _ = continuation(pars, grid, eps0=0.5, halvings=10)
+        assert all(r.residual <= 1e-10 for r in results)
+
+    def test_last_iterate_is_the_minimizer(self):
+        # a gradient sup-norm target left one Newton step of 4.2e-6 max u
+        pars = make_params(0.5, 1.2, 2.0, 0.2)
+        grid = build_grid(0, 1, 96, default_grading(pars))
+        op = assemble_operator(grid, 0.5, 1.2)
+        results, u_min, _ = continuation(pars, grid, eps0=0.5, halvings=10, op=op)
+        eps = 0.5 * 2.0 ** -(len(results) - 1)
+        kvals = weight_values(pars, WeightSpec("eps", 0.2, eps=eps), grid.distance())
+        reaction = SingularEnergy(params=pars, eps=eps, kvals=kvals, masses=op.m)
+        smoothed = dataclasses.replace(op, mu=solver.MU_FLOOR)
+        v = u_min.values
+        H = smoothed.hessian(v, np.empty((op.n, op.n)))
+        H.flat[:: op.n + 1] += reaction.curvature(v)
+        step = np.linalg.solve(H, reaction.grad(v) - smoothed.apply(v))
+        assert np.abs(step).max() <= 1e-10 * v.max()
+
     def test_early_stop(self, singular_preset):
         grid = build_grid(0, 1, 64, 2.0)
         results, _, incs = continuation(
@@ -234,9 +260,11 @@ class TestContinuation:
         assert incs[-1] <= 1e-3
 
 
-def _reference_newton(op, reaction, v, gtol):
+def _reference_newton(op, reaction, v, tol):
     """The solver's damped Newton iteration with every system solved by
-    np.linalg.solve on the explicitly built Hessian."""
+    np.linalg.solve on the explicitly built Hessian.  It stops once a step
+    has been taken and the squared Newton decrement -g.d at the iterate is
+    at most tol**2 |f|."""
 
     def value(v):
         return op.energy_over_p(v) - reaction.value(v)
@@ -246,25 +274,25 @@ def _reference_newton(op, reaction, v, gtol):
 
     H = np.empty((op.n, op.n))
     g, fv = grad(v), value(v)
-    while np.abs(g).max() > gtol:
+    for it in range(100):
         op.hessian(v, H)
         H.flat[:: op.n + 1] += reaction.curvature(v)
         d = np.linalg.solve(H, -g)
         slope = g @ d
+        if it and -slope <= tol**2 * abs(fv):
+            return v
+        floor = -slope <= 1e-10 * abs(fv)
         step = 1.0
         for _ in range(60):
             v_new = v + step * d
-            f_new, g_new = value(v_new), grad(v_new)
-            if f_new <= fv + 1e-4 * step * slope:
-                break
-            floor = -slope <= 1e-10 * abs(fv)
-            if floor and step == 1.0 and np.abs(g_new).max() < np.abs(g).max():
+            f_new = value(v_new)
+            if floor or f_new <= fv + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
             raise AssertionError("reference line search stalled")
-        v, g, fv = v_new, g_new, f_new
-    return v
+        v, g, fv = v_new, grad(v_new), f_new
+    raise AssertionError("reference Newton did not converge")
 
 
 def _reference_minimizers(params, grid, op, stages):
@@ -276,8 +304,7 @@ def _reference_minimizers(params, grid, op, stages):
         eps = 0.5 * 2.0**-k
         kvals = weight_values(params, WeightSpec("eps", params.delta, eps=eps), grid.distance())
         reaction = SingularEnergy(params=params, eps=eps, kvals=kvals, masses=op.m)
-        scale = float((op.m * kvals * reaction.h_eps(np.zeros(op.n))).max())
-        v = _reference_newton(op, reaction, v, 1e-10 * scale)
+        v = _reference_newton(op, reaction, v, 1e-10)
         out.append(v)
     return out
 
