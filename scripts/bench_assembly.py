@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Layer timings: operator assembly, principal-value probes and two
-continuations.
+"""Layer timings: operator assembly, operator apply and energy,
+principal-value probes and two continuations.
 
 Times `assemble_operator` (s = 1/2, graded mesh of [0, 1] with grading 2) at
-each n and p, three times each; one `eval_fplap_pv` probe at x = 0.37, three
+each n and p, three times each; `DiscreteOperator.apply` and `energy` of
+those operators at n = 1024 and 2048 for each p, on the profile
+(x (1 - x))**(1/2), three repeats of ten calls each, in milliseconds per
+call; one `eval_fplap_pv` probe at x = 0.37, three
 times each, for s = 1/2, p = 2 on the n = 2048 mesh of grading 2, one per
 exterior kind: the torsion function (zero exterior) and the Super and U
 barriers (alpha = 1/4, lambda = 1/10); and two continuations (s = 1/2, gamma = 1,
@@ -41,6 +44,8 @@ from fracp.core import default_grading
 NS = (256, 1024, 2048, 4096)
 PS = (1.5, 2.0, 3.0)
 REPEATS = 3
+APPLY_NS = (1024, 2048)
+APPLY_CALLS = 10
 
 
 def time_assembly():
@@ -55,6 +60,26 @@ def time_assembly():
                 runs.append(time.perf_counter() - t0)
             rows.append({"n": n, "p": p, "runs_s": [round(t, 4) for t in runs],
                          "median_s": round(statistics.median(runs), 4)})
+    return rows
+
+
+def time_apply_energy():
+    rows = []
+    for n in APPLY_NS:
+        grid = build_grid(0.0, 1.0, n, 2.0)
+        v = np.sqrt(grid.nodes * (1.0 - grid.nodes))
+        for p in PS:
+            op = assemble_operator(grid, 0.5, p)
+            row = {"n": n, "p": p}
+            for name, method in (("apply", op.apply), ("energy", op.energy)):
+                runs = []
+                for _ in range(REPEATS):
+                    t0 = time.perf_counter()
+                    for _ in range(APPLY_CALLS):
+                        method(v)
+                    runs.append((time.perf_counter() - t0) / APPLY_CALLS)
+                row[f"{name}_median_ms"] = round(1e3 * statistics.median(runs), 4)
+            rows.append(row)
     return rows
 
 
@@ -100,6 +125,7 @@ def main():
     p2 = time_continuation(2.0, 1024, 20)
     print(json.dumps({"p3_continuation_n512": p3,
                       "p2_case2_continuation_n1024": p2,
+                      "apply_energy": time_apply_energy(),
                       "pv_probe_n2048": time_pv_probes(),
                       "assemble_operator": time_assembly()}))
 

@@ -18,7 +18,7 @@ from .errors import (
     WindowTooThin,
 )
 from .barrier import WeightSpec, weight_values
-from .kernel import assemble_operator, gagliardo_energy
+from .kernel import DiscreteOperator, assemble_operator, gagliardo_energy
 from .solver import SingularEnergy, continuation, solve_approximated
 
 __all__ = [
@@ -328,14 +328,19 @@ def nonexistence_scan(
     eps0: float = 0.5,
     halvings: int = 12,
     tol: float = 1e-4,
+    op: DiscreteOperator | None = None,
 ) -> NonexistenceTable:
-    """Solve along delta increasing toward s*p and record the blow-up trend."""
+    """Solve along delta increasing toward s*p and record the blow-up trend.
+
+    op, when given, is the operator assembled for (grid, s, p); otherwise it
+    is assembled here.  It does not depend on delta, so every delta shares it.
+    """
     sp = params_base.sp
     for dl in delta_list:
         if dl >= sp:
             raise RegimeError(f"delta = {dl} is outside the solvable range [0, {sp})")
-    # the operator does not depend on delta
-    op = assemble_operator(grid, params_base.s, params_base.p)
+    if op is None:
+        op = assemble_operator(grid, params_base.s, params_base.p)
     rows = []
     for dl in delta_list:
         pars = params_base.with_delta(float(dl))

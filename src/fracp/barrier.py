@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import exprel
 
 from .core import (
     CollarTail,
@@ -165,31 +166,46 @@ class VerificationRecord:
         return {"name": self.name, "passed": bool(self.passed), "details": clean(self.details)}
 
 
-def _window_seminorm(alpha: float, s: float, p: float, lam: float, lo: float, hi: float):
-    """Gagliardo energy of the shifted power profile over a window squared.
+def _window_seminorm(alpha: float, s: float, p: float, lam: float):
+    """Gagliardo energy of the shifted power profile over (0, 1) squared.
 
-    Uses the symmetry reduction to a single singular inner integral in the
-    ratio variable; finite for alpha in (0, s) when lam > 0 and for
-    alpha in (s - 1/p, s) when lam = 0.
+    In the shifted variable x on [w0, w1] = [shift, 1 + shift], with t the
+    ratio of the smaller point to the larger,
+      E = 2 int_{w0}^{w1} x**(k-1) int_{w0/x}^1 (1-t**alpha)**p (1-t)**(-1-sp) dt dx
+    and k = alpha p - s p + 1.  Swapping the order does the x integral in
+    closed form, (w1**k - (w0/t)**k) / k, so no quadrature meets the
+    x**(k-1) spike a tiny shift leaves at w0.  The t integral runs in
+    z = -log t over [0, log(w1/w0)]: 1 - t**alpha = alpha z exprel(-alpha z)
+    keeps its digits as t -> 1, and the integrable z**(p-1-sp) singularity
+    at z = 0 is the algebraic weight of the first panel.  Finite for alpha
+    in (0, s) when lam > 0 and for alpha in (s - 1/p, s) (k > 0) when
+    lam = 0.
     """
     sh = barrier_shift(alpha, lam)
-    w0, w1 = lo + sh, hi + sh
+    w1 = 1.0 + sh
     sp = s * p
+    k = alpha * p - sp + 1.0
+    # log(w1/w0) from logs, so that a shift below the float range still counts
+    top = math.log(w1) - math.log(lam) / alpha if lam > 0.0 else math.inf
+    sing = p - 1.0 - sp
 
-    def inner(x):
-        lo_t = w0 / x
+    def smooth(z):
+        # the t integrand with dt = e^-z dz, over z**sing, times
+        # (w1**k - (w0/t)**k) / (k w1**k): 1/k at w0 = 0, finite at k = 0
+        f = alpha**p * exprel(-alpha * z) ** p * exprel(-z) ** (-1.0 - sp) * math.exp(-z)
+        return f / k if top == math.inf else f * (top - z) * exprel(-k * (top - z))
 
-        def g(t):
-            return (1.0 - t**alpha) ** p * (1.0 - t) ** (-1.0 - sp)
-
-        val, _ = quad(g, lo_t, 1.0, limit=200)
-        return val
-
-    def outer(x):
-        return x ** (alpha * p - sp) * inner(x)
-
-    val, err = quad(outer, w0, w1, limit=200)
-    return 2.0 * val, 2.0 * err
+    cut = min(1.0, top)
+    val, err = quad(smooth, 0.0, cut, weight="alg", wvar=(sing, 0.0), epsrel=1e-10, limit=200)
+    if top > cut:
+        # panels doubling in z: the integrand decays like e^-z while a small
+        # shift makes top = log(w1/w0) large
+        doubling = 2.0 ** np.arange(1.0, math.log2(top)) if top < math.inf else None
+        far, far_err = quad(
+            lambda z: z**sing * smooth(z), cut, top, points=doubling, epsrel=1e-10, limit=200
+        )
+        val, err = val + far, err + far_err
+    return 2.0 * w1**k * val, 2.0 * w1**k * err
 
 
 #: half-line chart points where the scaled principal value is compared to 2*Phi
@@ -234,7 +250,7 @@ def verify_power_estimate(
     max_dev = float(np.abs(ratios - 1.0).max())
     ratio_ok = max_dev <= _RATIO_TOL
 
-    sem_val, sem_err = _window_seminorm(alpha, s, p, lam, 0.0, 1.0)
+    sem_val, sem_err = _window_seminorm(alpha, s, p, lam)
     sem_ok = math.isfinite(sem_val) and sem_val >= 0.0
 
     return VerificationRecord(

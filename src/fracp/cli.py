@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .core import CASE_ALPHA_STAR, CASE_S, build_grid, classify_regime, default_grading, make_params
 from .errors import ConfigParse, FracpError, OutOfRange
-from .kernel import phi_constant
+from .kernel import assemble_operator, phi_constant
 from .barrier import (
     BarrierSpec,
     barrier_profile,
@@ -205,10 +205,11 @@ def write_plotdata(path: Path, xs, ys) -> None:
 class _Run:
     """One run's config and the problem data its experiments share.
 
-    params and regime are computed from the config at once; the grid and the
-    configured continuation on first use, after which every experiment reads
-    the same values.  A failure is not cached, so each experiment that needs
-    the value raises it again.
+    params and regime are computed from the config at once; the grid, the
+    operator assembled on it and the configured continuation on first use,
+    after which every experiment reads the same values: the continuation and
+    nonexistence-scan solve with the one operator.  A failure is not cached,
+    so each experiment that needs the value raises it again.
     """
 
     def __init__(self, cfg):
@@ -223,6 +224,11 @@ class _Run:
         return build_grid(params.a, params.b, int(gb["n"]), q)
 
     @functools.cached_property
+    def operator(self):
+        """The operator of (grid, s, p); it does not depend on delta or eps."""
+        return assemble_operator(self.grid, self.params.s, self.params.p)
+
+    @functools.cached_property
     def solution(self):
         """(results, u_min, increments) of the configured continuation."""
         sb = self.cfg["solver"]
@@ -233,6 +239,7 @@ class _Run:
             halvings=int(sb["halvings"]),
             tol=float(sb["tol"]),
             solver_tol=float(sb["solver_tol"]),
+            op=self.operator,
         )
 
     def converged(self, increments) -> bool:
@@ -338,6 +345,7 @@ def _exp_solve(run, outdir, formats):
                 "newton_steps": r.iterations,
                 "factorizations": r.factorizations,
                 "cg_steps": r.cg_steps,
+                "residual": r.residual,
             }
             for k, r in enumerate(results)
         ],
@@ -435,6 +443,7 @@ def _exp_nonexistence(run, outdir, formats):
         eps0=float(sb["eps0"]),
         halvings=int(sb["halvings"]),
         tol=float(sb["tol"]),
+        op=run.operator,
     )
     decreasing = table.exponents_decreasing()
     converged = run.converged([r["last_increment"] for r in table.rows])

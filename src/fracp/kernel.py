@@ -10,7 +10,9 @@ Conventions fixed here and recorded in every report:
     value, and eval_fplap_pv returns that convention;
   * apply() is the exact gradient of (1/p) * energy(), where energy() is the
     discrete Gagliardo seminorm to the p-th power (interior double sum plus
-    twice the mass-weighted confinement term).
+    twice the mass-weighted confinement term);
+  * the pair matrix w is bitwise symmetric, and at p = 2 the operator reads
+    one triangle of it (BLAS dsymv).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg.blas import dsymv
 
 from .core import Grid, GridFunction, Zero
 from .errors import (
@@ -325,6 +328,9 @@ class DiscreteOperator:
     to the p-th power; apply(v) is the exact gradient of energy(v)/p and
     hessian(v, out) its Jacobian.  mu smooths the pair differences (see
     smoothed_updiff); assembly leaves it 0 and the solver sets it for p < 2.
+    w is bitwise symmetric; at p = 2, apply and energy read one triangle of
+    it (w.T is the F-ordered view BLAS dsymv takes, lower=0 reads the lower
+    triangle of w).
     """
 
     grid: Grid
@@ -345,8 +351,9 @@ class DiscreteOperator:
 
     @functools.cached_property
     def _diag(self) -> np.ndarray:
-        # at p = 2 the operator is the matrix 2 (diag(_diag) - w)
-        return self.w.sum(axis=1) + self.m * self.b
+        # at p = 2 the operator is the matrix 2 (diag(_diag) - w); the row
+        # sums of w read the same triangle as _apply_linear
+        return dsymv(1.0, self.w.T, np.ones(self.n)) + self.m * self.b
 
     def _check(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -355,7 +362,8 @@ class DiscreteOperator:
         return v
 
     def _apply_linear(self, v) -> np.ndarray:
-        return 2.0 * (self._diag * v - self.w @ v)
+        # 2 (diag(_diag) v - w v) in one symmetric product
+        return dsymv(-2.0, self.w.T, v, beta=2.0, y=self._diag * v, overwrite_y=1)
 
     def apply(self, v) -> np.ndarray:
         v = self._check(v)

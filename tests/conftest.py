@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,19 @@ def torsion_64():
 @pytest.fixture(scope="session")
 def singular_preset():
     return make_params(0.5, 2.0, 1.0, 0.5)
+
+
+@pytest.fixture
+def assembly_calls(monkeypatch):
+    """(n, q, s, p) of every assemble_operator call, through any fracp
+    module's binding of it."""
+    calls = []
+
+    def counted(grid, s, p):
+        calls.append((grid.n, grid.q, s, p))
+        return assemble_operator(grid, s, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fracp" and getattr(module, "assemble_operator", None) is assemble_operator:
+            monkeypatch.setattr(module, "assemble_operator", counted)
+    return calls

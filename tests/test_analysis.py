@@ -157,6 +157,15 @@ class TestNonexistenceScan:
         assert len(table.rows) == 2
         assert len(calls) == 1
 
+    def test_given_operator_is_not_reassembled(self, assembly_calls):
+        pars = make_params(0.5, 2.0, 1.0, 0.5)
+        grid = build_grid(0, 1, 48, 2.0)
+        op = assemble_operator(grid, pars.s, pars.p)
+        del assembly_calls[:]
+        table = nonexistence_scan(pars, [0.6, 0.8], grid, halvings=4, tol=1e-2, op=op)
+        assert len(table.rows) == 2
+        assert assembly_calls == []
+
     def test_small_trend(self):
         pars = make_params(0.5, 2.0, 1.0, 0.5)
         grid = build_grid(0, 1, 192, 4.0)

@@ -1,5 +1,9 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fracp import (
     BarrierSpec,
@@ -10,7 +14,7 @@ from fracp import (
     verify_boundary_barrier,
     verify_power_estimate,
 )
-from fracp.barrier import weight_values
+from fracp.barrier import _window_seminorm, weight_values
 from fracp.errors import (
     AlphaOutOfRange,
     CollarTooThin,
@@ -139,6 +143,58 @@ class TestVerifyPowerEstimate:
         coarse = verify_power_estimate(0.25, 0.5, 2.0, 0.1, n=256)
         fine = verify_power_estimate(0.25, 0.5, 2.0, 0.1, n=1024)
         assert fine.details["max_ratio_deviation"] < coarse.details["max_ratio_deviation"]
+
+
+def _nested_log_seminorm(alpha, s, p, lam):
+    """The window energy as the unswapped double integral, the outer variable
+    as x = w0 e^y and the inner one as t = e^-z, 0 <= z <= y."""
+    w0 = lam ** (1.0 / alpha)
+    sp = s * p
+    k = alpha * p - sp + 1.0
+
+    def ratio(z):
+        return (-math.expm1(-alpha * z)) ** p * (-math.expm1(-z)) ** (-1.0 - sp) * math.exp(-z)
+
+    def outer(y):
+        return math.exp(k * y) * quad(ratio, 0.0, y, epsrel=1e-11, limit=200)[0]
+
+    top = math.log((1.0 + w0) / w0)
+    edges = np.linspace(0.0, top, int(top) + 2)
+    return 2.0 * w0**k * sum(
+        quad(outer, lo, hi, epsrel=1e-11, limit=200)[0] for lo, hi in zip(edges[:-1], edges[1:])
+    )
+
+
+class TestWindowSeminorm:
+    @pytest.mark.parametrize(
+        "alpha,s,p,lam",
+        [
+            (0.1, 0.75, 2.0, 0.05),  # sobolev_divergent preset: shift 9.8e-14
+            (0.25, 0.5, 2.0, 0.05),  # boundary_case2 preset
+            (0.3, 0.9, 1.5, 0.01),
+            (0.5, 0.99, 1.5, 0.05),  # t integrand near t = 1: (1-t)**-0.985
+            (0.2, 0.5, 3.0, 0.1),
+        ],
+    )
+    def test_against_nested_log_reference(self, alpha, s, p, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, err = _window_seminorm(alpha, s, p, lam)
+        assert math.isfinite(val) and val > 0.0
+        assert 0.0 <= err <= 1e-8 * val
+        assert val == pytest.approx(_nested_log_seminorm(alpha, s, p, lam), rel=1e-6)
+
+    def test_lambda_zero_is_the_limit_of_small_shifts(self):
+        # k = alpha p - s p + 1 = 0.6 > 0: the shift enters as shift**k
+        val, _ = _window_seminorm(0.3, 0.5, 2.0, 0.0)
+        assert val > 0.0
+        assert val == pytest.approx(_window_seminorm(0.3, 0.5, 2.0, 1e-12)[0], rel=1e-12)
+
+    def test_tiny_shift_preset_passes(self):
+        # lambda**(1/alpha) = 0.05**10; the nested quadrature returned -0.264
+        rec = verify_power_estimate(0.1, 0.75, 2.0, 0.05, n=512)
+        assert rec.passed
+        assert rec.details["window_seminorm"] == pytest.approx(1497.40211082, rel=1e-9)
 
 
 class TestVerifyBoundaryBarrier:

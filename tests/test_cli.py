@@ -136,9 +136,12 @@ class TestSubcommands:
             "classify", "oracle", "barrier-check", "solve",
             "exponent-fit", "sobolev-scan", "nonexistence-scan", "compare",
         ]
-        # stages are counts only, so the report part they add is reproducible
-        rep2 = json.loads((out2 / "report.json").read_text())
+        # each stage's relative Newton decrement met the solver tolerance
         stages = rep["experiments"][3]["record"]["stages"]
+        solver_tol = rep["config"]["solver"]["solver_tol"]
+        assert all(0.0 <= st["residual"] <= solver_tol for st in stages)
+        # and the stage records, counts and residuals, are reproducible
+        rep2 = json.loads((out2 / "report.json").read_text())
         assert rep2["experiments"][3]["record"]["stages"] == stages
         # and so are the solver counts of each nonexistence-scan row
         counts = [
@@ -164,6 +167,29 @@ class TestSubcommands:
         monkeypatch.setattr(cli, "continuation", counted)
         assert run("all", write_cfg(tmp_path, QUICK), str(tmp_path / "out")) == 0
         assert len(calls) == 1
+
+    def test_all_assembles_each_operator_once(self, tmp_path, assembly_calls):
+        # the run grid (n = 128, not among the scan meshes) once, shared by
+        # the continuation and nonexistence-scan, plus one per sobolev-scan mesh
+        payload = dict(QUICK)
+        payload["grid"] = {"n": 128, "grading": "auto"}
+        assert run("all", write_cfg(tmp_path, payload), str(tmp_path / "out")) == 0
+        assert sorted(n for n, _, _, _ in assembly_calls) == [48, 96, 128, 192]
+        assert len(set(assembly_calls)) == len(assembly_calls)
+
+    def test_failed_assembly_is_not_cached(self, tmp_path, assembly_calls):
+        # s p = 7.2 lies beyond the verified far-field range: every experiment
+        # that needs the run's operator tries it and names the error
+        payload = dict(QUICK)
+        payload["params"] = {"s": 0.9, "p": 8.0, "gamma": 1.0, "delta": 0.5}
+        out = tmp_path / "out"
+        assert run("all", write_cfg(tmp_path, payload), str(out)) == 2
+        rep = json.loads((out / "report.json").read_text())
+        errors = {e["id"]: e.get("error", {}).get("type") for e in rep["experiments"]}
+        needs_op = ("solve", "exponent-fit", "nonexistence-scan", "compare")
+        assert all(errors[name] == "OutOfRange" for name in needs_op)
+        run_grid = [call for call in assembly_calls if call[0] == QUICK["grid"]["n"]]
+        assert len(run_grid) >= len(needs_op)
 
     def test_unconverged_continuation_fails_solve(self, tmp_path):
         # four halvings at p = 1.5 leave the last increment far above tol

@@ -255,6 +255,29 @@ class TestAssembleOperator:
             assert np.abs(np.diag(op.w)).max() == 0.0
             assert np.all(op.b > 0) and np.all(op.m > 0)
 
+    @pytest.mark.parametrize("grading", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_weights_bitwise_symmetric(self, grading, s):
+        # s p below, at and above 1; the p = 2 product reads one triangle
+        w = assemble_operator(build_grid(0, 1, 96, grading), s, 2.0).w
+        assert np.array_equal(w, w.T)
+
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_p2_product_reads_one_triangle(self, s):
+        n = 64
+        op = assemble_operator(build_grid(0, 1, n, 2.0), s, 2.0)
+        v = np.random.default_rng(5).uniform(-1, 1, n)
+        ref = 2.0 * ((op.w.sum(axis=1) + op.m * op.b) * v - op.w @ v)
+        w = op.w.copy()
+        w[np.triu_indices(n, 1)] = np.nan  # the triangle dsymv leaves unread
+        half = dataclasses.replace(op, w=w)
+        got = half.apply(v)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        energy = half.energy(v)
+        assert math.isfinite(energy)
+        assert energy == pytest.approx(float(v @ ref), rel=1e-14)
+
     @pytest.mark.parametrize("grading", [1.0, 2.0])
     @pytest.mark.parametrize("s,p", [(0.25, 1.5), (0.25, 3.0), (0.75, 1.5), (0.75, 3.0)])
     def test_weights_match_fixed_order_reference(self, grading, s, p):
