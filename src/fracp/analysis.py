@@ -431,7 +431,7 @@ def inequality_props(
     res = solve_approximated(params, grid, eps, tol=1e-11, op=op)
     u = res.u.values
     weights = weight_values(params, WeightSpec("eps", params.delta, eps=eps), grid.distance())
-    reaction = SingularEnergy(params=params, eps=eps, kvals=weights, masses=op.m)
+    reaction = SingularEnergy(gamma=params.gamma, eps=eps, kvals=weights, masses=op.m)
     g = weights * reaction.h_eps(u)
 
     def pairing(w_vals, phi):

@@ -152,22 +152,12 @@ class VerificationRecord:
     details: dict
 
     def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, (np.floating, np.integer)):
-                return float(v)
-            if isinstance(v, np.ndarray):
-                return [float(t) for t in v.ravel()]
-            if isinstance(v, (list, tuple)):
-                return [clean(t) for t in v]
-            if isinstance(v, dict):
-                return {k: clean(t) for k, t in v.items()}
-            return v
-
-        return {"name": self.name, "passed": bool(self.passed), "details": clean(self.details)}
+        return {"name": self.name, "passed": bool(self.passed), "details": self.details}
 
 
 def _window_seminorm(alpha: float, s: float, p: float, lam: float):
-    """Gagliardo energy of the shifted power profile over (0, 1) squared.
+    """log E, E the Gagliardo energy of the shifted power profile over
+    (0, 1) squared, and the relative error estimate of E.
 
     In the shifted variable x on [w0, w1] = [shift, 1 + shift], with t the
     ratio of the smaller point to the larger,
@@ -177,8 +167,12 @@ def _window_seminorm(alpha: float, s: float, p: float, lam: float):
     x**(k-1) spike a tiny shift leaves at w0.  The t integral runs in
     z = -log t over [0, log(w1/w0)]: 1 - t**alpha = alpha z exprel(-alpha z)
     keeps its digits as t -> 1, and the integrable z**(p-1-sp) singularity
-    at z = 0 is the algebraic weight of the first panel.  Finite for alpha
-    in (0, s) when lam > 0 and for alpha in (s - 1/p, s) (k > 0) when
+    at z = 0 is the algebraic weight of the first panel.  For k < 0 the
+    factor e^(-k top) comes out of the integrand,
+      (top - z) exprel(-k (top - z)) = e^(-k top) e^(k z) (top - z) exprel(k (top - z)),
+    so that nothing overflows where E itself exceeds the float range
+    (E ~ e^1480 at alpha = 1e-3, s = 0.75, p = 2, lam = 0.05).  Finite for
+    alpha in (0, s) when lam > 0 and for alpha in (s - 1/p, s) (k > 0) when
     lam = 0.
     """
     sh = barrier_shift(alpha, lam)
@@ -193,7 +187,11 @@ def _window_seminorm(alpha: float, s: float, p: float, lam: float):
         # the t integrand with dt = e^-z dz, over z**sing, times
         # (w1**k - (w0/t)**k) / (k w1**k): 1/k at w0 = 0, finite at k = 0
         f = alpha**p * exprel(-alpha * z) ** p * exprel(-z) ** (-1.0 - sp) * math.exp(-z)
-        return f / k if top == math.inf else f * (top - z) * exprel(-k * (top - z))
+        if top == math.inf:
+            return f / k
+        if k < 0.0:
+            return f * math.exp(k * z) * (top - z) * exprel(k * (top - z))
+        return f * (top - z) * exprel(-k * (top - z))
 
     cut = min(1.0, top)
     val, err = quad(smooth, 0.0, cut, weight="alg", wvar=(sing, 0.0), epsrel=1e-10, limit=200)
@@ -205,7 +203,10 @@ def _window_seminorm(alpha: float, s: float, p: float, lam: float):
             lambda z: z**sing * smooth(z), cut, top, points=doubling, epsrel=1e-10, limit=200
         )
         val, err = val + far, err + far_err
-    return 2.0 * w1**k * val, 2.0 * w1**k * err
+    if not val > 0.0:
+        return math.nan, math.nan
+    scale = math.log(2.0) + k * math.log(w1) - (k * top if k < 0.0 else 0.0)
+    return scale + math.log(val), err / val
 
 
 #: half-line chart points where the scaled principal value is compared to 2*Phi
@@ -227,7 +228,7 @@ def verify_power_estimate(
 
     (i) the constant chain c1 <= Phi <= c2, (ii) x-independence of the
     principal value scaled by (x + lambda**(1/alpha))**beta against 2*Phi,
-    (iii) finiteness of the windowed Gagliardo energy.
+    (iii) finiteness of the windowed Gagliardo energy, judged on its log.
     """
     check_alpha(alpha, s)
     if lam == 0.0 and alpha <= s - 1.0 / p:
@@ -250,8 +251,8 @@ def verify_power_estimate(
     max_dev = float(np.abs(ratios - 1.0).max())
     ratio_ok = max_dev <= _RATIO_TOL
 
-    sem_val, sem_err = _window_seminorm(alpha, s, p, lam)
-    sem_ok = math.isfinite(sem_val) and sem_val >= 0.0
+    sem_log, sem_err = _window_seminorm(alpha, s, p, lam)
+    sem_ok = math.isfinite(sem_log)
 
     return VerificationRecord(
         name="power_estimate",
@@ -269,8 +270,8 @@ def verify_power_estimate(
             "ratios": ratios,
             "max_ratio_deviation": max_dev,
             "ratio_tol": _RATIO_TOL,
-            "window_seminorm": sem_val,
-            "window_seminorm_err": sem_err,
+            "window_seminorm_log10": sem_log / math.log(10.0),
+            "window_seminorm_rel_err": sem_err,
             "pv_includes_factor_2": True,
         },
     )

@@ -245,8 +245,6 @@ def build_grid(a: float, b: float, n: int, q: float = 1.0) -> Grid:
 class Zero:
     """u = 0 outside Omega (energy-space extension)."""
 
-    label: str = "zero"
-
     def value(self, z, a, b):
         z = np.asarray(z, dtype=float)
         out = np.zeros_like(z)
@@ -261,7 +259,6 @@ class Constant:
     """u = c outside Omega."""
 
     c: float
-    label: str = "constant"
 
     def value(self, z, a, b):
         z = np.asarray(z, dtype=float)
@@ -288,7 +285,6 @@ class PowerTail:
 
     alpha: float
     lam: float
-    label: str = "power_tail"
 
     @property
     def shift(self) -> float:
@@ -317,7 +313,6 @@ class CollarTail:
     lam: float
     rho: float
     offset: float
-    label: str = "collar_tail"
 
     @property
     def shift(self) -> float:

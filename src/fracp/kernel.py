@@ -38,8 +38,6 @@ from .errors import (
 
 __all__ = [
     "updiff",
-    "smoothed_updiff",
-    "pair_power",
     "PowerKernelOracle",
     "bracket_constants",
     "phi_constant",
@@ -52,18 +50,7 @@ __all__ = [
 
 def updiff(aval, bval, p):
     """[a - b]**(p-1) = |a - b|**(p-2) (a - b), continuous with value 0 at a = b."""
-    return smoothed_updiff(np.asarray(aval, dtype=float) - np.asarray(bval, dtype=float), p, 0.0)
-
-
-def smoothed_updiff(t, p, mu):
-    """(t**2 + mu**2)**((p-2)/2) * t; reduces to updiff(t, 0, p) at mu = 0."""
-    out = _updiff_inplace(np.array(t, dtype=float), p, mu)
-    return out if out.ndim else float(out)
-
-
-def pair_power(t, p, mu):
-    """Primitive of p * smoothed_updiff: (t^2+mu^2)^(p/2) - mu^p; |t|^p at mu=0."""
-    out = _pair_power_inplace(np.array(t, dtype=float), p, mu)
+    out = _updiff_inplace(np.asarray(np.subtract(aval, bval, dtype=float)), p, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -72,7 +59,7 @@ def pair_power(t, p, mu):
 
 
 def _updiff_inplace(t, p, mu):
-    # smoothed_updiff(t, p, mu), written into t
+    # (t**2 + mu**2)**((p-2)/2) * t, written into t; updiff(t, 0, p) at mu = 0
     if mu == 0.0:
         a = np.abs(t)
         a **= p - 1.0
@@ -85,7 +72,8 @@ def _updiff_inplace(t, p, mu):
 
 
 def _pair_power_inplace(t, p, mu):
-    # pair_power(t, p, mu), written into t
+    # primitive of p * _updiff_inplace, written into t:
+    # (t^2+mu^2)^(p/2) - mu^p, |t|^p at mu = 0
     if mu == 0.0:
         np.abs(t, out=t)
         t **= p
@@ -98,7 +86,7 @@ def _pair_power_inplace(t, p, mu):
 
 
 def _curvature_inplace(t, p, mu):
-    # derivative of smoothed_updiff in t, written into t:
+    # derivative of _updiff_inplace in t, written into t:
     # (t^2+mu^2)^((p-4)/2) ((p-1) t^2 + mu^2), (p-1) |t|^(p-2) at mu = 0
     if mu == 0.0:
         np.abs(t, out=t)
@@ -326,8 +314,9 @@ class DiscreteOperator:
     energy(v) = sum_{i != j} w_ij |v_i - v_j|^p + 2 sum_i m_i b_i |v_i|^p is
     the discrete Gagliardo seminorm of the zero-extended interpolant raised
     to the p-th power; apply(v) is the exact gradient of energy(v)/p and
-    hessian(v, out) its Jacobian.  mu smooths the pair differences (see
-    smoothed_updiff); assembly leaves it 0 and the solver sets it for p < 2.
+    hessian(v, out) its Jacobian.  mu smooths the pair differences,
+    psi(t) = (t^2 + mu^2)^((p-2)/2) t in place of [t]^(p-1); assembly leaves
+    it 0 and the solver sets it for p < 2.
     w is bitwise symmetric; at p = 2, apply and energy read one triangle of
     it (w.T is the F-ordered view BLAS dsymv takes, lower=0 reads the lower
     triangle of w).
@@ -371,9 +360,8 @@ class DiscreteOperator:
             return self._apply_linear(v)
         su = _updiff_inplace(np.subtract.outer(v, v), self.p, self.mu)
         su *= self.w
-        return 2.0 * su.sum(axis=1) + 2.0 * self.m * self.b * smoothed_updiff(
-            v, self.p, self.mu
-        )
+        conf = _updiff_inplace(v.copy(), self.p, self.mu)
+        return 2.0 * su.sum(axis=1) + 2.0 * self.m * self.b * conf
 
     def energy(self, v) -> float:
         v = self._check(v)
@@ -382,14 +370,15 @@ class DiscreteOperator:
         pp = _pair_power_inplace(np.subtract.outer(v, v), self.p, self.mu)
         pp *= self.w
         inter = float(pp.sum())
-        conf = float(2.0 * (self.m * self.b * pair_power(v, self.p, self.mu)).sum())
+        conf = _pair_power_inplace(v.copy(), self.p, self.mu)
+        conf = float(2.0 * (self.m * self.b * conf).sum())
         return inter + conf
 
     def hessian(self, v, out: np.ndarray) -> np.ndarray:
         """Dense Hessian of energy/p at v, written into the n x n array out.
 
         2 (diag(L 1) - L) + diag(2 m b psi'(v)) with L_ij = w_ij psi'(v_i - v_j),
-        psi' the slope of smoothed_updiff; symmetric positive semidefinite,
+        psi' the slope of psi; symmetric positive semidefinite,
         and definite when psi'(v_i) > 0 at every node.
         """
         v = self._check(v)

@@ -12,9 +12,11 @@ the objective.  A solve stops on the Newton decrement (Boyd & Vandenberghe,
 Convex Optimization, 9.5): after each step lambda^2 = g^T H^-1 g is taken
 with the Cholesky factor the solve holds, and the solve returns once
 lambda^2 <= tol^2 |f|.  So tol bounds the relative error in the energy norm,
-whatever the scale of the data.  For p < 2 the solver smooths the pair
-differences with mu = MU_FLOOR (see smoothed_updiff) so that the Hessian
-exists; the operator a caller passes in carries no smoothing.
+whatever the scale of the data.  Every solve, of every eps stage and of the
+fixed right-hand side (the gamma = 0 member of the family, where h_eps is 1),
+runs this one path.  For p < 2 the solver smooths the pair differences with
+mu = MU_FLOOR (see DiscreteOperator) so that the Hessian exists; the operator
+a caller passes in carries no smoothing.
 
 At p = 2 the Hessian is the fixed operator plus the diagonal reaction
 curvature, so a Cholesky factor stays a good preconditioner after v and eps
@@ -71,10 +73,12 @@ class SingularEnergy:
     """Reaction data for the eps-regularized problem.
 
     h_eps(t) = (max(t,0) + eps)**-gamma is the regularized reaction driving
-    the approximated problem and H_eps its primitive with H_eps(0) = 0.
+    the approximated problem and H_eps its primitive with H_eps(0) = 0.  At
+    gamma = 0, h_eps is 1 for every eps and the reaction is the fixed
+    right-hand side kvals.
     """
 
-    params: ProblemParams
+    gamma: float
     eps: float
     kvals: np.ndarray = field(repr=False)
     masses: np.ndarray = field(repr=False)
@@ -82,10 +86,6 @@ class SingularEnergy:
     def __post_init__(self):
         if self.eps <= 0.0:
             raise OutOfRange(f"eps must be positive, got {self.eps}")
-
-    @property
-    def gamma(self) -> float:
-        return self.params.gamma
 
     def h_eps(self, t):
         t = np.asarray(t, dtype=float)
@@ -260,25 +260,42 @@ class _Factor:
         return self._solve(-g)
 
 
-def _newton(value, grad, hess, v0, tol, factor, hvp=None):
-    """Damped Newton minimization of a smooth convex objective.
+def _newton(op, reaction, v0, tol, factor):
+    """Damped Newton minimization of (1/p) op.energy(v) - reaction.value(v).
 
-    hess(v, out) writes the Hessian at v into out, the n x n buffer of factor
-    (a _Factor).  hvp, when given, maps v to the product x -> H(v) x, and each
-    Newton system is then first solved by CG preconditioned with the kept
-    factor.  Steps are Armijo-backtracked, except that a step whose predicted
+    The Hessian, op's plus the diagonal reaction curvature, is written into
+    the n x n buffer of factor (a _Factor).  At p = 2 (op._linear) each
+    Newton system is first solved by CG preconditioned with the kept factor.
+    Steps are Armijo-backtracked, except that a step whose predicted
     decrease is below _FLOOR |f| is taken in full: Armijo cannot resolve a
     decrease below the rounding of f.  After each step the squared Newton
     decrement lambda^2 = g^T H^-1 g is taken with the kept factor, and the
     solve returns (v, steps, lambda / sqrt|f|, f) once lambda^2 <= tol^2 |f|.
     """
+
+    def value(v):
+        return op.energy_over_p(v) - reaction.value(v)
+
+    def grad(v):
+        return op.apply(v) - reaction.grad(v)
+
+    def hess(v, out):
+        op.hessian(v, out)
+        out.flat[:: op.n + 1] += reaction.curvature(v)
+        return out
+
+    def hvp(v):
+        # at p = 2 the Hessian is the operator plus the reaction curvature
+        curv = reaction.curvature(v)
+        return lambda x: op.apply(x) + curv * x
+
     v = np.array(v0, dtype=float)
     g = grad(v)
     fv = value(v)
     # the kept factor's solve of H x = -g at v, reused as the first CG iterate
     x = None
     for it in range(1, _MAX_ITER + 1):
-        d = factor.direction(hess, v, g, None if hvp is None else hvp(v), x)
+        d = factor.direction(hess, v, g, hvp(v) if op._linear else None, x)
         slope = float(g @ d)
         floor = -slope <= _FLOOR * abs(fv)
         step = 1.0
@@ -301,39 +318,29 @@ def _newton(value, grad, hess, v0, tol, factor, hvp=None):
     raise NoConvergence(f"no convergence after {_MAX_ITER} Newton steps (lambda^2 = {lam2:.3e})")
 
 
-def _smoothed(op: DiscreteOperator) -> DiscreteOperator:
-    # psi' of the unsmoothed difference is infinite at 0 for p < 2
-    return dataclasses.replace(op, mu=MU_FLOOR) if op.p < 2.0 else op
+def _minimize(op: DiscreteOperator, reaction: SingularEnergy, v0, tol, factor) -> SolveResult:
+    """Newton solve of the reaction's problem on op from v0 (zeros when None).
 
-
-def _solve_objective(op: DiscreteOperator, rhs_value, rhs_grad, v0, tol, factor, rhs_curv=None):
-    """Newton solve of the objective; returns (v, iterations, lambda / sqrt|f|,
-    value, factorizations, CG steps)."""
-
-    def value(v):
-        return op.energy_over_p(v) - rhs_value(v)
-
-    def grad(v):
-        return op.apply(v) - rhs_grad(v)
-
-    def hess(v, out):
-        op.hessian(v, out)
-        if rhs_curv is not None:
-            out.flat[:: op.n + 1] += rhs_curv(v)
-        return out
-
-    def hvp(v):
-        # at p = 2 the Hessian is the operator plus the reaction curvature
-        curv = 0.0 if rhs_curv is None else rhs_curv(v)
-        return lambda x: op.apply(x) + curv * x
-
+    For p < 2 the pair differences are smoothed at mu = MU_FLOOR, since psi'
+    of the unsmoothed difference is infinite at 0.  factor, when given, is
+    the Hessian buffer and kept Cholesky factor of the continuation this
+    solve is a stage of; otherwise the solve makes its own.
+    """
+    if op.p < 2.0:
+        op = dataclasses.replace(op, mu=MU_FLOOR)
+    if factor is None:
+        factor = _Factor(op.n)
     nfac, ncg = factor.factorizations, factor.cg_steps
-    v, iters, res, fv = _newton(value, grad, hess, v0, tol, factor, hvp if op._linear else None)
-    return v, iters, res, fv, factor.factorizations - nfac, factor.cg_steps - ncg
+    v, iters, res, fv = _newton(op, reaction, np.zeros(op.n) if v0 is None else v0, tol, factor)
+    nfac, ncg = factor.factorizations - nfac, factor.cg_steps - ncg
+    margin = float(v.min())
+    u = GridFunction(op.grid, v, Zero())
+    return SolveResult(u, iters, res, fv, margin, margin >= -1e-12, nfac, ncg)
 
 
 def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
-    """Minimize (1/p) energy(v) - <f, v>_m for nodal data f >= 0."""
+    """Minimize (1/p) energy(v) - <f, v>_m for nodal data f >= 0: the
+    gamma = 0 member of the regularized family."""
     f = np.asarray(f, dtype=float)
     if f.shape != (op.n,):
         raise ShapeMismatch(f"rhs shape {f.shape}, operator size {op.n}")
@@ -342,15 +349,8 @@ def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
     if not np.any(f > 0.0):
         u = GridFunction(op.grid, np.zeros(op.n), Zero())
         return SolveResult(u, 0, 0.0, 0.0, 0.0)
-    op = _smoothed(op)
-    mf = op.m * f
-    v, iters, res, fv, nfac, ncg = _solve_objective(
-        op, lambda v: float(mf @ v), lambda v: mf, np.zeros(op.n), tol, _Factor(op.n)
-    )
-    margin = float(v.min())
-    ok = margin >= -1e-12
-    u = GridFunction(op.grid, v, Zero())
-    return SolveResult(u, iters, res, fv, margin, ok, nfac, ncg)
+    reaction = SingularEnergy(gamma=0.0, eps=1.0, kvals=f, masses=op.m)
+    return _minimize(op, reaction, None, tol, None)
 
 
 def solve_approximated(
@@ -366,11 +366,9 @@ def solve_approximated(
 
     The minimizer satisfies apply(u) = m * K_eps * h_eps(u) up to the
     requested tolerance and is strictly positive at interior nodes.
-    For p < 2 it is one Newton solve with the pair differences smoothed at
-    mu = MU_FLOOR.  op, when given, is the operator assembled for (grid, s, p).
-    factor, when given, is the Hessian buffer and kept Cholesky factor of
-    the continuation this solve is a stage of; otherwise the solve makes its
-    own.
+    op, when given, is the operator assembled for (grid, s, p).  factor,
+    when given, is the Hessian buffer and kept Cholesky factor of the
+    continuation this solve is a stage of.
     """
     if params.delta >= params.sp:
         raise RegimeError(
@@ -378,23 +376,9 @@ def solve_approximated(
         )
     if op is None:
         op = assemble_operator(grid, params.s, params.p)
-    op = _smoothed(op)
     weights = weight_values(params, WeightSpec("eps", params.delta, eps=eps), grid.distance())
-    reaction = SingularEnergy(params=params, eps=eps, kvals=weights, masses=op.m)
-    v0 = np.zeros(op.n) if v0 is None else np.asarray(v0, dtype=float)
-    v, iters, res, fv, nfac, ncg = _solve_objective(
-        op,
-        reaction.value,
-        reaction.grad,
-        v0,
-        tol,
-        _Factor(op.n) if factor is None else factor,
-        rhs_curv=reaction.curvature,
-    )
-    margin = float(v.min())
-    ok = margin >= -1e-12
-    u = GridFunction(grid, v, Zero())
-    return SolveResult(u, iters, res, fv, margin, ok, nfac, ncg)
+    reaction = SingularEnergy(gamma=params.gamma, eps=eps, kvals=weights, masses=op.m)
+    return _minimize(op, reaction, v0, tol, factor)
 
 
 def continuation(
@@ -403,7 +387,6 @@ def continuation(
     eps0: float = 0.5,
     halvings: int = 12,
     tol: float = 1e-4,
-    solver_tol: float = 1e-10,
     op: DiscreteOperator | None = None,
 ):
     """Warm-started solves for eps_k = eps0 * 2**-k.
@@ -412,7 +395,8 @@ def continuation(
     falls below tol; the last iterate approximates the minimal solution and
     the recorded increment is its honest error proxy.  op, when given, is
     the operator assembled for (grid, s, p); otherwise it is assembled here.
-    Every stage shares one Hessian buffer, and at p = 2 one kept factor.
+    Every stage solves at solve_approximated's default tol and shares one
+    Hessian buffer, and at p = 2 one kept factor.
 
     Returns (results, u_min, increments).
     """
@@ -426,9 +410,7 @@ def continuation(
     v_prev = None
     for k in range(halvings + 1):
         eps = eps0 * 2.0**-k
-        res = solve_approximated(
-            params, grid, eps, tol=solver_tol, op=op, v0=v_prev, factor=factor
-        )
+        res = solve_approximated(params, grid, eps, op=op, v0=v_prev, factor=factor)
         results.append(res)
         if v_prev is not None:
             inc = float(np.abs(res.u.values - v_prev).max())

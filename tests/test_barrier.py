@@ -129,7 +129,7 @@ class TestVerifyPowerEstimate:
         # s - 1/p = 0 here, any alpha in (0, s) is admissible
         rec = verify_power_estimate(0.3, 0.5, 2.0, 0.0, n=512)
         assert rec.passed
-        assert np.isfinite(rec.details["window_seminorm"])
+        assert np.isfinite(rec.details["window_seminorm_log10"])
 
     def test_alpha_out_of_range(self):
         with pytest.raises(AlphaOutOfRange):
@@ -179,22 +179,45 @@ class TestWindowSeminorm:
     def test_against_nested_log_reference(self, alpha, s, p, lam):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val, err = _window_seminorm(alpha, s, p, lam)
-        assert math.isfinite(val) and val > 0.0
-        assert 0.0 <= err <= 1e-8 * val
-        assert val == pytest.approx(_nested_log_seminorm(alpha, s, p, lam), rel=1e-6)
+            log_e, rel_err = _window_seminorm(alpha, s, p, lam)
+        assert math.isfinite(log_e)
+        assert 0.0 <= rel_err <= 1e-8
+        assert log_e == pytest.approx(math.log(_nested_log_seminorm(alpha, s, p, lam)), abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "alpha,s,p,lam,log_e",
+        [
+            # the floor of the automatic alpha: E ~ e^1480 exceeds the float range
+            (1e-3, 0.75, 2.0, 0.05, 1480.39445187198),
+            (0.0075, 0.75, 2.0, 1e-6, 885.984385565128),
+            (0.25, 0.5, 2.0, 0.05, math.log(0.523524106099041)),  # case-2 barrier
+            (0.1, 0.75, 2.0, 0.05, math.log(1497.40211082088)),
+        ],
+    )
+    def test_against_40_digit_references(self, alpha, s, p, lam, log_e):
+        # references from mpmath at 40 digits
+        got, rel_err = _window_seminorm(alpha, s, p, lam)
+        assert abs(got - log_e) <= 1e-8
+        assert 0.0 <= rel_err <= 1e-8
+
+    def test_energy_beyond_the_float_range_passes(self):
+        rec = verify_power_estimate(1e-3, 0.75, 2.0, 0.05, n=512)
+        assert rec.passed
+        assert rec.details["window_seminorm_log10"] == pytest.approx(
+            1480.39445187198 / math.log(10.0), abs=1e-8
+        )
 
     def test_lambda_zero_is_the_limit_of_small_shifts(self):
         # k = alpha p - s p + 1 = 0.6 > 0: the shift enters as shift**k
-        val, _ = _window_seminorm(0.3, 0.5, 2.0, 0.0)
-        assert val > 0.0
-        assert val == pytest.approx(_window_seminorm(0.3, 0.5, 2.0, 1e-12)[0], rel=1e-12)
+        log_e, _ = _window_seminorm(0.3, 0.5, 2.0, 0.0)
+        assert math.isfinite(log_e)
+        assert log_e == pytest.approx(_window_seminorm(0.3, 0.5, 2.0, 1e-12)[0], abs=1e-12)
 
     def test_tiny_shift_preset_passes(self):
         # lambda**(1/alpha) = 0.05**10; the nested quadrature returned -0.264
         rec = verify_power_estimate(0.1, 0.75, 2.0, 0.05, n=512)
         assert rec.passed
-        assert rec.details["window_seminorm"] == pytest.approx(1497.40211082, rel=1e-9)
+        assert 10.0 ** rec.details["window_seminorm_log10"] == pytest.approx(1497.40211082, rel=1e-9)
 
 
 class TestVerifyBoundaryBarrier:

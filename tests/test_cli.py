@@ -18,7 +18,7 @@ QUICK = {
     "solver": {"eps0": 0.5, "halvings": 10, "tol": 1e-3},
     "analysis": {"theta_list": [1.0], "n_list": [48, 96, 192], "delta_list": [0.6, 0.8]},
     "oracle": {"alpha_fracs": [0.5], "s_list": [0.5], "p_list": [2.0]},
-    "output": {"formats": ["csv", "json", "plotdata"]},
+    "output": {"formats": ["csv", "plotdata"]},
 }
 
 
@@ -32,15 +32,23 @@ class TestConfig:
     def test_defaults_fill_missing_blocks(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {}))
         assert cfg["params"] == DEFAULTS["params"]
-        assert cfg["output"]["formats"] == ["csv", "json"]
+        assert cfg["output"]["formats"] == ["csv"]
 
     def test_unknown_block_rejected(self, tmp_path):
         with pytest.raises(ConfigParse):
             load_config(write_cfg(tmp_path, {"nope": {}}))
 
     def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigParse):
-            load_config(write_cfg(tmp_path, {"grid": {"n": 8, "zzz": 1}}))
+        for payload in (
+            {"grid": {"n": 8, "zzz": 1}},
+            # keys that held one value in use, now constants of the code
+            {"solver": {"solver_tol": 1e-6}},
+            {"analysis": {"fit_window": "auto"}},
+            {"oracle": {"tol": 1e-8}},
+            {"barrier": {"tol": 1e-3}},
+        ):
+            with pytest.raises(ConfigParse, match="unknown key"):
+                load_config(write_cfg(tmp_path, payload))
 
     def test_malformed_json_exit_1_no_artifacts(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -64,11 +72,17 @@ class TestConfig:
             {"solver": {"tol": -1e-4}},
             {"solver": {"halvings": 0}},
             {"analysis": {"n_list": []}},
-            {"analysis": {"fit_window": [0.01]}},
+            {"analysis": {"theta_list": [1.0, "x"]}},
             {"output": {"formats": "csv"}},
             {"params": {"s": 1.5}},
             {"params": {"p": 1.0}},
             {"params": {"a": 1.0, "b": 0.0}},
+            {"solver": {"solver_tol": 1e-6}},
+            {"analysis": {"fit_window": [0.01, 0.1]}},
+            {"oracle": {"tol": 1e-8}},
+            {"barrier": {"tol": 1e-3}},
+            # report.json is written on every run; "json" is no output format
+            {"output": {"formats": ["csv", "json"]}},
         ],
     )
     def test_bad_value_is_config_error_exit_1(self, tmp_path, capsys, payload):
@@ -136,10 +150,9 @@ class TestSubcommands:
             "classify", "oracle", "barrier-check", "solve",
             "exponent-fit", "sobolev-scan", "nonexistence-scan", "compare",
         ]
-        # each stage's relative Newton decrement met the solver tolerance
+        # each stage's relative Newton decrement met the solver's 1e-10
         stages = rep["experiments"][3]["record"]["stages"]
-        solver_tol = rep["config"]["solver"]["solver_tol"]
-        assert all(0.0 <= st["residual"] <= solver_tol for st in stages)
+        assert all(0.0 <= st["residual"] <= 1e-10 for st in stages)
         # and the stage records, counts and residuals, are reproducible
         rep2 = json.loads((out2 / "report.json").read_text())
         assert rep2["experiments"][3]["record"]["stages"] == stages

@@ -82,22 +82,22 @@ class TestSolveFixedRhs:
         # v = 0, where p = 3 needs a Levenberg shift): the objective at those
         # points, and at the returned minimizer, must fall strictly
         op = assemble_operator(build_grid(0, 1, 48, 1.5), 0.5, 3.0)
-        mf = op.m * 1.0
+        reaction = SingularEnergy(gamma=0.0, eps=1.0, kvals=np.ones(48), masses=op.m)
 
         def value(v):
-            return op.energy_over_p(v) - float(mf @ v)
+            return op.energy_over_p(v) - float(op.m @ v)
 
         iterates = []
+        hessian = op.hessian
 
-        def hess(v, out):
+        def recording_hessian(v, out):
             if not iterates or np.any(iterates[-1] != v):
                 iterates.append(v.copy())
-            return op.hessian(v, out)
+            return hessian(v, out)
 
-        from fracp.solver import _Factor, _newton
-
-        v, iters, res, fv = _newton(
-            value, lambda v: op.apply(v) - mf, hess, np.zeros(48), tol=1e-10, factor=_Factor(48)
+        op.hessian = recording_hessian
+        v, iters, res, fv = solver._newton(
+            op, reaction, np.zeros(48), tol=1e-10, factor=solver._Factor(48)
         )
         assert res <= 1e-10
         assert len(iterates) == iters >= 5
@@ -107,10 +107,9 @@ class TestSolveFixedRhs:
 
 class TestSingularEnergy:
     def make(self, gamma, eps=0.25):
-        pars = make_params(0.5, 2.0, gamma, 0.25)
         grid = build_grid(0, 1, 32, 1)
         k = np.ones(32)
-        return SingularEnergy(params=pars, eps=eps, kvals=k, masses=grid.masses)
+        return SingularEnergy(gamma=gamma, eps=eps, kvals=k, masses=grid.masses)
 
     def test_H_primitive_and_bounds(self):
         for gamma in (0.0, 0.5, 1.0, 2.0):
@@ -129,12 +128,16 @@ class TestSingularEnergy:
 
 class TestSolveApproximated:
     def test_gamma_delta_zero_reduces_to_fixed_rhs(self):
-        pars = make_params(0.5, 2.0, 0.0, 0.0)
+        # the fixed right-hand side is the gamma = 0 reaction, where h_eps = 1
+        # for every eps: both entry points give the same minimizer bit for bit
         grid = build_grid(0, 1, 48, 1)
-        op = assemble_operator(grid, 0.5, 2.0)
-        ra = solve_approximated(pars, grid, eps=0.3, tol=1e-11, op=op)
-        rb = solve_fixed_rhs(op, np.ones(48), tol=1e-11)
-        assert np.abs(ra.u.values - rb.u.values).max() <= 1e-9
+        for p in (1.5, 2.0, 3.0):
+            pars = make_params(0.5, p, 0.0, 0.0)
+            op = assemble_operator(grid, 0.5, p)
+            ra = solve_approximated(pars, grid, eps=0.3, tol=1e-11, op=op)
+            rb = solve_fixed_rhs(op, np.ones(48), tol=1e-11)
+            assert np.array_equal(ra.u.values, rb.u.values), p
+            assert ra.iterations == rb.iterations, p
 
     def test_eps_monotonicity(self, singular_preset):
         grid = build_grid(0, 1, 96, 2.0)
@@ -243,7 +246,7 @@ class TestContinuation:
         results, u_min, _ = continuation(pars, grid, eps0=0.5, halvings=10, op=op)
         eps = 0.5 * 2.0 ** -(len(results) - 1)
         kvals = weight_values(pars, WeightSpec("eps", 0.2, eps=eps), grid.distance())
-        reaction = SingularEnergy(params=pars, eps=eps, kvals=kvals, masses=op.m)
+        reaction = SingularEnergy(gamma=pars.gamma, eps=eps, kvals=kvals, masses=op.m)
         smoothed = dataclasses.replace(op, mu=solver.MU_FLOOR)
         v = u_min.values
         H = smoothed.hessian(v, np.empty((op.n, op.n)))
@@ -303,7 +306,7 @@ def _reference_minimizers(params, grid, op, stages):
     for k in range(stages):
         eps = 0.5 * 2.0**-k
         kvals = weight_values(params, WeightSpec("eps", params.delta, eps=eps), grid.distance())
-        reaction = SingularEnergy(params=params, eps=eps, kvals=kvals, masses=op.m)
+        reaction = SingularEnergy(gamma=params.gamma, eps=eps, kvals=kvals, masses=op.m)
         v = _reference_newton(op, reaction, v, 1e-10)
         out.append(v)
     return out
