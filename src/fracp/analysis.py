@@ -186,11 +186,18 @@ def sobolev_scan(
     halvings: int = 12,
     tol: float = 1e-4,
     grading: float | None = None,
+    op: DiscreteOperator | None = None,
+    solution=None,
 ) -> ScanTable:
     """Classify u_min**theta as Bounded or Divergent from energy growth.
 
     Divergent iff the log-energy versus log-n slope exceeds 0.1; the verdict
-    is compared against the threshold rule theta > Lambda.
+    is compared against the threshold rule theta > Lambda.  op, when given,
+    is the operator of (op.grid, s, p) for one of the scan's meshes (same n
+    and grading), and that mesh uses it instead of assembling its own;
+    solution, when given with op, is (results, u_min, increments) of the
+    continuation on op.grid with these params and solver settings, and that
+    mesh uses it instead of solving again.
     """
     theta_list = [float(t) for t in theta_list]
     for t in theta_list:
@@ -205,14 +212,19 @@ def sobolev_scan(
     energies = {t: [] for t in theta_list}
     increments = {}
     for n in n_list:
-        grid = build_grid(params.a, params.b, n, q)
-        op = assemble_operator(grid, params.s, params.p)
-        _, u_min, incs = continuation(
-            params, grid, eps0=eps0, halvings=halvings, tol=tol, op=op
-        )
+        if op is not None and (op.n, op.grid.q) == (n, q):
+            mesh_op, solved = op, solution
+        else:
+            grid = build_grid(params.a, params.b, n, q)
+            mesh_op, solved = assemble_operator(grid, params.s, params.p), None
+        if solved is None:
+            solved = continuation(
+                params, mesh_op.grid, eps0=eps0, halvings=halvings, tol=tol, op=mesh_op
+            )
+        _, u_min, incs = solved
         increments[n] = incs[-1]
         for t in theta_list:
-            e = gagliardo_energy(u_min, t, op)
+            e = gagliardo_energy(u_min, t, mesh_op)
             energies[t].append(e)
             rows.append({"theta": t, "n": n, "energy": e})
     slopes = {}

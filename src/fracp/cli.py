@@ -334,6 +334,7 @@ def _exp_solve(run, outdir, formats):
                 "factorizations": r.factorizations,
                 "cg_steps": r.cg_steps,
                 "residual": r.residual,
+                "seconds": r.seconds,
             }
             for k, r in enumerate(results)
         ],
@@ -377,6 +378,9 @@ def _exp_sobolev_scan(run, outdir, formats):
     ab, sb, gb = run.cfg["analysis"], run.cfg["solver"], run.cfg["grid"]
     grading = None if gb["grading"] == "auto" else float(gb["grading"])
     thetas = suggested_theta_list(run.params) if ab["theta_list"] == "auto" else ab["theta_list"]
+    # the run's grid is the scan's mesh of the same n: reuse its operator
+    # and continuation
+    shared = {"op": run.operator, "solution": run.solution} if gb["n"] in ab["n_list"] else {}
     table = sobolev_scan(
         run.params,
         thetas,
@@ -385,6 +389,7 @@ def _exp_sobolev_scan(run, outdir, formats):
         halvings=int(sb["halvings"]),
         tol=float(sb["tol"]),
         grading=grading,
+        **shared,
     )
     converged = run.converged(table.increments.values())
     ok = all(table.consistent.values()) and table.classification_monotone() and converged

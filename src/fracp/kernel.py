@@ -379,7 +379,9 @@ class DiscreteOperator:
 
         2 (diag(L 1) - L) + diag(2 m b psi'(v)) with L_ij = w_ij psi'(v_i - v_j),
         psi' the slope of psi; symmetric positive semidefinite,
-        and definite when psi'(v_i) > 0 at every node.
+        and definite when psi'(v_i) > 0 at every node.  At p = 2 out may be
+        float32: the Hessian is then written straight into it, rounded to
+        single precision, for a factor that only preconditions.
         """
         v = self._check(v)
         n = self.n

@@ -20,28 +20,39 @@ a caller passes in carries no smoothing.
 
 At p = 2 the Hessian is the fixed operator plus the diagonal reaction
 curvature, so a Cholesky factor stays a good preconditioner after v and eps
-move.  There the Newton system is first solved by conjugate gradients
-preconditioned with the last factor kept (inexact Newton with a stale-factor
-preconditioner, run to a sup-norm residual of _CG_RTOL |g| so that the
-minimizers do not move); the Hessian is rebuilt and refactored only when CG
-needs more than _CG_MAX steps.  A continuation keeps one factor across all its
-eps stages, and the solve that gives the decrement is the first CG iterate of
-the next step.  Each solve with the factor, a CG preconditioner step or a Newton
-direction after refactoring, is two level-2 BLAS triangular solves (dtrsv) on
-the factor where LAPACK left it, with no copy.  At p != 2 a Hessian product
-needs a power of every pair difference, as building the Hessian does, so
-there every step factors.
+move.  There the Newton system is solved by conjugate gradients against the
+float64 operator, preconditioned with the last factor kept (inexact Newton
+with a stale-factor preconditioner, run to a sup-norm residual of
+_CG_RTOL |g| so that the minimizers do not move); the Hessian is rebuilt and
+refactored only when CG needs more than _CG_MAX steps, and CG then runs again
+with the fresh factor.  Since that factor only preconditions, it is kept in
+single precision, in a float32 Hessian buffer (Carson & Higham, SIAM J. Sci.
+Comput. 40, 2018, use a low-precision factor the same way).  A continuation
+keeps one factor across all its eps stages, and the solve that gives the
+decrement is the first CG iterate of the next step.  Each solve with the
+factor is two level-2 BLAS triangular solves (?trsv of the factor's dtype)
+on the factor where LAPACK left it, with no copy.  At p != 2 a Hessian
+product needs a power of every pair difference, as building the Hessian
+does, so there every step factors, in float64, and the factor's solve is
+the Newton direction.
+
+On a fixed mesh the eps-path is close to linear in eps, so with eps halved
+at each stage a continuation starts stage k + 1 from the secant prediction
+v_k + (v_k - v_{k-1}) / 2 (Allgower & Georg, Numerical Continuation
+Methods, ch. 2); each stage is a strictly convex solve, so only its start
+point moves, not its minimizer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import get_blas_funcs
 
 from .core import Grid, GridFunction, ProblemParams, Zero
 from .errors import (
@@ -130,8 +141,10 @@ class SolveResult:
 
     residual is lambda / sqrt|f| at the solution: the Newton decrement
     lambda = sqrt(g^T H^-1 g), taken with the solve's last Cholesky factor,
-    relative to the objective value f, at most the solve's tol;
-    positivity_margin = min(u)."""
+    relative to the objective value f, at most the solve's tol.  At p != 2
+    that factor is of the Hessian at the previous iterate; at p = 2 it is the
+    kept factor, which may be stale and is single precision, so there lambda
+    is approximate.  positivity_margin = min(u)."""
 
     u: GridFunction
     iterations: int
@@ -142,6 +155,8 @@ class SolveResult:
     #: Cholesky factorizations and preconditioned CG steps the solve made
     factorizations: int = 0
     cg_steps: int = 0
+    #: wall-clock seconds of the solve
+    seconds: float = 0.0
 
 
 #: Armijo sufficient-decrease constant
@@ -172,13 +187,25 @@ class _Factor:
     LAPACK has overwritten, so each solve with it is two BLAS triangular
     solves that read it in place.  factorizations and cg_steps count the work
     done through this object.
+
+    The dtype of the buffer, and so of the factor, follows the factor's role
+    (for_operator).  At p = 2 the factor only preconditions CG, and CG
+    against the float64 operator decides the answer, so float32 is safe
+    there and halves the buffer and the triangular solves.  At p != 2 the
+    factor's solve is the Newton direction itself, so it is float64.
     """
 
-    def __init__(self, n: int):
-        self.buffer = np.empty((n, n))
+    def __init__(self, n: int, dtype):
+        self.buffer = np.empty((n, n), dtype=dtype)
         self.cho = None
         self.factorizations = 0
         self.cg_steps = 0
+
+    @classmethod
+    def for_operator(cls, op: DiscreteOperator) -> "_Factor":
+        """The factor of op's solves: float32 at p = 2 (op._linear), where it
+        preconditions CG, and float64 where it is the exact Newton solve."""
+        return cls(op.n, np.float32 if op._linear else np.float64)
 
     def refactor(self, hess, v, g):
         """Factor the Hessian at v in the buffer and keep the factor.
@@ -213,9 +240,11 @@ class _Factor:
         raise NoConvergence(f"Hessian not positive definite after a shift of {shift:.3e}")
 
     def _solve(self, b):
-        """x with U^T U x = b for the kept factor: U^T y = b, then U x = y."""
-        y = dtrsv(self.cho, b, trans=1)
-        return dtrsv(self.cho, y, trans=0, overwrite_x=1)
+        """x with U^T U x = b for the kept factor: U^T y = b, then U x = y,
+        in the factor's precision; b and x are float64."""
+        trsv = get_blas_funcs("trsv", (self.cho,))
+        y = trsv(self.cho, b.astype(self.cho.dtype), trans=1, overwrite_x=1)
+        return trsv(self.cho, y, trans=0, overwrite_x=1).astype(np.float64, copy=False)
 
     def pcg(self, hvp, b, x):
         """Solve H x = b by CG preconditioned with the kept factor, where
@@ -249,15 +278,18 @@ class _Factor:
         """Newton direction d with H(v) d = -g.
 
         hvp, when not None, is x -> H(v) x, and CG with the kept factor is
-        tried first, from x, the kept factor's solve of -g when not None; the
-        Hessian is refactored when CG gives up or hvp is None.
+        tried first, from x, the kept factor's solve of -g when not None.
+        The Hessian is refactored when CG gives up or hvp is None; with hvp,
+        CG runs again with the fresh factor, and the factor's own solve is
+        the direction only if that CG gives up too.
         """
         if hvp is not None:
             d = self.pcg(hvp, -g, x)
             if d is not None:
                 return d
         self.refactor(hess, v, g)
-        return self._solve(-g)
+        d = None if hvp is None else self.pcg(hvp, -g, None)
+        return self._solve(-g) if d is None else d
 
 
 def _newton(op, reaction, v0, tol, factor):
@@ -328,14 +360,16 @@ def _minimize(op: DiscreteOperator, reaction: SingularEnergy, v0, tol, factor) -
     """
     if op.p < 2.0:
         op = dataclasses.replace(op, mu=MU_FLOOR)
+    t0 = time.perf_counter()
     if factor is None:
-        factor = _Factor(op.n)
+        factor = _Factor.for_operator(op)
     nfac, ncg = factor.factorizations, factor.cg_steps
     v, iters, res, fv = _newton(op, reaction, np.zeros(op.n) if v0 is None else v0, tol, factor)
     nfac, ncg = factor.factorizations - nfac, factor.cg_steps - ncg
     margin = float(v.min())
     u = GridFunction(op.grid, v, Zero())
-    return SolveResult(u, iters, res, fv, margin, margin >= -1e-12, nfac, ncg)
+    seconds = time.perf_counter() - t0
+    return SolveResult(u, iters, res, fv, margin, margin >= -1e-12, nfac, ncg, seconds)
 
 
 def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
@@ -391,12 +425,14 @@ def continuation(
 ):
     """Warm-started solves for eps_k = eps0 * 2**-k.
 
+    Stage 0 starts from zeros, stage 1 from v_0 and stage k >= 2 from the
+    secant prediction v_{k-1} + (v_{k-1} - v_{k-2}) / 2 along the eps-path.
     Stops early once the sup-norm increment between consecutive minimizers
-    falls below tol; the last iterate approximates the minimal solution and
-    the recorded increment is its honest error proxy.  op, when given, is
-    the operator assembled for (grid, s, p); otherwise it is assembled here.
-    Every stage solves at solve_approximated's default tol and shares one
-    Hessian buffer, and at p = 2 one kept factor.
+    falls below tol (at k >= 2); the last iterate approximates the minimal
+    solution and the recorded increment is its honest error proxy.  op, when
+    given, is the operator assembled for (grid, s, p); otherwise it is
+    assembled here.  Every stage solves at solve_approximated's default tol
+    and shares one Hessian buffer, and at p = 2 one kept factor.
 
     Returns (results, u_min, increments).
     """
@@ -404,21 +440,24 @@ def continuation(
         raise OutOfRange(f"need at least 2 halvings, got {halvings}")
     if op is None:
         op = assemble_operator(grid, params.s, params.p)
-    factor = _Factor(op.n)
+    factor = _Factor.for_operator(op)
     results = []
     increments = []
-    v_prev = None
+    v0 = None
     for k in range(halvings + 1):
         eps = eps0 * 2.0**-k
-        res = solve_approximated(params, grid, eps, op=op, v0=v_prev, factor=factor)
+        res = solve_approximated(params, grid, eps, op=op, v0=v0, factor=factor)
         results.append(res)
-        if v_prev is not None:
-            inc = float(np.abs(res.u.values - v_prev).max())
-            increments.append(inc)
-            if inc <= tol and k >= 2:
-                v_prev = res.u.values
-                break
-        v_prev = res.u.values
+        v = res.u.values
+        if k == 0:
+            v0 = v
+            continue
+        v_prev = results[-2].u.values
+        inc = float(np.abs(v - v_prev).max())
+        increments.append(inc)
+        if inc <= tol and k >= 2:
+            break
+        v0 = v + 0.5 * (v - v_prev)
     return results, results[-1].u, increments
 
 

@@ -151,11 +151,21 @@ class TestSubcommands:
             "exponent-fit", "sobolev-scan", "nonexistence-scan", "compare",
         ]
         # each stage's relative Newton decrement met the solver's 1e-10
-        stages = rep["experiments"][3]["record"]["stages"]
+        solve = rep["experiments"][3]
+        stages = solve["record"]["stages"]
         assert all(0.0 <= st["residual"] <= 1e-10 for st in stages)
-        # and the stage records, counts and residuals, are reproducible
+        # each stage's seconds lie within the experiment's wall time
+        assert all(st["seconds"] > 0.0 for st in stages)
+        assert sum(st["seconds"] for st in stages) <= solve["wall_time_s"]
+        # and the stage records, counts and residuals, are reproducible; the
+        # seconds are wall-clock
         rep2 = json.loads((out2 / "report.json").read_text())
-        assert rep2["experiments"][3]["record"]["stages"] == stages
+
+        def untimed(report):
+            return [{k: v for k, v in st.items() if k != "seconds"}
+                    for st in report["experiments"][3]["record"]["stages"]]
+
+        assert untimed(rep2) == untimed(rep)
         # and so are the solver counts of each nonexistence-scan row
         counts = [
             [(r["newton_steps"], r["factorizations"], r["cg_steps"]) for r in
@@ -189,6 +199,24 @@ class TestSubcommands:
         assert run("all", write_cfg(tmp_path, payload), str(tmp_path / "out")) == 0
         assert sorted(n for n, _, _, _ in assembly_calls) == [48, 96, 128, 192]
         assert len(set(assembly_calls)) == len(assembly_calls)
+
+    def test_sobolev_scan_reuses_the_run_mesh(self, tmp_path, assembly_calls, monkeypatch):
+        # quick.json's run grid (n = 96) is a sobolev-scan mesh: the scan
+        # takes the run's operator and continuation instead of redoing them
+        from fracp import analysis
+
+        continuations = []
+
+        def counted(*args, **kwargs):
+            continuations.append(args[1].n)
+            return continuation(*args, **kwargs)
+
+        for module in (cli, analysis):
+            monkeypatch.setattr(module, "continuation", counted)
+        assert run("all", str(REPO / "configs" / "quick.json"), str(tmp_path / "out")) == 0
+        assert sorted(n for n, _, _, _ in assembly_calls) == [48, 96, 192]
+        # solve, then the scan's other two meshes, then two nonexistence deltas
+        assert sorted(continuations) == [48, 96, 96, 96, 192]
 
     def test_failed_assembly_is_not_cached(self, tmp_path, assembly_calls):
         # s p = 7.2 lies beyond the verified far-field range: every experiment

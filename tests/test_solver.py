@@ -97,7 +97,7 @@ class TestSolveFixedRhs:
 
         op.hessian = recording_hessian
         v, iters, res, fv = solver._newton(
-            op, reaction, np.zeros(48), tol=1e-10, factor=solver._Factor(48)
+            op, reaction, np.zeros(48), tol=1e-10, factor=solver._Factor.for_operator(op)
         )
         assert res <= 1e-10
         assert len(iterates) == iters >= 5
@@ -298,16 +298,23 @@ def _reference_newton(op, reaction, v, tol):
     raise AssertionError("reference Newton did not converge")
 
 
+def _stage_reaction(params, grid, op, k):
+    """The reaction of stage k of a continuation from eps0 = 1/2."""
+    eps = 0.5 * 2.0**-k
+    kvals = weight_values(params, WeightSpec("eps", params.delta, eps=eps), grid.distance())
+    return SingularEnergy(gamma=params.gamma, eps=eps, kvals=kvals, masses=op.m)
+
+
 def _reference_minimizers(params, grid, op, stages):
     """Minimizers of the first `stages` eps stages of a continuation from
-    eps0 = 1/2, each found by _reference_newton from the one before."""
+    eps0 = 1/2, each found by _reference_newton from the start point the
+    continuation uses: zeros, then the last minimizer, then the secant
+    prediction v_k + (v_k - v_{k-1}) / 2."""
     out = []
-    v = np.zeros(op.n)
+    v0 = np.zeros(op.n)
     for k in range(stages):
-        eps = 0.5 * 2.0**-k
-        kvals = weight_values(params, WeightSpec("eps", params.delta, eps=eps), grid.distance())
-        reaction = SingularEnergy(gamma=params.gamma, eps=eps, kvals=kvals, masses=op.m)
-        v = _reference_newton(op, reaction, v, 1e-10)
+        v = _reference_newton(op, _stage_reaction(params, grid, op, k), v0, 1e-10)
+        v0 = v if k == 0 else v + 0.5 * (v - out[-1])
         out.append(v)
     return out
 
@@ -357,7 +364,7 @@ class TestKeptFactor:
         # a factorization that fails at every shift has overwritten the
         # buffer, so no factor may be left to precondition with
         op = case2_256[2]
-        factor = solver._Factor(op.n)
+        factor = solver._Factor.for_operator(op)
         v = np.ones(op.n)
         g = op.apply(v)
         factor.refactor(op.hessian, v, g)
@@ -375,28 +382,89 @@ class TestKeptFactor:
 
     def test_triangular_solves_read_only_the_kept_factor(self, case2_256):
         op = case2_256[2]
-        factor = solver._Factor(op.n)
         v = np.ones(op.n)
-        factor.refactor(op.hessian, v, op.apply(v))
         H = op.hessian(v, np.empty((op.n, op.n)))
-        # the factor is the buffer itself, in the order BLAS reads without a copy
-        assert factor.cho.flags.f_contiguous
-        assert np.shares_memory(factor.cho, factor.buffer)
-        # LAPACK leaves the other triangle unused: a wrong lower or trans
-        # flag reads the NaN or solves the wrong system
-        factor.cho[np.tril_indices(op.n, -1)] = np.nan
         b = np.random.default_rng(7).standard_normal(op.n)
         ref = np.linalg.solve(H, b)
-        x = factor._solve(b)
-        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        for dtype in (np.float64, np.float32):
+            factor = solver._Factor(op.n, dtype)
+            factor.refactor(op.hessian, v, op.apply(v))
+            # the factor is the buffer itself, in the order BLAS reads
+            # without a copy
+            assert factor.cho.dtype == dtype
+            assert factor.cho.flags.f_contiguous
+            assert np.shares_memory(factor.cho, factor.buffer)
+            # LAPACK leaves the other triangle unused: a wrong lower or trans
+            # flag reads the NaN or solves the wrong system
+            factor.cho[np.tril_indices(op.n, -1)] = np.nan
+            x = factor._solve(b)
+            assert x.dtype == np.float64
+            if dtype == np.float64:
+                assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+                continue
+            # a single-precision factor only preconditions: CG with it meets
+            # _CG_RTOL against the float64 operator
+            assert np.isfinite(x).all()
+            x = factor.pcg(op.apply, b, None)
+            assert x is not None and factor.cg_steps > 0
+            assert np.abs(b - op.apply(x)).max() <= solver._CG_RTOL * np.abs(b).max()
 
-    def test_p3_factors_every_step(self):
+    def test_p2_factor_is_single_precision(self, case2_256):
+        # the p = 2 buffer and factor only precondition CG, the p != 2 one
+        # is the exact Newton solve
+        op = case2_256[2]
+        assert solver._Factor.for_operator(op).buffer.dtype == np.float32
+        assert solver._Factor.for_operator(dataclasses.replace(op, p=3.0)).buffer.dtype == np.float64
+        assert solver._Factor.for_operator(dataclasses.replace(op, mu=solver.MU_FLOOR)).buffer.dtype == np.float64
+
+    def test_stages_start_from_the_secant_prediction(self, case2_256, monkeypatch):
+        params, grid, op, results, _ = case2_256
+        starts = []
+        solve = solver.solve_approximated
+
+        def recording(*args, v0=None, **kwargs):
+            starts.append(None if v0 is None else v0.copy())
+            return solve(*args, v0=v0, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_approximated", recording)
+        again, _, _ = continuation(params, grid, eps0=0.5, halvings=20, tol=1e-4, op=op)
+        assert len(again) == len(starts) == len(results) >= 4
+        v = [r.u.values for r in again]
+        assert starts[0] is None
+        assert np.array_equal(starts[1], v[0])
+        for k in range(2, len(v)):
+            assert np.array_equal(starts[k], v[k - 1] + 0.5 * (v[k - 1] - v[k - 2])), k
+
+    def test_stages_are_minimizers_on_a_hard_case(self):
+        # s = 0.25, gamma = 3, delta near sp: each stage must lie within 1e-9
+        # of its minimizer, found by polishing it with float64 dense Newton
+        params = make_params(0.25, 2.0, 3.0, 0.45)
+        grid = build_grid(0, 1, 256, 4.0)
+        op = assemble_operator(grid, params.s, params.p)
+        results, _, _ = continuation(params, grid, eps0=0.5, halvings=20, tol=1e-4, op=op)
+        for k, r in enumerate(results):
+            reaction = _stage_reaction(params, grid, op, k)
+            polished = _reference_newton(op, reaction, r.u.values, 1e-13)
+            assert np.abs(r.u.values - polished).max() <= 1e-9, k
+
+    def test_p3_factors_every_step(self, monkeypatch):
         params = make_params(0.5, 3.0, 1.0, 0.5)
         grid = build_grid(0, 1, 64, default_grading(params))
+        factors = []
+        solve = solver.solve_approximated
+
+        def recording(*args, factor=None, **kwargs):
+            factors.append(factor)
+            return solve(*args, factor=factor, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_approximated", recording)
         results, _, _ = continuation(params, grid, eps0=0.5, halvings=12, tol=1e-4)
         for r in results:
             assert r.factorizations == r.iterations
             assert r.cg_steps == 0
+        # the factor is the exact Newton solve there, so it stays float64
+        assert all(f is factors[0] for f in factors)
+        assert factors[0].buffer.dtype == np.float64
 
 
 class TestResidualCheck:
