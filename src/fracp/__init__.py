@@ -63,5 +63,4 @@ from .analysis import (
     inequality_props,
     nonexistence_scan,
     sobolev_scan,
-    suggested_theta_list,
 )

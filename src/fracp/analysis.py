@@ -4,7 +4,6 @@ and the elementary inequalities as property checks."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "fit_boundary_exponent",
     "ScanTable",
     "sobolev_scan",
-    "suggested_theta_list",
     "hardy_quotient",
     "ComparisonReport",
     "comparison_check",
@@ -81,12 +79,6 @@ class ExponentFit:
         return out
 
 
-def default_fit_window(grid: Grid) -> tuple:
-    """[8 h_min, 0.1 |Omega|]: below is discretization noise, above is
-    interior behaviour."""
-    return (8.0 * grid.h_min, 0.1 * (grid.b - grid.a))
-
-
 def _side_fit(dvals, uvals):
     if np.any(uvals <= 0.0):
         raise NonPositiveValues("boundary fit needs u > 0 on the window")
@@ -96,33 +88,21 @@ def _side_fit(dvals, uvals):
     return float(slope), resid
 
 
-def fit_boundary_exponent(
-    u: GridFunction,
-    window: tuple | None = None,
-    params: ProblemParams | None = None,
-) -> ExponentFit:
+def fit_boundary_exponent(u: GridFunction, params: ProblemParams | None = None) -> ExponentFit:
     """Least-squares slope of log u against log d per boundary side.
 
-    The window must contain at least 8 nodes per side and stay within
-    (5 h_min, 0.2 |Omega|).
+    The fit window is [8 h_min, 0.1 |Omega|]: below is discretization noise,
+    above is interior behaviour.  It must hold at least 8 nodes per side.
     """
     grid = u.grid
-    if window is None:
-        window = default_fit_window(grid)
-    lo, hi = float(window[0]), float(window[1])
-    width = grid.b - grid.a
-    if not (lo < hi and lo >= 5.0 * grid.h_min * (1.0 - 1e-12) and hi <= 0.2 * width * (1.0 + 1e-12)):
-        raise WindowTooThin(
-            f"window {window} must sit inside (5 h_min, 0.2 |Omega|) = "
-            f"({5.0 * grid.h_min}, {0.2 * width})"
-        )
+    lo, hi = 8.0 * grid.h_min, 0.1 * (grid.b - grid.a)
     d_left = grid.nodes - grid.a
     d_right = grid.b - grid.nodes
     mask_l = (d_left >= lo) & (d_left <= hi)
     mask_r = (d_right >= lo) & (d_right <= hi)
     if mask_l.sum() < 8 or mask_r.sum() < 8:
         raise WindowTooThin(
-            f"window {window} holds {int(mask_l.sum())}/{int(mask_r.sum())} nodes; need >= 8 per side"
+            f"window {(lo, hi)} holds {int(mask_l.sum())}/{int(mask_r.sum())} nodes; need >= 8 per side"
         )
     sl, rl = _side_fit(d_left[mask_l], u.values[mask_l])
     sr, rr = _side_fit(d_right[mask_r], u.values[mask_r])
@@ -163,26 +143,10 @@ class ScanTable:
         return True
 
 
-def suggested_theta_list(params: ProblemParams) -> list:
-    """theta grid hint for membership scans.
-
-    Below the threshold (Lambda < 1) the solution itself is in the energy
-    space and theta = 1 suffices; above it, add a power safely beyond
-    max(1, (p + gamma - 1)/p, Lambda) so both verdicts appear.
-    """
-    report = classify_regime(params)
-    lam = report.lambda_cap
-    if not math.isfinite(lam) or lam < 1.0:
-        return [1.0]
-    theta0 = max(1.0, (params.p + params.gamma - 1.0) / params.p, lam)
-    return [1.0, float(math.ceil(2.0 * theta0) / 2.0 + 0.5)]
-
-
 def sobolev_scan(
     params: ProblemParams,
     theta_list,
     n_list,
-    eps0: float = 0.5,
     halvings: int = 12,
     tol: float = 1e-4,
     grading: float | None = None,
@@ -219,7 +183,7 @@ def sobolev_scan(
             mesh_op, solved = assemble_operator(grid, params.s, params.p), None
         if solved is None:
             solved = continuation(
-                params, mesh_op.grid, eps0=eps0, halvings=halvings, tol=tol, op=mesh_op
+                params, mesh_op.grid, halvings=halvings, tol=tol, op=mesh_op
             )
         _, u_min, incs = solved
         increments[n] = incs[-1]
@@ -337,7 +301,6 @@ def nonexistence_scan(
     params_base: ProblemParams,
     delta_list,
     grid: Grid,
-    eps0: float = 0.5,
     halvings: int = 12,
     tol: float = 1e-4,
     op: DiscreteOperator | None = None,
@@ -356,9 +319,7 @@ def nonexistence_scan(
     rows = []
     for dl in delta_list:
         pars = params_base.with_delta(float(dl))
-        results, u_min, incs = continuation(
-            pars, grid, eps0=eps0, halvings=halvings, tol=tol, op=op
-        )
+        results, u_min, incs = continuation(pars, grid, halvings=halvings, tol=tol, op=op)
         fit = fit_boundary_exponent(u_min, params=pars)
         hq = hardy_quotient(u_min, 1.0, pars.s, pars.p)
         rows.append(

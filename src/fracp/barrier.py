@@ -312,10 +312,6 @@ def verify_boundary_barrier(
     positive and c6_hat stays finite on the grid and on one dyadic
     refinement.
     """
-    if spec.rho <= spec.shift:
-        raise CollarTooThin(
-            f"rho = {spec.rho} must exceed lambda**(1/alpha) = {spec.shift}"
-        )
     check_eta(grid, eta)
     d = grid.distance()
     n_in_strip = int((d < eta).sum())

@@ -10,6 +10,7 @@ Reruns of an unchanged config byte-reproduce all CSV and plotdata artifacts
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -29,38 +30,24 @@ from .barrier import (
     verify_boundary_barrier,
     verify_power_estimate,
 )
-from .solver import continuation
+from .solver import EPS0, continuation
 from .analysis import (
     barrier_scales,
     comparison_check,
     fit_boundary_exponent,
     nonexistence_scan,
     sobolev_scan,
-    suggested_theta_list,
-)
-
-SUBCOMMANDS = (
-    "classify",
-    "oracle",
-    "barrier-check",
-    "solve",
-    "exponent-fit",
-    "sobolev-scan",
-    "nonexistence-scan",
-    "compare",
-    "all",
 )
 
 DEFAULTS = {
     "params": {"s": 0.5, "p": 2.0, "gamma": 1.0, "delta": 0.5, "a": 0.0, "b": 1.0},
     "grid": {"n": 256, "grading": "auto"},
-    "solver": {"eps0": 0.5, "halvings": 12, "tol": 1e-4},
+    "solver": {"halvings": 12, "tol": 1e-4},
     "analysis": {
         "theta_list": [1.0],
         "n_list": [64, 128, 256],
         "delta_list": [0.6, 0.8, 0.9, 0.95],
     },
-    "barrier": {"alpha": "auto", "lambda": "auto", "rho": 0.5, "eta": 0.1},
     "oracle": {
         "alpha_fracs": [0.1, 0.3, 0.5, 0.7, 0.9],
         "s_list": [0.3, 0.5, 0.7],
@@ -68,6 +55,11 @@ DEFAULTS = {
     },
     "output": {"directory": "out", "formats": ["csv"]},
 }
+
+#: collar width rho of the barriers and width eta of the boundary strip in
+#: which barrier-check and compare probe them
+_RHO = 0.5
+_ETA = 0.1
 
 
 def _is_number(v, lo=-math.inf, strict=False, integer=False) -> bool:
@@ -78,12 +70,14 @@ def _is_number(v, lo=-math.inf, strict=False, integer=False) -> bool:
     return v > lo if strict else v >= lo
 
 
-# (description, test) per config value; ranges that depend on the problem
-# (s in (0, 1), delta < s p, ...) stay with the modules that own them
+# (description, test) per config value; the params and grid blocks are
+# checked as a whole by make_params and build_grid, and ranges that depend on
+# the problem (delta < s p, ...) stay with the modules that own them
 _REAL = ("a number", _is_number)
 _POSITIVE = ("a positive number", lambda v: _is_number(v, 0.0, strict=True))
 _NONNEGATIVE = ("a nonnegative number", lambda v: _is_number(v, 0.0))
 _COUNT = ("a positive integer", lambda v: _is_number(v, 1, integer=True))
+_FRACTION = ("a number in (0, 1)", lambda v: _is_number(v, 0.0, strict=True) and v < 1.0)
 _TEXT = ("a string", lambda v: isinstance(v, str))
 _FORMAT = ('"csv" or "plotdata"', lambda v: v in ("csv", "plotdata"))
 
@@ -105,25 +99,23 @@ RULES = {
     "params": {key: _REAL for key in DEFAULTS["params"]},
     "grid": {"n": _COUNT, "grading": _or_auto(_REAL)},
     "solver": {
-        "eps0": _POSITIVE,
-        "halvings": _COUNT,
+        "halvings": ("an integer >= 2", lambda v: _is_number(v, 2, integer=True)),
         "tol": _POSITIVE,
     },
     "analysis": {
-        "theta_list": _or_auto(_list_of(_REAL)),
-        "n_list": _list_of(_COUNT),
-        "delta_list": _list_of(_REAL),
-    },
-    "barrier": {
-        "alpha": _or_auto(_REAL),
-        "lambda": _or_auto(_NONNEGATIVE),
-        "rho": _POSITIVE,
-        "eta": _POSITIVE,
+        "theta_list": _list_of(("a number >= 1", lambda v: _is_number(v, 1.0))),
+        "n_list": (
+            "an increasing list of at least 3 positive integers",
+            lambda v: (
+                _list_of(_COUNT)[1](v) and len(v) >= 3 and all(a < b for a, b in zip(v, v[1:]))
+            ),
+        ),
+        "delta_list": _list_of(_NONNEGATIVE),
     },
     "oracle": {
-        "alpha_fracs": _list_of(_REAL),
-        "s_list": _list_of(_REAL),
-        "p_list": _list_of(_REAL),
+        "alpha_fracs": _list_of(_FRACTION),
+        "s_list": _list_of(_FRACTION),
+        "p_list": _list_of(("a number > 1", lambda v: _is_number(v, 1.0, strict=True))),
     },
     "output": {"directory": _TEXT, "formats": _list_of(_FORMAT)},
 }
@@ -139,6 +131,12 @@ def _merge_block(name: str, given: dict) -> dict:
             raise ConfigParse(f"{name}.{key} must be {what}, got {val!r}")
         base[key] = val
     return base
+
+
+def _grid(params, gb):
+    """The mesh of a config's grid block for these params."""
+    q = default_grading(params) if gb["grading"] == "auto" else float(gb["grading"])
+    return build_grid(params.a, params.b, int(gb["n"]), q)
 
 
 def load_config(path: str) -> dict:
@@ -162,9 +160,13 @@ def load_config(path: str) -> dict:
             raise ConfigParse(f"config block {name!r} must be an object")
         cfg[name] = _merge_block(name, block)
     try:
-        make_params(**cfg["params"])
+        params = make_params(**cfg["params"])
     except OutOfRange as exc:
         raise ConfigParse(f"params: {exc}") from exc
+    try:
+        _grid(params, cfg["grid"])
+    except OutOfRange as exc:
+        raise ConfigParse(f"grid: {exc}") from exc
     return cfg
 
 
@@ -209,9 +211,7 @@ class _Run:
 
     @functools.cached_property
     def grid(self):
-        gb, params = self.cfg["grid"], self.params
-        q = default_grading(params) if gb["grading"] == "auto" else float(gb["grading"])
-        return build_grid(params.a, params.b, int(gb["n"]), q)
+        return _grid(self.params, self.cfg["grid"])
 
     @functools.cached_property
     def operator(self):
@@ -225,7 +225,6 @@ class _Run:
         return continuation(
             self.params,
             self.grid,
-            eps0=float(sb["eps0"]),
             halvings=int(sb["halvings"]),
             tol=float(sb["tol"]),
             op=self.operator,
@@ -235,15 +234,13 @@ class _Run:
         """Every continuation's last increment is at most solver.tol."""
         return all(inc <= float(self.cfg["solver"]["tol"]) for inc in increments)
 
-    def barrier_spec(self, lam_fallback) -> BarrierSpec:
-        bb, params, report = self.cfg["barrier"], self.params, self.regime
-        if bb["alpha"] == "auto":
-            alpha = report.alpha_star if report.case_flag == CASE_ALPHA_STAR else 0.5 * report.alpha_star0
-            alpha = min(max(alpha, 1e-3), 0.95 * params.s)
-        else:
-            alpha = float(bb["alpha"])
-        lam = lam_fallback if bb["lambda"] == "auto" else float(bb["lambda"])
-        return BarrierSpec(alpha=alpha, lam=lam, rho=float(bb["rho"]), s=params.s, p=params.p)
+    def barrier_spec(self, lam) -> BarrierSpec:
+        """The barrier of shift lam and collar _RHO whose power is alpha* in
+        Case alpha* and alpha*_0 / 2 otherwise, clamped to [1e-3, 0.95 s]."""
+        params, report = self.params, self.regime
+        alpha = report.alpha_star if report.case_flag == CASE_ALPHA_STAR else 0.5 * report.alpha_star0
+        alpha = min(max(alpha, 1e-3), 0.95 * params.s)
+        return BarrierSpec(alpha=alpha, lam=lam, rho=_RHO, s=params.s, p=params.p)
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +248,8 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def _regime_record(report) -> dict:
-    return {
-        "alpha_star": report.alpha_star,
-        "alpha_star0": report.alpha_star0,
-        "lambda_cap": report.lambda_cap,
-        "uniq_threshold": report.uniq_threshold,
-        "case_flag": report.case_flag,
-        "existence_flag": report.existence_flag,
-        "uniqueness_flag": report.uniqueness_flag,
-        "sobolev_flag": report.sobolev_flag,
-        "notes": list(report.notes),
-    }
-
-
 def _exp_classify(run, outdir, formats):
-    return True, _regime_record(run.regime)
+    return True, dataclasses.asdict(run.regime)
 
 
 def _exp_oracle(run, outdir, formats):
@@ -294,7 +277,7 @@ def _exp_barrier_check(run, outdir, formats):
     params, grid = run.params, run.grid
     spec = run.barrier_spec(0.05)
     rec1 = verify_power_estimate(spec.alpha, params.s, params.p, spec.lam, n=max(grid.n, 512))
-    rec2 = verify_boundary_barrier(params, spec, grid, float(run.cfg["barrier"]["eta"]))
+    rec2 = verify_boundary_barrier(params, spec, grid, _ETA)
     rows = []
     for rec in (rec1, rec2):
         for key, val in rec.details.items():
@@ -312,7 +295,6 @@ def _exp_solve(run, outdir, formats):
     last = results[-1]
     converged = run.converged(incs[-1:])
     ok = last.positivity_ok and converged
-    eps0 = float(run.cfg["solver"]["eps0"])
     if "csv" in formats:
         rows = [{"x": x, "u": u} for x, u in zip(grid.nodes, u_min.values)]
         write_csv(outdir / "solution.csv", ["x", "u"], rows)
@@ -322,14 +304,14 @@ def _exp_solve(run, outdir, formats):
             write_plotdata(outdir / "increments.dat", range(1, len(incs) + 1), incs)
     return ok, {
         "solves": len(results),
-        "final_eps": eps0 * 2.0 ** -(len(results) - 1),
+        "final_eps": EPS0 * 2.0 ** -(len(results) - 1),
         "increments": [float(i) for i in incs],
         "continuation_converged": converged,
         "positivity_margin": last.positivity_margin,
         "iterations_total": int(sum(r.iterations for r in results)),
         "stages": [
             {
-                "eps": eps0 * 2.0**-k,
+                "eps": EPS0 * 2.0**-k,
                 "newton_steps": r.iterations,
                 "factorizations": r.factorizations,
                 "cg_steps": r.cg_steps,
@@ -377,15 +359,13 @@ def _exp_exponent_fit(run, outdir, formats):
 def _exp_sobolev_scan(run, outdir, formats):
     ab, sb, gb = run.cfg["analysis"], run.cfg["solver"], run.cfg["grid"]
     grading = None if gb["grading"] == "auto" else float(gb["grading"])
-    thetas = suggested_theta_list(run.params) if ab["theta_list"] == "auto" else ab["theta_list"]
     # the run's grid is the scan's mesh of the same n: reuse its operator
     # and continuation
     shared = {"op": run.operator, "solution": run.solution} if gb["n"] in ab["n_list"] else {}
     table = sobolev_scan(
         run.params,
-        thetas,
+        ab["theta_list"],
         ab["n_list"],
-        eps0=float(sb["eps0"]),
         halvings=int(sb["halvings"]),
         tol=float(sb["tol"]),
         grading=grading,
@@ -432,7 +412,6 @@ def _exp_nonexistence(run, outdir, formats):
         run.params,
         ab["delta_list"],
         run.grid,
-        eps0=float(sb["eps0"]),
         halvings=int(sb["halvings"]),
         tol=float(sb["tol"]),
         op=run.operator,
@@ -467,19 +446,17 @@ def _exp_nonexistence(run, outdir, formats):
 def _exp_compare(run, outdir, formats):
     params, grid = run.params, run.grid
     results, u_min, _ = run.solution
-    bb = run.cfg["barrier"]
     # matched scales: with alpha = alpha_star the barrier shift equals the
     # weight regularization length, so lambda = eps is the aligned choice
-    spec = run.barrier_spec(float(run.cfg["solver"]["eps0"]) * 2.0 ** -(len(results) - 1))
-    eta = float(bb["eta"])
-    rec = verify_boundary_barrier(params, spec, grid, eta)
+    spec = run.barrier_spec(EPS0 * 2.0 ** -(len(results) - 1))
+    rec = verify_boundary_barrier(params, spec, grid, _ETA)
     c_sub, c_super = barrier_scales(
-        u_min, params, spec.alpha, eta, rec.details["c5_hat"], rec.details["c6_hat"]
+        u_min, params, spec.alpha, _ETA, rec.details["c5_hat"], rec.details["c6_hat"]
     )
     sub = barrier_profile(spec, grid, "Sub")
     sup = barrier_profile(spec, grid, "Super")
     u = u_min.values
-    strip = grid.distance() < eta
+    strip = grid.distance() < _ETA
     cmp_strip = comparison_check(c_sub * sub.values[strip], u[strip], c_super * sup.values[strip])
     ok = cmp_strip.passed and rec.passed
     rows = [
@@ -501,7 +478,7 @@ def _exp_compare(run, outdir, formats):
     return ok, {
         "lambda": spec.lam,
         "alpha": spec.alpha,
-        "eta": eta,
+        "eta": _ETA,
         "c_sub": c_sub,
         "c_super": c_super,
         "max_sub_violation": cmp_strip.max_sub_violation,
@@ -520,6 +497,8 @@ EXPERIMENTS = {
     "nonexistence-scan": _exp_nonexistence,
     "compare": _exp_compare,
 }
+
+SUBCOMMANDS = (*EXPERIMENTS, "all")
 
 
 def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int = 0) -> int:
@@ -565,7 +544,7 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int
             "apply_is_gradient_of_energy_over_p": True,
             "deterministic_reductions": True,
         },
-        "regime": _regime_record(shared.regime),
+        "regime": dataclasses.asdict(shared.regime),
         "experiments": experiments,
         "overall_passed": bool(overall),
         "timings": {"total_s": time.time() - t_start},

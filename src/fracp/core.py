@@ -44,10 +44,6 @@ class ProblemParams:
     def sp(self) -> float:
         return self.s * self.p
 
-    @property
-    def width(self) -> float:
-        return self.b - self.a
-
     def with_delta(self, delta: float) -> "ProblemParams":
         return make_params(self.s, self.p, self.gamma, delta, self.a, self.b)
 

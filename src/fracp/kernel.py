@@ -158,16 +158,19 @@ def bracket_constants(alpha: float, s: float, p: float):
     return c1, c2
 
 
-def phi_constant(alpha: float, s: float, p: float, tol: float = 1e-8) -> PowerKernelOracle:
-    """Compute Phi(alpha, s, p) by adaptive quadrature to absolute error <= tol.
+#: absolute error bound of the Phi quadrature
+_PHI_TOL = 1e-8
+
+
+def phi_constant(alpha: float, s: float, p: float) -> PowerKernelOracle:
+    """Compute Phi(alpha, s, p) by adaptive quadrature to absolute error
+    <= _PHI_TOL.
 
     The integrand has an integrable endpoint singularity (1-y)**(p-1-s*p) at
     y = 1 and, for beta < 1, a second one y**(beta-1) at y = 0; the integral
     is split at 1/2 so each half carries one endpoint.
     """
     check_alpha(alpha, s)
-    if tol <= 0.0:
-        raise OutOfRange(f"tol must be positive, got {tol}")
     sp = s * p
     beta = power_beta(alpha, s, p)
     if beta <= 0.0:
@@ -184,11 +187,11 @@ def phi_constant(alpha: float, s: float, p: float, tol: float = 1e-8) -> PowerKe
             -1.0 - sp
         )
 
-    i1, e1 = quad(integrand, 0.0, 0.5, epsabs=0.25 * tol, epsrel=1e-11, limit=400)
-    i2, e2 = quad(integrand, 0.5, 1.0, epsabs=0.25 * tol, epsrel=1e-11, limit=400)
-    if e1 + e2 > tol:
+    i1, e1 = quad(integrand, 0.0, 0.5, epsabs=0.25 * _PHI_TOL, epsrel=1e-11, limit=400)
+    i2, e2 = quad(integrand, 0.5, 1.0, epsabs=0.25 * _PHI_TOL, epsrel=1e-11, limit=400)
+    if e1 + e2 > _PHI_TOL:
         raise QuadratureFail(
-            f"phi integral error estimate {e1 + e2:.3e} exceeds tol {tol:.3e}"
+            f"phi integral error estimate {e1 + e2:.3e} exceeds {_PHI_TOL:.3e}"
         )
     phi = 1.0 / sp + i1 + i2
     if not (c1 - 1e-7 <= phi <= c2 + 1e-7):
@@ -419,8 +422,6 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     if not (0.0 < s < 1.0) or p <= 1.0:
         raise OutOfRange(f"need 0 < s < 1 and p > 1, got s={s}, p={p}")
     sp = s * p
-    if sp >= p:
-        raise OutOfRange("s*p must stay below p")
     if sp > _FAR_SP_MAX:
         raise OutOfRange(
             f"s*p = {sp} exceeds {_FAR_SP_MAX}, the largest value the far-field "

@@ -77,6 +77,8 @@ __all__ = [
 
 #: smoothing of the pair differences for p < 2
 MU_FLOOR = 1e-8
+#: regularization eps of the first stage of a continuation
+EPS0 = 0.5
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,6 @@ class SolveResult:
     u: GridFunction
     iterations: int
     residual: float
-    energy: float
     positivity_margin: float
     positivity_ok: bool = True
     #: Cholesky factorizations and preconditioned CG steps the solve made
@@ -302,7 +303,7 @@ def _newton(op, reaction, v0, tol, factor):
     decrease is below _FLOOR |f| is taken in full: Armijo cannot resolve a
     decrease below the rounding of f.  After each step the squared Newton
     decrement lambda^2 = g^T H^-1 g is taken with the kept factor, and the
-    solve returns (v, steps, lambda / sqrt|f|, f) once lambda^2 <= tol^2 |f|.
+    solve returns (v, steps, lambda / sqrt|f|) once lambda^2 <= tol^2 |f|.
     """
 
     def value(v):
@@ -346,7 +347,7 @@ def _newton(op, reaction, v0, tol, factor):
         x = factor._solve(-g)
         lam2 = -float(g @ x)
         if lam2 <= tol * tol * abs(fv):
-            return v, it, math.sqrt(lam2 / abs(fv)) if lam2 > 0.0 else 0.0, fv
+            return v, it, math.sqrt(lam2 / abs(fv)) if lam2 > 0.0 else 0.0
     raise NoConvergence(f"no convergence after {_MAX_ITER} Newton steps (lambda^2 = {lam2:.3e})")
 
 
@@ -364,12 +365,12 @@ def _minimize(op: DiscreteOperator, reaction: SingularEnergy, v0, tol, factor) -
     if factor is None:
         factor = _Factor.for_operator(op)
     nfac, ncg = factor.factorizations, factor.cg_steps
-    v, iters, res, fv = _newton(op, reaction, np.zeros(op.n) if v0 is None else v0, tol, factor)
+    v, iters, res = _newton(op, reaction, np.zeros(op.n) if v0 is None else v0, tol, factor)
     nfac, ncg = factor.factorizations - nfac, factor.cg_steps - ncg
     margin = float(v.min())
     u = GridFunction(op.grid, v, Zero())
     seconds = time.perf_counter() - t0
-    return SolveResult(u, iters, res, fv, margin, margin >= -1e-12, nfac, ncg, seconds)
+    return SolveResult(u, iters, res, margin, margin >= -1e-12, nfac, ncg, seconds)
 
 
 def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
@@ -382,7 +383,7 @@ def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
         raise OutOfRange("fixed right-hand side must be nonnegative")
     if not np.any(f > 0.0):
         u = GridFunction(op.grid, np.zeros(op.n), Zero())
-        return SolveResult(u, 0, 0.0, 0.0, 0.0)
+        return SolveResult(u, 0, 0.0, 0.0)
     reaction = SingularEnergy(gamma=0.0, eps=1.0, kvals=f, masses=op.m)
     return _minimize(op, reaction, None, tol, None)
 
@@ -418,12 +419,15 @@ def solve_approximated(
 def continuation(
     params: ProblemParams,
     grid: Grid,
-    eps0: float = 0.5,
+    eps0: float = EPS0,
     halvings: int = 12,
     tol: float = 1e-4,
     op: DiscreteOperator | None = None,
 ):
     """Warm-started solves for eps_k = eps0 * 2**-k.
+
+    eps0 is EPS0 in every fracp experiment and scan, which leave it at its
+    default and report stage k's eps as EPS0 * 2**-k.
 
     Stage 0 starts from zeros, stage 1 from v_0 and stage k >= 2 from the
     secant prediction v_{k-1} + (v_{k-1} - v_{k-2}) / 2 along the eps-path.

@@ -101,7 +101,7 @@ def test_c2_barrier_constant_chain():
     for s in (0.3, 0.5, 0.7):
         for p in (1.5, 2.0, 3.0):
             for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-                o = phi_constant(frac * s, s, p, tol=1e-8)
+                o = phi_constant(frac * s, s, p)
                 cases += 1
                 if not (o.c1 - 1e-10 <= o.phi <= o.c2 + 1e-10):
                     failures += 1
@@ -264,7 +264,7 @@ def test_c10_nonexistence_trend():
     params = make_params(0.5, 2.0, 1.0, 0.5)
     grid = build_grid(0.0, 1.0, 1024, 4.0)
     table = nonexistence_scan(
-        params, [0.6, 0.8, 0.9, 0.95], grid, eps0=0.5, halvings=14, tol=1e-4
+        params, [0.6, 0.8, 0.9, 0.95], grid, halvings=14, tol=1e-4
     )
     quotient_ratio = table.quotients[3] / table.quotients[1]
     ok = table.exponents_decreasing() and quotient_ratio >= 2.0

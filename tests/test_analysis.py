@@ -42,12 +42,11 @@ class TestFitBoundaryExponent:
         assert fit.deviation < 0.01
 
     def test_window_too_thin(self):
+        # [8 h_min, 0.1] = [0.123, 0.1] is empty on the n = 64 uniform grid
         grid = build_grid(0, 1, 64, 1.0)
         u = GridFunction(grid, grid.distance() ** 0.3, Zero())
         with pytest.raises(WindowTooThin):
-            fit_boundary_exponent(u, window=(0.0001, 0.3))
-        with pytest.raises(WindowTooThin):
-            fit_boundary_exponent(u, window=(0.09, 0.1))
+            fit_boundary_exponent(u)
 
     def test_nonpositive_values(self):
         grid = build_grid(0, 1, 512, 1.0)

@@ -15,7 +15,7 @@ SCHEMA = json.loads((REPO / "docs" / "report_schema.json").read_text())
 QUICK = {
     "params": {"s": 0.5, "p": 2.0, "gamma": 1.0, "delta": 0.5},
     "grid": {"n": 96, "grading": "auto"},
-    "solver": {"eps0": 0.5, "halvings": 10, "tol": 1e-3},
+    "solver": {"halvings": 10, "tol": 1e-3},
     "analysis": {"theta_list": [1.0], "n_list": [48, 96, 192], "delta_list": [0.6, 0.8]},
     "oracle": {"alpha_fracs": [0.5], "s_list": [0.5], "p_list": [2.0]},
     "output": {"formats": ["csv", "plotdata"]},
@@ -35,20 +35,31 @@ class TestConfig:
         assert cfg["output"]["formats"] == ["csv"]
 
     def test_unknown_block_rejected(self, tmp_path):
-        with pytest.raises(ConfigParse):
-            load_config(write_cfg(tmp_path, {"nope": {}}))
+        for payload in (
+            {"nope": {}},
+            # the barrier's rho and eta, alpha and lambda are constants of the code
+            {"barrier": {"tol": 1e-3}},
+            {"barrier": {"eta": 0.1, "rho": 0.5}},
+        ):
+            with pytest.raises(ConfigParse, match="unknown config block"):
+                load_config(write_cfg(tmp_path, payload))
 
     def test_unknown_key_rejected(self, tmp_path):
         for payload in (
             {"grid": {"n": 8, "zzz": 1}},
             # keys that held one value in use, now constants of the code
             {"solver": {"solver_tol": 1e-6}},
+            {"solver": {"eps0": 0.5}},
             {"analysis": {"fit_window": "auto"}},
             {"oracle": {"tol": 1e-8}},
-            {"barrier": {"tol": 1e-3}},
         ):
             with pytest.raises(ConfigParse, match="unknown key"):
                 load_config(write_cfg(tmp_path, payload))
+
+    @pytest.mark.parametrize("preset", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name)
+    def test_preset_loads_and_classifies(self, tmp_path, preset):
+        # classify exits 1 on any config error
+        assert main(["classify", "--config", str(preset), "--out", str(tmp_path / "out")]) == 0
 
     def test_malformed_json_exit_1_no_artifacts(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -83,6 +94,19 @@ class TestConfig:
             {"barrier": {"tol": 1e-3}},
             # report.json is written on every run; "json" is no output format
             {"output": {"formats": ["csv", "json"]}},
+            {"solver": {"eps0": 0.5}},
+            {"analysis": {"theta_list": "auto"}},
+            # ranges that do not depend on the problem
+            {"grid": {"n": 1}},
+            {"grid": {"grading": 0.5}},
+            {"solver": {"halvings": 1}},
+            {"analysis": {"n_list": [64, 32, 128]}},
+            {"analysis": {"n_list": [64, 128]}},
+            {"analysis": {"theta_list": [0.5]}},
+            {"oracle": {"alpha_fracs": [1.5]}},
+            {"oracle": {"s_list": [1.5]}},
+            {"oracle": {"p_list": [0.5]}},
+            {"analysis": {"delta_list": [-0.5]}},
         ],
     )
     def test_bad_value_is_config_error_exit_1(self, tmp_path, capsys, payload):
@@ -237,7 +261,7 @@ class TestSubcommands:
         payload = {
             "params": {"s": 0.5, "p": 1.5, "gamma": 1.0, "delta": 0.5},
             "grid": {"n": 64, "grading": "auto"},
-            "solver": {"eps0": 0.5, "halvings": 4, "tol": 1e-4},
+            "solver": {"halvings": 4, "tol": 1e-4},
         }
         cfg = write_cfg(tmp_path, payload)
         out = tmp_path / "out"
@@ -254,7 +278,7 @@ class TestSubcommands:
     def test_unconverged_continuation_fails_scan(self, tmp_path, subcommand):
         # two halvings leave every last increment far above tol
         payload = dict(QUICK)
-        payload["solver"] = {"eps0": 0.5, "halvings": 2, "tol": 1e-4}
+        payload["solver"] = {"halvings": 2, "tol": 1e-4}
         cfg = write_cfg(tmp_path, payload)
         out = tmp_path / "out"
         assert run(subcommand, cfg, str(out)) == 2

@@ -188,8 +188,6 @@ class TestPhiConstant:
     def test_alpha_validation(self):
         with pytest.raises(AlphaOutOfRange):
             phi_constant(0.5, 0.5, 2.0)
-        with pytest.raises(OutOfRange):
-            phi_constant(0.25, 0.5, 2.0, tol=-1.0)
 
 
 class TestCellPairIntegrals:

@@ -96,12 +96,12 @@ class TestSolveFixedRhs:
             return hessian(v, out)
 
         op.hessian = recording_hessian
-        v, iters, res, fv = solver._newton(
+        v, iters, res = solver._newton(
             op, reaction, np.zeros(48), tol=1e-10, factor=solver._Factor.for_operator(op)
         )
         assert res <= 1e-10
         assert len(iterates) == iters >= 5
-        values = [value(u) for u in iterates] + [fv]
+        values = [value(u) for u in iterates + [v]]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
