@@ -3,11 +3,13 @@
 principal-value probes and two continuations.
 
 Times `assemble_operator` (s = 1/2, graded mesh of [0, 1] with grading 2) at
-each n and p, three times each; `DiscreteOperator.apply` and `energy` of
-those operators at n = 1024 and 2048 for each p, on the profile
-(x (1 - x))**(1/2), three repeats of ten calls each, in milliseconds per
-call; one `eval_fplap_pv` probe at x = 0.37, three
-times each, for s = 1/2, p = 2 on the n = 2048 mesh of grading 2, one per
+each n and p, three times each, and prints next to each time the mirror
+defect of the operator's w, b and m: the largest |a - a mirrored| / a over
+the positive entries, with w mirrored as w[n-1-i, n-1-j];
+`DiscreteOperator.apply` and `energy` of those operators at n = 1024 and
+2048 for each p, on the profile (x (1 - x))**(1/2), three repeats of ten
+calls each, in milliseconds per call; one `eval_fplap_pv` probe at x = 0.37,
+three times each, for s = 1/2, p = 2 on the n = 2048 mesh of grading 2, one per
 exterior kind: the torsion function (zero exterior) and the Super and U
 barriers (alpha = 1/4, lambda = 1/10); and two continuations (s = 1/2, gamma = 1,
 delta = 1/2, eps0 = 1/2, tol = 1e-4, default grading), each with the minor
@@ -48,6 +50,11 @@ APPLY_NS = (1024, 2048)
 APPLY_CALLS = 10
 
 
+def mirror_defect(a):
+    pos = a > 0.0
+    return float((np.abs(a - np.flip(a))[pos] / a[pos]).max())
+
+
 def time_assembly():
     rows = []
     for n in NS:
@@ -56,10 +63,13 @@ def time_assembly():
             runs = []
             for _ in range(REPEATS):
                 t0 = time.perf_counter()
-                assemble_operator(grid, 0.5, p)
+                op = assemble_operator(grid, 0.5, p)
                 runs.append(time.perf_counter() - t0)
             rows.append({"n": n, "p": p, "runs_s": [round(t, 4) for t in runs],
-                         "median_s": round(statistics.median(runs), 4)})
+                         "median_s": round(statistics.median(runs), 4),
+                         "mirror_defect": {name: float(f"{mirror_defect(a):.2e}")
+                                           for name, a in (("w", op.w), ("b", op.b),
+                                                           ("m", op.m))}})
     return rows
 
 

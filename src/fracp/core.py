@@ -24,6 +24,10 @@ CASE_ALPHA_STAR = "CaseAlphaStar"
 #: the first cell width below double-precision resolution.
 MAX_GRADING = 4.0
 
+#: largest |x_i + x_{n+1-i} - (a + b)| / (b - a) a Grid accepts; build_grid
+#: stays within 2.2e-16
+MIRROR_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -48,15 +52,20 @@ class ProblemParams:
         return make_params(self.s, self.p, self.gamma, delta, self.a, self.b)
 
 
+def check_sp(s, p) -> None:
+    """0 < s < 1 and p > 1; raises OutOfRange naming the offending one."""
+    if not (0.0 < s < 1.0):
+        raise OutOfRange(f"s must lie in (0, 1), got {s}")
+    if not p > 1.0:
+        raise OutOfRange(f"p must exceed 1, got {p}")
+
+
 def make_params(s, p, gamma, delta, a=0.0, b=1.0) -> ProblemParams:
     """Validate raw reals into a ProblemParams.
 
     Raises OutOfRange naming the offending field.
     """
-    if not (0.0 < s < 1.0):
-        raise OutOfRange(f"s must lie in (0, 1), got {s}")
-    if not p > 1.0:
-        raise OutOfRange(f"p must exceed 1, got {p}")
+    check_sp(s, p)
     if not gamma >= 0.0:
         raise OutOfRange(f"gamma must be nonnegative, got {gamma}")
     if not delta >= 0.0:
@@ -140,6 +149,15 @@ def default_grading(params: ProblemParams) -> float:
     return float(min(max(1.0, params.s / report.alpha_star), MAX_GRADING))
 
 
+def mirror_left_half(v) -> np.ndarray:
+    """Copy of v whose right half is its left half reversed, out[i] =
+    out[len - 1 - i]; the middle entry of an odd length is v's own."""
+    out = np.array(v, dtype=float)
+    m = len(out)
+    out[(m + 1) // 2 :] = out[: m // 2][::-1]
+    return out
+
+
 @dataclass(frozen=True)
 class Grid:
     """Symmetric graded mesh on (a, b) with n strictly interior nodes.
@@ -149,6 +167,10 @@ class Grid:
         x = b - (b-a) * 2**(q-1) * (1-t)**q      for t >  1/2,
     so q = 1 reproduces the uniform mesh exactly and q > 1 refines toward
     both endpoints.
+
+    Every Grid is mirror-symmetric, x_i + x_{n+1-i} = a + b within
+    MIRROR_TOL (b - a), else BadGrading; assembly and the masses rely on it
+    and take the quantities of the right half from the left half.
     """
 
     a: float
@@ -157,7 +179,14 @@ class Grid:
     nodes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
+        x = np.asarray(self.nodes, dtype=float)
+        defect = float(np.abs(x + x[::-1] - (self.a + self.b)).max(initial=0.0))
+        if defect > MIRROR_TOL * (self.b - self.a):
+            raise BadGrading(
+                f"mesh is not mirror-symmetric about (a + b)/2: x_i + x_(n+1-i) "
+                f"misses a + b by {defect:.3e}"
+            )
+        object.__setattr__(self, "nodes", x)
 
     @property
     def n(self) -> int:
@@ -179,10 +208,11 @@ class Grid:
     @property
     def masses(self) -> np.ndarray:
         """Dual-cell masses: m_i = |[c_{i-1}, c_i]| with c the cell midpoints
-        clipped to the boundary.  They sum to b - a exactly."""
+        clipped to the boundary, the right half mirrored from the left.  They
+        sum to b - a up to rounding."""
         mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
         duals = np.concatenate(([self.a], mids, [self.b]))
-        return np.diff(duals)
+        return mirror_left_half(np.diff(duals))
 
     def local_width(self, x):
         """Width of the cell containing x (max with neighbours for safety), at
@@ -204,9 +234,12 @@ class Grid:
         return idx
 
     def distance(self, x=None) -> np.ndarray:
-        """Distance to the boundary, at the nodes by default."""
-        pts = self.nodes if x is None else np.asarray(x, dtype=float)
-        return np.minimum(pts - self.a, self.b - pts)
+        """Distance to the boundary, at the nodes by default; there the right
+        half is mirrored from the left, free of the rounding of b - x."""
+        if x is None:
+            return mirror_left_half(np.minimum(self.nodes - self.a, self.b - self.nodes))
+        x = np.asarray(x, dtype=float)
+        return np.minimum(x - self.a, self.b - x)
 
 
 def build_grid(a: float, b: float, n: int, q: float = 1.0) -> Grid:

@@ -14,7 +14,7 @@ class OutOfRange(FracpError, ValueError):
 
 
 class BadGrading(OutOfRange):
-    """Mesh grading exponent below 1."""
+    """Mesh grading exponent below 1, or a mesh that is not mirror-symmetric."""
 
 
 class AlphaOutOfRange(OutOfRange):

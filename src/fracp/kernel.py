@@ -12,7 +12,10 @@ Conventions fixed here and recorded in every report:
     discrete Gagliardo seminorm to the p-th power (interior double sum plus
     twice the mass-weighted confinement term);
   * the pair matrix w is bitwise symmetric, and at p = 2 the operator reads
-    one triangle of it (BLAS dsymv).
+    one triangle of it (BLAS dsymv);
+  * every Grid is mirror-symmetric, so w is assembled from the left half of
+    the mesh and is persymmetric, w[i, j] = w[n-1-i, n-1-j] up to rounding;
+    b and m are mirror images to the last bit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg.blas import dsymv
 
-from .core import Grid, GridFunction, Zero
+from .core import Grid, GridFunction, Zero, check_sp, mirror_left_half
 from .errors import (
     AlphaOutOfRange,
     ExtensionUnsupported,
@@ -170,6 +173,7 @@ def phi_constant(alpha: float, s: float, p: float) -> PowerKernelOracle:
     y = 1 and, for beta < 1, a second one y**(beta-1) at y = 0; the integral
     is split at 1/2 so each half carries one endpoint.
     """
+    check_sp(s, p)
     check_alpha(alpha, s)
     sp = s * p
     beta = power_beta(alpha, s, p)
@@ -256,7 +260,8 @@ def _cell_pair_J(X0, X1, Y0, Y1, sp):
 def _corner_rect(hA, hB, rho):
     """Integral of (y-x)^rho over the corner-touching rectangle [.,t]x[t,.]."""
     r2 = rho + 2.0
-    return ((hA + hB) ** r2 - hA**r2 - hB**r2) / ((rho + 1.0) * r2)
+    # symmetric in hA and hB to the last bit, like the mirrored mesh
+    return ((hA + hB) ** r2 - (hA**r2 + hB**r2)) / ((rho + 1.0) * r2)
 
 
 def _hat_rule(q):
@@ -279,18 +284,21 @@ _FAR_R_MAX = np.array([32.0, 256.0])
 _FAR_RULES = tuple(_hat_rule(q) for q in (6, 4, 3))
 _FAR_SP_MAX = 7.0
 
+#: rows of _far_hat_weights for the mirror image of a cell pair: the hats
+#: 1-u, v become v', 1-u' there, so (1-u)(1-v) and u v trade places
+_MIRROR_HATS = [3, 1, 2, 0]
 
-def _far_hat_weights(X0, X1, Y0, Y1, sp):
-    """Hat-weighted kernel integrals of disjoint cell pairs, Y0 > X1.
+
+def _far_hat_weights(g, hX, hY, sp):
+    """Hat-weighted kernel integrals of disjoint cell pairs [X0,X1] x [Y0,Y1]
+    with gap g = Y0 - X1 > 0 and widths hX = X1 - X0, hY = Y1 - Y0.
 
     Column b holds the integrals of (1-u)(1-v), (1-u) v, u (1-v) and u v
-    times (y-x)^(-1-sp) over [X0,X1] x [Y0,Y1], u = (x-X0)/hX, v = (y-Y0)/hY,
+    times (y-x)^(-1-sp) over the pair, u = (x-X0)/hX, v = (y-Y0)/hY,
     by tensor Gauss-Legendre of an order set by the separation ratio.  Each
     entry is a sum of positive terms, accurate (see _FAR_R_MAX) once the
     cells are more than 8 widths apart; nearer pairs need the closed forms.
     """
-    hX, hY = X1 - X0, Y1 - Y0
-    g = Y0 - X1
     tier = _FAR_R_MAX.searchsorted(g / np.maximum(hX, hY))
     out = np.empty((4, len(g)))
     for i, (u, W) in enumerate(_FAR_RULES):
@@ -418,9 +426,15 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     secant slope, which is exact on same-cell pairs and keeps every pair
     weight nonnegative, so the scheme is monotone.  Boundary cells carry the
     constant extension of the adjacent nodal value.
+
+    The mesh is mirror-symmetric (a Grid invariant), so only the left half of
+    each diagonal of cell pairs is integrated, and the right half is its
+    reflection; cell widths, b and m take their right half from the left
+    half, whose small cells near a are free of the rounding that edges near
+    b carry.  w is therefore persymmetric, w[i, j] = w[n-1-i, n-1-j], up to
+    the rounding of the accumulation.
     """
-    if not (0.0 < s < 1.0) or p <= 1.0:
-        raise OutOfRange(f"need 0 < s < 1 and p > 1, got s={s}, p={p}")
+    check_sp(s, p)
     sp = s * p
     if sp > _FAR_SP_MAX:
         raise OutOfRange(
@@ -429,6 +443,10 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
         )
     n = grid.n
     t = grid.edges
+    # cell widths t_{k+1} - t_k, k = 0..n, the right half taken from the left
+    # (the Grid invariant): edges near b carry b's rounding, their mirror
+    # images near a do not
+    wd = mirror_left_half(np.diff(t))
     spn = _nudged_sp(sp)
 
     # Weights accumulate over the extended nodes t_0..t_{n+1} in diagonal
@@ -444,20 +462,30 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     # cell widths (the second differences stay well conditioned there)
     for gap in range(2, n + 1):
         L = n + 1 - gap  # x cells k = 0..L-1 against y cells k + gap
-        X0, X1 = t[:L], t[1 : L + 1]
-        Y0, Y1 = t[gap : gap + L], t[gap + 1 :]
-        C = _far_hat_weights(X0, X1, Y0, Y1, sp)
-        near = (Y0 - X1) <= 8.0 * np.maximum(X1 - X0, Y1 - Y0)
+        H = (L + 1) // 2  # pairs k < H are integrated, the rest mirrored
+        g = t[gap : gap + H] - t[1 : H + 1]  # Y0 - X1
+        hX, hY = wd[:H], wd[gap : gap + H]
+        C = _far_hat_weights(g, hX, hY, sp)
+        near = g <= 8.0 * np.maximum(hX, hY)
         if near.any():
             # extended precision: the closed forms are second differences and
-            # lose ~ (span/width)^2 digits on strongly graded meshes
+            # lose ~ (span/width)^2 digits on strongly graded meshes; the near
+            # pairs of the left half lie left of the middle or across it, in
+            # cells that are wide against the rounding of edges near b
             ld = np.longdouble
+            idx = np.flatnonzero(near)
             parts = _cell_pair_J(
-                X0[near].astype(ld), X1[near].astype(ld),
-                Y0[near].astype(ld), Y1[near].astype(ld), ld(spn),
+                t[idx].astype(ld), t[idx + 1].astype(ld),
+                t[idx + gap].astype(ld), t[idx + gap + 1].astype(ld), ld(spn),
             )
             J00, J01, J10, J11 = (part.astype(float) for part in parts)
             C[:, near] = (J00 - J10 - J01 + J11, J01 - J11, J10 - J11, J11)
+        # x -> a + b - x maps pair k onto pair L-1-k, swapping the hat
+        # products (1-u)(1-v) and u v; a middle pair is its own image (near
+        # sp = 1 the closed forms give those two up to 1e-11 relative apart)
+        if L % 2:
+            C[0, -1] = C[3, -1] = 0.5 * (C[0, -1] + C[3, -1])
+        C = np.concatenate((C, C[_MIRROR_HATS, : L - H][:, ::-1]), axis=1)
         # hats at t_k, t_{k+1} against hats at t_{k+gap}, t_{k+gap+1}
         F[gap, :L] += C[0]
         F[gap + 1, :L] += C[1]
@@ -466,12 +494,11 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
 
     rho = p - 1.0 - sp
     # same-cell band: exact for the interpolant, slope (v_{k+1}-v_k)/h_k
-    h = t[2 : n + 1] - t[1:n]  # interior cells [t_k, t_{k+1}], k = 1..n-1
+    h = wd[1:n]  # interior cells [t_k, t_{k+1}], k = 1..n-1
     F[1, 1:n] += h ** (1.0 - sp) / ((p - sp) * (p + 1.0 - sp))
 
     # corner-touching band around each node t_k, secant slope across both cells
-    hA = t[1 : n + 1] - t[:n]
-    hB = t[2:] - t[1 : n + 1]
+    hA, hB = wd[:n], wd[1:]
     F[2, :n] += _corner_rect(hA, hB, rho) / (hA + hB) ** p
 
     # E[i, d] = F[d, i]; E's rows laid end to end read as the upper triangle
@@ -498,7 +525,7 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
         np.clip(w, 0.0, None, out=w)
 
     x = grid.nodes
-    b = ((x - grid.a) ** (-sp) + (grid.b - x) ** (-sp)) / sp
+    b = mirror_left_half(((x - grid.a) ** (-sp) + (grid.b - x) ** (-sp)) / sp)
     m = grid.masses
     return DiscreteOperator(grid=grid, s=s, p=p, w=w, b=b, m=m)
 

@@ -9,6 +9,7 @@ from fracp import (
     CASE_ALPHA_STAR,
     CASE_S,
     Constant,
+    Grid,
     GridFunction,
     build_grid,
     classify_regime,
@@ -132,6 +133,15 @@ class TestGrid:
     def test_symmetric(self):
         g = build_grid(0, 1, 33, 2.5)
         assert np.allclose(g.nodes + g.nodes[::-1], 1.0)
+        # nodal quantities take their right half from the left half
+        for a in (g.masses, g.distance()):
+            assert np.array_equal(a, a[::-1])
+
+    def test_asymmetric_mesh_rejected(self):
+        nodes = build_grid(0, 1, 16, 2).nodes
+        Grid(a=0.0, b=1.0, q=2.0, nodes=nodes + np.r_[np.zeros(15), 1e-13])
+        with pytest.raises(BadGrading):
+            Grid(a=0.0, b=1.0, q=2.0, nodes=nodes + np.r_[np.zeros(15), 1e-11])
 
     @pytest.mark.parametrize("n, q", [(16, 1.0), (96, 2.0), (1024, 3.0)])
     def test_probes_match_node_loop(self, n, q):

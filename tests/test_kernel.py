@@ -189,6 +189,13 @@ class TestPhiConstant:
         with pytest.raises(AlphaOutOfRange):
             phi_constant(0.5, 0.5, 2.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha,s,p,name", [(0.15, 1.5, 2.0, "s"), (0.03, 0.3, 0.5, "p")])
+    def test_s_and_p_validation(self, alpha, s, p, name):
+        # checked before the quadrature, which would warn and fail
+        with pytest.raises(OutOfRange, match=f"^{name} must"):
+            phi_constant(alpha, s, p)
+
 
 class TestCellPairIntegrals:
     @pytest.mark.parametrize("sp", [0.45, 1.0 + 5e-7, 1.5])
@@ -221,7 +228,7 @@ class TestCellPairIntegrals:
                 Y0 = X0 + hX + r * max(hX, hY)
                 geo.append((X0, X0 + hX, Y0, Y0 + hY))
         X0, X1, Y0, Y1 = np.array(geo).T
-        C = _far_hat_weights(X0, X1, Y0, Y1, sp)
+        C = _far_hat_weights(Y0 - X1, X1 - X0, Y1 - Y0, sp)
         ref = _tensor_hat_integrals(X0, X1, Y0, Y1, sp, 16)
         assert np.all(C > 0.0)
         assert np.abs(C / ref - 1.0).max() <= 1e-11
@@ -246,15 +253,23 @@ class TestAssembleOperator:
             assemble_operator(g, 0.8, 10.0)
 
     def test_weights_symmetric_nonnegative(self):
-        # bitwise symmetric, since the p = 2 product reads one triangle; s p
-        # below, at and above 1
-        for q in (1.0, 2.0, 3.0, 4.0):
-            for s in (0.25, 0.5, 0.75):
-                op = assemble_operator(build_grid(0, 1, 96, q), s, 2.0)
-                assert np.array_equal(op.w, op.w.T)
-                assert op.w.min() >= 0.0
-                assert np.abs(np.diag(op.w)).max() == 0.0
-                assert np.all(op.b > 0) and np.all(op.m > 0)
+        # bitwise symmetric, since the p = 2 product reads one triangle, and
+        # persymmetric like the mesh, w[i, j] = w[n-1-i, n-1-j]; odd and even
+        # middles, s p below, at and above 1
+        def mirror_defect(a):
+            pos = a > 0.0
+            return (np.abs(a - np.flip(a))[pos] / a[pos]).max()
+
+        for n in (95, 96):
+            for q in (1.0, 2.0, 3.0, 4.0):
+                for s in (0.25, 0.5, 0.75):
+                    op = assemble_operator(build_grid(0, 1, n, q), s, 2.0)
+                    assert np.array_equal(op.w, op.w.T)
+                    assert op.w.min() >= 0.0
+                    assert np.abs(np.diag(op.w)).max() == 0.0
+                    assert np.all(op.b > 0) and np.all(op.m > 0)
+                    for a in (op.w, op.b, op.m):
+                        assert mirror_defect(a) <= 1e-14
 
     @pytest.mark.parametrize("s", [0.25, 0.75])
     def test_p2_product_reads_one_triangle(self, s):

@@ -77,6 +77,13 @@ class TestSolveFixedRhs:
         exact = np.sin(np.pi * s) / (2 * np.pi) * (x * (1 - x)) ** s
         assert np.abs(res.u.values[inner] / exact[inner] - 1).max() <= 0.05
 
+    def test_torsion_mirror_symmetric(self):
+        # the mesh and the operator are mirror-symmetric, so is the solution,
+        # node by node down to the smallest cells of the grading 4 mesh
+        op = assemble_operator(build_grid(0, 1, 256, 4.0), 0.5, 2.0)
+        u = solve_fixed_rhs(op, np.ones(256)).u.values
+        assert np.all(np.abs(u - u[::-1]) <= 1e-12 * u)
+
     def test_energy_decreases_along_newton_steps(self):
         # the solver builds the Hessian at every accepted iterate (twice at
         # v = 0, where p = 3 needs a Levenberg shift): the objective at those
