@@ -169,8 +169,9 @@ class Grid:
     both endpoints.
 
     Every Grid is mirror-symmetric, x_i + x_{n+1-i} = a + b within
-    MIRROR_TOL (b - a), else BadGrading; assembly and the masses rely on it
-    and take the quantities of the right half from the left half.
+    MIRROR_TOL (b - a), else BadGrading; the nodal masses and distances and
+    the operator assembly rely on it and take their right half from the
+    left half.
     """
 
     a: float
@@ -236,10 +237,9 @@ class Grid:
     def distance(self, x=None) -> np.ndarray:
         """Distance to the boundary, at the nodes by default; there the right
         half is mirrored from the left, free of the rounding of b - x."""
-        if x is None:
-            return mirror_left_half(np.minimum(self.nodes - self.a, self.b - self.nodes))
-        x = np.asarray(x, dtype=float)
-        return np.minimum(x - self.a, self.b - x)
+        pts = self.nodes if x is None else np.asarray(x, dtype=float)
+        d = np.minimum(pts - self.a, self.b - pts)
+        return mirror_left_half(d) if x is None else d
 
 
 def build_grid(a: float, b: float, n: int, q: float = 1.0) -> Grid:

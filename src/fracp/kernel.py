@@ -148,6 +148,7 @@ def bracket_constants(alpha: float, s: float, p: float):
     beta >= 1: c1 = 1/(sp), c2 = 1/(sp) + max(1, beta-1)/(p (1-s)).
     The midpoint st is the canonical choice in the admissible band (s, beta).
     """
+    check_sp(s, p)
     check_alpha(alpha, s)
     sp = s * p
     beta = power_beta(alpha, s, p)
@@ -173,13 +174,11 @@ def phi_constant(alpha: float, s: float, p: float) -> PowerKernelOracle:
     y = 1 and, for beta < 1, a second one y**(beta-1) at y = 0; the integral
     is split at 1/2 so each half carries one endpoint.
     """
-    check_sp(s, p)
-    check_alpha(alpha, s)
+    c1, c2 = bracket_constants(alpha, s, p)  # checks s, p and alpha
     sp = s * p
     beta = power_beta(alpha, s, p)
     if beta <= 0.0:
         raise AlphaOutOfRange(f"derived beta = {beta} must be positive")
-    c1, c2 = bracket_constants(alpha, s, p)
 
     if abs(beta - 1.0) < 1e-14:
         # the (1 - y**(beta-1)) factor vanishes identically

@@ -192,9 +192,11 @@ class TestPhiConstant:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha,s,p,name", [(0.15, 1.5, 2.0, "s"), (0.03, 0.3, 0.5, "p")])
     def test_s_and_p_validation(self, alpha, s, p, name):
-        # checked before the quadrature, which would warn and fail
-        with pytest.raises(OutOfRange, match=f"^{name} must"):
-            phi_constant(alpha, s, p)
+        # checked before the quadrature, which would warn and fail, and
+        # before an inverted bracket
+        for f in (phi_constant, bracket_constants):
+            with pytest.raises(OutOfRange, match=f"^{name} must"):
+                f(alpha, s, p)
 
 
 class TestCellPairIntegrals:
