@@ -21,7 +21,10 @@ CASE_S = "CaseS"
 CASE_ALPHA_STAR = "CaseAlphaStar"
 
 #: Grading exponents above this resolve nothing extra at desk scale but push
-#: the first cell width below double-precision resolution.
+#: the first cell width below double-precision resolution; build_grid refuses
+#: them, which also keeps every cell pair at index distance >= 2 at least
+#: 0.2308 of the larger width apart, inside the range the assembly's Gauss
+#: orders are verified for.
 MAX_GRADING = 4.0
 
 #: largest |x_i + x_{n+1-i} - (a + b)| / (b - a) a Grid accepts; build_grid
@@ -245,11 +248,11 @@ class Grid:
 def build_grid(a: float, b: float, n: int, q: float = 1.0) -> Grid:
     """Build the symmetric graded mesh with n interior nodes.
 
-    Raises BadGrading for q < 1.  n >= 2 is required; meaningful resolution
-    starts around n >= 8.
+    Raises BadGrading for q outside [1, MAX_GRADING].  n >= 2 is required;
+    meaningful resolution starts around n >= 8.
     """
-    if q < 1.0:
-        raise BadGrading(f"grading exponent must be >= 1, got {q}")
+    if not 1.0 <= q <= MAX_GRADING:
+        raise BadGrading(f"grading exponent must lie in [1, {MAX_GRADING}], got {q}")
     if b <= a:
         raise OutOfRange(f"domain needs b > a, got ({a}, {b})")
     n = int(n)

@@ -3,7 +3,9 @@
 Contents: the nonlinear difference [a - b]**(p-1), the power-barrier scalar
 Phi(alpha, s, p) with its bracketing constants, principal-value evaluation of
 the operator on grid functions, assembly of the discrete energy/operator and
-Gagliardo-type energies.
+Gagliardo-type energies.  Assembly integrates every separated cell pair by
+one positive tensor Gauss rule whose order is set by the pair's separation
+ratio.
 
 Conventions fixed here and recorded in every report:
   * the pointwise operator carries a factor 2 in front of the principal
@@ -11,8 +13,8 @@ Conventions fixed here and recorded in every report:
   * apply() is the exact gradient of (1/p) * energy(), where energy() is the
     discrete Gagliardo seminorm to the p-th power (interior double sum plus
     twice the mass-weighted confinement term);
-  * the pair matrix w is bitwise symmetric, and at p = 2 the operator reads
-    one triangle of it (BLAS dsymv);
+  * the pair matrix w is bitwise symmetric and nonnegative by construction,
+    and at p = 2 the operator reads one triangle of it (BLAS dsymv);
   * every Grid is mirror-symmetric, so w is assembled from the left half of
     the mesh and is persymmetric, w[i, j] = w[n-1-i, n-1-j] up to rounding;
     b and m are mirror images to the last bit.
@@ -208,53 +210,6 @@ def phi_constant(alpha: float, s: float, p: float) -> PowerKernelOracle:
 # discrete operator assembly
 # ---------------------------------------------------------------------------
 
-_EXP_SNAP = 5e-7
-
-
-def _nudged_sp(sp: float) -> float:
-    # keep antiderivative exponents away from exact zeros (sp in {1, 2, 3});
-    # the induced relative weight error is O(5e-7 * log-scale), far below
-    # discretization error
-    for k in (1.0, 2.0, 3.0):
-        if abs(sp - k) < _EXP_SNAP:
-            return k + _EXP_SNAP
-    return sp
-
-
-def _pd(t1, t0, r):
-    # (t1**r - t0**r) / r, the stable paired primitive difference
-    return (t1**r - t0**r) / r
-
-
-def _cell_pair_J(X0, X1, Y0, Y1, sp):
-    """Exact integrals of u^a v^b (y-x)^(-1-sp) over [X0,X1] x [Y0,Y1], Y0 >= X1.
-
-    u = (x-X0)/hX, v = (y-Y0)/hY; returns (J00, J01, J10, J11).
-    """
-    A = sp
-    hX = X1 - X0
-    hY = Y1 - Y0
-
-    def T(c, shift):
-        # int_{X0}^{X1} (c-x)^(shift-1-A) dx for shift in {1,2,3} handled by caller
-        return -_pd(c - X1, c - X0, shift - A)
-
-    # primitive families evaluated at the two y-cell endpoints
-    T1_Y0, T1_Y1 = T(Y0, 1.0), T(Y1, 1.0)
-    T2_Y0, T2_Y1 = T(Y0, 2.0), T(Y1, 2.0)
-    T3_Y0, T3_Y1 = T(Y0, 3.0), T(Y1, 3.0)
-
-    U2_Y0 = (Y0 - X0) * T1_Y0 - T2_Y0
-    U2_Y1 = (Y1 - X0) * T1_Y1 - T2_Y1
-    U3_Y0 = (Y0 - X0) * T2_Y0 - T3_Y0
-    U3_Y1 = (Y1 - X0) * T2_Y1 - T3_Y1
-
-    J00 = (T1_Y0 - T1_Y1) / A
-    J10 = (U2_Y0 - U2_Y1) / (A * hX)
-    J01 = (T2_Y1 - T2_Y0) / (hY * A * (1.0 - A)) - T1_Y1 / A
-    J11 = (U3_Y1 - U3_Y0) / (hX * hY * A * (1.0 - A)) - U2_Y1 / (hX * A)
-    return J00, J01, J10, J11
-
 
 def _corner_rect(hA, hB, rho):
     """Integral of (y-x)^rho over the corner-touching rectangle [.,t]x[t,.]."""
@@ -272,35 +227,53 @@ def _hat_rule(q):
     return u, (hats.T[:, None, :, None] * hats.T[None, :, None, :]).reshape(4, q * q)
 
 
-# Far-field Gauss orders by separation ratio r = (Y0 - X1) / max(hX, hY) > 8:
-# 6 points up to r = 32, 4 up to 256, 3 beyond.  Against a 20-point tensor
-# rule each hat contribution is then within 1e-11 relative for 0.3 <= sp <= 7
-# and cell aspect ratios 1e-2..1e2; the worst case, 4 points at r = 32 and
-# sp = 7, is 7.5e-12.  One point fewer per tier misses 1e-11 at sp = 7, and
-# the errors grow with sp (4 points at r = 32: 1.4e-11 at sp = 8), so
-# assemble_operator refuses sp above _FAR_SP_MAX.
-_FAR_R_MAX = np.array([32.0, 256.0])
-_FAR_RULES = tuple(_hat_rule(q) for q in (6, 4, 3))
-_FAR_SP_MAX = 7.0
+# Gauss orders by separation ratio r = (Y0 - X1) / max(hX, hY), the gap in
+# widths of the larger cell: 25 points up to r = 1/2, 16 up to 1, 12 up to 2,
+# 9 up to 4, 7 up to 8, 6 up to 32, 4 up to 256, 3 beyond.  The kernel is
+# analytic on the pair and singular at y - x = 0, r widths beyond its corner
+# (X1, Y0), so the tensor rule's error falls geometrically in the order at a
+# rate set by r, and each tier is worst at its smallest r.  Each order is the
+# smallest that keeps every hat integral within 1e-11 relative there for
+# 0.01 <= sp <= 7 and cell aspect ratios 1e-5..1e5, against composite Gauss
+# (41 panels geometric toward the corner, 20 points each); the worst cases,
+# at sp = 7, are 6.9e-12 (25 points, r = 0.2), 8.8e-12 (16, r = 1/2) and
+# 7.5e-12 (4, r = 32), and one point fewer in any tier misses 1e-11.  The
+# errors grow with sp (4 points at r = 32: 1.4e-11 at sp = 8), so
+# assemble_operator refuses sp above _HAT_SP_MAX, and nearer pairs than
+# _HAT_R_MIN are refused; build_grid meshes of grading <= 4 stay above it
+# (their smallest r is 0.2308, cell 0 against cell 2).
+_HAT_R_MIN = 0.2
+_HAT_R_MAX = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 256.0])
+_HAT_RULES = tuple(_hat_rule(q) for q in (25, 16, 12, 9, 7, 6, 4, 3))
+_HAT_SP_MAX = 7.0
 
-#: rows of _far_hat_weights for the mirror image of a cell pair: the hats
+#: rows of _hat_weights for the mirror image of a cell pair: the hats
 #: 1-u, v become v', 1-u' there, so (1-u)(1-v) and u v trade places
 _MIRROR_HATS = [3, 1, 2, 0]
 
 
-def _far_hat_weights(g, hX, hY, sp):
+def _hat_weights(g, hX, hY, sp):
     """Hat-weighted kernel integrals of disjoint cell pairs [X0,X1] x [Y0,Y1]
     with gap g = Y0 - X1 > 0 and widths hX = X1 - X0, hY = Y1 - Y0.
 
     Column b holds the integrals of (1-u)(1-v), (1-u) v, u (1-v) and u v
-    times (y-x)^(-1-sp) over the pair, u = (x-X0)/hX, v = (y-Y0)/hY,
-    by tensor Gauss-Legendre of an order set by the separation ratio.  Each
-    entry is a sum of positive terms, accurate (see _FAR_R_MAX) once the
-    cells are more than 8 widths apart; nearer pairs need the closed forms.
+    times (y-x)^(-1-sp) over the pair, u = (x-X0)/hX, v = (y-Y0)/hY, by one
+    tensor Gauss-Legendre rule whose order is set by the separation ratio r
+    (see _HAT_R_MAX).  Each entry is a sum of positive terms.  Raises
+    OutOfRange for a pair with r < _HAT_R_MIN, nearer than the orders are
+    verified for.
     """
-    tier = _FAR_R_MAX.searchsorted(g / np.maximum(hX, hY))
+    r = g / np.maximum(hX, hY)
+    r_min = float(r.min())
+    if r_min < _HAT_R_MIN:
+        raise OutOfRange(
+            f"cell pair separation ratio {r_min:.3g} is below {_HAT_R_MIN}, the "
+            "smallest the Gauss orders are verified for"
+        )
+    tier = _HAT_R_MAX.searchsorted(r)
     out = np.empty((4, len(g)))
-    for i, (u, W) in enumerate(_FAR_RULES):
+    for i in range(tier.min(), tier.max() + 1):
+        u, W = _HAT_RULES[i]
         sel = tier == i
         if sel.all():
             sel = slice(None)  # the usual case: no copies
@@ -415,16 +388,16 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     """Assemble pair weights by kernel integration against the hat basis.
 
     Cell pairs at index distance >= 2 integrate the kernel times products of
-    the piecewise-linear hat weights: in closed form (long double) when the
-    pair is within 8 cell widths, and beyond that by tensor Gauss-Legendre
-    whose order (6, 4, 3 points) falls as the separation ratio grows; those
-    orders are verified for s*p <= 7, and larger s*p raises OutOfRange.  Every
-    far contribution is a sum of positive terms, so those weights are
-    nonnegative by construction.  The singular band (same-cell and
-    corner-touching cell pairs) is treated symmetrically through the local
-    secant slope, which is exact on same-cell pairs and keeps every pair
-    weight nonnegative, so the scheme is monotone.  Boundary cells carry the
-    constant extension of the adjacent nodal value.
+    the piecewise-linear hat weights by one tensor Gauss-Legendre rule whose
+    order, 25 points down to 3, is set by the separation ratio r (gap over
+    the larger width, _hat_weights); those orders are verified for
+    r >= 0.2, which every build_grid mesh of grading <= 4 keeps, and for
+    s*p <= 7, and larger s*p raises OutOfRange.  Every such contribution is a
+    sum of positive terms.  The singular band (same-cell and corner-touching
+    cell pairs) is treated symmetrically through the local secant slope,
+    which is exact on same-cell pairs and positive, so every pair weight is
+    nonnegative by construction and the scheme is monotone.  Boundary cells
+    carry the constant extension of the adjacent nodal value.
 
     The mesh is mirror-symmetric (a Grid invariant), so only the left half of
     each diagonal of cell pairs is integrated, and the right half is its
@@ -435,10 +408,10 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     """
     check_sp(s, p)
     sp = s * p
-    if sp > _FAR_SP_MAX:
+    if sp > _HAT_SP_MAX:
         raise OutOfRange(
-            f"s*p = {sp} exceeds {_FAR_SP_MAX}, the largest value the far-field "
-            "Gauss orders are verified for"
+            f"s*p = {sp} exceeds {_HAT_SP_MAX}, the largest value the Gauss "
+            "orders of the cell pairs are verified for"
         )
     n = grid.n
     t = grid.edges
@@ -446,7 +419,6 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     # (the Grid invariant): edges near b carry b's rounding, their mirror
     # images near a do not
     wd = mirror_left_half(np.diff(t))
-    spn = _nudged_sp(sp)
 
     # Weights accumulate over the extended nodes t_0..t_{n+1} in diagonal
     # storage, F[d, i] for the node pair (i, i + d), so that every band below
@@ -456,34 +428,13 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     N = n + 2
     F = np.zeros((N + 1, N))
 
-    # cell pairs at index distance >= 2: positive-weight Gauss
-    # (_far_hat_weights), replaced by closed forms where the gap is at most 8
-    # cell widths (the second differences stay well conditioned there)
+    # cell pairs at index distance >= 2: positive-weight Gauss (_hat_weights)
     for gap in range(2, n + 1):
         L = n + 1 - gap  # x cells k = 0..L-1 against y cells k + gap
         H = (L + 1) // 2  # pairs k < H are integrated, the rest mirrored
-        g = t[gap : gap + H] - t[1 : H + 1]  # Y0 - X1
-        hX, hY = wd[:H], wd[gap : gap + H]
-        C = _far_hat_weights(g, hX, hY, sp)
-        near = g <= 8.0 * np.maximum(hX, hY)
-        if near.any():
-            # extended precision: the closed forms are second differences and
-            # lose ~ (span/width)^2 digits on strongly graded meshes; the near
-            # pairs of the left half lie left of the middle or across it, in
-            # cells that are wide against the rounding of edges near b
-            ld = np.longdouble
-            idx = np.flatnonzero(near)
-            parts = _cell_pair_J(
-                t[idx].astype(ld), t[idx + 1].astype(ld),
-                t[idx + gap].astype(ld), t[idx + gap + 1].astype(ld), ld(spn),
-            )
-            J00, J01, J10, J11 = (part.astype(float) for part in parts)
-            C[:, near] = (J00 - J10 - J01 + J11, J01 - J11, J10 - J11, J11)
+        C = _hat_weights(t[gap : gap + H] - t[1 : H + 1], wd[:H], wd[gap : gap + H], sp)
         # x -> a + b - x maps pair k onto pair L-1-k, swapping the hat
-        # products (1-u)(1-v) and u v; a middle pair is its own image (near
-        # sp = 1 the closed forms give those two up to 1e-11 relative apart)
-        if L % 2:
-            C[0, -1] = C[3, -1] = 0.5 * (C[0, -1] + C[3, -1])
+        # products (1-u)(1-v) and u v
         C = np.concatenate((C, C[_MIRROR_HATS, : L - H][:, ::-1]), axis=1)
         # hats at t_k, t_{k+1} against hats at t_{k+gap}, t_{k+gap+1}
         F[gap, :L] += C[0]

@@ -99,6 +99,7 @@ class TestConfig:
             # ranges that do not depend on the problem
             {"grid": {"n": 1}},
             {"grid": {"grading": 0.5}},
+            {"grid": {"grading": 5}},
             {"solver": {"halvings": 1}},
             {"analysis": {"n_list": [64, 32, 128]}},
             {"analysis": {"n_list": [64, 128]}},
@@ -243,7 +244,7 @@ class TestSubcommands:
         assert sorted(continuations) == [48, 96, 96, 96, 192]
 
     def test_failed_assembly_is_not_cached(self, tmp_path, assembly_calls):
-        # s p = 7.2 lies beyond the verified far-field range: every experiment
+        # s p = 7.2 lies beyond the verified Gauss range: every experiment
         # that needs the run's operator tries it and names the error
         payload = dict(QUICK)
         payload["params"] = {"s": 0.9, "p": 8.0, "gamma": 1.0, "delta": 0.5}

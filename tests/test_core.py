@@ -117,8 +117,11 @@ class TestGrid:
         assert g.h_min < (1 / 129) ** 2 * 4
 
     def test_bad_grading(self):
-        with pytest.raises(BadGrading):
-            build_grid(0, 1, 4, 0.5)
+        # above MAX_GRADING = 4 cell pairs come nearer than the assembly's
+        # Gauss orders are verified for
+        for q in (0.5, 4.5, 6.0, float("nan")):
+            with pytest.raises(BadGrading):
+                build_grid(0, 1, 4, q)
 
     @given(n=st.integers(2, 200), q=st.floats(1.0, 4.0))
     @settings(max_examples=60, deadline=None)

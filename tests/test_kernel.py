@@ -27,25 +27,24 @@ from fracp.errors import (
     PointTooCloseToBoundary,
     ShapeMismatch,
 )
-from fracp.core import PowerTail
+from fracp.core import Grid, PowerTail, mirror_left_half
 from fracp.kernel import (
-    _cell_pair_J,
+    _HAT_R_MAX,
     _corner_rect,
-    _far_hat_weights,
     _gauss_segments,
-    _nudged_sp,
+    _hat_weights,
     _split_segments,
 )
 
 
-def _tensor_hat_integrals(X0, X1, Y0, Y1, sp, q):
+def _tensor_hat_integrals(g, hX, hY, sp, q):
     """q x q tensor Gauss integrals of (1-u)(1-v), (1-u) v, u (1-v), u v
-    times (y-x)^(-1-sp) over each cell pair, one column per pair."""
+    times (y-x)^(-1-sp) over cell pairs of gap g and widths hX, hY, one
+    column per pair."""
     xi, om = np.polynomial.legendre.leggauss(q)
     u, om = 0.5 * (1.0 + xi), 0.5 * om
-    hX, hY = X1 - X0, Y1 - Y0
     D = (
-        (Y0 - X1)[:, None, None]
+        g[:, None, None]
         + hX[:, None, None] * (1.0 - u)[None, :, None]
         + hY[:, None, None] * u[None, None, :]
     )
@@ -55,32 +54,31 @@ def _tensor_hat_integrals(X0, X1, Y0, Y1, sp, q):
 
 
 def _reference_weights(grid, s, p):
-    """Pair weights with the assembly's near band and a fixed 10-point far rule."""
-    n, t, sp = grid.n, grid.edges, s * p
+    """Pair weights with the assembly's singular band, a 40-point rule for
+    cell pairs within 8 widths and a fixed 10-point rule beyond.
+
+    Widths are the mesh's mirrored widths and gaps are sums of them, so the
+    small cells near b keep every digit: widths taken from the edges near b
+    are off by up to 1.7e-9 relative at n = 128, grading 4."""
+    n, sp = grid.n, s * p
+    wd = mirror_left_half(np.diff(grid.edges))
     M = np.zeros((n, n))
-    ld = np.longdouble
+    g = np.zeros(n)
     for gap in range(2, n + 1):
         k = np.arange(n + 1 - gap)
-        X0, X1, Y0, Y1 = t[k], t[k + 1], t[k + gap], t[k + gap + 1]
-        near = Y0 - X1 <= 8.0 * np.maximum(X1 - X0, Y1 - Y0)
-        C = _tensor_hat_integrals(X0, X1, Y0, Y1, sp, 10)
-        J00, J01, J10, J11 = (
-            part.astype(float)
-            for part in _cell_pair_J(
-                X0[near].astype(ld), X1[near].astype(ld),
-                Y0[near].astype(ld), Y1[near].astype(ld), ld(_nudged_sp(sp)),
-            )
-        )
-        C[:, near] = (J00 - J10 - J01 + J11, J01 - J11, J10 - J11, J11)
+        g = g[:-1] + wd[gap - 1 : n]  # cells k + 1 .. k + gap - 1
+        hX, hY = wd[k], wd[k + gap]
+        near = g <= 8.0 * np.maximum(hX, hY)
+        C = _tensor_hat_integrals(g, hX, hY, sp, 10)
+        C[:, near] = _tensor_hat_integrals(g[near], hX[near], hY[near], sp, 40)
         xL, xR = np.maximum(k, 1) - 1, np.minimum(k + 1, n) - 1
         yL, yR = k + gap - 1, np.minimum(k + gap + 1, n) - 1
         for c, idx in zip(C, [(xL, yL), (xL, yR), (xR, yL), (xR, yR)]):
             np.add.at(M, idx, c)
     k = np.arange(1, n)
-    h = t[k + 1] - t[k]
-    np.add.at(M, (k - 1, k), h ** (1.0 - sp) / ((p - sp) * (p + 1.0 - sp)))
+    np.add.at(M, (k - 1, k), wd[k] ** (1.0 - sp) / ((p - sp) * (p + 1.0 - sp)))
     k = np.arange(1, n + 1)
-    hA, hB = t[k] - t[k - 1], t[k + 1] - t[k]
+    hA, hB = wd[k - 1], wd[k]
     np.add.at(
         M,
         (np.maximum(k - 1, 1) - 1, np.minimum(k + 1, n) - 1),
@@ -200,40 +198,56 @@ class TestPhiConstant:
 
 
 class TestCellPairIntegrals:
-    @pytest.mark.parametrize("sp", [0.45, 1.0 + 5e-7, 1.5])
+    @pytest.mark.parametrize("sp", [0.45, 1.0, 1.5])
     def test_against_dblquad(self, sp):
-        X0, X1, Y0, Y1 = 0.1, 0.23, 0.31, 0.52
-        J = _cell_pair_J(
-            np.array([X0]), np.array([X1]), np.array([Y0]), np.array([Y1]), sp
-        )
-        hX, hY = X1 - X0, Y1 - Y0
-        for (a, b, val) in [(0, 0, J[0]), (0, 1, J[1]), (1, 0, J[2]), (1, 1, J[3])]:
-            ref = dblquad(
-                lambda y, x: ((x - X0) / hX) ** a
-                * ((y - Y0) / hY) ** b
-                * (y - x) ** (-1 - sp),
-                X0,
-                X1,
-                Y0,
-                Y1,
-            )[0]
-            assert val[0] == pytest.approx(ref, rel=2e-6)
+        # a pair 0.38 widths apart, and cell 0 against cell 32 of the n = 512
+        # mesh of grading 4 (widths 1.2e-10 and 1.6e-5, gap 1.2e-4), where
+        # closed forms in second differences of the kernel's primitives
+        # cancel, their relative error growing like (gap / 1.2e-10)^2
+        t = build_grid(0, 1, 512, 4.0).edges
+        for X0, X1, Y0, Y1 in [(0.1, 0.23, 0.31, 0.52), (t[0], t[1], t[32], t[33])]:
+            g, hX, hY = Y0 - X1, X1 - X0, Y1 - Y0
+            C = _hat_weights(np.array([g]), np.array([hX]), np.array([hY]), sp)[:, 0]
+            for (a, b), val in zip([(0, 0), (0, 1), (1, 0), (1, 1)], C):
+                # in the pair's unit coordinates u = (x - X0)/hX, v = (y - Y0)/hY
+                ref = dblquad(
+                    lambda v, u: (u if a else 1.0 - u)
+                    * (v if b else 1.0 - v)
+                    * (g + hX * (1.0 - u) + hY * v) ** (-1.0 - sp),
+                    0.0, 1.0, 0.0, 1.0, epsabs=0.0, epsrel=1e-12,
+                )[0] * hX * hY
+                assert val == pytest.approx(ref, rel=1e-10)
 
-    @pytest.mark.parametrize("sp", [0.45, 1.0 + 5e-7, 1.5, 2.9, 4.5, 7.0])
+    @pytest.mark.parametrize("sp", [0.05, 0.45, 1.0, 1.5, 2.9, 4.5, 7.0])
     def test_far_field_against_16_point_rule(self, sp):
-        # separation ratios on both sides of the order thresholds 32 and 256,
-        # and r = 129, where 3 points would miss 1e-11 at sp = 7 (3.1e-11)
-        geo = []
-        for r in (8.5, 32.0, 33.0, 129.0, 256.0, 257.0, 2000.0):
-            for aspect in (0.1, 1.0, 10.0):
-                X0, hX, hY = 0.2, 1e-3, 1e-3 * aspect
-                Y0 = X0 + hX + r * max(hX, hY)
-                geo.append((X0, X0 + hX, Y0, Y0 + hY))
-        X0, X1, Y0, Y1 = np.array(geo).T
-        C = _far_hat_weights(Y0 - X1, X1 - X0, Y1 - Y0, sp)
-        ref = _tensor_hat_integrals(X0, X1, Y0, Y1, sp, 16)
-        assert np.all(C > 0.0)
-        assert np.abs(C / ref - 1.0).max() <= 1e-11
+        # Each tier is worst at its smallest separation ratio r, and its
+        # order is the smallest that keeps 1e-11 there for sp <= 7 (see
+        # _HAT_R_MAX): 25 points from r = 0.2 (0.2308 is the smallest r of a
+        # grading-4 mesh), 16 from just above 1/2, 12 above 1, 9 above 2,
+        # 7 above 4, 6 above 8, 4 above 32 and 3 above 256.  One point fewer
+        # misses 1e-11 at the tier's floor: 3.0e-11, 8.0e-11, 6.6e-11,
+        # 1.6e-10, 4.1e-10 and 2.0e-10 for the six tiers up to r = 8, and at
+        # r = 129 3 points would give 3.1e-11 at sp = 7.  Every tier bound is
+        # checked on both sides, against a 48-point reference below r = 8.5
+        # and the 16-point rule from there on.
+        edges = np.concatenate((_HAT_R_MAX, np.nextafter(_HAT_R_MAX, np.inf)))
+        for ratios, q_ref in [
+            (np.concatenate(([0.2, 0.23], edges[edges < 8.5])), 48),
+            (np.concatenate(([8.5, 129.0, 2000.0], edges[edges > 8.5])), 16),
+        ]:
+            r, aspect = np.repeat(ratios, 5), np.tile([1e-5, 0.1, 1.0, 10.0, 1e5], len(ratios))
+            hX, hY = np.full(len(r), 1e-3), 1e-3 * aspect
+            g = r * np.maximum(hX, hY)
+            C = _hat_weights(g, hX, hY, sp)
+            ref = _tensor_hat_integrals(g, hX, hY, sp, q_ref)
+            assert np.all(C > 0.0)
+            assert np.abs(C / ref - 1.0).max() <= 1e-11
+
+    def test_pairs_nearer_than_verified_range(self):
+        g, h = np.array([0.19, 0.5]), np.ones(2)
+        with pytest.raises(OutOfRange):
+            _hat_weights(g, h, h, 1.0)
+        assert np.all(_hat_weights(0.2 * h, h, h, 1.0) > 0.0)
 
     def test_corner_rect(self):
         rho = 0.5
@@ -247,8 +261,18 @@ class TestAssembleOperator:
         op = assemble_operator(g, 0.5, 2.0)
         assert op.b[1] == pytest.approx(4.0, rel=1e-14)  # (2 + 2) / 1 at x = 1/2
 
+    def test_hand_built_grading_6_refused(self):
+        # grading 6 puts cell 2 0.0947 widths of cell 0 beyond it, below the
+        # smallest separation the Gauss orders are verified for; build_grid
+        # refuses that grading, so the mesh is built by hand
+        n, q = 64, 6.0
+        t = np.arange(1, n + 1) / (n + 1)
+        nodes = np.where(t <= 0.5, 2.0 ** (q - 1.0) * t**q, 1.0 - 2.0 ** (q - 1.0) * (1.0 - t) ** q)
+        with pytest.raises(OutOfRange, match="separation ratio 0.0947 "):
+            assemble_operator(Grid(a=0.0, b=1.0, q=q, nodes=nodes), 0.5, 2.0)
+
     def test_sp_above_verified_range(self):
-        # the far-field orders are verified up to sp = 7
+        # the Gauss orders of the cell pairs are verified up to sp = 7
         g = build_grid(0, 1, 16, 1)
         assemble_operator(g, 0.7, 10.0)
         with pytest.raises(OutOfRange):
@@ -289,8 +313,10 @@ class TestAssembleOperator:
         assert math.isfinite(energy)
         assert energy == pytest.approx(float(v @ ref), rel=1e-14)
 
-    @pytest.mark.parametrize("grading", [1.0, 2.0])
-    @pytest.mark.parametrize("s,p", [(0.25, 1.5), (0.25, 3.0), (0.75, 1.5), (0.75, 3.0)])
+    @pytest.mark.parametrize("grading", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize(
+        "s,p", [(0.25, 1.5), (0.25, 3.0), (0.5, 2.0), (0.75, 1.5), (0.75, 3.0)]
+    )
     def test_weights_match_fixed_order_reference(self, grading, s, p):
         g = build_grid(0, 1, 128, grading)
         w = assemble_operator(g, s, p).w
@@ -300,7 +326,7 @@ class TestAssembleOperator:
         assert np.abs(np.diag(w)).max() == 0.0
         off = ~np.eye(128, dtype=bool)
         assert np.all(ref[off] > 0.0)
-        assert np.abs(w[off] / ref[off] - 1.0).max() <= 1e-10
+        assert np.abs(w[off] / ref[off] - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("s,p,mu", [(0.5, 3.0, 0.0), (0.6, 1.5, 1e-2), (0.5, 3.0, 1e-3)])
     def test_in_place_passes_match_plain_formulas(self, s, p, mu):
