@@ -39,12 +39,11 @@ def main():
     for n in args.sizes:
         grid = build_grid(params.a, params.b, n, q)
         t0 = time.time()
-        results, u_min, incs = continuation(params, grid, eps0=0.5, halvings=20, tol=1e-4)
+        results, u_min, incs = continuation(params, grid, halvings=20, tol=1e-4)
         fit = fit_boundary_exponent(u_min, params=params)
-        eps_fin = 0.5 * 2.0 ** -(len(results) - 1)
         print(
             f"{n:6d} {fit.slope_left:9.4f} {fit.slope_right:9.4f} "
-            f"{fit.deviation:9.4f} {eps_fin:10.2e} {time.time() - t0:6.1f}s"
+            f"{fit.deviation:9.4f} {results[-1].eps:10.2e} {time.time() - t0:6.1f}s"
         )
     return 0
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Continuations at p < 2 over a grid of problem parameters.
 
-Runs `continuation` (eps0 = 1/2, 10 halvings, tol = 1e-4, default solver
+Runs `continuation` (from eps = 1/2, 10 halvings, tol = 1e-4, default solver
 tolerance) for every s in S, p in P, gamma in GAMMAS and delta in DELTAS on
 the n = N mesh of default grading, and prints one row per case: its status
 (ok, or the error it raised), the eps stages run, the Newton steps in all and
@@ -29,7 +29,7 @@ def run_case(s, p, gamma, delta):
     """(results, u_min, increments) of one case's continuation."""
     params = make_params(s, p, gamma, delta)
     grid = build_grid(params.a, params.b, N, default_grading(params))
-    return continuation(params, grid, eps0=0.5, halvings=HALVINGS, tol=1e-4)
+    return continuation(params, grid, halvings=HALVINGS, tol=1e-4)
 
 
 def main():

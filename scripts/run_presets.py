@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Drive the CLI over the shipped preset configs and summarize the verdicts.
+"""Run `fracp all` once on each shipped preset config and summarize the
+verdicts; exits with the worst exit code.
 
 Usage: python3 scripts/run_presets.py [--quick]
 """
@@ -11,28 +12,21 @@ from pathlib import Path
 
 from fracp.cli import run
 
-PRESETS = {
-    "configs/boundary_case2.json": ["classify", "solve", "exponent-fit", "compare"],
-    "configs/boundary_case1.json": ["classify", "exponent-fit"],
-    "configs/sobolev_bounded.json": ["classify", "sobolev-scan"],
-    "configs/sobolev_divergent.json": ["classify", "sobolev-scan"],
-    "configs/nonexistence.json": ["nonexistence-scan"],
-}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--quick", action="store_true", help="only the quick config, all subcommands")
+    ap.add_argument("--quick", action="store_true", help="only the quick config")
     args = ap.parse_args()
 
-    jobs = {"configs/quick.json": ["all"]} if args.quick else PRESETS
+    presets = [CONFIGS / "quick.json"] if args.quick else sorted(CONFIGS.glob("*.json"))
     worst = 0
-    for cfg_path, subcommands in jobs.items():
-        for sub in subcommands:
-            code = run(sub, cfg_path)
-            out_dir = json.loads(Path(cfg_path).read_text())["output"]["directory"]
-            print(f"{cfg_path} :: {sub:18s} -> exit {code} (artifacts in {out_dir})")
-            worst = max(worst, code)
+    for cfg_path in presets:
+        code = run("all", str(cfg_path))
+        out_dir = json.loads(cfg_path.read_text())["output"]["directory"]
+        print(f"{cfg_path.name:24s} -> exit {code} (artifacts in {out_dir})")
+        worst = max(worst, code)
     return worst
 
 

@@ -40,7 +40,6 @@ from .kernel import (
 from .barrier import (
     BarrierSpec,
     VerificationRecord,
-    WeightSpec,
     barrier_profile,
     verify_boundary_barrier,
     verify_power_estimate,

@@ -16,7 +16,7 @@ from .errors import (
     ShapeMismatch,
     WindowTooThin,
 )
-from .barrier import WeightSpec, weight_values
+from .barrier import weight_values
 from .kernel import DiscreteOperator, assemble_operator, gagliardo_energy
 from .solver import SingularEnergy, continuation, solve_approximated
 
@@ -55,28 +55,6 @@ class ExponentFit:
         if self.reference is None:
             return None
         return max(abs(self.slope_left - self.reference), abs(self.slope_right - self.reference))
-
-    def rows(self):
-        lo, hi = self.window
-        ref = self.reference
-        out = []
-        for side, slope, res in (
-            ("left", self.slope_left, self.residual_left),
-            ("right", self.slope_right, self.residual_right),
-        ):
-            dev = None if ref is None else slope - ref
-            out.append(
-                {
-                    "side": side,
-                    "d_lo": lo,
-                    "d_hi": hi,
-                    "slope": slope,
-                    "reference": ref,
-                    "deviation": dev,
-                    "residual": res,
-                }
-            )
-        return out
 
 
 def _side_fit(dvals, uvals):
@@ -234,15 +212,9 @@ class ComparisonReport:
         return self.max_sub_violation <= self.tol and self.max_super_violation <= self.tol
 
 
-def _nodal(v) -> np.ndarray:
-    if isinstance(v, GridFunction):
-        return v.values
-    return np.asarray(v, dtype=float)
-
-
 def comparison_check(u_sub, u, u_super, tol: float = 1e-3) -> ComparisonReport:
     """Max positive parts of (u_sub - u) and (u - u_super) over the nodes."""
-    a, b, c = _nodal(u_sub), _nodal(u), _nodal(u_super)
+    a, b, c = (np.asarray(v, dtype=float) for v in (u_sub, u, u_super))
     if not (a.shape == b.shape == c.shape):
         raise ShapeMismatch(f"shapes {a.shape}, {b.shape}, {c.shape} differ")
     sub_viol = float(np.maximum(a - b, 0.0).max())
@@ -403,7 +375,7 @@ def inequality_props(
     op = assemble_operator(grid, params.s, params.p)
     res = solve_approximated(params, grid, eps, tol=1e-11, op=op)
     u = res.u.values
-    weights = weight_values(params, WeightSpec("eps", params.delta, eps=eps), grid.distance())
+    weights = weight_values(params, grid.distance(), eps)
     reaction = SingularEnergy(gamma=params.gamma, eps=eps, kvals=weights, masses=op.m)
     g = weights * reaction.h_eps(u)
 

@@ -1,5 +1,9 @@
-"""Barrier profiles, singular weights, and the numerical verification of the power-barrier and boundary-barrier estimates
-on the interval domain."""
+"""Barrier profiles, the singular weight, and the numerical verification of
+the power-barrier and boundary-barrier estimates on the interval domain.
+
+weight_values computes the weight K = d**(-delta), or with eps given its
+regularization of the approximated problems, taking delta from the
+ProblemParams."""
 
 from __future__ import annotations
 
@@ -31,7 +35,6 @@ from .kernel import check_alpha, eval_fplap_pv, phi_constant, power_beta
 
 __all__ = [
     "BarrierSpec",
-    "WeightSpec",
     "barrier_profile",
     "VerificationRecord",
     "verify_power_estimate",
@@ -98,44 +101,22 @@ def barrier_profile(spec: BarrierSpec, grid: Grid, kind: str) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Weight variant: 'exact' K = d**(-delta) or 'eps' the regularization
-    (d + eps**((gamma+p-1)/(sp-delta)))**(-delta)."""
-
-    kind: str
-    delta: float
-    eps: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "eps"):
-            raise SpecInvalid(f"unknown weight kind {self.kind!r}")
-        if self.delta < 0.0:
-            raise SpecInvalid(f"delta must be nonnegative, got {self.delta}")
-        if self.kind == "eps" and (self.eps is None or self.eps <= 0.0):
-            raise SpecInvalid("eps variant needs eps > 0")
-
-
-def weight_shift(params: ProblemParams, spec: WeightSpec) -> float:
-    """Regularization length added to d by the chosen variant."""
-    delta, sp = spec.delta, params.sp
-    if spec.kind == "exact":
-        return 0.0
-    if delta >= sp:
-        raise RegimeError(
-            f"regularized weights need delta < s*p, got delta={delta}, sp={sp}"
-        )
-    expo = (params.gamma + params.p - 1.0) / (sp - delta)
-    return float(spec.eps**expo)
-
-
-def weight_values(params: ProblemParams, spec: WeightSpec, d) -> np.ndarray:
-    """Canonical weight evaluated at distances d (delta = 0 degenerates to 1)."""
-    sigma = weight_shift(params, spec)
+def weight_values(params: ProblemParams, d, eps: float | None = None) -> np.ndarray:
+    """The singular weight at distances d: K = d**(-delta) exactly, or with
+    eps given the regularization (d + eps**((gamma+p-1)/(sp-delta)))**(-delta)
+    of the approximated problems.  delta = 0 degenerates to 1."""
+    delta, sp = params.delta, params.sp
     d = np.asarray(d, dtype=float)
-    if spec.delta == 0.0:
+    sigma = 0.0
+    if eps is not None:
+        if delta >= sp:
+            raise RegimeError(
+                f"regularized weights need delta < s*p, got delta={delta}, sp={sp}"
+            )
+        sigma = eps ** ((params.gamma + params.p - 1.0) / (sp - delta))
+    if delta == 0.0:
         return np.ones_like(d)
-    return (d + sigma) ** (-spec.delta)
+    return (d + sigma) ** (-delta)
 
 
 # ---------------------------------------------------------------------------

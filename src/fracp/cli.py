@@ -1,10 +1,15 @@
-"""Command-line orchestration: JSON config in, report.json and CSV tables out.
+"""Command-line orchestration: JSON config in, report.json, CSV tables and
+plotdata out.
 
 Subcommands: classify, oracle, barrier-check, solve, exponent-fit,
-sobolev-scan, nonexistence-scan, compare, all.  Exit code 0 when every
-enabled check passes, 2 on a check failure, 1 on usage or config errors.
-Reruns of an unchanged config byte-reproduce all CSV and plotdata artifacts
-(report.json additionally carries wall-clock timings).
+sobolev-scan, nonexistence-scan, compare, all.  Each experiment returns its
+verdict, its report record and its artifacts as data, a map from file name to
+(header, rows) for a .csv table and to (xs, ys) for a .dat series; run writes
+the artifacts whose format the config's output.formats requests, and
+report.json always.  Exit code 0 when every enabled check passes, 2 on a
+check failure, 1 on usage or config errors or an output directory that
+cannot be made.  Reruns of an unchanged config byte-reproduce all CSV and
+plotdata artifacts (report.json additionally carries wall-clock timings).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .barrier import (
     verify_boundary_barrier,
     verify_power_estimate,
 )
-from .solver import EPS0, continuation
+from .solver import continuation
 from .analysis import (
     barrier_scales,
     comparison_check,
@@ -194,6 +199,11 @@ def write_plotdata(path: Path, xs, ys) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+#: output format and writer of each artifact suffix: a .csv artifact is
+#: (header, rows), a .dat artifact (xs, ys)
+_WRITERS = {".csv": ("csv", write_csv), ".dat": ("plotdata", write_plotdata)}
+
+
 class _Run:
     """One run's config and the problem data its experiments share.
 
@@ -248,11 +258,11 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def _exp_classify(run, outdir, formats):
-    return True, dataclasses.asdict(run.regime)
+def _exp_classify(run):
+    return True, dataclasses.asdict(run.regime), {}
 
 
-def _exp_oracle(run, outdir, formats):
+def _exp_oracle(run):
     ob = run.cfg["oracle"]
     rows = []
     all_ok = True
@@ -268,12 +278,12 @@ def _exp_oracle(run, outdir, formats):
                         "phi": o.phi, "c1": o.c1, "c2": o.c2, "pass": ok,
                     }
                 )
-    if "csv" in formats:
-        write_csv(outdir / "phi_table.csv", ["alpha", "s", "p", "beta", "phi", "c1", "c2", "pass"], rows)
-    return all_ok, {"cases": len(rows), "failures": sum(not r["pass"] for r in rows)}
+    record = {"cases": len(rows), "failures": sum(not r["pass"] for r in rows)}
+    files = {"phi_table.csv": (["alpha", "s", "p", "beta", "phi", "c1", "c2", "pass"], rows)}
+    return all_ok, record, files
 
 
-def _exp_barrier_check(run, outdir, formats):
+def _exp_barrier_check(run):
     params, grid = run.params, run.grid
     spec = run.barrier_spec(0.05)
     rec1 = verify_power_estimate(spec.alpha, params.s, params.p, spec.lam, n=max(grid.n, 512))
@@ -283,44 +293,42 @@ def _exp_barrier_check(run, outdir, formats):
         for key, val in rec.details.items():
             if isinstance(val, (int, float, bool, np.floating, np.integer, np.bool_)):
                 rows.append({"check": rec.name, "quantity": key, "value": val, "passed": rec.passed})
-    if "csv" in formats:
-        write_csv(outdir / "barrier_check.csv", ["check", "quantity", "value", "passed"], rows)
     ok = rec1.passed and rec2.passed
-    return ok, {"power_estimate": rec1.to_dict(), "boundary_barrier": rec2.to_dict()}
+    record = {"power_estimate": rec1.to_dict(), "boundary_barrier": rec2.to_dict()}
+    return ok, record, {"barrier_check.csv": (["check", "quantity", "value", "passed"], rows)}
 
 
-def _exp_solve(run, outdir, formats):
+def _exp_solve(run):
     grid = run.grid
     results, u_min, incs = run.solution
     last = results[-1]
     converged = run.converged(incs[-1:])
     ok = last.positivity_ok and converged
-    if "csv" in formats:
-        rows = [{"x": x, "u": u} for x, u in zip(grid.nodes, u_min.values)]
-        write_csv(outdir / "solution.csv", ["x", "u"], rows)
-    if "plotdata" in formats:
-        write_plotdata(outdir / "solution_profile.dat", grid.nodes, u_min.values)
-        if incs:
-            write_plotdata(outdir / "increments.dat", range(1, len(incs) + 1), incs)
-    return ok, {
+    record = {
         "solves": len(results),
-        "final_eps": EPS0 * 2.0 ** -(len(results) - 1),
+        "final_eps": last.eps,
         "increments": [float(i) for i in incs],
         "continuation_converged": converged,
         "positivity_margin": last.positivity_margin,
         "iterations_total": int(sum(r.iterations for r in results)),
         "stages": [
             {
-                "eps": EPS0 * 2.0**-k,
+                "eps": r.eps,
                 "newton_steps": r.iterations,
                 "factorizations": r.factorizations,
                 "cg_steps": r.cg_steps,
                 "residual": r.residual,
                 "seconds": r.seconds,
             }
-            for k, r in enumerate(results)
+            for r in results
         ],
     }
+    files = {
+        "solution.csv": (["x", "u"], [{"x": x, "u": u} for x, u in zip(grid.nodes, u_min.values)]),
+        "solution_profile.dat": (grid.nodes, u_min.values),
+        "increments.dat": (range(1, len(incs) + 1), incs),
+    }
+    return ok, record, files
 
 
 def _fit_band(report, s):
@@ -331,32 +339,42 @@ def _fit_band(report, s):
     return (report.alpha_star - 0.05, report.alpha_star + 0.05)
 
 
-def _exp_exponent_fit(run, outdir, formats):
+def _exp_exponent_fit(run):
     grid = run.grid
     _, u_min, _ = run.solution
     fit = fit_boundary_exponent(u_min, params=run.params)
     lo, hi = _fit_band(run.regime, run.params.s)
     ok = lo <= fit.slope_left <= hi and lo <= fit.slope_right <= hi
-    if "csv" in formats:
-        write_csv(
-            outdir / "exponent_fit.csv",
-            ["side", "d_lo", "d_hi", "slope", "reference", "deviation", "residual"],
-            fit.rows(),
+    lo_d, hi_d = fit.window
+    ref = fit.reference
+    rows = [
+        {
+            "side": side, "d_lo": lo_d, "d_hi": hi_d, "slope": slope, "reference": ref,
+            "deviation": None if ref is None else slope - ref, "residual": res,
+        }
+        for side, slope, res in (
+            ("left", fit.slope_left, fit.residual_left),
+            ("right", fit.slope_right, fit.residual_right),
         )
-    if "plotdata" in formats:
-        lo_d, hi_d = fit.window
-        mask = (grid.nodes - grid.a >= lo_d) & (grid.nodes - grid.a <= hi_d)
-        write_plotdata(outdir / "boundary_left.dat", grid.nodes[mask] - grid.a, u_min.values[mask])
-    return ok, {
+    ]
+    mask = (grid.nodes - grid.a >= lo_d) & (grid.nodes - grid.a <= hi_d)
+    record = {
         "slope_left": fit.slope_left,
         "slope_right": fit.slope_right,
-        "reference": fit.reference,
+        "reference": ref,
         "band": [lo, hi],
         "window": list(fit.window),
     }
+    files = {
+        "exponent_fit.csv": (
+            ["side", "d_lo", "d_hi", "slope", "reference", "deviation", "residual"], rows
+        ),
+        "boundary_left.dat": (grid.nodes[mask] - grid.a, u_min.values[mask]),
+    }
+    return ok, record, files
 
 
-def _exp_sobolev_scan(run, outdir, formats):
+def _exp_sobolev_scan(run):
     ab, sb, gb = run.cfg["analysis"], run.cfg["solver"], run.cfg["grid"]
     grading = None if gb["grading"] == "auto" else float(gb["grading"])
     # the run's grid is the scan's mesh of the same n: reuse its operator
@@ -382,21 +400,7 @@ def _exp_sobolev_scan(run, outdir, formats):
         }
         for r in table.rows
     ]
-    if "csv" in formats:
-        write_csv(
-            outdir / "sobolev_scan.csv",
-            ["theta", "n", "energy", "slope", "classification", "lambda_ref"],
-            rows,
-        )
-    if "plotdata" in formats:
-        for theta in table.classes:
-            pts = [(r["n"], r["energy"]) for r in table.rows if r["theta"] == theta]
-            write_plotdata(
-                outdir / f"sobolev_theta_{_fmt(theta)}.dat",
-                [n for n, _ in pts],
-                [e for _, e in pts],
-            )
-    return ok, {
+    record = {
         "lambda_cap": table.lambda_cap,
         "slopes": {str(k): v for k, v in table.slopes.items()},
         "classes": {str(k): v for k, v in table.classes.items()},
@@ -404,9 +408,18 @@ def _exp_sobolev_scan(run, outdir, formats):
         "last_increments": {str(k): v for k, v in table.increments.items()},
         "continuation_converged": converged,
     }
+    files = {
+        "sobolev_scan.csv": (
+            ["theta", "n", "energy", "slope", "classification", "lambda_ref"], rows
+        ),
+    }
+    for theta in table.classes:
+        pts = [(r["n"], r["energy"]) for r in table.rows if r["theta"] == theta]
+        files[f"sobolev_theta_{_fmt(theta)}.dat"] = ([n for n, _ in pts], [e for _, e in pts])
+    return ok, record, files
 
 
-def _exp_nonexistence(run, outdir, formats):
+def _exp_nonexistence(run):
     ab, sb = run.cfg["analysis"], run.cfg["solver"]
     table = nonexistence_scan(
         run.params,
@@ -419,36 +432,28 @@ def _exp_nonexistence(run, outdir, formats):
     decreasing = table.exponents_decreasing()
     converged = run.converged([r["last_increment"] for r in table.rows])
     ok = decreasing and converged
-    if "csv" in formats:
-        write_csv(
-            outdir / "nonexistence_scan.csv",
-            ["delta", "alpha_star", "fitted_exponent", "hardy_quotient"],
-            table.rows,
-        )
-    if "plotdata" in formats:
-        write_plotdata(
-            outdir / "nonexistence_exponent.dat",
-            [r["delta"] for r in table.rows],
-            [r["fitted_exponent"] for r in table.rows],
-        )
-        write_plotdata(
-            outdir / "nonexistence_hardy.dat",
-            [r["delta"] for r in table.rows],
-            [r["hardy_quotient"] for r in table.rows],
-        )
-    return ok, {
+    record = {
         "rows": table.rows,
         "exponents_decreasing": decreasing,
         "continuation_converged": converged,
     }
+    deltas = [r["delta"] for r in table.rows]
+    files = {
+        "nonexistence_scan.csv": (
+            ["delta", "alpha_star", "fitted_exponent", "hardy_quotient"], table.rows
+        ),
+        "nonexistence_exponent.dat": (deltas, [r["fitted_exponent"] for r in table.rows]),
+        "nonexistence_hardy.dat": (deltas, [r["hardy_quotient"] for r in table.rows]),
+    }
+    return ok, record, files
 
 
-def _exp_compare(run, outdir, formats):
+def _exp_compare(run):
     params, grid = run.params, run.grid
     results, u_min, _ = run.solution
     # matched scales: with alpha = alpha_star the barrier shift equals the
     # weight regularization length, so lambda = eps is the aligned choice
-    spec = run.barrier_spec(EPS0 * 2.0 ** -(len(results) - 1))
+    spec = run.barrier_spec(results[-1].eps)
     rec = verify_boundary_barrier(params, spec, grid, _ETA)
     c_sub, c_super = barrier_scales(
         u_min, params, spec.alpha, _ETA, rec.details["c5_hat"], rec.details["c6_hat"]
@@ -469,13 +474,7 @@ def _exp_compare(run, outdir, formats):
             "passed": cmp_strip.passed,
         }
     ]
-    if "csv" in formats:
-        write_csv(
-            outdir / "compare.csv",
-            ["region", "max_sub_violation", "max_super_violation", "c_sub", "c_super", "passed"],
-            rows,
-        )
-    return ok, {
+    record = {
         "lambda": spec.lam,
         "alpha": spec.alpha,
         "eta": _ETA,
@@ -485,6 +484,13 @@ def _exp_compare(run, outdir, formats):
         "max_super_violation": cmp_strip.max_super_violation,
         "barrier_record": rec.to_dict(),
     }
+    files = {
+        "compare.csv": (
+            ["region", "max_sub_violation", "max_super_violation", "c_sub", "c_super", "passed"],
+            rows,
+        ),
+    }
+    return ok, record, files
 
 
 EXPERIMENTS = {
@@ -513,7 +519,11 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int
         return 1
     outdir = Path(out_dir if out_dir is not None else cfg["output"]["directory"])
     formats = set(cfg["output"]["formats"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {outdir}: {exc}", file=sys.stderr)
+        return 1
 
     shared = _Run(cfg)
     names = list(EXPERIMENTS) if subcommand == "all" else [subcommand]
@@ -524,9 +534,13 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int
         t0 = time.time()
         entry = {"id": name}
         try:
-            ok, record = EXPERIMENTS[name](shared, outdir, formats)
+            ok, record, files = EXPERIMENTS[name](shared)
             entry["passed"] = bool(ok)
             entry["record"] = record
+            for fname, data in files.items():
+                fmt, write = _WRITERS[Path(fname).suffix]
+                if fmt in formats:
+                    write(outdir / fname, *data)
         except FracpError as exc:
             entry["passed"] = False
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -579,8 +593,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        return 1
+    except SystemExit as exc:
+        # 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 1
     return run(args.subcommand, args.config, args.out, args.seed)
 
 

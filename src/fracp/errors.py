@@ -14,7 +14,8 @@ class OutOfRange(FracpError, ValueError):
 
 
 class BadGrading(OutOfRange):
-    """Mesh grading exponent below 1, or a mesh that is not mirror-symmetric."""
+    """Mesh grading exponent outside [1, MAX_GRADING], or a mesh that is not
+    mirror-symmetric."""
 
 
 class AlphaOutOfRange(OutOfRange):

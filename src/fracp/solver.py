@@ -63,7 +63,7 @@ from .errors import (
     RegimeError,
     ShapeMismatch,
 )
-from .barrier import WeightSpec, weight_values
+from .barrier import weight_values
 from .kernel import DiscreteOperator, assemble_operator, eval_fplap_pv
 
 __all__ = [
@@ -146,9 +146,12 @@ class SolveResult:
     relative to the objective value f, at most the solve's tol.  At p != 2
     that factor is of the Hessian at the previous iterate; at p = 2 it is the
     kept factor, which may be stale and is single precision, so there lambda
-    is approximate.  positivity_margin = min(u)."""
+    is approximate.  positivity_margin = min(u).  eps is the regularization
+    of the reaction solved: 1.0 for a fixed right-hand side, whose reaction
+    does not depend on it."""
 
     u: GridFunction
+    eps: float
     iterations: int
     residual: float
     positivity_margin: float
@@ -370,7 +373,7 @@ def _minimize(op: DiscreteOperator, reaction: SingularEnergy, v0, tol, factor) -
     margin = float(v.min())
     u = GridFunction(op.grid, v, Zero())
     seconds = time.perf_counter() - t0
-    return SolveResult(u, iters, res, margin, margin >= -1e-12, nfac, ncg, seconds)
+    return SolveResult(u, reaction.eps, iters, res, margin, margin >= -1e-12, nfac, ncg, seconds)
 
 
 def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
@@ -383,7 +386,7 @@ def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
         raise OutOfRange("fixed right-hand side must be nonnegative")
     if not np.any(f > 0.0):
         u = GridFunction(op.grid, np.zeros(op.n), Zero())
-        return SolveResult(u, 0, 0.0, 0.0)
+        return SolveResult(u, 1.0, 0, 0.0, 0.0)
     reaction = SingularEnergy(gamma=0.0, eps=1.0, kvals=f, masses=op.m)
     return _minimize(op, reaction, None, tol, None)
 
@@ -411,7 +414,7 @@ def solve_approximated(
         )
     if op is None:
         op = assemble_operator(grid, params.s, params.p)
-    weights = weight_values(params, WeightSpec("eps", params.delta, eps=eps), grid.distance())
+    weights = weight_values(params, grid.distance(), eps)
     reaction = SingularEnergy(gamma=params.gamma, eps=eps, kvals=weights, masses=op.m)
     return _minimize(op, reaction, v0, tol, factor)
 
@@ -424,10 +427,8 @@ def continuation(
     tol: float = 1e-4,
     op: DiscreteOperator | None = None,
 ):
-    """Warm-started solves for eps_k = eps0 * 2**-k.
-
-    eps0 is EPS0 in every fracp experiment and scan, which leave it at its
-    default and report stage k's eps as EPS0 * 2**-k.
+    """Warm-started solves for eps_k = eps0 * 2**-k; each result records
+    its stage's eps.
 
     Stage 0 starts from zeros, stage 1 from v_0 and stage k >= 2 from the
     secant prediction v_{k-1} + (v_{k-1} - v_{k-2}) / 2 along the eps-path.
@@ -480,17 +481,16 @@ class ResidualReport:
 def residual_check(
     u: GridFunction,
     params: ProblemParams,
-    weight: WeightSpec | None = None,
     min_distance: float = 0.0,
 ) -> ResidualReport:
-    """Strong-form spot check: PV value of u against K(x)/u(x)**gamma.
+    """Strong-form spot check: PV value of u against K(x)/u(x)**gamma, with
+    the exact weight K = d**(-delta).
 
     Probes are interior nodes with d > 4 local cell widths (and d >
     min_distance when given), at most _MAX_PROBES of them spread evenly.
     gamma > 0 requires u > 0 on probes.
     """
     grid = u.grid
-    weight = weight or WeightSpec("exact", params.delta)
     d = grid.distance()
     idx = grid.probe_indices(4.0, _MAX_PROBES, above=min_distance)
     if not len(idx):
@@ -498,7 +498,7 @@ def residual_check(
     uvals = u.values[idx]
     if params.gamma > 0.0 and np.any(uvals <= 0.0):
         raise NonPositiveValues("gamma > 0 requires u > 0 at the probe nodes")
-    kvals = weight_values(params, weight, d[idx])
+    kvals = weight_values(params, d[idx])
     rhs = kvals if params.gamma == 0.0 else kvals / uvals**params.gamma
     rel = np.empty(len(idx))
     for j, i in enumerate(idx):

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from fracp import (
     BarrierSpec,
-    WeightSpec,
     barrier_profile,
     build_grid,
     make_params,
@@ -87,35 +86,35 @@ class TestBarrierProfile:
 class TestSingularWeight:
     def test_exact_value(self):
         pars = make_params(0.5, 2.0, 1.0, 0.5)
-        assert weight_values(pars, WeightSpec("exact", 0.5), 0.25) == pytest.approx(2.0)
+        assert weight_values(pars, 0.25) == pytest.approx(2.0)
 
     def test_eps_regularized_displayed_formula(self):
         pars = make_params(0.5, 2.0, 1.0, 0.5)
         # eps ** ((gamma + p - 1)/(sp - delta)) = eps**4 = 0.25
         eps = 0.25**0.25
-        val = weight_values(pars, WeightSpec("eps", 0.5, eps=eps), 0.25)
+        val = weight_values(pars, 0.25, eps)
         assert val == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_eps_monotone_as_eps_decreases(self, grid):
         pars = make_params(0.5, 2.0, 1.0, 0.5)
         prev = None
         for eps in (0.5, 0.25, 0.125, 0.0625):
-            vals = weight_values(pars, WeightSpec("eps", 0.5, eps=eps), grid.distance())
+            vals = weight_values(pars, grid.distance(), eps)
             if prev is not None:
                 assert np.all(vals >= prev - 1e-15)
             prev = vals
-        exact = weight_values(pars, WeightSpec("exact", 0.5), grid.distance())
+        exact = weight_values(pars, grid.distance())
         assert np.all(prev <= exact + 1e-15)
 
     def test_delta_zero_degenerates_to_one(self, grid):
         pars = make_params(0.5, 2.0, 1.0, 0.0)
-        vals = weight_values(pars, WeightSpec("eps", 0.0, eps=0.1), grid.distance())
+        vals = weight_values(pars, grid.distance(), 0.1)
         assert np.all(vals == 1.0)
 
     def test_regime_error(self, grid):
         pars = make_params(0.5, 2.0, 1.0, 1.5)
         with pytest.raises(RegimeError):
-            weight_values(pars, WeightSpec("eps", 1.5, eps=0.1), grid.distance())
+            weight_values(pars, grid.distance(), 0.1)
 
 
 class TestVerifyPowerEstimate:

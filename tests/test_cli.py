@@ -21,6 +21,14 @@ QUICK = {
     "output": {"formats": ["csv", "plotdata"]},
 }
 
+#: the artifacts `all` writes on QUICK with both formats
+ARTIFACTS = {
+    "phi_table.csv", "barrier_check.csv", "solution.csv", "solution_profile.dat",
+    "increments.dat", "exponent_fit.csv", "boundary_left.dat", "sobolev_scan.csv",
+    "sobolev_theta_1.dat", "nonexistence_scan.csv", "nonexistence_exponent.dat",
+    "nonexistence_hardy.dat", "compare.csv",
+}
+
 
 def write_cfg(tmp_path, payload) -> str:
     path = tmp_path / "cfg.json"
@@ -120,6 +128,16 @@ class TestConfig:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    def test_output_path_is_a_file_exit_1(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        # through --out, and through output.directory
+        assert main(["classify", "--config", write_cfg(tmp_path, {}), "--out", str(taken)]) == 1
+        assert run("classify", write_cfg(tmp_path, {"output": {"directory": str(taken)}})) == 1
+        for err in capsys.readouterr().err.splitlines():
+            assert err.startswith("error: cannot create output directory")
+        assert taken.read_text(encoding="utf-8") == ""
+
     def test_integral_float_count_accepted(self, tmp_path):
         assert load_config(write_cfg(tmp_path, {"grid": {"n": 64.0}}))["grid"]["n"] == 64.0
 
@@ -203,6 +221,19 @@ class TestSubcommands:
             if f1.suffix in (".csv", ".dat"):
                 f2 = out2 / f1.name
                 assert f2.read_bytes() == f1.read_bytes(), f1.name
+
+    @pytest.mark.parametrize(
+        "formats, suffixes",
+        [(["csv"], {".csv"}), (["plotdata"], {".dat"}), (["csv", "plotdata"], {".csv", ".dat"})],
+    )
+    def test_formats_select_artifacts(self, tmp_path, formats, suffixes):
+        payload = dict(QUICK)
+        payload["output"] = {"formats": formats}
+        out = tmp_path / "out"
+        assert run("all", write_cfg(tmp_path, payload), str(out)) == 0
+        names = {f.name for f in out.iterdir()}
+        expected = {name for name in ARTIFACTS if Path(name).suffix in suffixes}
+        assert names == expected | {"report.json"}
 
     def test_all_runs_one_continuation(self, tmp_path, monkeypatch):
         # solve, exponent-fit and compare share the continuation of one run
@@ -322,6 +353,10 @@ class TestSubcommands:
 class TestMain:
     def test_usage_error_exit_1(self):
         assert main(["bogus-subcommand", "--config", "x.json"]) == 1
+
+    def test_help_exit_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: fracp")
 
     def test_main_runs_classify(self, tmp_path):
         cfg = write_cfg(tmp_path, {"params": {"s": 0.5, "p": 2.0, "gamma": 0.0, "delta": 0.0}})

@@ -6,7 +6,6 @@ from scipy.linalg import LinAlgError
 
 from fracp import (
     GridFunction,
-    WeightSpec,
     assemble_operator,
     build_grid,
     continuation,
@@ -33,6 +32,7 @@ class TestSolveFixedRhs:
         res = solve_fixed_rhs(op, np.zeros(32))
         assert np.all(res.u.values == 0.0)
         assert res.iterations == 0
+        assert res.eps == 1.0
 
     def test_homogeneity_p3(self):
         op = assemble_operator(build_grid(0, 1, 24, 1), 0.5, 3.0)
@@ -45,6 +45,8 @@ class TestSolveFixedRhs:
         _, _, res = torsion_64
         assert res.positivity_margin >= -1e-12
         assert res.positivity_ok
+        # a fixed right-hand side does not depend on eps
+        assert res.eps == 1.0
 
     def test_negative_rhs_rejected(self):
         op = assemble_operator(build_grid(0, 1, 16, 1), 0.5, 2.0)
@@ -219,6 +221,8 @@ class TestContinuation:
         results, u_min, incs = continuation(
             singular_preset, grid, eps0=0.5, halvings=9, tol=1e-9
         )
+        # stage k solved at eps = eps0 * 2**-k
+        assert [r.eps for r in results] == [0.5 * 2.0**-k for k in range(len(results))]
         # monotone increase up to solver tolerance
         for a, b in zip(results, results[1:]):
             assert np.min(b.u.values - a.u.values) >= -1e-8
@@ -252,7 +256,7 @@ class TestContinuation:
         op = assemble_operator(grid, 0.5, 1.2)
         results, u_min, _ = continuation(pars, grid, eps0=0.5, halvings=10, op=op)
         eps = 0.5 * 2.0 ** -(len(results) - 1)
-        kvals = weight_values(pars, WeightSpec("eps", 0.2, eps=eps), grid.distance())
+        kvals = weight_values(pars, grid.distance(), eps)
         reaction = SingularEnergy(gamma=pars.gamma, eps=eps, kvals=kvals, masses=op.m)
         smoothed = dataclasses.replace(op, mu=solver.MU_FLOOR)
         v = u_min.values
@@ -308,7 +312,7 @@ def _reference_newton(op, reaction, v, tol):
 def _stage_reaction(params, grid, op, k):
     """The reaction of stage k of a continuation from eps0 = 1/2."""
     eps = 0.5 * 2.0**-k
-    kvals = weight_values(params, WeightSpec("eps", params.delta, eps=eps), grid.distance())
+    kvals = weight_values(params, grid.distance(), eps)
     return SingularEnergy(gamma=params.gamma, eps=eps, kvals=kvals, masses=op.m)
 
 
@@ -478,7 +482,7 @@ class TestResidualCheck:
     def test_torsion_self_consistency(self, torsion_64):
         grid, op, res = torsion_64
         pars = make_params(0.5, 2.0, 0.0, 0.0)
-        rep = residual_check(res.u, pars, WeightSpec("exact", 0.0), min_distance=0.1)
+        rep = residual_check(res.u, pars, min_distance=0.1)
         assert rep.max_relative < 0.05
 
     def test_refinement_improves(self):
