@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Layer timings: operator assembly, operator apply and energy,
-principal-value probes and two continuations.
+"""Layer timings: operator assembly, operator apply and energy, a torsion
+solve, principal-value probes and three continuations.
 
 Times `assemble_operator` (s = 1/2, graded mesh of [0, 1] with grading 2) at
 each n and p, three times each, and prints next to each time the mirror
@@ -8,17 +8,19 @@ defect of the operator's w, b and m: the largest |a - a mirrored| / a over
 the positive entries, with w mirrored as w[n-1-i, n-1-j];
 `DiscreteOperator.apply` and `energy` of those operators at n = 1024 and
 2048 for each p, on the profile (x (1 - x))**(1/2), three repeats of ten
-calls each, in milliseconds per call; one `eval_fplap_pv` probe at x = 0.37,
-three times each, for s = 1/2, p = 2 on the n = 2048 mesh of grading 2, one per
+calls each, in milliseconds per call; on the n = 2048 mesh of grading 2,
+for s = 1/2 and p = 2, the torsion solve `solve_fixed_rhs` with f = 1, three
+times, and one `eval_fplap_pv` probe at x = 0.37, three times each, one per
 exterior kind: the torsion function (zero exterior) and the Super and U
-barriers (alpha = 1/4, lambda = 1/10); and two continuations (s = 1/2, gamma = 1,
-delta = 1/2, eps0 = 1/2, tol = 1e-4, default grading), each with the minor
-page faults and user and system time that `getrusage` counts over it and the
-Cholesky factorizations and CG steps its solves made:
+barriers (alpha = 1/4, lambda = 1/10); and three continuations (s = 1/2,
+gamma = 1, delta = 1/2, eps0 = 1/2, tol = 1e-4, default grading), each with
+the minor page faults and user and system time that `getrusage` counts over
+it and the Cholesky factorizations and CG steps its solves made:
 - p = 3, n = 512, 12 halvings: the continuation of the benchmark's fine_mesh
   workload;
 - p = 2, n = 1024, 20 halvings: the case-2 continuation of
-  `configs/boundary_case2.json`.
+  `configs/boundary_case2.json`;
+- p = 1.5, n = 1024, 18 halvings: the p < 2 solver, the slow path.
 Prints one JSON object.  One BLAS thread gives the steadiest numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_assembly.py
@@ -93,10 +95,16 @@ def time_apply_energy():
     return rows
 
 
-def time_pv_probes():
+def time_torsion_and_pv_probes():
     grid = build_grid(0.0, 1.0, 2048, 2.0)
     spec = BarrierSpec(alpha=0.25, lam=0.1, rho=1.0, s=0.5, p=2.0)
-    torsion = solve_fixed_rhs(assemble_operator(grid, 0.5, 2.0), np.ones(grid.n)).u
+    op = assemble_operator(grid, 0.5, 2.0)
+    runs = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        torsion = solve_fixed_rhs(op, np.ones(grid.n)).u
+        runs.append(time.perf_counter() - t0)
+    solve = {"runs_s": [round(t, 4) for t in runs], "median_s": round(statistics.median(runs), 4)}
     rows = []
     for kind, u in (("Zero", torsion),
                     ("Super", barrier_profile(spec, grid, "Super")),
@@ -108,7 +116,7 @@ def time_pv_probes():
             runs.append(time.perf_counter() - t0)
         rows.append({"exterior": kind, "runs_ms": [round(1e3 * t, 3) for t in runs],
                      "median_ms": round(1e3 * statistics.median(runs), 3)})
-    return rows
+    return solve, rows
 
 
 def time_continuation(p, n, halvings):
@@ -133,10 +141,14 @@ def main():
     # p = 3 one are its own
     p3 = time_continuation(3.0, 512, 12)
     p2 = time_continuation(2.0, 1024, 20)
+    p15 = time_continuation(1.5, 1024, 18)
+    torsion, pv = time_torsion_and_pv_probes()
     print(json.dumps({"p3_continuation_n512": p3,
                       "p2_case2_continuation_n1024": p2,
+                      "p15_continuation_n1024": p15,
                       "apply_energy": time_apply_energy(),
-                      "pv_probe_n2048": time_pv_probes(),
+                      "torsion_solve_n2048": torsion,
+                      "pv_probe_n2048": pv,
                       "assemble_operator": time_assembly()}))
 
 

@@ -2,22 +2,131 @@
 """Run `fracp all` once on each shipped preset config and summarize the
 verdicts; exits with the worst exit code.
 
-Usage: python3 scripts/run_presets.py [--quick]
+With --against DIR, each artifact written (every file in each preset's
+output directory) is then compared with the file of the same relative path
+under DIR, where another checkout ran this script, and one line per artifact
+gives the largest relative difference between their numbers, with where it
+is, or "identical" for equal bytes.  Text that is not a number must match.
+In report.json the timings (wall_time_s, seconds, total_s) are skipped.
+
+Usage: python3 scripts/run_presets.py [--quick] [--against DIR]
 """
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
 from fracp.cli import run
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+#: report.json keys that hold wall-clock seconds
+TIMINGS = {"wall_time_s", "seconds", "total_s"}
+
+
+class Mismatch(Exception):
+    """The two artifacts differ in more than their numbers."""
+
+
+def _rel(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _number(token):
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _walk(a, b, where, out):
+    """Append (relative difference, path) for every number of two JSON
+    values of the same shape."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise Mismatch(f"keys differ at {where or '/'}")
+        for k in a:
+            if k not in TIMINGS:
+                _walk(a[k], b[k], f"{where}/{k}", out)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise Mismatch(f"lengths differ at {where}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            _walk(x, y, f"{where}[{i}]", out)
+    elif isinstance(a, (int, float)) and isinstance(b, (int, float)) and \
+            not isinstance(a, bool) and not isinstance(b, bool):
+        out.append((_rel(float(a), float(b)), where))
+    elif a != b:
+        raise Mismatch(f"{where}: {a!r} != {b!r}")
+
+
+def _table(text, name):
+    """(row label, column label, token) of a .csv (header row) or .dat
+    (whitespace columns) artifact."""
+    lines = text.splitlines()
+    if name.endswith(".csv"):
+        header = lines[0].split(",")
+        return [(i + 1, header[j] if j < len(header) else j, tok)
+                for i, line in enumerate(lines[1:]) for j, tok in enumerate(line.split(","))]
+    return [(i + 1, j, tok) for i, line in enumerate(lines)
+            for j, tok in enumerate(re.split(r"\s+", line.strip()))]
+
+
+def largest_difference(mine: Path, theirs: Path):
+    """None for equal bytes, else (largest relative difference, where)."""
+    a, b = mine.read_bytes(), theirs.read_bytes()
+    if a == b:
+        return None
+    diffs = []
+    if mine.suffix == ".json":
+        _walk(json.loads(a), json.loads(b), "", diffs)
+    else:
+        ta, tb = _table(a.decode(), mine.name), _table(b.decode(), mine.name)
+        if len(ta) != len(tb):
+            raise Mismatch(f"{len(ta)} against {len(tb)} entries")
+        for (row, col, x), (_, _, y) in zip(ta, tb):
+            fx, fy = _number(x), _number(y)
+            if fx is None or fy is None:
+                if x != y:
+                    raise Mismatch(f"row {row}, {col}: {x!r} != {y!r}")
+                continue
+            diffs.append((_rel(fx, fy), f"row {row}, {col}"))
+    return max(diffs, default=(0.0, "no numbers"))
+
+
+def compare(out_dir: Path, against: Path) -> int:
+    """Print one line per artifact of out_dir against its copy under
+    against; returns the number of artifacts missing there or differing in
+    more than their numbers."""
+    bad = 0
+    for mine in sorted(p for p in out_dir.iterdir() if p.is_file()):
+        theirs = against / mine
+        label = f"  {mine}"
+        if not theirs.is_file():
+            print(f"{label}: missing under {against}")
+            bad += 1
+            continue
+        try:
+            found = largest_difference(mine, theirs)
+        except Mismatch as exc:
+            print(f"{label}: differs beyond its numbers: {exc}")
+            bad += 1
+            continue
+        if found is None:
+            print(f"{label}: identical")
+        else:
+            print(f"{label}: largest relative difference {found[0]:.2e} ({found[1]})")
+    return bad
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="only the quick config")
+    ap.add_argument("--against", type=Path, default=None, metavar="DIR",
+                    help="compare every artifact with the same path under DIR")
     args = ap.parse_args()
 
     presets = [CONFIGS / "quick.json"] if args.quick else sorted(CONFIGS.glob("*.json"))
@@ -27,6 +136,8 @@ def main():
         out_dir = json.loads(cfg_path.read_text())["output"]["directory"]
         print(f"{cfg_path.name:24s} -> exit {code} (artifacts in {out_dir})")
         worst = max(worst, code)
+        if args.against is not None and compare(Path(out_dir), args.against):
+            worst = max(worst, 1)
     return worst
 
 

@@ -7,9 +7,10 @@ verdict, its report record and its artifacts as data, a map from file name to
 (header, rows) for a .csv table and to (xs, ys) for a .dat series; run writes
 the artifacts whose format the config's output.formats requests, and
 report.json always.  Exit code 0 when every enabled check passes, 2 on a
-check failure, 1 on usage or config errors or an output directory that
-cannot be made.  Reruns of an unchanged config byte-reproduce all CSV and
-plotdata artifacts (report.json additionally carries wall-clock timings).
+check failure, 1 on usage or config errors or an output directory or file
+that cannot be written.  Reruns of an unchanged config byte-reproduce all
+CSV and plotdata artifacts (report.json additionally carries wall-clock
+timings).
 """
 
 from __future__ import annotations
@@ -197,6 +198,24 @@ def write_csv(path: Path, header, rows) -> None:
 def write_plotdata(path: Path, xs, ys) -> None:
     lines = [f"{_fmt(float(x))} {_fmt(float(y))}" for x, y in zip(xs, ys)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_report(path: Path, report) -> None:
+    path.write_text(
+        json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n",
+        encoding="utf-8",
+    )
+
+
+def _written(path: Path, write, *data) -> bool:
+    """write(path, *data); on an OSError print one error line naming path
+    and return False."""
+    try:
+        write(path, *data)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 #: output format and writer of each artifact suffix: a .csv artifact is
@@ -539,8 +558,8 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int
             entry["record"] = record
             for fname, data in files.items():
                 fmt, write = _WRITERS[Path(fname).suffix]
-                if fmt in formats:
-                    write(outdir / fname, *data)
+                if fmt in formats and not _written(outdir / fname, write, *data):
+                    return 1
         except FracpError as exc:
             entry["passed"] = False
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -563,10 +582,8 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int
         "overall_passed": bool(overall),
         "timings": {"total_s": time.time() - t_start},
     }
-    (outdir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n",
-        encoding="utf-8",
-    )
+    if not _written(outdir / "report.json", write_report, report):
+        return 1
     return 0 if overall else 2
 
 

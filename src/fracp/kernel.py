@@ -17,7 +17,11 @@ Conventions fixed here and recorded in every report:
     and at p = 2 the operator reads one triangle of it (BLAS dsymv);
   * every Grid is mirror-symmetric, so w is assembled from the left half of
     the mesh and is persymmetric, w[i, j] = w[n-1-i, n-1-j] up to rounding;
-    b and m are mirror images to the last bit.
+    b and m are mirror images to the last bit;
+  * on mirror-symmetric vectors v = P v_L, with v_L the values at the
+    h = ceil(n/2) left-half nodes and P stacking I over the reversal, the
+    energy, apply and hessian of DiscreteOperator.folded are energy(P v_L),
+    P^T apply(P v_L) and P^T hessian(P v_L) P: the same formulas on h nodes.
 """
 
 from __future__ import annotations
@@ -302,7 +306,8 @@ class DiscreteOperator:
     it 0 and the solver sets it for p < 2.
     w is bitwise symmetric; at p = 2, apply and energy read one triangle of
     it (w.T is the F-ordered view BLAS dsymv takes, lower=0 reads the lower
-    triangle of w).
+    triangle of w).  n is the number of nodes the operator acts on: grid.n,
+    or h = ceil(grid.n / 2) for the folded operator (see folded).
     """
 
     grid: Grid
@@ -315,7 +320,7 @@ class DiscreteOperator:
 
     @property
     def n(self) -> int:
-        return self.grid.n
+        return len(self.m)
 
     @property
     def _linear(self) -> bool:
@@ -326,6 +331,38 @@ class DiscreteOperator:
         # at p = 2 the operator is the matrix 2 (diag(_diag) - w); the row
         # sums of w read the same triangle as _apply_linear
         return dsymv(1.0, self.w.T, np.ones(self.n)) + self.m * self.b
+
+    @functools.cached_property
+    def folded(self) -> "DiscreteOperator":
+        """The operator on mirror-symmetric vectors, in their h = ceil(n/2)
+        left-half values; built once per operator.
+
+        For v = P v_L, with P stacking I over the reversal, row i < h of
+        every pair sum reads v_j = v_{n-1-j}, so column j >= h folds onto
+        column n-1-j.  With c_i = 2 for a mirrored node and 1 for the middle
+        node of an odd n, the folded pair weights are S = diag(c) (w[:h, :h]
+        plus the folded columns), symmetric because w is persymmetric (and
+        made bitwise symmetric here), and the folded masses are c m[:h].
+        Then energy(v_L) = energy(P v_L), apply(v_L) = P^T apply(P v_L) =
+        c * apply(P v_L)[:h] and hessian(v_L) = P^T H P: the full Newton
+        direction and decrement from h x h pair passes.  The pair
+        (i, n-1-i) lands on the diagonal of S, where its difference is 0.
+        At p = 2, folded._diag caches the diagonal of the folded matrix
+        2 (diag(_diag) - S).
+        """
+        n = self.n
+        h = (n + 1) // 2
+        c = np.full(h, 2.0)
+        if n % 2:
+            c[-1] = 1.0
+        # column j >= h of row i < h pairs v_i with v_j = v_{n-1-j}
+        X = self.w[:h, :h].copy()
+        X[:, : n - h] += self.w[:h, h:][:, ::-1]
+        X *= c[:, None]
+        S = X + X.T
+        S *= 0.5
+        return DiscreteOperator(grid=self.grid, s=self.s, p=self.p, w=S, b=self.b[:h],
+                                m=c * self.m[:h], mu=self.mu)
 
     def _check(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)

@@ -4,6 +4,18 @@ epsilon-continuation toward the minimal solution.
 The discrete objective for the regularized problem is
     (1/p) * energy(v) - sum_i m_i K_i H_eps(v_i),
 strictly convex because the energy is strictly convex and H_eps is concave.
+Every grid is mirror-symmetric and every right-hand side solved is a
+mirror image of itself, so each minimizer is mirror-symmetric, v = P v_L with
+v_L the values at the h = ceil(n/2) left-half nodes and P stacking I over the
+reversal.  Every solve therefore runs on v_L alone: the objective is
+(1/p) folded.energy(v_L) - sum_i c_i m_i K_i H_eps(v_i) over i < h, with
+c_i = 2 for a mirrored node and 1 for the middle node of an odd n (see
+DiscreteOperator.folded), whose gradient and Hessian are the full ones
+reduced by P.  The reduced system gives the full Newton direction and the
+full decrement, from h x h pair passes, an h x h Hessian buffer and an h^3/3
+Cholesky; the returned u is P v_L (Bossavit, Comput. Methods Appl. Mech.
+Engrg. 56, 1986, on symmetry reduction).  There is no full-space path.
+
 Minimization uses damped Newton steps: the dense Hessian (the operator's
 weighted graph Laplacian plus the reaction curvature) is factored in place by
 Cholesky, and Armijo backtracking makes the objective decrease at every
@@ -141,12 +153,15 @@ class SingularEnergy:
 class SolveResult:
     """Minimizer with convergence diagnostics.
 
-    residual is lambda / sqrt|f| at the solution: the Newton decrement
-    lambda = sqrt(g^T H^-1 g), taken with the solve's last Cholesky factor,
-    relative to the objective value f, at most the solve's tol.  At p != 2
-    that factor is of the Hessian at the previous iterate; at p = 2 it is the
-    kept factor, which may be stale and is single precision, so there lambda
-    is approximate.  positivity_margin = min(u).  eps is the regularization
+    u holds all n nodal values, the mirror image P v_L of the left-half
+    values the solve found.  residual is lambda / sqrt|f| at the solution:
+    the Newton decrement lambda = sqrt(g^T H^-1 g), relative to the
+    objective value f, at most the solve's tol.  lambda is taken with the
+    solve's last Cholesky factor of the folded Hessian, whose decrement and
+    objective are those of the full n-node system.  At p != 2 that factor is
+    of the Hessian at the previous iterate; at p = 2 it is the kept factor,
+    which may be stale and is single precision, so there lambda is
+    approximate.  positivity_margin = min(u).  eps is the regularization
     of the reaction solved: 1.0 for a fixed right-hand side, whose reaction
     does not depend on it."""
 
@@ -182,7 +197,11 @@ _CG_MAX = 8
 
 
 class _Factor:
-    """The n x n Hessian buffer of a solve and the Cholesky factor kept in it.
+    """The h x h Hessian buffer of a solve and the Cholesky factor kept in it.
+
+    h = ceil(n/2): the buffer holds the folded Hessian of the left-half
+    unknowns (DiscreteOperator.folded), a quarter of the n x n one, and the
+    factorization costs an eighth.
 
     One object serves every Newton step of a solve, or of every stage of a
     continuation, so the buffer is allocated once.  cho is the upper Cholesky
@@ -207,8 +226,9 @@ class _Factor:
 
     @classmethod
     def for_operator(cls, op: DiscreteOperator) -> "_Factor":
-        """The factor of op's solves: float32 at p = 2 (op._linear), where it
-        preconditions CG, and float64 where it is the exact Newton solve."""
+        """The factor of the solves on op, a folded operator: float32 at
+        p = 2 (op._linear), where it preconditions CG, and float64 where it
+        is the exact Newton solve."""
         return cls(op.n, np.float32 if op._linear else np.float64)
 
     def refactor(self, hess, v, g):
@@ -299,8 +319,9 @@ class _Factor:
 def _newton(op, reaction, v0, tol, factor):
     """Damped Newton minimization of (1/p) op.energy(v) - reaction.value(v).
 
-    The Hessian, op's plus the diagonal reaction curvature, is written into
-    the n x n buffer of factor (a _Factor).  At p = 2 (op._linear) each
+    op and reaction are folded onto the left half (_minimize).  The Hessian,
+    op's plus the diagonal reaction curvature, is written into the op.n x op.n
+    buffer of factor (a _Factor).  At p = 2 (op._linear) each
     Newton system is first solved by CG preconditioned with the kept factor.
     Steps are Armijo-backtracked, except that a step whose predicted
     decrease is below _FLOOR |f| is taken in full: Armijo cannot resolve a
@@ -354,41 +375,52 @@ def _newton(op, reaction, v0, tol, factor):
     raise NoConvergence(f"no convergence after {_MAX_ITER} Newton steps (lambda^2 = {lam2:.3e})")
 
 
-def _minimize(op: DiscreteOperator, reaction: SingularEnergy, v0, tol, factor) -> SolveResult:
-    """Newton solve of the reaction's problem on op from v0 (zeros when None).
+def _minimize(op: DiscreteOperator, gamma, eps, kvals, v0, tol, factor) -> SolveResult:
+    """Newton solve of the reaction (gamma, eps, kvals at op's nodes) on op
+    from v0 (zeros when None), run on the left half (op.folded).
 
-    For p < 2 the pair differences are smoothed at mu = MU_FLOOR, since psi'
-    of the unsmoothed difference is infinite at 0.  factor, when given, is
-    the Hessian buffer and kept Cholesky factor of the continuation this
-    solve is a stage of; otherwise the solve makes its own.
+    kvals and v0 enter through their left-half values.  For p < 2 the pair
+    differences are smoothed at mu = MU_FLOOR, since psi' of the unsmoothed
+    difference is infinite at 0.  factor, when given, is the Hessian buffer
+    and kept Cholesky factor of the continuation this solve is a stage of;
+    otherwise the solve makes its own.
     """
-    if op.p < 2.0:
-        op = dataclasses.replace(op, mu=MU_FLOOR)
     t0 = time.perf_counter()
+    half = op.folded
+    if op.p < 2.0:
+        half = dataclasses.replace(half, mu=MU_FLOOR)
+    h = half.n
+    reaction = SingularEnergy(gamma=gamma, eps=eps, kvals=kvals[:h], masses=half.m)
     if factor is None:
-        factor = _Factor.for_operator(op)
+        factor = _Factor.for_operator(half)
     nfac, ncg = factor.factorizations, factor.cg_steps
-    v, iters, res = _newton(op, reaction, np.zeros(op.n) if v0 is None else v0, tol, factor)
+    v0 = np.zeros(h) if v0 is None else op._check(v0)[:h]
+    v, iters, res = _newton(half, reaction, v0, tol, factor)
     nfac, ncg = factor.factorizations - nfac, factor.cg_steps - ncg
     margin = float(v.min())
-    u = GridFunction(op.grid, v, Zero())
+    u = GridFunction(op.grid, np.concatenate((v, v[: op.n // 2][::-1])), Zero())
     seconds = time.perf_counter() - t0
-    return SolveResult(u, reaction.eps, iters, res, margin, margin >= -1e-12, nfac, ncg, seconds)
+    return SolveResult(u, eps, iters, res, margin, margin >= -1e-12, nfac, ncg, seconds)
 
 
 def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
     """Minimize (1/p) energy(v) - <f, v>_m for nodal data f >= 0: the
-    gamma = 0 member of the regularized family."""
+    gamma = 0 member of the regularized family.
+
+    f must be mirror-symmetric, f[i] = f[n-1-i] exactly (a constant or a
+    function of grid.distance() is), since the solve runs on the left half;
+    other f raise OutOfRange."""
     f = np.asarray(f, dtype=float)
     if f.shape != (op.n,):
         raise ShapeMismatch(f"rhs shape {f.shape}, operator size {op.n}")
     if np.any(f < 0.0):
         raise OutOfRange("fixed right-hand side must be nonnegative")
+    if not np.array_equal(f, f[::-1]):
+        raise OutOfRange("fixed right-hand side must be mirror-symmetric, f[i] = f[n-1-i]")
     if not np.any(f > 0.0):
         u = GridFunction(op.grid, np.zeros(op.n), Zero())
         return SolveResult(u, 1.0, 0, 0.0, 0.0)
-    reaction = SingularEnergy(gamma=0.0, eps=1.0, kvals=f, masses=op.m)
-    return _minimize(op, reaction, None, tol, None)
+    return _minimize(op, 0.0, 1.0, f, None, tol, None)
 
 
 def solve_approximated(
@@ -404,9 +436,10 @@ def solve_approximated(
 
     The minimizer satisfies apply(u) = m * K_eps * h_eps(u) up to the
     requested tolerance and is strictly positive at interior nodes.
-    op, when given, is the operator assembled for (grid, s, p).  factor,
-    when given, is the Hessian buffer and kept Cholesky factor of the
-    continuation this solve is a stage of.
+    op, when given, is the operator assembled for (grid, s, p).  v0, when
+    given, is a start point at the n nodes, of which the solve reads the
+    left half.  factor, when given, is the h x h Hessian buffer and kept
+    Cholesky factor of the continuation this solve is a stage of.
     """
     if params.delta >= params.sp:
         raise RegimeError(
@@ -415,8 +448,7 @@ def solve_approximated(
     if op is None:
         op = assemble_operator(grid, params.s, params.p)
     weights = weight_values(params, grid.distance(), eps)
-    reaction = SingularEnergy(gamma=params.gamma, eps=eps, kvals=weights, masses=op.m)
-    return _minimize(op, reaction, v0, tol, factor)
+    return _minimize(op, params.gamma, eps, weights, v0, tol, factor)
 
 
 def continuation(
@@ -437,7 +469,8 @@ def continuation(
     solution and the recorded increment is its honest error proxy.  op, when
     given, is the operator assembled for (grid, s, p); otherwise it is
     assembled here.  Every stage solves at solve_approximated's default tol
-    and shares one Hessian buffer, and at p = 2 one kept factor.
+    on the left half and shares one h x h Hessian buffer, and at p = 2 one
+    kept factor.
 
     Returns (results, u_min, increments).
     """
@@ -445,7 +478,7 @@ def continuation(
         raise OutOfRange(f"need at least 2 halvings, got {halvings}")
     if op is None:
         op = assemble_operator(grid, params.s, params.p)
-    factor = _Factor.for_operator(op)
+    factor = _Factor.for_operator(op.folded)
     results = []
     increments = []
     v0 = None

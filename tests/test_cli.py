@@ -138,6 +138,19 @@ class TestConfig:
             assert err.startswith("error: cannot create output directory")
         assert taken.read_text(encoding="utf-8") == ""
 
+    @pytest.mark.parametrize("subcommand,taken", [("oracle", "phi_table.csv"),
+                                                  ("classify", "report.json")])
+    def test_artifact_path_is_a_directory_exit_1(self, tmp_path, capsys, subcommand, taken):
+        # an artifact, or report.json, whose path is a directory in the
+        # output directory ends in one error line naming it
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        assert main([subcommand, "--config", write_cfg(tmp_path, QUICK), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write {out / taken}: ")
+        assert (out / taken).is_dir()
+
     def test_integral_float_count_accepted(self, tmp_path):
         assert load_config(write_cfg(tmp_path, {"grid": {"n": 64.0}}))["grid"]["n"] == 64.0
 

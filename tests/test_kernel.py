@@ -389,21 +389,46 @@ class TestAssembleOperator:
 
     @pytest.mark.parametrize("s,p,mu", [(0.5, 2.0, 0.0), (0.5, 3.0, 0.0), (0.6, 1.5, 1e-2)])
     def test_hessian_is_jacobian_of_apply(self, s, p, mu):
-        n = 32
+        # the full operator at a random v, and the folded one at the left
+        # half of a mirror-symmetric v, for an even and an odd n
+        rng = np.random.default_rng(2)
+        for n in (32, 33):
+            op = dataclasses.replace(assemble_operator(build_grid(0, 1, n, 1.5), s, p), mu=mu)
+            v = rng.uniform(-1, 1, n)
+            for A, x in ((op, v), (op.folded, mirror_left_half(v)[: op.folded.n])):
+                m = A.n
+                out = np.full((m, m), np.nan)
+                H = A.hessian(x, out)
+                assert H is out
+                assert np.array_equal(H, H.T)
+                h = 1e-6
+                fd = np.empty((m, m))
+                for j in range(m):
+                    e = np.zeros(m)
+                    e[j] = h
+                    fd[:, j] = (A.apply(x + e) - A.apply(x - e)) / (2 * h)
+                assert np.abs(fd - H).max() <= 1e-6 * np.abs(H).max()
+                assert np.linalg.eigvalsh(H).min() > 0.0
+
+    @pytest.mark.parametrize("n", [32, 33])
+    @pytest.mark.parametrize("s,p,mu", [(0.5, 2.0, 0.0), (0.5, 3.0, 0.0), (0.6, 1.5, 1e-2)])
+    def test_folded_operator_is_the_reduced_full_one(self, s, p, mu, n):
+        # at v = P v_L: energy(v), P^T apply(v) and P^T H(v) P, with P
+        # stacking I over the reversal (the middle node of an odd n once)
         op = dataclasses.replace(assemble_operator(build_grid(0, 1, n, 1.5), s, p), mu=mu)
-        v = np.random.default_rng(2).uniform(-1, 1, n)
-        out = np.full((n, n), np.nan)
-        H = op.hessian(v, out)
-        assert H is out
-        assert np.array_equal(H, H.T)
-        h = 1e-6
-        fd = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            fd[:, j] = (op.apply(v + e) - op.apply(v - e)) / (2 * h)
-        assert np.abs(fd - H).max() <= 1e-6 * np.abs(H).max()
-        assert np.linalg.eigvalsh(H).min() > 0.0
+        half = op.folded
+        h = (n + 1) // 2
+        assert half.n == h and half.mu == mu
+        assert np.array_equal(half.w, half.w.T)
+        P = np.zeros((n, h))
+        P[np.arange(h), np.arange(h)] = 1.0
+        P[n - 1 - np.arange(n // 2), np.arange(n // 2)] = 1.0
+        v = mirror_left_half(np.random.default_rng(3).uniform(-1, 1, n))
+        assert np.array_equal(P @ v[:h], v)
+        H = op.hessian(v, np.empty((n, n)))
+        assert half.energy(v[:h]) == pytest.approx(op.energy(v), rel=1e-14)
+        assert np.abs(half.apply(v[:h]) - P.T @ op.apply(v)).max() <= 1e-14 * np.abs(op.apply(v)).max()
+        assert np.abs(half.hessian(v[:h], np.empty((h, h))) - P.T @ H @ P).max() <= 1e-14 * np.abs(H).max()
 
     def test_shape_mismatch(self):
         op = assemble_operator(build_grid(0, 1, 16, 1), 0.5, 2.0)

@@ -58,6 +58,18 @@ class TestSolveFixedRhs:
         with pytest.raises(ShapeMismatch):
             solve_fixed_rhs(op, np.ones(15))
 
+    def test_asymmetric_rhs_rejected(self):
+        # the solve runs on the left half, so f must be its own mirror image
+        grid = build_grid(0, 1, 17, 1)
+        op = assemble_operator(grid, 0.5, 2.0)
+        with pytest.raises(OutOfRange):
+            solve_fixed_rhs(op, grid.nodes)
+        f = np.ones(17)
+        f[3] = 1.0 + 1e-15
+        with pytest.raises(OutOfRange):
+            solve_fixed_rhs(op, f)
+        assert solve_fixed_rhs(op, grid.distance()).residual <= 1e-10
+
     def test_p_below_two_on_plain_operator(self):
         # the solver smooths p < 2 itself; the assembled operator has mu = 0
         op = assemble_operator(build_grid(0, 1, 16, 1), 0.6, 1.5)
@@ -87,26 +99,30 @@ class TestSolveFixedRhs:
         assert np.all(np.abs(u - u[::-1]) <= 1e-12 * u)
 
     def test_energy_decreases_along_newton_steps(self):
-        # the solver builds the Hessian at every accepted iterate (twice at
-        # v = 0, where p = 3 needs a Levenberg shift): the objective at those
-        # points, and at the returned minimizer, must fall strictly
+        # the solver builds the folded Hessian at every accepted iterate
+        # (twice at v = 0, where p = 3 needs a Levenberg shift): the full
+        # objective at the mirror images of those points, and of the
+        # returned minimizer, must fall strictly
         op = assemble_operator(build_grid(0, 1, 48, 1.5), 0.5, 3.0)
-        reaction = SingularEnergy(gamma=0.0, eps=1.0, kvals=np.ones(48), masses=op.m)
+        half = op.folded
+        reaction = SingularEnergy(gamma=0.0, eps=1.0, kvals=np.ones(24), masses=half.m)
 
         def value(v):
-            return op.energy_over_p(v) - float(op.m @ v)
+            u = np.concatenate((v, v[::-1]))
+            return op.energy_over_p(u) - float(op.m @ u)
 
         iterates = []
-        hessian = op.hessian
+        hessian = half.hessian
 
         def recording_hessian(v, out):
+            assert out.shape == (24, 24)
             if not iterates or np.any(iterates[-1] != v):
                 iterates.append(v.copy())
             return hessian(v, out)
 
-        op.hessian = recording_hessian
+        half.hessian = recording_hessian
         v, iters, res = solver._newton(
-            op, reaction, np.zeros(48), tol=1e-10, factor=solver._Factor.for_operator(op)
+            half, reaction, np.zeros(24), tol=1e-10, factor=solver._Factor.for_operator(half)
         )
         assert res <= 1e-10
         assert len(iterates) == iters >= 5
@@ -174,6 +190,12 @@ class TestSolveApproximated:
         grid = build_grid(0, 1, 64, 2.0)
         res = solve_approximated(singular_preset, grid, 0.25, tol=1e-10)
         assert res.positivity_margin > 0
+
+    def test_start_point_shape_mismatch(self, singular_preset):
+        # the solve reads the left half of v0, which must still be n long
+        grid = build_grid(0, 1, 32, 1)
+        with pytest.raises(ShapeMismatch):
+            solve_approximated(singular_preset, grid, 0.25, v0=np.ones(20))
 
     def test_regime_error(self):
         pars = make_params(0.5, 2.0, 1.0, 1.5)
@@ -330,6 +352,20 @@ def _reference_minimizers(params, grid, op, stages):
     return out
 
 
+def _continuation_and_reference(p, n):
+    """A continuation at p on n nodes (s = 1/2, gamma = 1, delta = 1/2,
+    default grading) and the reference minimizers of its stages, found by
+    dense Newton on the full operator, smoothed at p < 2 as the solver
+    smooths it."""
+    params = make_params(0.5, p, 1.0, 0.5)
+    grid = build_grid(0, 1, n, default_grading(params))
+    op = assemble_operator(grid, 0.5, p)
+    results, _, _ = continuation(params, grid, eps0=0.5, halvings=20, tol=1e-4, op=op)
+    if p < 2.0:
+        op = dataclasses.replace(op, mu=solver.MU_FLOOR)
+    return results, _reference_minimizers(params, grid, op, len(results))
+
+
 class TestKeptFactor:
     """p = 2 continuations keep one Cholesky factor and solve the Newton
     systems by CG preconditioned with it."""
@@ -344,11 +380,40 @@ class TestKeptFactor:
         return singular_preset, grid, op, results, reference
 
     def test_minimizers_match_direct_solves(self, case2_256):
+        # the folded solves against dense Newton on the full operator: the
+        # case-2 continuation, then an odd n at every p and n = 256 at p != 2
         _, _, _, results, reference = case2_256
         for r, v in zip(results, reference):
             assert np.abs(r.u.values - v).max() <= 1e-12
         assert sum(r.factorizations for r in results) <= 4
         assert sum(r.cg_steps for r in results) > 0
+        for n, p in ((95, 1.5), (95, 2.0), (95, 3.0), (256, 1.5), (256, 3.0)):
+            results, reference = _continuation_and_reference(p, n)
+            assert len(results) >= 10
+            for r, v in zip(results, reference):
+                assert np.abs(r.u.values - v).max() <= 1e-12, (n, p)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_returned_u_meets_the_full_decrement(self, p):
+        # at every stage's u, the decrement of the full n-node system, from
+        # the full gradient and a dense solve with the full Hessian, meets
+        # the stopping rule lambda^2 <= tol^2 |f| of the folded solve
+        params = make_params(0.5, p, 1.0, 0.5)
+        grid = build_grid(0, 1, 95, default_grading(params))
+        op = assemble_operator(grid, 0.5, p)
+        results, _, _ = continuation(params, grid, eps0=0.5, halvings=20, tol=1e-4, op=op)
+        if p < 2.0:
+            op = dataclasses.replace(op, mu=solver.MU_FLOOR)
+        for k, r in enumerate(results):
+            reaction = _stage_reaction(params, grid, op, k)
+            u = r.u.values
+            assert np.array_equal(u, u[::-1])
+            g = op.apply(u) - reaction.grad(u)
+            H = op.hessian(u, np.empty((95, 95)))
+            H.flat[::96] += reaction.curvature(u)
+            lam2 = float(g @ np.linalg.solve(H, g))
+            f = op.energy_over_p(u) - reaction.value(u)
+            assert lam2 <= 1e-20 * abs(f), k
 
     def test_failed_factorization_discards_kept_factor(self, case2_256, monkeypatch):
         params, grid, op, _, reference = case2_256
@@ -374,11 +439,12 @@ class TestKeptFactor:
     def test_failed_refactor_keeps_no_factor(self, case2_256, monkeypatch):
         # a factorization that fails at every shift has overwritten the
         # buffer, so no factor may be left to precondition with
-        op = case2_256[2]
-        factor = solver._Factor.for_operator(op)
-        v = np.ones(op.n)
-        g = op.apply(v)
-        factor.refactor(op.hessian, v, g)
+        half = case2_256[2].folded
+        factor = solver._Factor.for_operator(half)
+        assert factor.buffer.shape == (128, 128)
+        v = np.ones(half.n)
+        g = half.apply(v)
+        factor.refactor(half.hessian, v, g)
         assert factor.cho is not None
 
         def failing(a, *args, **kwargs):
@@ -387,19 +453,20 @@ class TestKeptFactor:
 
         monkeypatch.setattr(solver, "cho_factor", failing)
         with pytest.raises(NoConvergence):
-            factor.refactor(op.hessian, v, g)
+            factor.refactor(half.hessian, v, g)
         assert factor.cho is None
         assert factor.factorizations == 1
 
     def test_triangular_solves_read_only_the_kept_factor(self, case2_256):
-        op = case2_256[2]
-        v = np.ones(op.n)
-        H = op.hessian(v, np.empty((op.n, op.n)))
-        b = np.random.default_rng(7).standard_normal(op.n)
+        half = case2_256[2].folded
+        h = half.n
+        v = np.ones(h)
+        H = half.hessian(v, np.empty((h, h)))
+        b = np.random.default_rng(7).standard_normal(h)
         ref = np.linalg.solve(H, b)
         for dtype in (np.float64, np.float32):
-            factor = solver._Factor(op.n, dtype)
-            factor.refactor(op.hessian, v, op.apply(v))
+            factor = solver._Factor(h, dtype)
+            factor.refactor(half.hessian, v, half.apply(v))
             # the factor is the buffer itself, in the order BLAS reads
             # without a copy
             assert factor.cho.dtype == dtype
@@ -407,7 +474,7 @@ class TestKeptFactor:
             assert np.shares_memory(factor.cho, factor.buffer)
             # LAPACK leaves the other triangle unused: a wrong lower or trans
             # flag reads the NaN or solves the wrong system
-            factor.cho[np.tril_indices(op.n, -1)] = np.nan
+            factor.cho[np.tril_indices(h, -1)] = np.nan
             x = factor._solve(b)
             assert x.dtype == np.float64
             if dtype == np.float64:
@@ -416,17 +483,19 @@ class TestKeptFactor:
             # a single-precision factor only preconditions: CG with it meets
             # _CG_RTOL against the float64 operator
             assert np.isfinite(x).all()
-            x = factor.pcg(op.apply, b, None)
+            x = factor.pcg(half.apply, b, None)
             assert x is not None and factor.cg_steps > 0
-            assert np.abs(b - op.apply(x)).max() <= solver._CG_RTOL * np.abs(b).max()
+            assert np.abs(b - half.apply(x)).max() <= solver._CG_RTOL * np.abs(b).max()
 
     def test_p2_factor_is_single_precision(self, case2_256):
         # the p = 2 buffer and factor only precondition CG, the p != 2 one
         # is the exact Newton solve
         op = case2_256[2]
-        assert solver._Factor.for_operator(op).buffer.dtype == np.float32
-        assert solver._Factor.for_operator(dataclasses.replace(op, p=3.0)).buffer.dtype == np.float64
-        assert solver._Factor.for_operator(dataclasses.replace(op, mu=solver.MU_FLOOR)).buffer.dtype == np.float64
+        factor = solver._Factor.for_operator(op.folded)
+        assert factor.buffer.dtype == np.float32
+        assert factor.buffer.shape == (128, 128)
+        for other in (dataclasses.replace(op, p=3.0), dataclasses.replace(op, mu=solver.MU_FLOOR)):
+            assert solver._Factor.for_operator(other.folded).buffer.dtype == np.float64
 
     def test_stages_start_from_the_secant_prediction(self, case2_256, monkeypatch):
         params, grid, op, results, _ = case2_256
@@ -476,6 +545,7 @@ class TestKeptFactor:
         # the factor is the exact Newton solve there, so it stays float64
         assert all(f is factors[0] for f in factors)
         assert factors[0].buffer.dtype == np.float64
+        assert factors[0].buffer.shape == (32, 32)
 
 
 class TestResidualCheck:
