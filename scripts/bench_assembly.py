@@ -21,6 +21,10 @@ it and the Cholesky factorizations and CG steps its solves made:
 - p = 2, n = 1024, 20 halvings: the case-2 continuation of
   `configs/boundary_case2.json`;
 - p = 1.5, n = 1024, 18 halvings: the p < 2 solver, the slow path.
+Also times `import fracp.cli` in 7 fresh processes (the least is the
+start-up figure) and the oracle experiment's 45-case `phi_constant` sweep
+(the defaults of `fracp.cli.DEFAULTS["oracle"]`) three times, the first in
+a process that has computed no Phi yet.
 Prints one JSON object.  One BLAS thread gives the steadiest numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_assembly.py
@@ -29,6 +33,8 @@ Prints one JSON object.  One BLAS thread gives the steadiest numbers:
 import json
 import resource
 import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -41,8 +47,10 @@ from fracp import (
     continuation,
     eval_fplap_pv,
     make_params,
+    phi_constant,
     solve_fixed_rhs,
 )
+from fracp.cli import DEFAULTS
 from fracp.core import default_grading
 
 NS = (256, 1024, 2048, 4096)
@@ -50,6 +58,7 @@ PS = (1.5, 2.0, 3.0)
 REPEATS = 3
 APPLY_NS = (1024, 2048)
 APPLY_CALLS = 10
+IMPORT_PROCESSES = 7
 
 
 def mirror_defect(a):
@@ -136,14 +145,38 @@ def time_continuation(p, n, halvings):
             "cg_steps": sum(r.cg_steps for r in results)}
 
 
+def time_import():
+    code = "import time; t0 = time.perf_counter(); import fracp.cli; print(time.perf_counter() - t0)"
+    runs = [float(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 check=True).stdout)
+            for _ in range(IMPORT_PROCESSES)]
+    return {"runs_s": [round(t, 4) for t in runs], "min_s": round(min(runs), 4)}
+
+
+def time_phi_sweep():
+    ob = DEFAULTS["oracle"]
+    cases = [(f * s, s, p) for s in ob["s_list"] for p in ob["p_list"] for f in ob["alpha_fracs"]]
+    runs = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for case in cases:
+            phi_constant(*case)
+        runs.append(time.perf_counter() - t0)
+    return {"cases": len(cases), "runs_ms": [round(1e3 * t, 3) for t in runs],
+            "median_ms": round(1e3 * statistics.median(runs), 3)}
+
+
 def main():
     # the continuations first, in a fresh process, so the page faults of the
     # p = 3 one are its own
     p3 = time_continuation(3.0, 512, 12)
     p2 = time_continuation(2.0, 1024, 20)
     p15 = time_continuation(1.5, 1024, 18)
+    phi = time_phi_sweep()
     torsion, pv = time_torsion_and_pv_probes()
-    print(json.dumps({"p3_continuation_n512": p3,
+    print(json.dumps({"import_fracp_cli": time_import(),
+                      "phi_sweep": phi,
+                      "p3_continuation_n512": p3,
                       "p2_case2_continuation_n1024": p2,
                       "p15_continuation_n1024": p15,
                       "apply_energy": time_apply_energy(),

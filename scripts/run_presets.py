@@ -7,7 +7,8 @@ output directory) is then compared with the file of the same relative path
 under DIR, where another checkout ran this script, and one line per artifact
 gives the largest relative difference between their numbers, with where it
 is, or "identical" for equal bytes.  Text that is not a number must match.
-In report.json the timings (wall_time_s, seconds, total_s) are skipped.
+In report.json the timings (wall_time_s, seconds, total_s, import_s) are
+skipped, also where only one side has them.
 
 Usage: python3 scripts/run_presets.py [--quick] [--against DIR]
 """
@@ -22,7 +23,7 @@ from fracp.cli import run
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 #: report.json keys that hold wall-clock seconds
-TIMINGS = {"wall_time_s", "seconds", "total_s"}
+TIMINGS = {"wall_time_s", "seconds", "total_s", "import_s"}
 
 
 class Mismatch(Exception):
@@ -46,10 +47,11 @@ def _walk(a, b, where, out):
     """Append (relative difference, path) for every number of two JSON
     values of the same shape."""
     if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
+        keys = a.keys() - TIMINGS
+        if keys != b.keys() - TIMINGS:
             raise Mismatch(f"keys differ at {where or '/'}")
         for k in a:
-            if k not in TIMINGS:
+            if k in keys:
                 _walk(a[k], b[k], f"{where}/{k}", out)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):

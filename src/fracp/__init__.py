@@ -10,6 +10,12 @@ and nonexistence verdicts (analysis).  The CLI in fracp.cli orchestrates
 experiments from a JSON config.
 """
 
+import time as _time
+
+#: perf_counter() when the package began to import; fracp.cli reports the
+#: seconds from here to the end of its own import as timings.import_s
+_IMPORT_T0 = _time.perf_counter()
+
 __version__ = "0.1.0"
 
 from .core import (

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import exprel
 
 from .core import (
     CollarTail,
@@ -31,7 +29,16 @@ from .errors import (
     SpecInvalid,
     WindowTooThin,
 )
-from .kernel import check_alpha, eval_fplap_pv, phi_constant, power_beta
+from .kernel import (
+    QUAD_ORDERS,
+    check_alpha,
+    eval_fplap_pv,
+    doubling_panels,
+    jacobi_rule,
+    phi_constant,
+    power_beta,
+    rule_sums,
+)
 
 __all__ = [
     "BarrierSpec",
@@ -136,9 +143,15 @@ class VerificationRecord:
         return {"name": self.name, "passed": bool(self.passed), "details": self.details}
 
 
+def _exprel(x: np.ndarray) -> np.ndarray:
+    """(e**x - 1)/x elementwise, 1 at x = 0, accurate as x -> 0."""
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
 def _window_seminorm(alpha: float, s: float, p: float, lam: float):
     """log E, E the Gagliardo energy of the shifted power profile over
-    (0, 1) squared, and the relative error estimate of E.
+    (0, 1) squared, and the relative difference of E between the rules of
+    the two QUAD_ORDERS, the higher of which gives E.
 
     In the shifted variable x on [w0, w1] = [shift, 1 + shift], with t the
     ratio of the smaller point to the larger,
@@ -146,10 +159,16 @@ def _window_seminorm(alpha: float, s: float, p: float, lam: float):
     and k = alpha p - s p + 1.  Swapping the order does the x integral in
     closed form, (w1**k - (w0/t)**k) / k, so no quadrature meets the
     x**(k-1) spike a tiny shift leaves at w0.  The t integral runs in
-    z = -log t over [0, log(w1/w0)]: 1 - t**alpha = alpha z exprel(-alpha z)
-    keeps its digits as t -> 1, and the integrable z**(p-1-sp) singularity
-    at z = 0 is the algebraic weight of the first panel.  For k < 0 the
-    factor e^(-k top) comes out of the integrand,
+    z = -log t over [0, top], top = log(w1/w0): 1 - t**alpha =
+    alpha z exprel(-alpha z) keeps its digits as t -> 1, and the integrable
+    z**(p-1-sp) singularity at z = 0 is the weight of the Gauss-Jacobi rule
+    on [0, min(1, top)].  Beyond 1, Gauss-Legendre panels double in length
+    up to min(top, Z), Z the first of 64, 128, ... with (2Z)**p e**-Z below
+    1e-18.  The integrand is analytic in Re z > 0, and its powers of z
+    cancel: it is (1 - e**(-alpha z))**p (1 - e**-z)**(-1-sp) e**-z times
+    a factor that falls in z, so beyond Z it holds less than about
+    (2Z)**p e**-Z of what [1/2, 1] holds.  For k < 0 the factor
+    e^(-k top) comes out of the integrand,
       (top - z) exprel(-k (top - z)) = e^(-k top) e^(k z) (top - z) exprel(k (top - z)),
     so that nothing overflows where E itself exceeds the float range
     (E ~ e^1480 at alpha = 1e-3, s = 0.75, p = 2, lam = 0.05).  Finite for
@@ -167,27 +186,34 @@ def _window_seminorm(alpha: float, s: float, p: float, lam: float):
     def smooth(z):
         # the t integrand with dt = e^-z dz, over z**sing, times
         # (w1**k - (w0/t)**k) / (k w1**k): 1/k at w0 = 0, finite at k = 0
-        f = alpha**p * exprel(-alpha * z) ** p * exprel(-z) ** (-1.0 - sp) * math.exp(-z)
+        f = alpha**p * _exprel(-alpha * z) ** p * _exprel(-z) ** (-1.0 - sp) * np.exp(-z)
         if top == math.inf:
             return f / k
         if k < 0.0:
-            return f * math.exp(k * z) * (top - z) * exprel(k * (top - z))
-        return f * (top - z) * exprel(-k * (top - z))
+            return f * np.exp(k * z) * (top - z) * _exprel(k * (top - z))
+        return f * (top - z) * _exprel(-k * (top - z))
 
     cut = min(1.0, top)
-    val, err = quad(smooth, 0.0, cut, weight="alg", wvar=(sing, 0.0), epsrel=1e-10, limit=200)
-    if top > cut:
-        # panels doubling in z: the integrand decays like e^-z while a small
-        # shift makes top = log(w1/w0) large
-        doubling = 2.0 ** np.arange(1.0, math.log2(top)) if top < math.inf else None
-        far, far_err = quad(
-            lambda z: z**sing * smooth(z), cut, top, points=doubling, epsrel=1e-10, limit=200
-        )
-        val, err = val + far, err + far_err
+    end = 64.0
+    while p * math.log(2.0 * end) - end > math.log(1e-18):
+        end *= 2.0
+    end = min(top, end)
+
+    def rule(n):
+        # int_0^end z**sing g(z) dz for smooth g: Gauss-Jacobi on [0, cut],
+        # doubling panels beyond
+        x, w = jacobi_rule(n, sing)
+        z, wz = cut * x, cut ** (sing + 1.0) * w
+        if end > cut:
+            zp, wp = doubling_panels(cut, end, n)
+            z, wz = np.concatenate((z, zp)), np.concatenate((wz, zp**sing * wp))
+        return z, wz
+
+    lo, val = rule_sums(smooth, [rule(n) for n in QUAD_ORDERS])
     if not val > 0.0:
         return math.nan, math.nan
     scale = math.log(2.0) + k * math.log(w1) - (k * top if k < 0.0 else 0.0)
-    return scale + math.log(val), err / val
+    return scale + math.log(val), abs(val - lo) / val
 
 
 #: half-line chart points where the scaled principal value is compared to 2*Phi

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _IMPORT_T0, __version__
 from .core import CASE_ALPHA_STAR, CASE_S, build_grid, classify_regime, default_grading, make_params
 from .errors import ConfigParse, FracpError, OutOfRange
 from .kernel import assemble_operator, phi_constant
@@ -580,7 +580,7 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int
         "regime": dataclasses.asdict(shared.regime),
         "experiments": experiments,
         "overall_passed": bool(overall),
-        "timings": {"total_s": time.time() - t_start},
+        "timings": {"total_s": time.time() - t_start, "import_s": IMPORT_S},
     }
     if not _written(outdir / "report.json", write_report, report):
         return 1
@@ -615,6 +615,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     return run(args.subcommand, args.config, args.out, args.seed)
 
+
+#: seconds from the start of `import fracp` to the end of this module's import
+IMPORT_S = time.perf_counter() - _IMPORT_T0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -23,7 +23,8 @@ class AlphaOutOfRange(OutOfRange):
 
 
 class QuadratureFail(FracpError):
-    """Adaptive quadrature could not meet the requested tolerance."""
+    """Two fixed quadrature rules disagree beyond their tolerance, or a
+    value escaped its known bracket."""
 
 
 class PointTooCloseToBoundary(FracpError, ValueError):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
 
 from fracp import (
@@ -13,7 +14,8 @@ from fracp import (
     verify_boundary_barrier,
     verify_power_estimate,
 )
-from fracp.barrier import _window_seminorm, weight_values
+from fracp import barrier
+from fracp.barrier import _exprel, _window_seminorm, weight_values
 from fracp.errors import (
     AlphaOutOfRange,
     CollarTooThin,
@@ -206,6 +208,27 @@ class TestWindowSeminorm:
             1480.39445187198 / math.log(10.0), abs=1e-8
         )
 
+    @pytest.mark.parametrize(
+        "alpha,s,p,lam,log_e",
+        [
+            # barrier-check of the presets: quick, boundary_case2 and
+            # nonexistence share the first, then boundary_case1,
+            # sobolev_bounded, sobolev_divergent; last the float-range case
+            (0.25, 0.5, 2.0, 0.05, -0.6471722017870386),
+            (0.45, 0.5, 2.0, 0.05, -0.3315808028608326),
+            (1 / 3, 0.75, 2.0, 0.05, 1.0861847748149132),
+            (0.1, 0.75, 2.0, 0.05, 7.311486959452916),
+            (1e-3, 0.75, 2.0, 0.05, 1480.394451871975),
+        ],
+    )
+    def test_agrees_with_the_adaptive_quadrature(self, alpha, s, p, lam, log_e):
+        # log E from scipy's adaptive quad (algebraic weight on [0, 1],
+        # doubling breakpoints beyond, epsrel 1e-10), which the fixed rules
+        # replaced
+        got, rel_err = _window_seminorm(alpha, s, p, lam)
+        assert got == pytest.approx(log_e, rel=1e-10)
+        assert rel_err <= 1e-13
+
     def test_lambda_zero_is_the_limit_of_small_shifts(self):
         # k = alpha p - s p + 1 = 0.6 > 0: the shift enters as shift**k
         log_e, _ = _window_seminorm(0.3, 0.5, 2.0, 0.0)
@@ -217,6 +240,31 @@ class TestWindowSeminorm:
         rec = verify_power_estimate(0.1, 0.75, 2.0, 0.05, n=512)
         assert rec.passed
         assert 10.0 ** rec.details["window_seminorm_log10"] == pytest.approx(1497.40211082, rel=1e-9)
+
+
+class TestExprel:
+    @pytest.mark.parametrize("x", [0.0, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0, -700.0])
+    def test_points(self, x):
+        # within two units in the last place: the two expm1 may round apart
+        got = _exprel(np.array([x]))[0]
+        assert got == pytest.approx(scipy.special.exprel(x), rel=4.5e-16, abs=0.0)
+
+    def test_window_seminorm_arguments(self, monkeypatch):
+        # every argument _window_seminorm hands to exprel, over barrier
+        # checks with k < 0, k > 0 and lambda = 0
+        seen = []
+
+        def spy(x):
+            seen.append(x.copy())
+            return _exprel(x)
+
+        monkeypatch.setattr(barrier, "_exprel", spy)
+        for case in [(1e-3, 0.75, 2.0, 0.05), (0.25, 0.5, 2.0, 0.05), (0.0075, 0.75, 2.0, 1e-6),
+                     (0.3, 0.9, 1.5, 0.01), (0.49, 0.5, 5.0, 0.5), (0.3, 0.5, 2.0, 0.0)]:
+            _window_seminorm(*case)
+        x = np.concatenate(seen)
+        assert x.min() < -1000.0 and x.max() < 0.0 and np.abs(x).min() < 1e-3
+        np.testing.assert_allclose(_exprel(x), scipy.special.exprel(x), rtol=4.5e-16, atol=0.0)
 
 
 class TestVerifyBoundaryBarrier:

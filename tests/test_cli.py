@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -374,3 +377,22 @@ class TestMain:
     def test_main_runs_classify(self, tmp_path):
         cfg = write_cfg(tmp_path, {"params": {"s": 0.5, "p": 2.0, "gamma": 0.0, "delta": 0.0}})
         assert main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+class TestStartup:
+    def test_import_loads_neither_scipy_integrate_nor_special(self):
+        # a fresh process: the quadratures are fixed rules, so the two
+        # modules, about a third of the start-up, need not load
+        code = ("import sys, fracp.cli; print(sorted(m for m in sys.modules "
+                "if m.startswith(('scipy.integrate', 'scipy.special'))))")
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_report_records_the_import_seconds(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"params": {"s": 0.5, "p": 2.0, "gamma": 0.0, "delta": 0.0}})
+        assert run("classify", cfg, str(tmp_path / "o")) == 0
+        rep = json.loads((tmp_path / "o" / "report.json").read_text())
+        jsonschema.validate(rep, SCHEMA)
+        assert rep["timings"]["import_s"] == cli.IMPORT_S > 0.0

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,11 @@ from fracp.errors import (
     NegativeBase,
     OutOfRange,
     PointTooCloseToBoundary,
+    QuadratureFail,
     ShapeMismatch,
 )
 from fracp.core import Grid, PowerTail, mirror_left_half
+from fracp import kernel
 from fracp.kernel import (
     _HAT_R_MAX,
     _corner_rect,
@@ -153,11 +156,84 @@ def brute_phi(alpha, s, p, eps):
     return x ** (sp - alpha * (p - 1.0)) * total
 
 
+def mpmath_phi(alpha, s, p):
+    """Phi(alpha, s, p) to 20 digits by mpmath's tanh-sinh quadrature, with no
+    rule of phi_constant: on [1/2, 1], u = 1 - y = v**m with m = 1/(p - sp)
+    turns u**(p-1-sp) du into m dv; on [0, 1/2], the y**(beta-1) term is
+    integrated in v = y**beta."""
+    with mpmath.workdps(20):
+        a, s, p = mpmath.mpf(alpha), mpmath.mpf(s), mpmath.mpf(p)
+        sp = s * p
+        beta = sp - a * (p - 1)
+        m = 1 / (p - sp)
+        half = mpmath.mpf(1) / 2
+
+        def near_one(v):
+            u = v**m
+            lu = mpmath.log1p(-u)
+            return m * (-mpmath.expm1(a * lu) / u) ** (p - 1) * (-mpmath.expm1((beta - 1) * lu) / u)
+
+        def smooth(y):
+            return (1 - y**a) ** (p - 1) * (1 - y) ** (-1 - sp)
+
+        total = (
+            1 / sp
+            + mpmath.quad(near_one, [0, half ** (1 / m)])
+            + mpmath.quad(smooth, [0, half])
+            - mpmath.quad(lambda v: smooth(v ** (1 / beta)), [0, half**beta]) / beta
+        )
+        return float(total)
+
+
+#: the oracle experiment's default sweep
+ORACLE_SWEEP = [(f * s, s, p) for s in (0.3, 0.5, 0.7) for p in (1.5, 2.0, 3.0)
+                for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
+#: alpha / s over (0, 1) in steps of 0.05
+ALPHA_FRACS = [k / 20 for k in range(1, 20)]
+
+
+def assert_matches_mpmath(cases, rel):
+    worst = max((abs(phi_constant(*c).phi / mpmath_phi(*c) - 1.0), c) for c in cases)
+    assert worst[0] <= rel, worst
+
+
 class TestPhiConstant:
     def test_beta_one_closed_form(self):
         o = phi_constant(0.5, 0.75, 2.0)
         assert o.beta == pytest.approx(1.0)
         assert o.phi == pytest.approx(2 / 3, rel=1e-14)
+
+    def test_closed_values(self):
+        assert phi_constant(0.25, 0.5, 2.0).phi == pytest.approx(math.pi / 4, rel=1e-13)
+        assert phi_constant(0.5, 0.75, 2.0).phi == pytest.approx(2 / 3, rel=1e-13)
+
+    def test_oracle_sweep_against_mpmath(self):
+        assert_matches_mpmath(ORACLE_SWEEP, 1e-11)
+
+    @pytest.mark.parametrize("s", [0.05, 0.95])
+    @pytest.mark.parametrize("p", [1.1, 5.0])
+    def test_alpha_sweep_corners_against_mpmath(self, s, p):
+        # s = 0.05: beta down to 0.05, a tail in y**(beta-1) over 300 decades;
+        # s = 0.95, p = 1.1: the weight (1-y)**(-0.945); the adaptive
+        # quadrature this replaced failed or missed 1e-10 at most of them
+        assert_matches_mpmath([(f * s, s, p) for f in ALPHA_FRACS], 1e-11)
+
+    def test_disagreeing_rules_raise(self, monkeypatch):
+        # the two rules agree to rounding; a negative bound makes any
+        # difference too large
+        monkeypatch.setattr(kernel, "_PHI_TOL", -1.0)
+        with pytest.raises(QuadratureFail, match="differ by"):
+            phi_constant(0.25, 0.5, 2.0)
+
+    @pytest.mark.parametrize("b", [-0.945, -0.5, 0.0, 0.7, 4.0])
+    def test_jacobi_rule_moments(self, b):
+        # exact for x**b x**m, m <= 2n - 1
+        n = kernel.QUAD_ORDERS[0]
+        x, w = kernel.jacobi_rule(n, b)
+        m = np.arange(2 * n)
+        moments = (w[None, :] * x[None, :] ** m[:, None]).sum(axis=1)
+        np.testing.assert_allclose(moments * (b + m + 1.0), 1.0, rtol=1e-13)
+        assert np.all((0.0 < x) & (x < 1.0)) and np.all(w > 0.0)
 
     def test_bracket_and_brute_force_oracle(self):
         o = phi_constant(0.25, 0.5, 2.0)
