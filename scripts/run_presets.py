@@ -8,7 +8,9 @@ under DIR, where another checkout ran this script, and one line per artifact
 gives the largest relative difference between their numbers, with where it
 is, or "identical" for equal bytes.  Text that is not a number must match.
 In report.json the timings (wall_time_s, seconds, total_s, import_s) are
-skipped, also where only one side has them.
+skipped, also where only one side has them; any other key that only one side
+has is listed by its path, the keys both sides share are still compared, and
+the artifact counts as differing beyond its numbers.
 
 Usage: python3 scripts/run_presets.py [--quick] [--against DIR]
 """
@@ -43,21 +45,22 @@ def _number(token):
         return None
 
 
-def _walk(a, b, where, out):
-    """Append (relative difference, path) for every number of two JSON
-    values of the same shape."""
+def _walk(a, b, where, out, one_sided):
+    """Append (relative difference, path) to out for every number of two
+    JSON values of the same shape, and to one_sided the path of each key
+    that only one of them has, with the side that has it."""
     if isinstance(a, dict) and isinstance(b, dict):
-        keys = a.keys() - TIMINGS
-        if keys != b.keys() - TIMINGS:
-            raise Mismatch(f"keys differ at {where or '/'}")
+        mine, theirs = a.keys() - TIMINGS, b.keys() - TIMINGS
+        one_sided += [f"{where}/{k} (only here)" for k in a if k in mine - theirs]
+        one_sided += [f"{where}/{k} (only under DIR)" for k in b if k in theirs - mine]
         for k in a:
-            if k in keys:
-                _walk(a[k], b[k], f"{where}/{k}", out)
+            if k in mine & theirs:
+                _walk(a[k], b[k], f"{where}/{k}", out, one_sided)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise Mismatch(f"lengths differ at {where}")
         for i, (x, y) in enumerate(zip(a, b)):
-            _walk(x, y, f"{where}[{i}]", out)
+            _walk(x, y, f"{where}[{i}]", out, one_sided)
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)) and \
             not isinstance(a, bool) and not isinstance(b, bool):
         out.append((_rel(float(a), float(b)), where))
@@ -78,13 +81,14 @@ def _table(text, name):
 
 
 def largest_difference(mine: Path, theirs: Path):
-    """None for equal bytes, else (largest relative difference, where)."""
+    """None for equal bytes, else (largest relative difference, where, the
+    paths of the report.json keys that only one side has)."""
     a, b = mine.read_bytes(), theirs.read_bytes()
     if a == b:
         return None
-    diffs = []
+    diffs, one_sided = [], []
     if mine.suffix == ".json":
-        _walk(json.loads(a), json.loads(b), "", diffs)
+        _walk(json.loads(a), json.loads(b), "", diffs, one_sided)
     else:
         ta, tb = _table(a.decode(), mine.name), _table(b.decode(), mine.name)
         if len(ta) != len(tb):
@@ -96,7 +100,7 @@ def largest_difference(mine: Path, theirs: Path):
                     raise Mismatch(f"row {row}, {col}: {x!r} != {y!r}")
                 continue
             diffs.append((_rel(fx, fy), f"row {row}, {col}"))
-    return max(diffs, default=(0.0, "no numbers"))
+    return (*max(diffs, default=(0.0, "no numbers")), one_sided)
 
 
 def compare(out_dir: Path, against: Path) -> int:
@@ -119,8 +123,13 @@ def compare(out_dir: Path, against: Path) -> int:
             continue
         if found is None:
             print(f"{label}: identical")
-        else:
-            print(f"{label}: largest relative difference {found[0]:.2e} ({found[1]})")
+            continue
+        largest, where, one_sided = found
+        print(f"{label}: largest relative difference {largest:.2e} ({where})")
+        if one_sided:
+            print(f"{label}: differs beyond its numbers: keys on one side only: "
+                  + ", ".join(one_sided))
+            bad += 1
     return bad
 
 

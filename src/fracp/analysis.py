@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, GridFunction, ProblemParams, build_grid, classify_regime, default_grading
+from .core import GridFunction, ProblemParams, build_grid, classify_regime, default_grading
 from .errors import (
     NonPositiveValues,
     OutOfRange,
@@ -121,54 +121,32 @@ class ScanTable:
         return True
 
 
-def sobolev_scan(
-    params: ProblemParams,
-    theta_list,
-    n_list,
-    halvings: int = 12,
-    tol: float = 1e-4,
-    grading: float | None = None,
-    op: DiscreteOperator | None = None,
-    solution=None,
-) -> ScanTable:
+def sobolev_scan(params: ProblemParams, theta_list, rungs) -> ScanTable:
     """Classify u_min**theta as Bounded or Divergent from energy growth.
 
-    Divergent iff the log-energy versus log-n slope exceeds 0.1; the verdict
-    is compared against the threshold rule theta > Lambda.  op, when given,
-    is the operator of (op.grid, s, p) for one of the scan's meshes (same n
-    and grading), and that mesh uses it instead of assembling its own;
-    solution, when given with op, is (results, u_min, increments) of the
-    continuation on op.grid with these params and solver settings, and that
-    mesh uses it instead of solving again.
+    rungs holds one (op, (results, u_min, increments)) pair per mesh, in
+    increasing n: the operator of (op.grid, s, p) and the continuation of
+    params on op.grid.  Divergent iff the log-energy versus log-n slope
+    exceeds 0.1; the verdict is compared against the threshold rule
+    theta > Lambda.
     """
     theta_list = [float(t) for t in theta_list]
     for t in theta_list:
         if t < 1.0:
             raise OutOfRange(f"theta must be >= 1, got {t}")
-    n_list = [int(n) for n in n_list]
+    n_list = [op.n for op, _ in rungs]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise OutOfRange("n_list must be increasing with at least 3 entries")
     report = classify_regime(params)
-    q = default_grading(params) if grading is None else float(grading)
     rows = []
     energies = {t: [] for t in theta_list}
     increments = {}
-    for n in n_list:
-        if op is not None and (op.n, op.grid.q) == (n, q):
-            mesh_op, solved = op, solution
-        else:
-            grid = build_grid(params.a, params.b, n, q)
-            mesh_op, solved = assemble_operator(grid, params.s, params.p), None
-        if solved is None:
-            solved = continuation(
-                params, mesh_op.grid, halvings=halvings, tol=tol, op=mesh_op
-            )
-        _, u_min, incs = solved
-        increments[n] = incs[-1]
+    for op, (_, u_min, incs) in rungs:
+        increments[op.n] = incs[-1]
         for t in theta_list:
-            e = gagliardo_energy(u_min, t, mesh_op)
+            e = gagliardo_energy(u_min, t, op)
             energies[t].append(e)
-            rows.append({"theta": t, "n": n, "energy": e})
+            rows.append({"theta": t, "n": op.n, "energy": e})
     slopes = {}
     classes = {}
     consistent = {}
@@ -186,8 +164,8 @@ def sobolev_scan(
 def hardy_quotient(u: GridFunction, theta: float, s: float, p: float) -> float:
     """Discrete int_Omega (u**theta / d**s)**p dx on the function's grid.
 
-    Divergence under refinement is judged by the scan drivers that resample
-    on finer grids; a single grid always yields a finite quadrature value.
+    A single grid always yields a finite value; nonexistence_scan reads its
+    growth as delta approaches s p on one mesh.
     """
     grid = u.grid
     d = grid.distance()
@@ -272,26 +250,24 @@ class NonexistenceTable:
 def nonexistence_scan(
     params_base: ProblemParams,
     delta_list,
-    grid: Grid,
+    op: DiscreteOperator,
     halvings: int = 12,
     tol: float = 1e-4,
-    op: DiscreteOperator | None = None,
 ) -> NonexistenceTable:
-    """Solve along delta increasing toward s*p and record the blow-up trend.
+    """Solve on op.grid along delta increasing toward s*p and record the
+    blow-up trend.
 
-    op, when given, is the operator assembled for (grid, s, p); otherwise it
-    is assembled here.  It does not depend on delta, so every delta shares it.
+    op is the operator of (op.grid, s, p); it does not depend on delta, so
+    every delta shares it.
     """
     sp = params_base.sp
     for dl in delta_list:
         if dl >= sp:
             raise RegimeError(f"delta = {dl} is outside the solvable range [0, {sp})")
-    if op is None:
-        op = assemble_operator(grid, params_base.s, params_base.p)
     rows = []
     for dl in delta_list:
         pars = params_base.with_delta(float(dl))
-        results, u_min, incs = continuation(pars, grid, halvings=halvings, tol=tol, op=op)
+        results, u_min, incs = continuation(pars, op.grid, halvings=halvings, tol=tol, op=op)
         fit = fit_boundary_exponent(u_min, params=pars)
         hq = hardy_quotient(u_min, 1.0, pars.s, pars.p)
         rows.append(

@@ -11,6 +11,11 @@ check failure, 1 on usage or config errors or an output directory or file
 that cannot be written.  Reruns of an unchanged config byte-reproduce all
 CSV and plotdata artifacts (report.json additionally carries wall-clock
 timings).
+
+The run (_Run) owns every mesh, operator and continuation: a ladder of rungs
+at the run's grading, one per n, the run grid's (grid.n) and the scan meshes'
+(analysis.n_list) among them.  Experiments read rungs and never assemble or
+solve on their own.
 """
 
 from __future__ import annotations
@@ -223,41 +228,56 @@ def _written(path: Path, write, *data) -> bool:
 _WRITERS = {".csv": ("csv", write_csv), ".dat": ("plotdata", write_plotdata)}
 
 
+class _Rung:
+    """The mesh of n nodes at the run's grading, the operator on it and the
+    configured continuation there, each built on first use.  A failure is
+    not cached, so each experiment that needs the value raises it again."""
+
+    def __init__(self, run, n):
+        self.run, self.n = run, n
+
+    @functools.cached_property
+    def grid(self):
+        return _grid(self.run.params, {**self.run.cfg["grid"], "n": self.n})
+
+    @functools.cached_property
+    def operator(self):
+        """The operator of (grid, s, p); it does not depend on delta or eps."""
+        return assemble_operator(self.grid, self.run.params.s, self.run.params.p)
+
+    @functools.cached_property
+    def solution(self):
+        """(results, u_min, increments) of the configured continuation."""
+        sb = self.run.cfg["solver"]
+        return continuation(self.run.params, self.grid, halvings=int(sb["halvings"]),
+                            tol=float(sb["tol"]), op=self.operator)
+
+
 class _Run:
     """One run's config and the problem data its experiments share.
 
-    params and regime are computed from the config at once; the grid, the
-    operator assembled on it and the configured continuation on first use,
-    after which every experiment reads the same values: the continuation and
-    nonexistence-scan solve with the one operator.  A failure is not cached,
-    so each experiment that needs the value raises it again.
+    params and regime are computed from the config at once, and the rung of
+    each n on first use.  base, the run grid's rung, serves solve,
+    exponent-fit, compare and nonexistence-scan (through its operator);
+    sobolev-scan reads the rungs of analysis.n_list, base among them when
+    grid.n is listed.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.params = make_params(**cfg["params"])
         self.regime = classify_regime(self.params)
+        self._rungs = {}
 
-    @functools.cached_property
-    def grid(self):
-        return _grid(self.params, self.cfg["grid"])
+    def rung(self, n) -> _Rung:
+        n = int(n)
+        if n not in self._rungs:
+            self._rungs[n] = _Rung(self, n)
+        return self._rungs[n]
 
-    @functools.cached_property
-    def operator(self):
-        """The operator of (grid, s, p); it does not depend on delta or eps."""
-        return assemble_operator(self.grid, self.params.s, self.params.p)
-
-    @functools.cached_property
-    def solution(self):
-        """(results, u_min, increments) of the configured continuation."""
-        sb = self.cfg["solver"]
-        return continuation(
-            self.params,
-            self.grid,
-            halvings=int(sb["halvings"]),
-            tol=float(sb["tol"]),
-            op=self.operator,
-        )
+    @property
+    def base(self) -> _Rung:
+        return self.rung(self.cfg["grid"]["n"])
 
     def converged(self, increments) -> bool:
         """Every continuation's last increment is at most solver.tol."""
@@ -303,7 +323,7 @@ def _exp_oracle(run):
 
 
 def _exp_barrier_check(run):
-    params, grid = run.params, run.grid
+    params, grid = run.params, run.base.grid
     spec = run.barrier_spec(0.05)
     rec1 = verify_power_estimate(spec.alpha, params.s, params.p, spec.lam, n=max(grid.n, 512))
     rec2 = verify_boundary_barrier(params, spec, grid, _ETA)
@@ -317,9 +337,24 @@ def _exp_barrier_check(run):
     return ok, record, {"barrier_check.csv": (["check", "quantity", "value", "passed"], rows)}
 
 
+def _stages(results):
+    """One record per eps stage of a continuation."""
+    return [
+        {
+            "eps": r.eps,
+            "newton_steps": r.iterations,
+            "factorizations": r.factorizations,
+            "cg_steps": r.cg_steps,
+            "residual": r.residual,
+            "seconds": r.seconds,
+        }
+        for r in results
+    ]
+
+
 def _exp_solve(run):
-    grid = run.grid
-    results, u_min, incs = run.solution
+    grid = run.base.grid
+    results, u_min, incs = run.base.solution
     last = results[-1]
     converged = run.converged(incs[-1:])
     ok = last.positivity_ok and converged
@@ -330,17 +365,7 @@ def _exp_solve(run):
         "continuation_converged": converged,
         "positivity_margin": last.positivity_margin,
         "iterations_total": int(sum(r.iterations for r in results)),
-        "stages": [
-            {
-                "eps": r.eps,
-                "newton_steps": r.iterations,
-                "factorizations": r.factorizations,
-                "cg_steps": r.cg_steps,
-                "residual": r.residual,
-                "seconds": r.seconds,
-            }
-            for r in results
-        ],
+        "stages": _stages(results),
     }
     files = {
         "solution.csv": (["x", "u"], [{"x": x, "u": u} for x, u in zip(grid.nodes, u_min.values)]),
@@ -359,8 +384,8 @@ def _fit_band(report, s):
 
 
 def _exp_exponent_fit(run):
-    grid = run.grid
-    _, u_min, _ = run.solution
+    grid = run.base.grid
+    _, u_min, _ = run.base.solution
     fit = fit_boundary_exponent(u_min, params=run.params)
     lo, hi = _fit_band(run.regime, run.params.s)
     ok = lo <= fit.slope_left <= hi and lo <= fit.slope_right <= hi
@@ -394,20 +419,9 @@ def _exp_exponent_fit(run):
 
 
 def _exp_sobolev_scan(run):
-    ab, sb, gb = run.cfg["analysis"], run.cfg["solver"], run.cfg["grid"]
-    grading = None if gb["grading"] == "auto" else float(gb["grading"])
-    # the run's grid is the scan's mesh of the same n: reuse its operator
-    # and continuation
-    shared = {"op": run.operator, "solution": run.solution} if gb["n"] in ab["n_list"] else {}
-    table = sobolev_scan(
-        run.params,
-        ab["theta_list"],
-        ab["n_list"],
-        halvings=int(sb["halvings"]),
-        tol=float(sb["tol"]),
-        grading=grading,
-        **shared,
-    )
+    ab = run.cfg["analysis"]
+    rungs = [run.rung(n) for n in ab["n_list"]]
+    table = sobolev_scan(run.params, ab["theta_list"], [(r.operator, r.solution) for r in rungs])
     converged = run.converged(table.increments.values())
     ok = all(table.consistent.values()) and table.classification_monotone() and converged
     rows = [
@@ -426,6 +440,7 @@ def _exp_sobolev_scan(run):
         "consistent": {str(k): bool(v) for k, v in table.consistent.items()},
         "last_increments": {str(k): v for k, v in table.increments.items()},
         "continuation_converged": converged,
+        "stages": {str(r.n): _stages(r.solution[0]) for r in rungs},
     }
     files = {
         "sobolev_scan.csv": (
@@ -443,10 +458,9 @@ def _exp_nonexistence(run):
     table = nonexistence_scan(
         run.params,
         ab["delta_list"],
-        run.grid,
+        run.base.operator,
         halvings=int(sb["halvings"]),
         tol=float(sb["tol"]),
-        op=run.operator,
     )
     decreasing = table.exponents_decreasing()
     converged = run.converged([r["last_increment"] for r in table.rows])
@@ -468,8 +482,8 @@ def _exp_nonexistence(run):
 
 
 def _exp_compare(run):
-    params, grid = run.params, run.grid
-    results, u_min, _ = run.solution
+    params, grid = run.params, run.base.grid
+    results, u_min, _ = run.base.solution
     # matched scales: with alpha = alpha_star the barrier shift equals the
     # weight regularization length, so lambda = eps is the aligned choice
     spec = run.barrier_spec(results[-1].eps)

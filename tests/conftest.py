@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracp import assemble_operator, build_grid, make_params
+from fracp import assemble_operator, build_grid, continuation, make_params
 
 ACCEPTANCE_LINES = []
 
@@ -35,6 +35,13 @@ def singular_preset():
     return make_params(0.5, 2.0, 1.0, 0.5)
 
 
+def _rebind(monkeypatch, fn, counted):
+    """Replace every fracp module's binding of fn by counted."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fracp" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+
+
 @pytest.fixture
 def assembly_calls(monkeypatch):
     """(n, q, s, p) of every assemble_operator call, through any fracp
@@ -45,7 +52,19 @@ def assembly_calls(monkeypatch):
         calls.append((grid.n, grid.q, s, p))
         return assemble_operator(grid, s, p)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "fracp" and getattr(module, "assemble_operator", None) is assemble_operator:
-            monkeypatch.setattr(module, "assemble_operator", counted)
+    _rebind(monkeypatch, assemble_operator, counted)
+    return calls
+
+
+@pytest.fixture
+def continuation_calls(monkeypatch):
+    """(n, q, delta) of every continuation call, through any fracp module's
+    binding of it."""
+    calls = []
+
+    def counted(params, grid, *args, **kwargs):
+        calls.append((grid.n, grid.q, params.delta))
+        return continuation(params, grid, *args, **kwargs)
+
+    _rebind(monkeypatch, continuation, counted)
     return calls

@@ -5,11 +5,13 @@ per criterion is printed in the terminal summary.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import record_criterion
+from fracp import cli
 from fracp import (
     BarrierSpec,
     assemble_operator,
@@ -26,7 +28,6 @@ from fracp import (
     make_params,
     nonexistence_scan,
     phi_constant,
-    sobolev_scan,
     solve_approximated,
     solve_fixed_rhs,
     updiff,
@@ -200,36 +201,37 @@ def test_c7_monotone_regularization():
     assert ok
 
 
-def test_c8_sobolev_threshold():
-    # 12 halvings as in configs/sobolev_*.json: with 10 the continuations
-    # stop above their tol and the energies come from unconverged iterates
-    bounded = sobolev_scan(
-        PRESETS["sobolev_bounded"], [1.0], [128, 256, 512, 1024], halvings=12, tol=1e-4
-    )
-    energies = [r["energy"] for r in bounded.rows]
-    ratios = [b / a for a, b in zip(energies, energies[1:])]
-    ok_b = bounded.classes[1.0] == "Bounded" and all(r <= 1.1 for r in ratios)
+def _sobolev_scan_preset(name):
+    """The sobolev-scan record and sobolev_scan.csv rows of a preset, as
+    `fracp sobolev-scan --config configs/<name>.json` computes them."""
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    _, record, files = cli._exp_sobolev_scan(cli._Run(cli.load_config(str(config))))
+    return record, files["sobolev_scan.csv"][1]
 
-    divergent = sobolev_scan(
-        PRESETS["sobolev_divergent"], [1.0, 3.0], [128, 256, 512, 1024], halvings=12, tol=1e-4
-    )
-    ok_d = (
-        divergent.classes[1.0] == "Divergent"
-        and divergent.slopes[1.0] > 0.1
-        and divergent.classes[3.0] == "Bounded"
-    )
-    converged = all(
-        inc <= 1e-4 for table in (bounded, divergent) for inc in table.increments.values()
-    )
+
+def test_c8_sobolev_threshold():
+    # the presets run 12 halvings to tol 1e-4 on n = 128..1024: with 10 the
+    # continuations stop above their tol and the energies come from
+    # unconverged iterates
+    bounded, rows = _sobolev_scan_preset("sobolev_bounded")
+    energies = [r["energy"] for r in rows if r["theta"] == 1.0]
+    ratios = [b / a for a, b in zip(energies, energies[1:])]
+    ok_b = bounded["classes"]["1.0"] == "Bounded" and all(r <= 1.1 for r in ratios)
+
+    divergent, _ = _sobolev_scan_preset("sobolev_divergent")
+    slopes, classes = divergent["slopes"], divergent["classes"]
+    ok_d = classes["1.0"] == "Divergent" and slopes["1.0"] > 0.1 and classes["3.0"] == "Bounded"
+    increments = [bounded["last_increments"], divergent["last_increments"]]
+    converged = all(inc <= 1e-4 for incs in increments for inc in incs.values())
     ok = ok_b and ok_d and converged
     record_criterion(
         f"[{'PASS' if ok else 'FAIL'}] C8 Sobolev threshold: "
         f"Lam=0.75 ratios max {max(ratios):.3f} <= 1.1; "
-        f"Lam=2.5 slopes theta=1: {divergent.slopes[1.0]:.2f}, theta=3: {divergent.slopes[3.0]:.2f}"
+        f"Lam=2.5 slopes theta=1: {slopes['1.0']:.2f}, theta=3: {slopes['3.0']:.2f}"
     )
     assert ok_b
     assert ok_d
-    assert converged, (bounded.increments, divergent.increments)
+    assert converged, increments
 
 
 def test_c9_comparison_bracketing(case2_run):
@@ -262,10 +264,8 @@ def test_c9_comparison_bracketing(case2_run):
 
 def test_c10_nonexistence_trend():
     params = make_params(0.5, 2.0, 1.0, 0.5)
-    grid = build_grid(0.0, 1.0, 1024, 4.0)
-    table = nonexistence_scan(
-        params, [0.6, 0.8, 0.9, 0.95], grid, halvings=14, tol=1e-4
-    )
+    op = assemble_operator(build_grid(0.0, 1.0, 1024, 4.0), params.s, params.p)
+    table = nonexistence_scan(params, [0.6, 0.8, 0.9, 0.95], op, halvings=14, tol=1e-4)
     quotient_ratio = table.quotients[3] / table.quotients[1]
     ok = table.exponents_decreasing() and quotient_ratio >= 2.0
     record_criterion(

@@ -7,6 +7,8 @@ from fracp import (
     assemble_operator,
     build_grid,
     comparison_check,
+    continuation,
+    default_grading,
     fit_boundary_exponent,
     hardy_quotient,
     inequality_props,
@@ -115,17 +117,32 @@ class TestComparisonCheck:
             comparison_check(np.zeros(3), np.zeros(4), np.zeros(3))
 
 
+def _operators(params, n_list):
+    """The operator of (s, p) on each n at the default grading."""
+    q = default_grading(params)
+    return [assemble_operator(build_grid(params.a, params.b, n, q), params.s, params.p) for n in n_list]
+
+
 class TestSobolevScan:
     def test_input_validation(self):
         pars = make_params(0.75, 2.0, 2.0, 0.5)
+        # the checks come before any continuation is read
+        ops = _operators(pars, [64, 128, 256])
         with pytest.raises(OutOfRange):
-            sobolev_scan(pars, [0.5], [64, 128, 256])
+            sobolev_scan(pars, [0.5], [(op, None) for op in ops])
         with pytest.raises(OutOfRange):
-            sobolev_scan(pars, [1.0], [64, 128])
+            sobolev_scan(pars, [1.0], [(op, None) for op in ops[:2]])
 
-    def test_small_scan_consistency(self):
+    def test_small_scan_consistency(self, assembly_calls, continuation_calls):
         pars = make_params(0.75, 2.0, 2.0, 1.2)
-        table = sobolev_scan(pars, [1.0, 3.0], [48, 96, 192], halvings=6, tol=1e-3)
+        rungs = [
+            (op, continuation(pars, op.grid, halvings=6, tol=1e-3, op=op))
+            for op in _operators(pars, [48, 96, 192])
+        ]
+        del assembly_calls[:], continuation_calls[:]
+        table = sobolev_scan(pars, [1.0, 3.0], rungs)
+        # the scan reads its rungs and neither assembles nor solves
+        assert assembly_calls == [] and continuation_calls == []
         assert table.classes[1.0] == "Divergent"
         assert table.classes[3.0] == "Bounded"
         assert table.classification_monotone()
@@ -137,38 +154,39 @@ class TestNonexistenceScan:
         pars = make_params(0.5, 2.0, 1.0, 0.5)
         grid = build_grid(0, 1, 64, 2.0)
         with pytest.raises(RegimeError):
-            nonexistence_scan(pars, [0.8, 1.0], grid)
+            nonexistence_scan(pars, [0.8, 1.0], assemble_operator(grid, pars.s, pars.p))
 
-    def test_one_assembly_for_all_deltas(self, monkeypatch):
-        from fracp import analysis, solver
-
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return assemble_operator(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "assemble_operator", counted)
-        monkeypatch.setattr(solver, "assemble_operator", counted)
+    def test_one_assembly_for_all_deltas(self, assembly_calls, continuation_calls):
+        # the caller's assembly is the only one: the scan assembles nothing
         pars = make_params(0.5, 2.0, 1.0, 0.5)
-        grid = build_grid(0, 1, 48, 2.0)
-        table = nonexistence_scan(pars, [0.6, 0.8], grid, halvings=4, tol=1e-2)
-        assert len(table.rows) == 2
-        assert len(calls) == 1
-
-    def test_given_operator_is_not_reassembled(self, assembly_calls):
-        pars = make_params(0.5, 2.0, 1.0, 0.5)
-        grid = build_grid(0, 1, 48, 2.0)
-        op = assemble_operator(grid, pars.s, pars.p)
+        op = assemble_operator(build_grid(0, 1, 48, 2.0), pars.s, pars.p)
         del assembly_calls[:]
-        table = nonexistence_scan(pars, [0.6, 0.8], grid, halvings=4, tol=1e-2, op=op)
+        table = nonexistence_scan(pars, [0.6, 0.8], op, halvings=4, tol=1e-2)
         assert len(table.rows) == 2
         assert assembly_calls == []
+        assert continuation_calls == [(48, 2.0, 0.6), (48, 2.0, 0.8)]
+
+    def test_given_operator_is_not_reassembled(self, monkeypatch):
+        # every delta solves with the given operator itself, on its grid
+        from fracp import analysis
+
+        used = []
+
+        def spy(params, grid, **kwargs):
+            used.append((grid, kwargs["op"]))
+            return continuation(params, grid, **kwargs)
+
+        monkeypatch.setattr(analysis, "continuation", spy)
+        pars = make_params(0.5, 2.0, 1.0, 0.5)
+        op = assemble_operator(build_grid(0, 1, 48, 2.0), pars.s, pars.p)
+        table = nonexistence_scan(pars, [0.6, 0.8], op, halvings=4, tol=1e-2)
+        assert len(table.rows) == 2
+        assert all(grid is op.grid and given is op for grid, given in used) and len(used) == 2
 
     def test_small_trend(self):
         pars = make_params(0.5, 2.0, 1.0, 0.5)
-        grid = build_grid(0, 1, 192, 4.0)
-        table = nonexistence_scan(pars, [0.6, 0.85], grid, halvings=8, tol=1e-3)
+        op = assemble_operator(build_grid(0, 1, 192, 4.0), pars.s, pars.p)
+        table = nonexistence_scan(pars, [0.6, 0.85], op, halvings=8, tol=1e-3)
         assert table.exponents_decreasing()
         assert table.quotients[1] > table.quotients[0]
 

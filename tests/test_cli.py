@@ -252,7 +252,8 @@ class TestSubcommands:
         assert names == expected | {"report.json"}
 
     def test_all_runs_one_continuation(self, tmp_path, monkeypatch):
-        # solve, exponent-fit and compare share the continuation of one run
+        # solve, exponent-fit, compare and sobolev-scan share the continuation
+        # of the run grid (n = 96); the scan's other two meshes add one each
         calls = []
 
         def counted(*args, **kwargs):
@@ -261,9 +262,9 @@ class TestSubcommands:
 
         monkeypatch.setattr(cli, "continuation", counted)
         assert run("all", write_cfg(tmp_path, QUICK), str(tmp_path / "out")) == 0
-        assert len(calls) == 1
+        assert sorted(args[1].n for args in calls) == [48, 96, 192]
 
-    def test_all_assembles_each_operator_once(self, tmp_path, assembly_calls):
+    def test_all_assembles_each_operator_once(self, tmp_path, assembly_calls, continuation_calls):
         # the run grid (n = 128, not among the scan meshes) once, shared by
         # the continuation and nonexistence-scan, plus one per sobolev-scan mesh
         payload = dict(QUICK)
@@ -271,24 +272,40 @@ class TestSubcommands:
         assert run("all", write_cfg(tmp_path, payload), str(tmp_path / "out")) == 0
         assert sorted(n for n, _, _, _ in assembly_calls) == [48, 96, 128, 192]
         assert len(set(assembly_calls)) == len(assembly_calls)
+        # one continuation per (n, q, delta): the configured delta on each
+        # mesh, and the two nonexistence deltas on the run grid
+        assert sorted((n, delta) for n, _, delta in continuation_calls) == [
+            (48, 0.5), (96, 0.5), (128, 0.5), (128, 0.6), (128, 0.8), (192, 0.5)
+        ]
+        assert len(set(continuation_calls)) == len(continuation_calls)
 
-    def test_sobolev_scan_reuses_the_run_mesh(self, tmp_path, assembly_calls, monkeypatch):
+    def test_sobolev_scan_reuses_the_run_mesh(self, tmp_path, assembly_calls, continuation_calls):
         # quick.json's run grid (n = 96) is a sobolev-scan mesh: the scan
-        # takes the run's operator and continuation instead of redoing them
-        from fracp import analysis
-
-        continuations = []
-
-        def counted(*args, **kwargs):
-            continuations.append(args[1].n)
-            return continuation(*args, **kwargs)
-
-        for module in (cli, analysis):
-            monkeypatch.setattr(module, "continuation", counted)
+        # reads the run's operator and continuation instead of redoing them
         assert run("all", str(REPO / "configs" / "quick.json"), str(tmp_path / "out")) == 0
         assert sorted(n for n, _, _, _ in assembly_calls) == [48, 96, 192]
-        # solve, then the scan's other two meshes, then two nonexistence deltas
-        assert sorted(continuations) == [48, 96, 96, 96, 192]
+        assert len(set(assembly_calls)) == len(assembly_calls)
+        assert sorted((n, delta) for n, _, delta in continuation_calls) == [
+            (48, 0.5), (96, 0.5), (96, 0.6), (96, 0.8), (192, 0.5)
+        ]
+        assert len(set(continuation_calls)) == len(continuation_calls)
+
+    def test_sobolev_scan_alone_builds_only_the_scan_meshes(
+        self, tmp_path, assembly_calls, continuation_calls
+    ):
+        # off the ladder, the run grid (n = 128) is neither assembled nor solved
+        payload = dict(QUICK)
+        payload["grid"] = {"n": 128, "grading": "auto"}
+        out = tmp_path / "out"
+        assert run("sobolev-scan", write_cfg(tmp_path, payload), str(out)) == 0
+        assert sorted(n for n, _, _, _ in assembly_calls) == [48, 96, 192]
+        assert sorted(n for n, _, _ in continuation_calls) == [48, 96, 192]
+        rec = json.loads((out / "report.json").read_text())["experiments"][0]["record"]
+        # one stage record per eps stage of each mesh's continuation
+        assert sorted(rec["stages"], key=int) == ["48", "96", "192"]
+        for n, stages in rec["stages"].items():
+            assert [st["eps"] for st in stages] == [0.5 * 2.0**-k for k in range(len(stages))]
+            assert all(0.0 <= st["residual"] <= 1e-10 for st in stages)
 
     def test_failed_assembly_is_not_cached(self, tmp_path, assembly_calls):
         # s p = 7.2 lies beyond the verified Gauss range: every experiment

@@ -1,0 +1,42 @@
+import importlib.util
+import json
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("run_presets", REPO / "scripts" / "run_presets.py")
+run_presets = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_presets)
+
+
+def _report(record, seconds):
+    return {
+        "experiments": [{"id": "sobolev-scan", "wall_time_s": seconds, "record": record}],
+        "timings": {"total_s": seconds},
+    }
+
+
+class TestAgainst:
+    def test_a_one_sided_key_still_shows_the_numbers_that_moved(self, tmp_path, monkeypatch, capsys):
+        # the key only this side has is listed by path, the slope that moved
+        # under a shared key is still found, and the artifact counts as differing
+        monkeypatch.chdir(tmp_path)
+        mine, theirs = Path("out"), Path("parent") / "out"
+        mine.mkdir()
+        theirs.mkdir(parents=True)
+        added = {"slopes": {"1.0": 1.25}, "stages": {"48": [{"eps": 0.5, "seconds": 0.1}]}}
+        (mine / "report.json").write_text(json.dumps(_report(added, 1.0)))
+        (theirs / "report.json").write_text(json.dumps(_report({"slopes": {"1.0": 1.0}}, 2.0)))
+        assert run_presets.compare(mine, Path("parent")) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "largest relative difference 2.00e-01 (/experiments[0]/record/slopes/1.0)" in lines[0]
+        assert lines[1].endswith("keys on one side only: /experiments[0]/record/stages (only here)")
+
+    def test_keys_only_the_other_side_has_are_listed(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"x": 1.0, "timings": {"total_s": 1.0, "import_s": 0.3}}))
+        b.write_text(json.dumps({"x": 1.0, "y": [1, 2], "timings": {"total_s": 2.0}}))
+        largest, _, one_sided = run_presets.largest_difference(a, b)
+        assert largest == 0.0
+        # timing keys on one side only are skipped
+        assert one_sided == ["/y (only under DIR)"]
+
