@@ -10,7 +10,8 @@ is, or "identical" for equal bytes.  Text that is not a number must match.
 In report.json the timings (wall_time_s, seconds, total_s, import_s) are
 skipped, also where only one side has them; any other key that only one side
 has is listed by its path, the keys both sides share are still compared, and
-the artifact counts as differing beyond its numbers.
+the artifact counts as differing beyond its numbers.  A preset whose
+output directory is absolute cannot be compared and counts as differing.
 
 Usage: python3 scripts/run_presets.py [--quick] [--against DIR]
 """
@@ -106,7 +107,13 @@ def largest_difference(mine: Path, theirs: Path):
 def compare(out_dir: Path, against: Path) -> int:
     """Print one line per artifact of out_dir against its copy under
     against; returns the number of artifacts missing there or differing in
-    more than their numbers."""
+    more than their numbers.  An absolute out_dir counts as one differing
+    artifact: both checkouts write to that same path, and against / out_dir
+    would be out_dir itself."""
+    if out_dir.is_absolute():
+        print(f"  {out_dir}: not comparable, an absolute output directory is "
+              "the same path for both checkouts")
+        return 1
     bad = 0
     for mine in sorted(p for p in out_dir.iterdir() if p.is_file()):
         theirs = against / mine

@@ -288,22 +288,14 @@ def verify_power_estimate(
 _MAX_PROBES = 24
 
 
-def _pv_probe_nodes(grid: Grid, eta: float) -> np.ndarray:
-    """Nodes inside the boundary strip that the PV evaluator can handle."""
-    return grid.nodes[grid.probe_indices(5.0, _MAX_PROBES, below=eta)]
-
-
 def _barrier_constants(spec: BarrierSpec, grid: Grid, probes, s, p):
-    sub = barrier_profile(spec, grid, "Sub")
+    """(c5_hat, c6_hat) on grid: the min and the max over the probes of
+    PV(Super) (d + lambda**(1/alpha))**beta.  Sub = Super - lambda on the
+    whole line, so PV(Sub) = PV(Super) and one sweep gives both."""
     sup = barrier_profile(spec, grid, "Super")
-    sh = spec.shift
-    d = np.minimum(np.asarray(probes) - grid.a, grid.b - np.asarray(probes))
-    scale = (d + sh) ** spec.beta
-    pv_sup = np.array([eval_fplap_pv(sup, float(x), s, p) for x in probes])
-    pv_sub = np.array([eval_fplap_pv(sub, float(x), s, p) for x in probes])
-    c5 = float((pv_sup * scale).min())
-    c6 = float((pv_sub * scale).max())
-    return c5, c6
+    pv = np.array([eval_fplap_pv(sup, float(x), s, p) for x in probes])
+    ratio = pv * (grid.distance(probes) + spec.shift) ** spec.beta
+    return float(ratio.min()), float(ratio.max())
 
 
 def verify_boundary_barrier(
@@ -314,8 +306,9 @@ def verify_boundary_barrier(
 ) -> VerificationRecord:
     """Empirical boundary-barrier constants in the strip {d < eta}.
 
-    c5_hat = min over probes of PV(Super) * (d + lambda**(1/alpha))**beta and
-    c6_hat = max of PV(Sub) * (same); the check passes when c5_hat stays
+    c5_hat and c6_hat are the min and the max over the probes of
+    PV(Super) * (d + lambda**(1/alpha))**beta, which PV(Sub) equals (Sub is
+    Super - lambda on the whole line); the check passes when c5_hat stays
     positive and c6_hat stays finite on the grid and on one dyadic
     refinement.
     """
@@ -326,7 +319,7 @@ def verify_boundary_barrier(
         raise WindowTooThin(
             f"boundary strip eta={eta} holds {n_in_strip} nodes, need >= 16"
         )
-    probes = _pv_probe_nodes(grid, eta)
+    probes = grid.nodes[grid.probe_indices(5.0, _MAX_PROBES, below=eta)]
     if len(probes) == 0:
         raise WindowTooThin("no PV-eligible nodes inside the boundary strip")
     s, p = params.s, params.p

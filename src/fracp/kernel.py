@@ -5,7 +5,8 @@ Phi(alpha, s, p) with its bracketing constants, principal-value evaluation of
 the operator on grid functions, assembly of the discrete energy/operator and
 Gagliardo-type energies.  Assembly integrates every separated cell pair by
 one positive tensor Gauss rule whose order is set by the pair's separation
-ratio.
+ratio.  Every Gauss-Legendre rule here reads one cached leggauss, and the
+panel rules of Phi, of the PV and of its tail all come from gauss_panels.
 
 Conventions fixed here and recorded in every report:
   * the pointwise operator carries a factor 2 in front of the principal
@@ -205,22 +206,30 @@ def jacobi_rule(n: int, b: float):
     return x, w
 
 
-#: n-point Gauss-Legendre nodes and weights on [-1, 1] for each QUAD_ORDERS n
-_LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in QUAD_ORDERS}
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int):
+    # n-point Gauss-Legendre nodes and weights on [-1, 1], read-only
+    xi, om = np.polynomial.legendre.leggauss(n)
+    xi.flags.writeable = om.flags.writeable = False
+    return xi, om
 
 
-def doubling_panels(start: float, end: float, n: int):
-    """The n-point Gauss-Legendre rule on the panels [start, 2 start],
-    [2 start, 4 start], ... up to end, the last one cut at end, as flat
-    nodes and weights.  A function analytic in Re z > 0 sees its nearest
-    singularity, z = 0 or beyond, at the same relative distance from every
-    panel, so the rule's error falls like (3 + 8**0.5)**(-2n) on each."""
-    edges = start * 2.0 ** np.arange(math.ceil(math.log2(end / start)))
-    edges = np.append(edges, end)
-    xi, om = _LEGENDRE[n]
+def gauss_panels(edges, n: int):
+    """The n-point Gauss-Legendre rule on each panel [edges[k], edges[k+1]],
+    as flat nodes and weights, panel by panel."""
+    xi, om = _legendre(n)
     lo = edges[:-1, None]
     half = 0.5 * np.diff(edges)[:, None]
     return (lo + half * (1.0 + xi)).ravel(), (half * om).ravel()
+
+
+def doubling_panels(start: float, end: float, n: int):
+    """gauss_panels on [start, 2 start], [2 start, 4 start], ... up to end,
+    the last one cut at end.  A function analytic in Re z > 0 sees its
+    nearest singularity, z = 0 or beyond, at the same relative distance from
+    every panel, so the rule's error falls like (3 + 8**0.5)**(-2n) on each."""
+    edges = start * 2.0 ** np.arange(math.ceil(math.log2(end / start)))
+    return gauss_panels(np.append(edges, end), n)
 
 
 def rule_sums(f, rules) -> list:
@@ -318,7 +327,7 @@ def _corner_rect(hA, hB, rho):
 def _hat_rule(q):
     """q-point Gauss nodes u on [0, 1] and the (4, q*q) tensor weights of the
     hat products (1-u)(1-v), (1-u) v, u (1-v), u v; every weight is positive."""
-    xi, om = np.polynomial.legendre.leggauss(q)
+    xi, om = _legendre(q)
     u = 0.5 * (1.0 + xi)
     hats = 0.5 * om[:, None] * np.column_stack((1.0 - u, u))
     return u, (hats.T[:, None, :, None] * hats.T[None, :, None, :]).reshape(4, q * q)
@@ -614,21 +623,13 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
 # principal-value evaluation
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-def _tail_rule(panels: int):
-    # the 10-point rule on each geometric panel [2**-(k+1), 2**-k] of (0, 1],
-    # as log(tau) and weights
-    lo = 2.0 ** -np.arange(1, panels + 1)[:, None]
-    tau = lo * (1.5 + 0.5 * _GL_NODES[None, :])
-    return np.log(tau).ravel(), (0.5 * lo * _GL_WEIGHTS[None, :]).ravel()
-
-
-#: quadrature of the mapped exterior tail of eval_fplap_pv: 200 geometric
+#: Gauss-Legendre points per panel of eval_fplap_pv
+_PV_ORDER = 10
+#: quadrature of the mapped exterior tail of eval_fplap_pv: 200 doubling
 #: panels leave out tau < 2**-200, whose share of the tail is below
 #: 2**(-200/p) for the PowerTail integrand of a barrier (alpha < s)
-_TAIL_LOG_TAU, _TAIL_WEIGHTS = _tail_rule(200)
+_TAIL_TAU, _TAIL_WEIGHTS = doubling_panels(2.0**-200, 1.0, _PV_ORDER)
+_TAIL_LOG_TAU = np.log(_TAIL_TAU)
 #: log of the largest radius the tail evaluates u at.  The panels reach
 #: t = t_max 2**(200/sp), which overflows below sp = 0.2; the cap changes
 #: only tau < (t_max / e**690)**sp, whose share of the tail is below
@@ -636,35 +637,20 @@ _TAIL_LOG_TAU, _TAIL_WEIGHTS = _tail_rule(200)
 _TAIL_LOG_T_CAP = 690.0
 
 
-def _gauss_segments(f, lo_hi: np.ndarray) -> float:
-    """Fixed-order Gauss-Legendre over a batch of segments [(lo, hi), ...]."""
-    if len(lo_hi) == 0:
-        return 0.0
-    lo = lo_hi[:, 0]
-    half = 0.5 * (lo_hi[:, 1] - lo)
-    mid = lo + half
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return float(((vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half).sum())
-
-
-def _split_segments(breaks: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    pts = breaks[(breaks > lo) & (breaks < hi)]
-    edges = np.concatenate(([lo], np.unique(pts), [hi]))
-    return np.column_stack((edges[:-1], edges[1:]))
-
-
 def eval_fplap_pv(u: GridFunction, x: float, s: float, p: float):
     """Principal value of the operator at an interior point x.
 
     Returns 2 * lim int_{|z-x|>eps} [u(x)-u(z)]^{p-1} |x-z|^{-1-s p} dz, with
     the symmetric core of radius cut = 2 h (h the local cell width at x)
-    excluded, the rest of the line handled by dense panel quadrature, and
-    the core contribution recovered by Richardson extrapolation over the two
-    radii (cut, cut/2); the exclusion error scales like cut**(p(1-s)) for
-    smooth profiles.  The exterior tail beyond the last grid edge and kink is
-    mapped onto (0, 1] and integrated in one vectorized pass of fixed
-    Gauss-Legendre panels, geometric toward the end that carries t = inf.
+    excluded and its contribution recovered by Richardson extrapolation over
+    the two radii (cut, cut/2); the exclusion error scales like
+    cut**(p(1-s)) for smooth profiles.  The radii from cut/2 to t_max, the
+    farthest grid edge or kink, take one pass of Gauss-Legendre panels
+    (gauss_panels, _PV_ORDER points each) broken at cut and at every edge
+    and kink radius, where the annulus below cut carries the Richardson
+    factor.  The exterior tail beyond t_max is mapped onto (0, 1] and
+    integrated by doubling panels geometric toward the end that carries
+    t = inf.
     """
     grid = u.grid
     a, b = grid.a, grid.b
@@ -685,29 +671,24 @@ def eval_fplap_pv(u: GridFunction, x: float, s: float, p: float):
     def diffs(tv):
         return updiff(ux, u(x + tv), p) + updiff(ux, u(x - tv), p)
 
-    def pair(tv):
-        return diffs(tv) * tv ** (-1.0 - sp)
+    kinks = np.asarray(u.exterior.kinks(a, b), dtype=float)
+    radii = np.abs(np.concatenate((grid.edges, kinks)) - x)
+    t_max = max(x - a, b - x, *np.abs(kinks - x))
 
-    kinks = list(u.exterior.kinks(a, b))
-    ref_pts = np.concatenate((grid.edges, np.asarray(kinks, dtype=float)))
-    radii = np.unique(np.abs(ref_pts - x))
-    t_far = max(x - a, b - x)
-    kink_radii = np.abs(np.asarray(kinks, dtype=float) - x) if kinks else np.array([])
-    t_max = max(t_far, float(kink_radii.max()) if len(kink_radii) else t_far)
-
-    base = _gauss_segments(pair, _split_segments(radii, r0, t_max))
-    annulus = _gauss_segments(pair, _split_segments(radii, 0.5 * r0, r0))
+    breaks = radii[(radii > 0.5 * r0) & (radii < t_max)]
+    edges = np.unique(np.concatenate(([0.5 * r0, r0, t_max], breaks)))
+    t, w = gauss_panels(edges, _PV_ORDER)
+    kappa = p * (1.0 - s)
+    w[: _PV_ORDER * edges.searchsorted(r0)] *= 2.0**kappa / (2.0**kappa - 1.0)
+    near = float((diffs(t) * t ** (-1.0 - sp)) @ w)
 
     # beyond t_max, t = t_max tau**(-1/sp) turns the tail into
     # t_max**-sp / sp * int_0^1 diffs(t) dtau; diffs is constant there for
     # the exteriors that are constant far out and grows like the integrable
     # tau**(-alpha (p-1) / sp) for PowerTail, hence panels geometric toward 0
     t = np.exp(np.minimum(np.log(t_max) - _TAIL_LOG_TAU / sp, _TAIL_LOG_T_CAP))
-    base += t_max**-sp / sp * float(diffs(t) @ _TAIL_WEIGHTS)
-
-    kappa = p * (1.0 - s)
-    fac = 2.0**kappa / (2.0**kappa - 1.0)
-    return 2.0 * (base + annulus * fac)
+    tail = t_max**-sp / sp * float(diffs(t) @ _TAIL_WEIGHTS)
+    return 2.0 * (near + tail)
 
 
 # ---------------------------------------------------------------------------

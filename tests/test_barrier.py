@@ -278,6 +278,38 @@ class TestVerifyBoundaryBarrier:
         assert rec.details["c5_hat_refined"] > 0
         assert np.isfinite(rec.details["c6_hat"])
 
+    def test_one_pv_per_probe_per_grid(self, monkeypatch):
+        calls = []
+
+        def spy(u, x, s, p):
+            calls.append(x)
+            return pv(u, x, s, p)
+
+        pv = barrier.eval_fplap_pv
+        monkeypatch.setattr(barrier, "eval_fplap_pv", spy)
+        pars = make_params(0.5, 2.0, 1.0, 0.5)
+        spec = BarrierSpec(alpha=0.25, lam=0.05, rho=0.5, s=0.5, p=2.0)
+        rec = verify_boundary_barrier(pars, spec, build_grid(0, 1, 384, 2.0), eta=0.1)
+        assert len(calls) == 2 * rec.details["n_probes"]
+        assert rec.details["c5_hat"] <= rec.details["c6_hat"]
+        assert rec.details["c5_hat_refined"] <= rec.details["c6_hat_refined"]
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("lam", [0.05, 1e-6])
+    def test_sub_and_super_have_one_pv(self, p, lam):
+        # Sub = Super - lambda on the whole line, exteriors included, so the
+        # operator maps both to one function: what lets one sweep give c6_hat
+        s, alpha = 0.5, 0.2
+        grid = build_grid(0, 1, 256, 2.0)
+        spec = BarrierSpec(alpha=alpha, lam=lam, rho=0.5, s=s, p=p)
+        sub, sup = (barrier_profile(spec, grid, kind) for kind in ("Sub", "Super"))
+        probes = grid.nodes[grid.probe_indices(5.0, barrier._MAX_PROBES, below=0.1)]
+        assert len(probes) > 0
+        for x in probes:
+            a = barrier.eval_fplap_pv(sub, float(x), s, p)
+            b = barrier.eval_fplap_pv(sup, float(x), s, p)
+            assert a == pytest.approx(b, rel=1e-13, abs=0.0)
+
     def test_eta_too_large(self):
         pars = make_params(0.5, 2.0, 1.0, 0.5)
         grid = build_grid(0, 1, 64, 1.0)

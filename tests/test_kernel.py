@@ -34,9 +34,9 @@ from fracp import kernel
 from fracp.kernel import (
     _HAT_R_MAX,
     _corner_rect,
-    _gauss_segments,
     _hat_weights,
-    _split_segments,
+    doubling_panels,
+    gauss_panels,
 )
 
 
@@ -271,6 +271,30 @@ class TestPhiConstant:
         for f in (phi_constant, bracket_constants):
             with pytest.raises(OutOfRange, match=f"^{name} must"):
                 f(alpha, s, p)
+
+
+class TestGaussPanels:
+    @pytest.mark.parametrize("n", [3, 10, 16])
+    def test_exact_for_degree_2n_minus_1_on_uneven_panels(self, n):
+        edges = np.array([-0.3, -0.29, 0.05, 0.6, 0.61, 1.7])
+        x, w = gauss_panels(edges, n)
+        assert len(x) == len(w) == 5 * n
+        rng = np.random.default_rng(n)
+        for deg in range(2 * n):
+            c = rng.standard_normal()
+            exact = c * (edges[-1] ** (deg + 1) - edges[0] ** (deg + 1)) / (deg + 1)
+            assert w @ (c * x**deg) == pytest.approx(exact, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("start, end, n", [(math.log(2.0), 40.0, 12), (1.0, 64.0, 16),
+                                               (2.0**-200, 1.0, 10), (0.3, 0.45, 12)])
+    def test_doubling_panels_bitwise(self, start, end, n):
+        # leggauss mapped onto each panel as lo + half (1 + xi) and half om
+        xi, om = np.polynomial.legendre.leggauss(n)
+        edges = np.append(start * 2.0 ** np.arange(math.ceil(math.log2(end / start))), end)
+        half = 0.5 * np.diff(edges)[:, None]
+        x, w = doubling_panels(start, end, n)
+        assert np.array_equal(x, (edges[:-1, None] + half * (1.0 + xi)).ravel())
+        assert np.array_equal(w, (half * om).ravel())
 
 
 class TestCellPairIntegrals:
@@ -559,8 +583,13 @@ def _reference_pv(u, x, s, p):
     radii = np.unique(np.abs(np.concatenate((grid.edges, kinks)) - x))
     t_max = max(x - a, b - x, *np.abs(kinks - x))
     r0 = 2.0 * grid.local_width(x)
-    base = _gauss_segments(pair, _split_segments(radii, r0, t_max))
-    annulus = _gauss_segments(pair, _split_segments(radii, 0.5 * r0, r0))
+
+    def panels(lo, hi):
+        # 10-point Gauss-Legendre on [lo, hi], broken at the radii between
+        t, w = gauss_panels(np.concatenate(([lo], radii[(radii > lo) & (radii < hi)], [hi])), 10)
+        return float(pair(t) @ w)
+
+    base, annulus = panels(r0, t_max), panels(0.5 * r0, r0)
     beta = u.exterior.alpha * (p - 1.0) / sp if isinstance(u.exterior, PowerTail) else 0.0
     # the weighted rule also samples tau = 0, where t is infinite
     tau_min = max((t_max / 1e250) ** sp, 1e-300)

@@ -40,3 +40,13 @@ class TestAgainst:
         # timing keys on one side only are skipped
         assert one_sided == ["/y (only under DIR)"]
 
+
+    def test_an_absolute_output_directory_is_not_comparable(self, tmp_path, capsys):
+        # against / mine would drop against and compare each file with itself
+        mine = tmp_path / "out"
+        mine.mkdir()
+        (mine / "report.json").write_text(json.dumps(_report({}, 1.0)))
+        assert run_presets.compare(mine, tmp_path / "no-such-parent") == 1
+        out = capsys.readouterr().out
+        assert "not comparable" in out and str(mine) in out
+        assert "identical" not in out
