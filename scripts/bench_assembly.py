@@ -6,16 +6,18 @@ Times `assemble_operator` (s = 1/2, graded mesh of [0, 1] with grading 2) at
 each n and p, three times each, and prints next to each time the mirror
 defect of the operator's w, b and m: the largest |a - a mirrored| / a over
 the positive entries, with w mirrored as w[n-1-i, n-1-j];
-`DiscreteOperator.apply` and `energy` of those operators at n = 1024 and
-2048 for each p, on the profile (x (1 - x))**(1/2), three repeats of ten
-calls each, in milliseconds per call; on the n = 2048 mesh of grading 2,
-for s = 1/2 and p = 2, the torsion solve `solve_fixed_rhs` with f = 1, three
-times, and one `eval_fplap_pv` probe at x = 0.37, three times each, one per
-exterior kind: the torsion function (zero exterior) and the Super and U
+`DiscreteOperator.apply`, `energy` and `energy_and_apply` (the one pair
+sweep the solver makes per line-search trial, "sweep") of those operators at
+n = 1024 and 2048 for each p, on the profile (x (1 - x))**(1/2), three
+repeats of ten calls each, in milliseconds per call; on the n = 2048 mesh of
+grading 2, for s = 1/2 and p = 2, the torsion solve `solve_fixed_rhs` with
+f = 1, three times, and one `eval_fplap_pv` probe at x = 0.37, three times
+each, one per exterior kind: the torsion function (zero exterior) and the Super and U
 barriers (alpha = 1/4, lambda = 1/10); and three continuations (s = 1/2,
 gamma = 1, delta = 1/2, eps0 = 1/2, tol = 1e-4, default grading), each with
 the minor page faults and user and system time that `getrusage` counts over
-it and the Cholesky factorizations and CG steps its solves made:
+it and the Cholesky factorizations, CG steps and objective evaluations its
+solves made:
 - p = 3, n = 512, 12 halvings: the continuation of the benchmark's fine_mesh
   workload;
 - p = 2, n = 1024, 20 halvings: the case-2 continuation of
@@ -92,7 +94,8 @@ def time_apply_energy():
         for p in PS:
             op = assemble_operator(grid, 0.5, p)
             row = {"n": n, "p": p}
-            for name, method in (("apply", op.apply), ("energy", op.energy)):
+            for name, method in (("apply", op.apply), ("energy", op.energy),
+                                 ("sweep", op.energy_and_apply)):
                 runs = []
                 for _ in range(REPEATS):
                     t0 = time.perf_counter()
@@ -142,7 +145,8 @@ def time_continuation(p, n, halvings):
             "minor_faults": after.ru_minflt - before.ru_minflt,
             "newton_steps": sum(r.iterations for r in results),
             "factorizations": sum(r.factorizations for r in results),
-            "cg_steps": sum(r.cg_steps for r in results)}
+            "cg_steps": sum(r.cg_steps for r in results),
+            "evaluations": sum(r.evaluations for r in results)}
 
 
 def time_import():

@@ -6,7 +6,8 @@ With --against DIR, each artifact written (every file in each preset's
 output directory) is then compared with the file of the same relative path
 under DIR, where another checkout ran this script, and one line per artifact
 gives the largest relative difference between their numbers, with where it
-is, or "identical" for equal bytes.  Text that is not a number must match.
+is, or "identical" for equal bytes, or "numbers identical" where only the
+skipped timings differ.  Text that is not a number must match.
 In report.json the timings (wall_time_s, seconds, total_s, import_s) are
 skipped, also where only one side has them; any other key that only one side
 has is listed by its path, the keys both sides share are still compared, and
@@ -132,7 +133,10 @@ def compare(out_dir: Path, against: Path) -> int:
             print(f"{label}: identical")
             continue
         largest, where, one_sided = found
-        print(f"{label}: largest relative difference {largest:.2e} ({where})")
+        if largest == 0.0:
+            print(f"{label}: numbers identical (timings skipped)")
+        else:
+            print(f"{label}: largest relative difference {largest:.2e} ({where})")
         if one_sided:
             print(f"{label}: differs beyond its numbers: keys on one side only: "
                   + ", ".join(one_sided))

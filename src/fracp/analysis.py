@@ -280,6 +280,7 @@ def nonexistence_scan(
                 "newton_steps": sum(r.iterations for r in results),
                 "factorizations": sum(r.factorizations for r in results),
                 "cg_steps": sum(r.cg_steps for r in results),
+                "evaluations": sum(r.evaluations for r in results),
             }
         )
     return NonexistenceTable(rows)

@@ -345,6 +345,7 @@ def _stages(results):
             "newton_steps": r.iterations,
             "factorizations": r.factorizations,
             "cg_steps": r.cg_steps,
+            "evaluations": r.evaluations,
             "residual": r.residual,
             "seconds": r.seconds,
         }

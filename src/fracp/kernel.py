@@ -11,9 +11,9 @@ panel rules of Phi, of the PV and of its tail all come from gauss_panels.
 Conventions fixed here and recorded in every report:
   * the pointwise operator carries a factor 2 in front of the principal
     value, and eval_fplap_pv returns that convention;
-  * apply() is the exact gradient of (1/p) * energy(), where energy() is the
-    discrete Gagliardo seminorm to the p-th power (interior double sum plus
-    twice the mass-weighted confinement term);
+  * apply() is the exact gradient of (1/p) * energy(), the discrete
+    Gagliardo seminorm to the p-th power (interior double sum plus twice
+    the mass-weighted confinement term), so energy(v) = v . apply(v) at mu = 0;
   * the pair matrix w is bitwise symmetric and nonnegative by construction,
     and at p = 2 the operator reads one triangle of it (BLAS dsymv);
   * every Grid is mirror-symmetric, so w is assembled from the left half of
@@ -61,43 +61,32 @@ __all__ = [
 
 def updiff(aval, bval, p):
     """[a - b]**(p-1) = |a - b|**(p-2) (a - b), continuous with value 0 at a = b."""
-    out = _updiff_inplace(np.asarray(np.subtract(aval, bval, dtype=float)), p, 0.0)
+    out = np.asarray(np.subtract(aval, bval, dtype=float))
+    _psi_inplace(out, p, 0.0)
     return out if out.ndim else float(out)
 
 
-# The three pair functions below overwrite their float array t and allocate at
+# The two pair functions below overwrite their float array t and allocate at
 # most two temporaries of its size, so the operator's n x n passes stay cheap.
 
 
-def _updiff_inplace(t, p, mu):
-    # (t**2 + mu**2)**((p-2)/2) * t, written into t; updiff(t, 0, p) at mu = 0
+def _psi_inplace(t, p, mu):
+    # psi(t) = (t^2+mu^2)^((p-2)/2) t, written into t; returns the power
+    # (t^2+mu^2)^((p-2)/2), or None at mu = 0, where psi(t) = [t]^(p-1)
     if mu == 0.0:
         a = np.abs(t)
         a **= p - 1.0
-        return np.copysign(a, t, out=t)
-    a = t * t
-    a += mu * mu
-    a **= 0.5 * (p - 2.0)
-    t *= a
-    return t
-
-
-def _pair_power_inplace(t, p, mu):
-    # primitive of p * _updiff_inplace, written into t:
-    # (t^2+mu^2)^(p/2) - mu^p, |t|^p at mu = 0
-    if mu == 0.0:
-        np.abs(t, out=t)
-        t **= p
-        return t
-    np.multiply(t, t, out=t)
-    t += mu * mu
-    t **= 0.5 * p
-    t -= mu**p
-    return t
+        np.copysign(a, t, out=t)
+        return None
+    r = t * t
+    r += mu * mu
+    r **= 0.5 * (p - 2.0)
+    t *= r
+    return r
 
 
 def _curvature_inplace(t, p, mu):
-    # derivative of _updiff_inplace in t, written into t:
+    # derivative of psi in t, written into t:
     # (t^2+mu^2)^((p-4)/2) ((p-1) t^2 + mu^2), (p-1) |t|^(p-2) at mu = 0
     if mu == 0.0:
         np.abs(t, out=t)
@@ -404,8 +393,10 @@ class DiscreteOperator:
     the discrete Gagliardo seminorm of the zero-extended interpolant raised
     to the p-th power; apply(v) is the exact gradient of energy(v)/p and
     hessian(v, out) its Jacobian.  mu smooths the pair differences,
-    psi(t) = (t^2 + mu^2)^((p-2)/2) t in place of [t]^(p-1); assembly leaves
-    it 0 and the solver sets it for p < 2.
+    psi(t) = (t^2 + mu^2)^((p-2)/2) t in place of [t]^(p-1) and its
+    primitive (t^2 + mu^2)^(p/2) - mu^p in place of |t|^p; assembly leaves
+    it 0 and the solver sets it for p < 2.  energy_and_apply gives energy
+    and apply from one pair sweep.
     w is bitwise symmetric; at p = 2, apply and energy read one triangle of
     it (w.T is the F-ordered view BLAS dsymv takes, lower=0 reads the lower
     triangle of w).  n is the number of nodes the operator acts on: grid.n,
@@ -430,8 +421,8 @@ class DiscreteOperator:
 
     @functools.cached_property
     def _diag(self) -> np.ndarray:
-        # at p = 2 the operator is the matrix 2 (diag(_diag) - w); the row
-        # sums of w read the same triangle as _apply_linear
+        # row sums of w plus m b: at p = 2 the operator is 2 (diag(_diag) - w),
+        # and the row sums read the same triangle as _apply_linear
         return dsymv(1.0, self.w.T, np.ones(self.n)) + self.m * self.b
 
     @functools.cached_property
@@ -476,25 +467,32 @@ class DiscreteOperator:
         # 2 (diag(_diag) v - w v) in one symmetric product
         return dsymv(-2.0, self.w.T, v, beta=2.0, y=self._diag * v, overwrite_y=1)
 
-    def apply(self, v) -> np.ndarray:
+    def energy_and_apply(self, v):
+        """(energy(v), apply(v)) from one sweep of the pairs, with one power
+        r = (t^2 + mu^2)^((p-2)/2) of each difference t, psi(t) = r t.  With
+        g = apply(v), v . g = sum w t psi(t) + 2 sum m b v psi(v) is the
+        energy at mu = 0 (Euler's identity).  At mu > 0 each primitive term
+        r (t^2 + mu^2) - mu^p is t psi(t) + mu^2 r - mu^p, so the energy is
+        v . g + mu^2 (sum w r + 2 sum m b r) - mu^p (sum w + 2 sum m b)."""
         v = self._check(v)
         if self._linear:
-            return self._apply_linear(v)
-        su = _updiff_inplace(np.subtract.outer(v, v), self.p, self.mu)
-        su *= self.w
-        conf = _updiff_inplace(v.copy(), self.p, self.mu)
-        return 2.0 * su.sum(axis=1) + 2.0 * self.m * self.b * conf
+            g = self._apply_linear(v)
+            return float(v @ g), g
+        mb2 = 2.0 * self.m * self.b
+        pairs, conf = np.subtract.outer(v, v), v.copy()
+        r, rc = _psi_inplace(pairs, self.p, self.mu), _psi_inplace(conf, self.p, self.mu)
+        # _diag + m b sums to sum w + 2 sum m b
+        flat = 0.0 if r is None else (self.mu**2 * (np.vdot(self.w, r) + mb2 @ rc)
+                                      - self.mu**self.p * (self._diag + self.m * self.b).sum())
+        pairs *= self.w
+        g = 2.0 * pairs.sum(axis=1) + mb2 * conf
+        return float(v @ g) + flat, g
+
+    def apply(self, v) -> np.ndarray:
+        return self.energy_and_apply(v)[1]
 
     def energy(self, v) -> float:
-        v = self._check(v)
-        if self._linear:
-            return float(v @ self._apply_linear(v))
-        pp = _pair_power_inplace(np.subtract.outer(v, v), self.p, self.mu)
-        pp *= self.w
-        inter = float(pp.sum())
-        conf = _pair_power_inplace(v.copy(), self.p, self.mu)
-        conf = float(2.0 * (self.m * self.b * conf).sum())
-        return inter + conf
+        return self.energy_and_apply(v)[0]
 
     def hessian(self, v, out: np.ndarray) -> np.ndarray:
         """Dense Hessian of energy/p at v, written into the n x n array out.
@@ -518,9 +516,6 @@ class DiscreteOperator:
         out *= -2.0
         out.flat[:: n + 1] += 2.0 * diag
         return out
-
-    def energy_over_p(self, v) -> float:
-        return self.energy(v) / self.p
 
 
 def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:

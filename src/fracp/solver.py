@@ -17,18 +17,20 @@ Cholesky; the returned u is P v_L (Bossavit, Comput. Methods Appl. Mech.
 Engrg. 56, 1986, on symmetry reduction).  There is no full-space path.
 
 Minimization uses damped Newton steps: the dense Hessian (the operator's
-weighted graph Laplacian plus the reaction curvature) is factored in place by
-Cholesky, and Armijo backtracking makes the objective decrease at every
+weighted graph Laplacian plus the reaction curvature) is factored in place
+by Cholesky, and Armijo backtracking makes the objective decrease at every
 accepted step, except where the predicted decrease is below the rounding of
-the objective.  A solve stops on the Newton decrement (Boyd & Vandenberghe,
-Convex Optimization, 9.5): after each step lambda^2 = g^T H^-1 g is taken
-with the Cholesky factor the solve holds, and the solve returns once
-lambda^2 <= tol^2 |f|.  So tol bounds the relative error in the energy norm,
-whatever the scale of the data.  Every solve, of every eps stage and of the
-fixed right-hand side (the gamma = 0 member of the family, where h_eps is 1),
-runs this one path.  For p < 2 the solver smooths the pair differences with
-mu = MU_FLOOR (see DiscreteOperator) so that the Hessian exists; the operator
-a caller passes in carries no smoothing.
+the objective.  Each line-search trial takes the objective and its gradient
+from one pair sweep (DiscreteOperator.energy_and_apply), and the accepted
+trial's gradient is the next step's.  A solve stops on the Newton decrement
+(Boyd & Vandenberghe, Convex Optimization, 9.5): after each step lambda^2 =
+g^T H^-1 g is taken with the Cholesky factor the solve holds, and the solve
+returns once lambda^2 <= tol^2 |f|.  So tol bounds the relative error in the
+energy norm, whatever the scale of the data.  Every solve, of every eps
+stage and of the fixed right-hand side (the gamma = 0 member of the family,
+where h_eps is 1), runs this one path.  For p < 2 the solver smooths the
+pair differences with mu = MU_FLOOR (see DiscreteOperator) so that the
+Hessian exists; the operator a caller passes in carries no smoothing.
 
 At p = 2 the Hessian is the fixed operator plus the diagonal reaction
 curvature, so a Cholesky factor stays a good preconditioner after v and eps
@@ -171,9 +173,11 @@ class SolveResult:
     residual: float
     positivity_margin: float
     positivity_ok: bool = True
-    #: Cholesky factorizations and preconditioned CG steps the solve made
+    #: Cholesky factorizations, preconditioned CG steps and evaluations of
+    #: the objective with its gradient (one pair sweep each) the solve made
     factorizations: int = 0
     cg_steps: int = 0
+    evaluations: int = 0
     #: wall-clock seconds of the solve
     seconds: float = 0.0
 
@@ -327,19 +331,17 @@ def _newton(op, reaction, v0, tol, factor):
     decrease is below _FLOOR |f| is taken in full: Armijo cannot resolve a
     decrease below the rounding of f.  After each step the squared Newton
     decrement lambda^2 = g^T H^-1 g is taken with the kept factor, and the
-    solve returns (v, steps, lambda / sqrt|f|) once lambda^2 <= tol^2 |f|.
+    solve returns (v, steps, lambda / sqrt|f|, evaluations of objective) once
+    lambda^2 <= tol^2 |f|.
     """
 
-    def value(v):
-        return op.energy_over_p(v) - reaction.value(v)
-
-    def grad(v):
-        return op.apply(v) - reaction.grad(v)
+    def objective(v):
+        energy, g = op.energy_and_apply(v)
+        return energy / op.p - reaction.value(v), g - reaction.grad(v)
 
     def hess(v, out):
         op.hessian(v, out)
         out.flat[:: op.n + 1] += reaction.curvature(v)
-        return out
 
     def hvp(v):
         # at p = 2 the Hessian is the operator plus the reaction curvature
@@ -347,8 +349,8 @@ def _newton(op, reaction, v0, tol, factor):
         return lambda x: op.apply(x) + curv * x
 
     v = np.array(v0, dtype=float)
-    g = grad(v)
-    fv = value(v)
+    fv, g = objective(v)
+    evaluations = 1
     # the kept factor's solve of H x = -g at v, reused as the first CG iterate
     x = None
     for it in range(1, _MAX_ITER + 1):
@@ -358,7 +360,8 @@ def _newton(op, reaction, v0, tol, factor):
         step = 1.0
         for _ in range(_HALVINGS):
             v_new = v + step * d
-            f_new = value(v_new)
+            f_new, g_new = objective(v_new)
+            evaluations += 1
             if floor or f_new <= fv + _ARMIJO * step * slope:
                 break
             step *= 0.5
@@ -366,12 +369,11 @@ def _newton(op, reaction, v0, tol, factor):
             raise NoConvergence(
                 f"line search stalled at lambda^2 = {-slope:.3e} (|f| = {abs(fv):.3e})"
             )
-        v, fv = v_new, f_new
-        g = grad(v)
+        v, fv, g = v_new, f_new, g_new
         x = factor._solve(-g)
         lam2 = -float(g @ x)
         if lam2 <= tol * tol * abs(fv):
-            return v, it, math.sqrt(lam2 / abs(fv)) if lam2 > 0.0 else 0.0
+            return v, it, math.sqrt(lam2 / abs(fv)) if lam2 > 0.0 else 0.0, evaluations
     raise NoConvergence(f"no convergence after {_MAX_ITER} Newton steps (lambda^2 = {lam2:.3e})")
 
 
@@ -395,12 +397,12 @@ def _minimize(op: DiscreteOperator, gamma, eps, kvals, v0, tol, factor) -> Solve
         factor = _Factor.for_operator(half)
     nfac, ncg = factor.factorizations, factor.cg_steps
     v0 = np.zeros(h) if v0 is None else op._check(v0)[:h]
-    v, iters, res = _newton(half, reaction, v0, tol, factor)
+    v, iters, res, nev = _newton(half, reaction, v0, tol, factor)
     nfac, ncg = factor.factorizations - nfac, factor.cg_steps - ncg
     margin = float(v.min())
     u = GridFunction(op.grid, np.concatenate((v, v[: op.n // 2][::-1])), Zero())
     seconds = time.perf_counter() - t0
-    return SolveResult(u, eps, iters, res, margin, margin >= -1e-12, nfac, ncg, seconds)
+    return SolveResult(u, eps, iters, res, margin, margin >= -1e-12, nfac, ncg, nev, seconds)
 
 
 def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:

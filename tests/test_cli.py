@@ -227,12 +227,16 @@ class TestSubcommands:
         assert untimed(rep2) == untimed(rep)
         # and so are the solver counts of each nonexistence-scan row
         counts = [
-            [(r["newton_steps"], r["factorizations"], r["cg_steps"]) for r in
+            [(r["newton_steps"], r["factorizations"], r["cg_steps"], r["evaluations"]) for r in
              report["experiments"][6]["record"]["rows"]]
             for report in (rep, rep2)
         ]
         assert counts[0] == counts[1]
-        assert all(f >= 1 and n >= 1 for n, f, _ in counts[0])
+        assert all(f >= 1 and n >= 1 for n, f, _, _ in counts[0])
+        # every Newton step evaluates at least one line-search trial, and
+        # each solve its start point
+        assert all(st["evaluations"] > st["newton_steps"] for st in stages)
+        assert all(e > n for n, _, _, e in counts[0])
         for f1 in sorted(out1.iterdir()):
             if f1.suffix in (".csv", ".dat"):
                 f2 = out2 / f1.name

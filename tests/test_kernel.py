@@ -435,19 +435,25 @@ class TestAssembleOperator:
         v = np.random.default_rng(4).uniform(-1, 1, n)
 
         def pair_terms(t):
-            # updiff, pair power and updiff slope written out, without reuse
+            # updiff, its power r (None at mu = 0) and its slope written out,
+            # without reuse
             if mu == 0.0:
-                return (np.sign(t) * np.abs(t) ** (p - 1.0), np.abs(t) ** p,
+                return (np.sign(t) * np.abs(t) ** (p - 1.0), None,
                         (p - 1.0) * np.abs(t) ** (p - 2.0))
             q = t * t + mu * mu
-            return (q ** (0.5 * (p - 2.0)) * t, q ** (0.5 * p) - mu**p,
-                    q ** (0.5 * (p - 4.0)) * ((p - 1.0) * t * t + mu * mu))
+            r = q ** (0.5 * (p - 2.0))
+            return r * t, r, q ** (0.5 * (p - 4.0)) * ((p - 1.0) * t * t + mu * mu)
 
-        su, pp, curv = pair_terms(v[:, None] - v[None, :])
-        su_v, pp_v, curv_v = pair_terms(v)
+        su, r, curv = pair_terms(v[:, None] - v[None, :])
+        su_v, r_v, curv_v = pair_terms(v)
         mb = op.m * op.b
         apply = 2.0 * (op.w * su).sum(axis=1) + 2.0 * mb * su_v
-        energy = float((op.w * pp).sum()) + float(2.0 * (mb * pp_v).sum())
+        # the pair primitive from the gradient: v . apply at mu = 0, and at
+        # mu > 0 plus mu^2 sum w r - mu^p sum w and the confinement alike
+        energy = float(v @ apply)
+        if mu:
+            energy += (mu**2 * (np.vdot(op.w, r) + 2.0 * mb @ r_v)
+                       - mu**p * (op.w.sum() + (2.0 * mb).sum()))
         H = op.w * curv
         diag = H.sum(axis=1) + mb * curv_v
         H *= -2.0
@@ -455,6 +461,33 @@ class TestAssembleOperator:
         assert np.array_equal(op.apply(v), apply)
         assert op.energy(v) == energy
         assert np.array_equal(op.hessian(v, np.empty((n, n))), H)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mu", [0.0, 1e-8, 1e-3])
+    def test_energy_is_the_plain_pair_sum(self, p, mu):
+        # energy_and_apply reads the energy off the gradient it sweeps for;
+        # it must equal the primitive summed pair by pair, |t|^p at mu = 0
+        # and (t^2 + mu^2)^(p/2) - mu^p above, on the full operator and on
+        # the folded one, at odd and even n
+        def primitive(t):
+            return np.abs(t) ** p if mu == 0.0 else (t * t + mu * mu) ** (0.5 * p) - mu**p
+
+        def plain(A, v):
+            return float((A.w * primitive(v[:, None] - v[None, :])).sum()
+                         + 2.0 * (A.m * A.b * primitive(v)).sum())
+
+        rng = np.random.default_rng(6)
+        for n in (32, 33):
+            op = dataclasses.replace(assemble_operator(build_grid(0, 1, n, 1.5), 0.5, p), mu=mu)
+            v = mirror_left_half(rng.uniform(-1, 1, n))
+            half = op.folded
+            v_half = v[: half.n]
+            for A, x in ((op, v), (half, v_half)):
+                energy, g = A.energy_and_apply(x)
+                assert energy == pytest.approx(plain(A, x), rel=1e-13, abs=0.0)
+                assert np.array_equal(g, A.apply(x))
+            # the folded energy is that of the mirror image
+            assert half.energy(v_half) == pytest.approx(plain(op, v), rel=1e-13, abs=0.0)
 
     def test_apply_zero(self):
         op = assemble_operator(build_grid(0, 1, 16, 1), 0.5, 2.0)
@@ -484,7 +517,7 @@ class TestAssembleOperator:
             vp, vm = v.copy(), v.copy()
             vp[i] += h
             vm[i] -= h
-            fd[i] = (op.energy_over_p(vp) - op.energy_over_p(vm)) / (2 * h)
+            fd[i] = (op.energy(vp) / op.p - op.energy(vm) / op.p) / (2 * h)
         assert np.abs(fd - grad).max() <= 1e-6 * np.abs(grad).max()
 
     @pytest.mark.parametrize("s,p,mu", [(0.5, 2.0, 0.0), (0.5, 3.0, 0.0), (0.6, 1.5, 1e-2)])

@@ -40,6 +40,18 @@ class TestAgainst:
         # timing keys on one side only are skipped
         assert one_sided == ["/y (only under DIR)"]
 
+    def test_equal_numbers_are_reported_identical(self, tmp_path, monkeypatch, capsys):
+        # only the timings differ: no key may be named as the largest difference
+        monkeypatch.chdir(tmp_path)
+        mine, theirs = Path("out"), Path("parent") / "out"
+        mine.mkdir()
+        theirs.mkdir(parents=True)
+        (mine / "report.json").write_text(json.dumps(_report({"slope": 0.25}, 1.0)))
+        (theirs / "report.json").write_text(json.dumps(_report({"slope": 0.25}, 2.0)))
+        assert run_presets.compare(mine, Path("parent")) == 0
+        out = capsys.readouterr().out
+        assert out.strip().endswith("report.json: numbers identical (timings skipped)")
+        assert "largest relative difference" not in out
 
     def test_an_absolute_output_directory_is_not_comparable(self, tmp_path, capsys):
         # against / mine would drop against and compare each file with itself

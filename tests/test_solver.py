@@ -23,6 +23,7 @@ from fracp.errors import (
     RegimeError,
     ShapeMismatch,
 )
+from fracp.kernel import DiscreteOperator
 from fracp.solver import SingularEnergy, residual_check
 
 
@@ -109,7 +110,7 @@ class TestSolveFixedRhs:
 
         def value(v):
             u = np.concatenate((v, v[::-1]))
-            return op.energy_over_p(u) - float(op.m @ u)
+            return op.energy(u) / op.p - float(op.m @ u)
 
         iterates = []
         hessian = half.hessian
@@ -121,13 +122,55 @@ class TestSolveFixedRhs:
             return hessian(v, out)
 
         half.hessian = recording_hessian
-        v, iters, res = solver._newton(
+        v, iters, res, _ = solver._newton(
             half, reaction, np.zeros(24), tol=1e-10, factor=solver._Factor.for_operator(half)
         )
         assert res <= 1e-10
         assert len(iterates) == iters >= 5
         values = [value(u) for u in iterates + [v]]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+class TestOneSweepPerTrial:
+    """Each line-search trial is one call of energy_and_apply, and a p != 2
+    solve calls neither apply nor energy: the accepted trial's gradient is
+    the next step's."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = dict.fromkeys(("energy_and_apply", "apply", "energy"), 0)
+        for name in calls:
+            method = getattr(DiscreteOperator, name)
+
+            def counting(self, v, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(self, v)
+
+            monkeypatch.setattr(DiscreteOperator, name, counting)
+        return calls
+
+    def check(self, calls, res):
+        assert calls["apply"] == calls["energy"] == 0
+        assert calls["energy_and_apply"] == res.evaluations
+        # the start point and at least one trial per Newton step
+        assert res.evaluations >= res.iterations + 1
+
+    def test_p3_fixed_rhs(self, monkeypatch):
+        op = assemble_operator(build_grid(0, 1, 48, 1.5), 0.5, 3.0)
+        calls = self.spy(monkeypatch)
+        res = solve_fixed_rhs(op, np.ones(48))
+        assert res.residual <= 1e-10
+        self.check(calls, res)
+
+    def test_p15_continuation_stage(self, monkeypatch):
+        params = make_params(0.5, 1.5, 1.0, 0.5)
+        grid = build_grid(0, 1, 64, default_grading(params))
+        op = assemble_operator(grid, 0.5, 1.5)
+        v0 = continuation(params, grid, eps0=0.5, halvings=2, op=op)[1].values
+        calls = self.spy(monkeypatch)
+        res = solve_approximated(params, grid, 0.0625, op=op, v0=v0)
+        assert res.iterations >= 2
+        self.check(calls, res)
 
 
 class TestSingularEnergy:
@@ -303,7 +346,7 @@ def _reference_newton(op, reaction, v, tol):
     at most tol**2 |f|."""
 
     def value(v):
-        return op.energy_over_p(v) - reaction.value(v)
+        return op.energy(v) / op.p - reaction.value(v)
 
     def grad(v):
         return op.apply(v) - reaction.grad(v)
@@ -412,7 +455,7 @@ class TestKeptFactor:
             H = op.hessian(u, np.empty((95, 95)))
             H.flat[::96] += reaction.curvature(u)
             lam2 = float(g @ np.linalg.solve(H, g))
-            f = op.energy_over_p(u) - reaction.value(u)
+            f = op.energy(u) / op.p - reaction.value(u)
             assert lam2 <= 1e-20 * abs(f), k
 
     def test_failed_factorization_discards_kept_factor(self, case2_256, monkeypatch):
