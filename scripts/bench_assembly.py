@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Layer timings: operator assembly, operator apply and energy, a torsion
-solve, principal-value probes and three continuations.
+"""Layer timings: operator assembly, the pair sweep and the Hessian pass of
+a Newton step, a torsion solve, principal-value probes and three continuations.
 
 Times `assemble_operator` (s = 1/2, graded mesh of [0, 1] with grading 2) at
 each n and p, three times each, and prints next to each time the mirror
 defect of the operator's w, b and m: the largest |a - a mirrored| / a over
-the positive entries, with w mirrored as w[n-1-i, n-1-j];
-`DiscreteOperator.apply`, `energy` and `energy_and_apply` (the one pair
-sweep the solver makes per line-search trial, "sweep") of those operators at
-n = 1024 and 2048 for each p, on the profile (x (1 - x))**(1/2), three
+the positive entries, with w mirrored as w[n-1-i, n-1-j]; the two passes
+of a Newton step on the operator a solve runs on (the folded h x h one,
+h = ceil(n/2), smoothed at mu = `solver.MU_FLOOR` for p < 2) at n = 1024 and
+2048 for each p: `energy_and_apply`, the one pair sweep per line-search
+trial ("sweep"), and `hessian` into a buffer of the solver's dtype (float32
+at p = 2), on the left half of the profile (x (1 - x))**(1/2), three
 repeats of ten calls each, in milliseconds per call; on the n = 2048 mesh of
 grading 2, for s = 1/2 and p = 2, the torsion solve `solve_fixed_rhs` with
 f = 1, three times, and one `eval_fplap_pv` probe at x = 0.37, three times
@@ -32,6 +34,7 @@ Prints one JSON object.  One BLAS thread gives the steadiest numbers:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_assembly.py
 """
 
+import dataclasses
 import json
 import resource
 import statistics
@@ -41,6 +44,7 @@ import time
 
 import numpy as np
 
+from fracp import solver
 from fracp import (
     BarrierSpec,
     assemble_operator,
@@ -58,8 +62,8 @@ from fracp.core import default_grading
 NS = (256, 1024, 2048, 4096)
 PS = (1.5, 2.0, 3.0)
 REPEATS = 3
-APPLY_NS = (1024, 2048)
-APPLY_CALLS = 10
+SWEEP_NS = (1024, 2048)
+SWEEP_CALLS = 10
 IMPORT_PROCESSES = 7
 
 
@@ -86,22 +90,27 @@ def time_assembly():
     return rows
 
 
-def time_apply_energy():
+def time_sweep_hessian():
     rows = []
-    for n in APPLY_NS:
+    for n in SWEEP_NS:
         grid = build_grid(0.0, 1.0, n, 2.0)
-        v = np.sqrt(grid.nodes * (1.0 - grid.nodes))
         for p in PS:
-            op = assemble_operator(grid, 0.5, p)
-            row = {"n": n, "p": p}
-            for name, method in (("apply", op.apply), ("energy", op.energy),
-                                 ("sweep", op.energy_and_apply)):
+            # the operator every solve runs on: the folded one, smoothed at
+            # mu = MU_FLOOR for p < 2, with the Hessian buffer of its dtype
+            half = assemble_operator(grid, 0.5, p).folded
+            if p < 2.0:
+                half = dataclasses.replace(half, mu=solver.MU_FLOOR)
+            out = solver._Factor.for_operator(half).buffer
+            v = np.sqrt(grid.nodes * (1.0 - grid.nodes))[: half.n]
+            row = {"n": n, "h": half.n, "p": p, "mu": half.mu, "hessian_dtype": out.dtype.name}
+            for name, call in (("sweep", lambda: half.energy_and_apply(v)),
+                               ("hessian", lambda: half.hessian(v, out))):
                 runs = []
                 for _ in range(REPEATS):
                     t0 = time.perf_counter()
-                    for _ in range(APPLY_CALLS):
-                        method(v)
-                    runs.append((time.perf_counter() - t0) / APPLY_CALLS)
+                    for _ in range(SWEEP_CALLS):
+                        call()
+                    runs.append((time.perf_counter() - t0) / SWEEP_CALLS)
                 row[f"{name}_median_ms"] = round(1e3 * statistics.median(runs), 4)
             rows.append(row)
     return rows
@@ -183,7 +192,7 @@ def main():
                       "p3_continuation_n512": p3,
                       "p2_case2_continuation_n1024": p2,
                       "p15_continuation_n1024": p15,
-                      "apply_energy": time_apply_energy(),
+                      "sweep_hessian": time_sweep_hessian(),
                       "torsion_solve_n2048": torsion,
                       "pv_probe_n2048": pv,
                       "assemble_operator": time_assembly()}))

@@ -54,7 +54,6 @@ from .solver import (
     SingularEnergy,
     SolveResult,
     continuation,
-    residual_check,
     solve_approximated,
     solve_fixed_rhs,
 )

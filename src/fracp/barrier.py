@@ -3,7 +3,8 @@ the power-barrier and boundary-barrier estimates on the interval domain.
 
 weight_values computes the weight K = d**(-delta), or with eps given its
 regularization of the approximated problems, taking delta from the
-ProblemParams."""
+ProblemParams.  With eps given it is the one check of the existence range
+delta < sp on the solve path: every regularized solve calls it first."""
 
 from __future__ import annotations
 
@@ -97,7 +98,7 @@ def barrier_profile(spec: BarrierSpec, grid: Grid, kind: str) -> GridFunction:
         d = grid.distance()
         offset = -spec.lam if kind == "Sub" else 0.0
         vals = (d + sh) ** spec.alpha + offset
-        ext = CollarTail(alpha=spec.alpha, lam=spec.lam, rho=spec.rho, offset=offset)
+        ext = CollarTail(alpha=spec.alpha, lam=spec.lam, offset=offset)
     else:
         raise SpecInvalid(f"unknown barrier kind {kind!r}; expected U, Sub or Super")
     return GridFunction(grid, vals, ext)
@@ -117,9 +118,7 @@ def weight_values(params: ProblemParams, d, eps: float | None = None) -> np.ndar
     sigma = 0.0
     if eps is not None:
         if delta >= sp:
-            raise RegimeError(
-                f"regularized weights need delta < s*p, got delta={delta}, sp={sp}"
-            )
+            raise RegimeError(f"existence range requires delta < s*p, got {delta} >= {sp}")
         sigma = eps ** ((params.gamma + params.p - 1.0) / (sp - delta))
     if delta == 0.0:
         return np.ones_like(d)
@@ -288,6 +287,17 @@ def verify_power_estimate(
 _MAX_PROBES = 24
 
 
+def _probe_indices(grid: Grid, eta: float) -> np.ndarray:
+    """Indices of the strip nodes PV is probed at: distance d to the
+    boundary below eta and above 5 local cell widths, at most _MAX_PROBES
+    of them spread evenly."""
+    d = grid.distance()
+    idx = np.flatnonzero((d > 5.0 * grid.local_width(grid.nodes)) & (d < eta))
+    if len(idx) > _MAX_PROBES:
+        idx = idx[np.unique(np.linspace(0, len(idx) - 1, _MAX_PROBES).round().astype(int))]
+    return idx
+
+
 def _barrier_constants(spec: BarrierSpec, grid: Grid, probes, s, p):
     """(c5_hat, c6_hat) on grid: the min and the max over the probes of
     PV(Super) (d + lambda**(1/alpha))**beta.  Sub = Super - lambda on the
@@ -319,7 +329,7 @@ def verify_boundary_barrier(
         raise WindowTooThin(
             f"boundary strip eta={eta} holds {n_in_strip} nodes, need >= 16"
         )
-    probes = grid.nodes[grid.probe_indices(5.0, _MAX_PROBES, below=eta)]
+    probes = grid.nodes[_probe_indices(grid, eta)]
     if len(probes) == 0:
         raise WindowTooThin("no PV-eligible nodes inside the boundary strip")
     s, p = params.s, params.p

@@ -81,9 +81,10 @@ def _is_number(v, lo=-math.inf, strict=False, integer=False) -> bool:
     return v > lo if strict else v >= lo
 
 
-# (description, test) per config value; the params and grid blocks are
-# checked as a whole by make_params and build_grid, and ranges that depend on
-# the problem (delta < s p, ...) stay with the modules that own them
+# (description, test) per config value; the params and grid blocks, and the
+# mesh of each analysis.n_list entry, are checked as a whole by make_params
+# and build_grid, and ranges that depend on the problem (delta < s p, ...)
+# stay with the modules that own them
 _REAL = ("a number", _is_number)
 _POSITIVE = ("a positive number", lambda v: _is_number(v, 0.0, strict=True))
 _NONNEGATIVE = ("a nonnegative number", lambda v: _is_number(v, 0.0))
@@ -178,6 +179,11 @@ def load_config(path: str) -> dict:
         _grid(params, cfg["grid"])
     except OutOfRange as exc:
         raise ConfigParse(f"grid: {exc}") from exc
+    try:
+        for n in cfg["analysis"]["n_list"]:
+            _grid(params, {**cfg["grid"], "n": n})
+    except OutOfRange as exc:
+        raise ConfigParse(f"analysis.n_list: {exc}") from exc
     return cfg
 
 

@@ -37,7 +37,8 @@ class ProblemParams:
     """Validated problem quadruple plus domain interval.
 
     delta >= s*p is accepted (classification and nonexistence scans need it);
-    solve operations check the existence range themselves.
+    barrier.weight_values checks the existence range for every regularized
+    solve.
     """
 
     s: float
@@ -227,16 +228,6 @@ class Grid:
         out = np.maximum(np.maximum(w[np.maximum(k - 1, 0)], w[k]), w[np.minimum(k + 1, last)])
         return out if out.ndim else float(out)
 
-    def probe_indices(self, cells: float, cap: int, above: float = 0.0, below: float = math.inf):
-        """Indices of the nodes whose distance d to the boundary exceeds
-        `cells` local widths and `above` and stays below `below`; at most cap
-        of them, spread evenly."""
-        d = self.distance()
-        idx = np.flatnonzero((d > cells * self.local_width(self.nodes)) & (d > above) & (d < below))
-        if len(idx) > cap:
-            idx = idx[np.unique(np.linspace(0, len(idx) - 1, cap).round().astype(int))]
-        return idx
-
     def distance(self, x=None) -> np.ndarray:
         """Distance to the boundary, at the nodes by default; there the right
         half is mirrored from the left, free of the rounding of b - x."""
@@ -337,13 +328,12 @@ class CollarTail:
     """Sub/supersolution exterior: ((lambda**(1/alpha) - dist)_+)**alpha + offset.
 
     offset = -lambda gives the subsolution branch (constant -lambda far out),
-    offset = 0 the supersolution branch (constant 0 far out).  Valid only for
-    collars thinner than rho.
+    offset = 0 the supersolution branch (constant 0 far out).  The collar is
+    lambda**(1/alpha) wide; BarrierSpec checks that it is thinner than rho.
     """
 
     alpha: float
     lam: float
-    rho: float
     offset: float
 
     @property

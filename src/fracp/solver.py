@@ -1,6 +1,10 @@
 """Convex energy minimization for the regularized problems and the
 epsilon-continuation toward the minimal solution.
 
+A regularized solve exists only for delta < sp.  The one check of that
+range is weight_values (barrier), which every regularized solve calls
+before it assembles anything.
+
 The discrete objective for the regularized problem is
     (1/p) * energy(v) - sum_i m_i K_i H_eps(v_i),
 strictly convex because the energy is strictly convex and H_eps is concave.
@@ -69,16 +73,9 @@ from scipy.linalg import LinAlgError, cho_factor
 from scipy.linalg.blas import get_blas_funcs
 
 from .core import Grid, GridFunction, ProblemParams, Zero
-from .errors import (
-    NoConvergence,
-    NonPositiveValues,
-    OutOfRange,
-    PointTooCloseToBoundary,
-    RegimeError,
-    ShapeMismatch,
-)
+from .errors import NoConvergence, OutOfRange, ShapeMismatch
 from .barrier import weight_values
-from .kernel import DiscreteOperator, assemble_operator, eval_fplap_pv
+from .kernel import DiscreteOperator, assemble_operator
 
 __all__ = [
     "SingularEnergy",
@@ -86,7 +83,6 @@ __all__ = [
     "solve_fixed_rhs",
     "solve_approximated",
     "continuation",
-    "residual_check",
 ]
 
 #: smoothing of the pair differences for p < 2
@@ -438,18 +434,15 @@ def solve_approximated(
 
     The minimizer satisfies apply(u) = m * K_eps * h_eps(u) up to the
     requested tolerance and is strictly positive at interior nodes.
+    delta >= sp raises RegimeError from weight_values, before any assembly.
     op, when given, is the operator assembled for (grid, s, p).  v0, when
     given, is a start point at the n nodes, of which the solve reads the
     left half.  factor, when given, is the h x h Hessian buffer and kept
     Cholesky factor of the continuation this solve is a stage of.
     """
-    if params.delta >= params.sp:
-        raise RegimeError(
-            f"existence range requires delta < s*p, got {params.delta} >= {params.sp}"
-        )
+    weights = weight_values(params, grid.distance(), eps)
     if op is None:
         op = assemble_operator(grid, params.s, params.p)
-    weights = weight_values(params, grid.distance(), eps)
     return _minimize(op, params.gamma, eps, weights, v0, tol, factor)
 
 
@@ -499,49 +492,3 @@ def continuation(
             break
         v0 = v + 0.5 * (v - v_prev)
     return results, results[-1].u, increments
-
-
-#: most probe nodes residual_check evaluates
-_MAX_PROBES = 200
-
-
-@dataclass
-class ResidualReport:
-    probes: np.ndarray
-    relative: np.ndarray
-    max_relative: float
-    mean_relative: float
-
-
-def residual_check(
-    u: GridFunction,
-    params: ProblemParams,
-    min_distance: float = 0.0,
-) -> ResidualReport:
-    """Strong-form spot check: PV value of u against K(x)/u(x)**gamma, with
-    the exact weight K = d**(-delta).
-
-    Probes are interior nodes with d > 4 local cell widths (and d >
-    min_distance when given), at most _MAX_PROBES of them spread evenly.
-    gamma > 0 requires u > 0 on probes.
-    """
-    grid = u.grid
-    d = grid.distance()
-    idx = grid.probe_indices(4.0, _MAX_PROBES, above=min_distance)
-    if not len(idx):
-        raise PointTooCloseToBoundary("no probe nodes far enough from the boundary")
-    uvals = u.values[idx]
-    if params.gamma > 0.0 and np.any(uvals <= 0.0):
-        raise NonPositiveValues("gamma > 0 requires u > 0 at the probe nodes")
-    kvals = weight_values(params, d[idx])
-    rhs = kvals if params.gamma == 0.0 else kvals / uvals**params.gamma
-    rel = np.empty(len(idx))
-    for j, i in enumerate(idx):
-        pv = eval_fplap_pv(u, float(grid.nodes[i]), params.s, params.p)
-        rel[j] = abs(pv - rhs[j]) / abs(rhs[j])
-    return ResidualReport(
-        probes=grid.nodes[idx],
-        relative=rel,
-        max_relative=float(rel.max()),
-        mean_relative=float(rel.mean()),
-    )

@@ -278,6 +278,22 @@ class TestVerifyBoundaryBarrier:
         assert rec.details["c5_hat_refined"] > 0
         assert np.isfinite(rec.details["c6_hat"])
 
+    @pytest.mark.parametrize("n, q", [(16, 1.0), (96, 2.0), (1024, 3.0)])
+    def test_probes_match_node_loop(self, n, q):
+        g = build_grid(0, 1, n, q)
+
+        def width(x):
+            # the cell holding x and its neighbours
+            k = min(max(int(np.searchsorted(g.edges, x, side="right")) - 1, 0), n)
+            return g.widths[max(k - 1, 0) : k + 2].max()
+
+        d, eta, cap = g.distance(), 0.1, barrier._MAX_PROBES
+        keep = [i for i in range(n) if 5.0 * width(g.nodes[i]) < d[i] < eta]
+        if len(keep) > cap:
+            sel = np.linspace(0, len(keep) - 1, cap).round().astype(int)
+            keep = [keep[j] for j in np.unique(sel)]
+        assert barrier._probe_indices(g, eta).tolist() == keep
+
     def test_one_pv_per_probe_per_grid(self, monkeypatch):
         calls = []
 
@@ -303,7 +319,7 @@ class TestVerifyBoundaryBarrier:
         grid = build_grid(0, 1, 256, 2.0)
         spec = BarrierSpec(alpha=alpha, lam=lam, rho=0.5, s=s, p=p)
         sub, sup = (barrier_profile(spec, grid, kind) for kind in ("Sub", "Super"))
-        probes = grid.nodes[grid.probe_indices(5.0, barrier._MAX_PROBES, below=0.1)]
+        probes = grid.nodes[barrier._probe_indices(grid, 0.1)]
         assert len(probes) > 0
         for x in probes:
             a = barrier.eval_fplap_pv(sub, float(x), s, p)

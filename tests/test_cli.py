@@ -119,6 +119,8 @@ class TestConfig:
             {"oracle": {"s_list": [1.5]}},
             {"oracle": {"p_list": [0.5]}},
             {"analysis": {"delta_list": [-0.5]}},
+            # each n_list entry is a mesh, checked at load as grid.n is
+            {"analysis": {"n_list": [1, 64, 128]}},
         ],
     )
     def test_bad_value_is_config_error_exit_1(self, tmp_path, capsys, payload):

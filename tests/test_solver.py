@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from fracp import (
-    GridFunction,
     assemble_operator,
     build_grid,
     continuation,
@@ -18,13 +17,12 @@ from fracp import solver
 from fracp.barrier import weight_values
 from fracp.errors import (
     NoConvergence,
-    NonPositiveValues,
     OutOfRange,
     RegimeError,
     ShapeMismatch,
 )
 from fracp.kernel import DiscreteOperator
-from fracp.solver import SingularEnergy, residual_check
+from fracp.solver import SingularEnergy
 
 
 class TestSolveFixedRhs:
@@ -240,11 +238,13 @@ class TestSolveApproximated:
         with pytest.raises(ShapeMismatch):
             solve_approximated(singular_preset, grid, 0.25, v0=np.ones(20))
 
-    def test_regime_error(self):
-        pars = make_params(0.5, 2.0, 1.0, 1.5)
+    def test_regime_error(self, assembly_calls):
+        # delta >= sp = 1 fails in weight_values, before the operator is built
         grid = build_grid(0, 1, 32, 1)
-        with pytest.raises(RegimeError):
-            solve_approximated(pars, grid, 0.25)
+        for delta in (1.0, 1.5):
+            with pytest.raises(RegimeError, match="existence range requires delta < s\\*p"):
+                solve_approximated(make_params(0.5, 2.0, 1.0, delta), grid, 0.25)
+        assert assembly_calls == []
 
     def test_uniqueness_two_initializations(self, singular_preset):
         grid = build_grid(0, 1, 64, 2.0)
@@ -589,28 +589,3 @@ class TestKeptFactor:
         assert all(f is factors[0] for f in factors)
         assert factors[0].buffer.dtype == np.float64
         assert factors[0].buffer.shape == (32, 32)
-
-
-class TestResidualCheck:
-    def test_torsion_self_consistency(self, torsion_64):
-        grid, op, res = torsion_64
-        pars = make_params(0.5, 2.0, 0.0, 0.0)
-        rep = residual_check(res.u, pars, min_distance=0.1)
-        assert rep.max_relative < 0.05
-
-    def test_refinement_improves(self):
-        pars = make_params(0.5, 2.0, 0.0, 0.0)
-        maxes = []
-        for n in (64, 128):
-            grid = build_grid(0, 1, n, 1.0)
-            op = assemble_operator(grid, 0.5, 2.0)
-            res = solve_fixed_rhs(op, np.ones(n), tol=1e-11)
-            rep = residual_check(res.u, pars, min_distance=0.1)
-            maxes.append(rep.max_relative)
-        assert maxes[1] < maxes[0]
-
-    def test_zero_input_guarded(self, singular_preset):
-        grid = build_grid(0, 1, 64, 1.0)
-        u = GridFunction(grid, np.zeros(64))
-        with pytest.raises(NonPositiveValues):
-            residual_check(u, singular_preset)
