@@ -3,14 +3,21 @@
 a Newton step, a torsion solve, principal-value probes and three continuations.
 
 Times `assemble_operator` (s = 1/2, graded mesh of [0, 1] with grading 2) at
-each n and p, three times each, and prints next to each time the mirror
-defect of the operator's w, b and m: the largest |a - a mirrored| / a over
-the positive entries, with w mirrored as w[n-1-i, n-1-j]; the two passes
-of a Newton step on the operator a solve runs on (the folded h x h one,
-h = ceil(n/2), smoothed at mu = `solver.MU_FLOOR` for p < 2) at n = 1024 and
-2048 for each p: `energy_and_apply`, the one pair sweep per line-search
-trial ("sweep"), and `hessian` into a buffer of the solver's dtype (float32
-at p = 2), on the left half of the profile (x (1 - x))**(1/2), three
+each n and p, five times each, alone ("assemble") and followed by building
+`DiscreteOperator.folded` ("assemble_folded"), the operator every solve
+runs on; prints next to the times the peak RSS of one assembly and of its
+fold, each read in a fresh process that imported fracp and built the mesh
+(`rss_mb`: import and mesh, assemble, folded), and, untimed after the
+runs, the mirror defect of the operator's w, b and m: the largest
+|a - a mirrored| / a over the positive entries, with w mirrored as
+w[n-1-i, n-1-j]; w is built on request, so its defect is left out at
+n = 8192, where w alone is 512 MB.  The two passes of a Newton step on the
+operator a solve runs on (the folded h x h one, h = ceil(n/2), smoothed at
+mu = `solver.MU_FLOOR` for p < 2) at n = 1024 and 2048 for each p:
+`energy_and_apply`, the one pair sweep per line-search trial ("sweep"), and
+`hessian` into a buffer of the solver's dtype (float32 at p = 2), both
+working in the solver's kept scratch, on the left half of the profile
+(x (1 - x))**(1/2), three
 repeats of ten calls each, in milliseconds per call; on the n = 2048 mesh of
 grading 2, for s = 1/2 and p = 2, the torsion solve `solve_fixed_rhs` with
 f = 1, three times, and one `eval_fplap_pv` probe at x = 0.37, three times
@@ -59,9 +66,12 @@ from fracp import (
 from fracp.cli import DEFAULTS
 from fracp.core import default_grading
 
-NS = (256, 1024, 2048, 4096)
+NS = (256, 1024, 2048, 4096, 8192)
 PS = (1.5, 2.0, 3.0)
 REPEATS = 3
+ASSEMBLY_REPEATS = 5
+#: largest n whose full w the mirror defect reads
+DEFECT_N_MAX = 4096
 SWEEP_NS = (1024, 2048)
 SWEEP_CALLS = 10
 IMPORT_PROCESSES = 7
@@ -72,21 +82,45 @@ def mirror_defect(a):
     return float((np.abs(a - np.flip(a))[pos] / a[pos]).max())
 
 
+def assembly_rss(n, p):
+    """Peak RSS in MB of a fresh process after import and mesh, after one
+    assembly and after its fold: VmHWM of /proc/self/status (Linux), since a
+    child's ru_maxrss starts from the RSS of the process that spawned it."""
+    code = ("from fracp import assemble_operator, build_grid\n"
+            "def mb(): return round(int(next(line for line in open('/proc/self/status')\n"
+            "    if line.startswith('VmHWM:')).split()[1]) / 1024, 1)\n"
+            f"grid = build_grid(0.0, 1.0, {n}, 2.0); base = mb()\n"
+            f"op = assemble_operator(grid, 0.5, {p}); assembled = mb()\n"
+            "op.folded; print(base, assembled, mb())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    return dict(zip(("import_and_mesh", "assemble", "folded"), map(float, out)))
+
+
 def time_assembly():
     rows = []
     for n in NS:
         grid = build_grid(0.0, 1.0, n, 2.0)
         for p in PS:
-            runs = []
-            for _ in range(REPEATS):
+            runs, folded_runs = [], []
+            for _ in range(ASSEMBLY_REPEATS):
                 t0 = time.perf_counter()
                 op = assemble_operator(grid, 0.5, p)
-                runs.append(time.perf_counter() - t0)
-            rows.append({"n": n, "p": p, "runs_s": [round(t, 4) for t in runs],
-                         "median_s": round(statistics.median(runs), 4),
-                         "mirror_defect": {name: float(f"{mirror_defect(a):.2e}")
-                                           for name, a in (("w", op.w), ("b", op.b),
-                                                           ("m", op.m))}})
+                t1 = time.perf_counter()
+                op.folded
+                folded_runs.append(time.perf_counter() - t0)
+                runs.append(t1 - t0)
+                del op
+            row = {"n": n, "p": p}
+            for name, ts in (("assemble", runs), ("assemble_folded", folded_runs)):
+                row[name] = {"runs_s": [round(t, 4) for t in ts], "min_s": round(min(ts), 4),
+                             "median_s": round(statistics.median(ts), 4)}
+            row["rss_mb"] = assembly_rss(n, p)
+            op = assemble_operator(grid, 0.5, p)
+            arrays = [("b", op.b), ("m", op.m)] + ([("w", op.w)] if n <= DEFECT_N_MAX else [])
+            row["mirror_defect"] = {name: float(f"{mirror_defect(a):.2e}") for name, a in arrays}
+            del op
+            rows.append(row)
     return rows
 
 
@@ -100,11 +134,12 @@ def time_sweep_hessian():
             half = assemble_operator(grid, 0.5, p).folded
             if p < 2.0:
                 half = dataclasses.replace(half, mu=solver.MU_FLOOR)
-            out = solver._Factor.for_operator(half).buffer
+            factor = solver._Factor.for_operator(half)
+            out = factor.buffer
             v = np.sqrt(grid.nodes * (1.0 - grid.nodes))[: half.n]
             row = {"n": n, "h": half.n, "p": p, "mu": half.mu, "hessian_dtype": out.dtype.name}
-            for name, call in (("sweep", lambda: half.energy_and_apply(v)),
-                               ("hessian", lambda: half.hessian(v, out))):
+            for name, call in (("sweep", lambda: half.energy_and_apply(v, factor.scratch)),
+                               ("hessian", lambda: half.hessian(v, out, factor.scratch))):
                 runs = []
                 for _ in range(REPEATS):
                     t0 = time.perf_counter()

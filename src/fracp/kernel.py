@@ -16,13 +16,15 @@ Conventions fixed here and recorded in every report:
     the mass-weighted confinement term), so energy(v) = v . apply(v) at mu = 0;
   * the pair matrix w is bitwise symmetric and nonnegative by construction,
     and at p = 2 the operator reads one triangle of it (BLAS dsymv);
-  * every Grid is mirror-symmetric, so w is assembled from the left half of
-    the mesh and is persymmetric, w[i, j] = w[n-1-i, n-1-j] up to rounding;
-    b and m are mirror images to the last bit;
+  * every Grid is mirror-symmetric, so w is persymmetric, w[i, j] =
+    w[n-1-i, n-1-j]: assembly integrates the left half of the mesh and keeps
+    half of each diagonal of w, from which w is built, exactly persymmetric,
+    only on request; b and m are mirror images to the last bit;
   * on mirror-symmetric vectors v = P v_L, with v_L the values at the
     h = ceil(n/2) left-half nodes and P stacking I over the reversal, the
     energy, apply and hessian of DiscreteOperator.folded are energy(P v_L),
-    P^T apply(P v_L) and P^T hessian(P v_L) P: the same formulas on h nodes.
+    P^T apply(P v_L) and P^T hessian(P v_L) P: the same formulas on h nodes,
+    whose h x h pair weights are read straight from the store.
 """
 
 from __future__ import annotations
@@ -66,37 +68,37 @@ def updiff(aval, bval, p):
     return out if out.ndim else float(out)
 
 
-# The two pair functions below overwrite their float array t and allocate at
-# most two temporaries of its size, so the operator's n x n passes stay cheap.
+# The two pair functions below overwrite their float array t and work in at
+# most two more of its size, passed in (a solve keeps them) or allocated.
 
 
-def _psi_inplace(t, p, mu):
+def _psi_inplace(t, p, mu, r=None):
     # psi(t) = (t^2+mu^2)^((p-2)/2) t, written into t; returns the power
-    # (t^2+mu^2)^((p-2)/2), or None at mu = 0, where psi(t) = [t]^(p-1)
+    # (t^2+mu^2)^((p-2)/2), in r, or None at mu = 0, where psi(t) = [t]^(p-1)
     if mu == 0.0:
-        a = np.abs(t)
+        a = np.abs(t, out=r)
         a **= p - 1.0
         np.copysign(a, t, out=t)
         return None
-    r = t * t
+    r = np.multiply(t, t, out=r)
     r += mu * mu
     r **= 0.5 * (p - 2.0)
     t *= r
     return r
 
 
-def _curvature_inplace(t, p, mu):
-    # derivative of psi in t, written into t:
+def _curvature_inplace(t, p, mu, a=None, b=None):
+    # derivative of psi in t, written into t, working in a and b:
     # (t^2+mu^2)^((p-4)/2) ((p-1) t^2 + mu^2), (p-1) |t|^(p-2) at mu = 0
     if mu == 0.0:
         np.abs(t, out=t)
         t **= p - 2.0
         t *= p - 1.0
         return t
-    a = t * t
+    a = np.multiply(t, t, out=a)
     a += mu * mu
     a **= 0.5 * (p - 4.0)
-    t *= t * (p - 1.0)
+    t *= np.multiply(t, p - 1.0, out=b)
     t += mu * mu
     t *= a
     return t
@@ -385,6 +387,15 @@ def _hat_weights(g, hX, hY, sp):
     return out
 
 
+def _half_offsets(n: int) -> list:
+    """Offsets of the half store of n-node pair weights: diagonal d of w keeps
+    its first (n + 1 - d) // 2 entries, the persymmetric half, at
+    [off[d], off[d + 1]); diagonals 0, n and n + 1 keep none."""
+    count = (n + 1 - np.arange(n + 2)) // 2
+    count[0] = 0
+    return [0, *np.cumsum(count).tolist()]
+
+
 @dataclass
 class DiscreteOperator:
     """Pair weights w, confinement densities b and dual-cell masses m.
@@ -397,16 +408,19 @@ class DiscreteOperator:
     primitive (t^2 + mu^2)^(p/2) - mu^p in place of |t|^p; assembly leaves
     it 0 and the solver sets it for p < 2.  energy_and_apply gives energy
     and apply from one pair sweep.
-    w is bitwise symmetric; at p = 2, apply and energy read one triangle of
-    it (w.T is the F-ordered view BLAS dsymv takes, lower=0 reads the lower
-    triangle of w).  n is the number of nodes the operator acts on: grid.n,
-    or h = ceil(grid.n / 2) for the folded operator (see folded).
+    pairs is w itself or, as assemble_operator leaves it, the half store of
+    w's diagonals (_half_offsets), which folded reads and w is built from on
+    first access.  w is bitwise symmetric; at p = 2, apply and energy read
+    one triangle of it (w.T is the F-ordered view BLAS dsymv takes, lower=0
+    reads the lower triangle of w).  n is the number of nodes the operator
+    acts on: grid.n, or h = ceil(grid.n / 2) for the folded operator (see
+    folded).
     """
 
     grid: Grid
     s: float
     p: float
-    w: np.ndarray = field(repr=False)
+    pairs: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     m: np.ndarray = field(repr=False)
     mu: float = 0.0
@@ -420,6 +434,21 @@ class DiscreteOperator:
         return self.p == 2.0 and self.mu == 0.0
 
     @functools.cached_property
+    def w(self) -> np.ndarray:
+        """The n x n pair weights; built from the half store on first access,
+        exactly symmetric and persymmetric, w[i, j] = w[n-1-i, n-1-j]."""
+        if self.pairs.ndim == 2:
+            return self.pairs
+        n, off = self.n, _half_offsets(self.n)
+        flat = np.zeros(n * n)
+        for d in range(1, n):
+            kept = self.pairs[off[d] : off[d + 1]]
+            line = np.concatenate((kept, kept[: n - d - len(kept)][::-1]))
+            flat[d :: n + 1][: n - d] = line  # w[i, i + d]
+            flat[d * n :: n + 1][: n - d] = line  # w[i + d, i]
+        return flat.reshape(n, n)
+
+    @functools.cached_property
     def _diag(self) -> np.ndarray:
         # row sums of w plus m b: at p = 2 the operator is 2 (diag(_diag) - w),
         # and the row sums read the same triangle as _apply_linear
@@ -428,33 +457,41 @@ class DiscreteOperator:
     @functools.cached_property
     def folded(self) -> "DiscreteOperator":
         """The operator on mirror-symmetric vectors, in their h = ceil(n/2)
-        left-half values; built once per operator.
+        left-half values, built once from the half store.
 
         For v = P v_L, with P stacking I over the reversal, row i < h of
         every pair sum reads v_j = v_{n-1-j}, so column j >= h folds onto
         column n-1-j.  With c_i = 2 for a mirrored node and 1 for the middle
-        node of an odd n, the folded pair weights are S = diag(c) (w[:h, :h]
-        plus the folded columns), symmetric because w is persymmetric (and
-        made bitwise symmetric here), and the folded masses are c m[:h].
-        Then energy(v_L) = energy(P v_L), apply(v_L) = P^T apply(P v_L) =
-        c * apply(P v_L)[:h] and hessian(v_L) = P^T H P: the full Newton
-        direction and decrement from h x h pair passes.  The pair
-        (i, n-1-i) lands on the diagonal of S, where its difference is 0.
-        At p = 2, folded._diag caches the diagonal of the folded matrix
-        2 (diag(_diag) - S).
+        node of an odd n, the folded masses are c m[:h] and the pair weights
+        S[i, j] = 2 (w[i, j] + w[i, n-1-j]), without the second term in the
+        middle row and column.  Then energy(v_L) = energy(P v_L),
+        apply(v_L) = P^T apply(P v_L) = c * apply(P v_L)[:h] and
+        hessian(v_L) = P^T H P: the full Newton direction and decrement from
+        h x h pair passes.  For i <= j, w[i, j] and w[i, n-1-j] are entry i
+        of diagonals j - i and n-1-i-j of the half store, so each diagonal of
+        S, and each anti-diagonal of its second terms, is one slice of the
+        store above the diagonal of S and its transpose below.  The pair
+        (i, n-1-i) lands on the diagonal of S, where its difference is 0.  At
+        p = 2, folded._diag caches the diagonal of 2 (diag(_diag) - S).
         """
         n = self.n
         h = (n + 1) // 2
+        k = n // 2  # nodes i < k have a mirror image; node k of an odd n is the middle
+        off, store = _half_offsets(n), self.pairs
+        U = np.zeros((h, h))  # S / 2 on and above the diagonal
+        flat = U.reshape(-1)
+        for d in range(1, h):  # w[i, i + d], i < h - d
+            flat[d :: h + 1][: h - d] = store[off[d] : off[d] + h - d]
+        for a in range(2 * k - 1):  # w[i, n-1-j], i + j = a, i <= j < k; one if h = 1
+            lo, hi, D = max(0, a - k + 1), a // 2 + 1, off[n - 1 - a]
+            flat[a + lo * (h - 1) :: h - 1 or 1][: hi - lo] += store[D + lo : D + hi]
+        S = U + U.T
+        S *= 2.0
+        S.flat[:: h + 1] *= 0.5  # U + U.T counts the diagonal twice
         c = np.full(h, 2.0)
         if n % 2:
             c[-1] = 1.0
-        # column j >= h of row i < h pairs v_i with v_j = v_{n-1-j}
-        X = self.w[:h, :h].copy()
-        X[:, : n - h] += self.w[:h, h:][:, ::-1]
-        X *= c[:, None]
-        S = X + X.T
-        S *= 0.5
-        return DiscreteOperator(grid=self.grid, s=self.s, p=self.p, w=S, b=self.b[:h],
+        return DiscreteOperator(grid=self.grid, s=self.s, p=self.p, pairs=S, b=self.b[:h],
                                 m=c * self.m[:h], mu=self.mu)
 
     def _check(self, v) -> np.ndarray:
@@ -467,20 +504,22 @@ class DiscreteOperator:
         # 2 (diag(_diag) v - w v) in one symmetric product
         return dsymv(-2.0, self.w.T, v, beta=2.0, y=self._diag * v, overwrite_y=1)
 
-    def energy_and_apply(self, v):
+    def energy_and_apply(self, v, scratch=(None, None)):
         """(energy(v), apply(v)) from one sweep of the pairs, with one power
         r = (t^2 + mu^2)^((p-2)/2) of each difference t, psi(t) = r t.  With
         g = apply(v), v . g = sum w t psi(t) + 2 sum m b v psi(v) is the
         energy at mu = 0 (Euler's identity).  At mu > 0 each primitive term
         r (t^2 + mu^2) - mu^p is t psi(t) + mu^2 r - mu^p, so the energy is
-        v . g + mu^2 (sum w r + 2 sum m b r) - mu^p (sum w + 2 sum m b)."""
+        v . g + mu^2 (sum w r + 2 sum m b r) - mu^p (sum w + 2 sum m b).
+        It works in the two n x n arrays of scratch, as hessian does."""
         v = self._check(v)
         if self._linear:
             g = self._apply_linear(v)
             return float(v @ g), g
         mb2 = 2.0 * self.m * self.b
-        pairs, conf = np.subtract.outer(v, v), v.copy()
-        r, rc = _psi_inplace(pairs, self.p, self.mu), _psi_inplace(conf, self.p, self.mu)
+        pairs, conf = np.subtract.outer(v, v, out=scratch[0]), v.copy()
+        r = _psi_inplace(pairs, self.p, self.mu, scratch[1])
+        rc = _psi_inplace(conf, self.p, self.mu)
         # _diag + m b sums to sum w + 2 sum m b
         flat = 0.0 if r is None else (self.mu**2 * (np.vdot(self.w, r) + mb2 @ rc)
                                       - self.mu**self.p * (self._diag + self.m * self.b).sum())
@@ -494,7 +533,7 @@ class DiscreteOperator:
     def energy(self, v) -> float:
         return self.energy_and_apply(v)[0]
 
-    def hessian(self, v, out: np.ndarray) -> np.ndarray:
+    def hessian(self, v, out: np.ndarray, scratch=(None, None)) -> np.ndarray:
         """Dense Hessian of energy/p at v, written into the n x n array out.
 
         2 (diag(L 1) - L) + diag(2 m b psi'(v)) with L_ij = w_ij psi'(v_i - v_j),
@@ -510,7 +549,7 @@ class DiscreteOperator:
             out.flat[:: n + 1] += 2.0 * self._diag
             return out
         np.subtract.outer(v, v, out=out)
-        _curvature_inplace(out, self.p, self.mu)
+        _curvature_inplace(out, self.p, self.mu, *scratch)
         out *= self.w
         diag = out.sum(axis=1) + self.m * self.b * _curvature_inplace(v.copy(), self.p, self.mu)
         out *= -2.0
@@ -537,8 +576,8 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     each diagonal of cell pairs is integrated, and the right half is its
     reflection; cell widths, b and m take their right half from the left
     half, whose small cells near a are free of the rounding that edges near
-    b carry.  w is therefore persymmetric, w[i, j] = w[n-1-i, n-1-j], up to
-    the rounding of the accumulation.
+    b carry.  w is persymmetric, w[i, j] = w[n-1-i, n-1-j], so the operator
+    keeps half of each of its diagonals, about n^2/4 numbers (_half_offsets).
     """
     check_sp(s, p)
     sp = s * p
@@ -554,13 +593,15 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     # images near a do not
     wd = mirror_left_half(np.diff(t))
 
-    # Weights accumulate over the extended nodes t_0..t_{n+1} in diagonal
-    # storage, F[d, i] for the node pair (i, i + d), so that every band below
-    # is a contiguous slice; the boundary nodes t_0 and t_{n+1} are folded
-    # onto their neighbours at the end (boundary cells carry the constant
-    # extension of the adjacent nodal value).
-    N = n + 2
-    F = np.zeros((N + 1, N))
+    # Weights accumulate over the extended nodes t_0..t_{n+1}, one diagonal of
+    # node pairs (i, i + d) at a time: gap g writes the halves of diagonals
+    # g - 1, g and g + 1 (three rolling buffers), after which diagonal
+    # d = g - 1 is complete; its pair (t_0, t_d) goes to edge[d] and the
+    # persymmetric half of its interior pairs, w[i - 1, i - 1 + d], to the store.
+    off = _half_offsets(n)
+    store = np.empty(off[-1])
+    edge = np.zeros(n + 2)
+    lo, mid, hi = (np.zeros(n // 2 + 2) for _ in range(3))
 
     # cell pairs at index distance >= 2: positive-weight Gauss (_hat_weights)
     for gap in range(2, n + 1):
@@ -568,50 +609,53 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
         H = (L + 1) // 2  # pairs k < H are integrated, the rest mirrored
         C = _hat_weights(t[gap : gap + H] - t[1 : H + 1], wd[:H], wd[gap : gap + H], sp)
         # x -> a + b - x maps pair k onto pair L-1-k, swapping the hat
-        # products (1-u)(1-v) and u v
-        C = np.concatenate((C, C[_MIRROR_HATS, : L - H][:, ::-1]), axis=1)
+        # products (1-u)(1-v) and u v; the halves need only pair k = H
+        C = np.concatenate((C, C[_MIRROR_HATS, L - 1 - H : L - H]), axis=1)
         # hats at t_k, t_{k+1} against hats at t_{k+gap}, t_{k+gap+1}
-        F[gap, :L] += C[0]
-        F[gap + 1, :L] += C[1]
-        F[gap - 1, 1 : L + 1] += C[2]
-        F[gap, 1 : L + 1] += C[3]
+        K = L // 2 + 1  # the half of diagonal gap, positions 0..L//2
+        mid[:K] += C[0, :K]
+        hi[:H] += C[1, :H]
+        lo[1 : H + 1] += C[2, :H]
+        mid[1:K] += C[3, : K - 1]
+        d = gap - 1
+        edge[d] = lo[0]
+        store[off[d] : off[d + 1]] = lo[1 : H + 1]
+        lo[:] = 0.0
+        lo, mid, hi = mid, hi, lo
+    edge[n], edge[n + 1] = lo[0], mid[0]
 
     rho = p - 1.0 - sp
     # same-cell band: exact for the interpolant, slope (v_{k+1}-v_k)/h_k
-    h = wd[1:n]  # interior cells [t_k, t_{k+1}], k = 1..n-1
-    F[1, 1:n] += h ** (1.0 - sp) / ((p - sp) * (p + 1.0 - sp))
+    h = wd[1:n]  # interior cells [t_k, t_{k+1}], k = 1..n-1: w[k - 1, k]
+    store[off[1] : off[2]] += (h ** (1.0 - sp) / ((p - sp) * (p + 1.0 - sp)))[: off[2] - off[1]]
 
-    # corner-touching band around each node t_k, secant slope across both cells
+    # corner-touching band around each node t_k, secant slope across both
+    # cells: the pair (t_{k-1}, t_{k+1}), k = 1..n
     hA, hB = wd[:n], wd[1:]
-    F[2, :n] += _corner_rect(hA, hB, rho) / (hA + hB) ** p
+    corner = _corner_rect(hA, hB, rho) / (hA + hB) ** p
+    edge[2] += corner[0]
+    store[off[2] : off[3]] += corner[1 : 1 + off[3] - off[2]]
 
-    # E[i, d] = F[d, i]; E's rows laid end to end read as the upper triangle
-    # of the N x N pair matrix (row i starts at its diagonal) followed by
-    # zeros, since every stored pair has i + d <= N - 1
-    E = np.ascontiguousarray(F.T)
-    del F  # at most two N x N arrays alive at once
-    U = E.reshape(-1)[: N * N].reshape(N, N)
-    inner = U[1:-1, 1:-1]
-    w = inner + inner.T
-    # pairs with t_0 or t_{n+1} move onto the first or the last node
-    for fold, node in ((U[0, 1:-1], 0), (U[1:-1, -1], n - 1)):
-        w[node, :] += fold
-        w[:, node] += fold
-    w[0, -1] += U[0, -1]
-    w[-1, 0] += U[0, -1]
+    # pairs with t_0 move onto the first node, (t_0, t_{d+1}) onto w[0, d];
+    # pairs with t_{n+1} onto the last, their mirror images, so only w[0, n-1]
+    # takes more: (t_1, t_{n+1}), the image of (t_0, t_n), and (t_0, t_{n+1})
+    first = off[1:n]  # w[0, d], d = 1..n-1
+    store[first] += edge[2 : n + 1]
+    store[first[-1]] += edge[n]
+    store[first[-1]] += edge[n + 1]
 
-    wmin = float(w.min())
+    wmin = float(store.min())
     if wmin < 0.0:
-        if wmin < -1e-9 * float(w.max()):
+        if wmin < -1e-9 * float(store.max()):
             raise FracpError(
                 f"assembly instability: negative pair weight {wmin:.3e} detected"
             )
-        np.clip(w, 0.0, None, out=w)
+        np.clip(store, 0.0, None, out=store)
 
     x = grid.nodes
     b = mirror_left_half(((x - grid.a) ** (-sp) + (grid.b - x) ** (-sp)) / sp)
     m = grid.masses
-    return DiscreteOperator(grid=grid, s=s, p=p, w=w, b=b, m=m)
+    return DiscreteOperator(grid=grid, s=s, p=p, pairs=store, b=b, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +739,9 @@ def gagliardo_energy(u: GridFunction, theta: float, op: DiscreteOperator) -> flo
     """Discrete [u**theta]_{s,p}^p for the zero-extended grid function.
 
     op is the operator assembled on u's grid for the (s, p) of the seminorm.
-    Interior double sum plus twice the mass-weighted confinement term.  The
+    Interior double sum plus twice the mass-weighted confinement term, taken
+    on the left half by op.folded: u must be mirror-symmetric exactly, as
+    every solution fracp computes is, or OutOfRange is raised.  The
     divergence decision under mesh refinement belongs to the scan driver;
     this returns the single-grid value.
     """
@@ -705,8 +751,10 @@ def gagliardo_energy(u: GridFunction, theta: float, op: DiscreteOperator) -> flo
         raise ExtensionUnsupported(
             "gagliardo_energy is defined for the zero exterior extension"
         )
-    vals = u.values
+    vals = op._check(u.values)
+    if not np.array_equal(vals, vals[::-1]):
+        raise OutOfRange("gagliardo_energy needs mirror-symmetric values, u[i] = u[n-1-i]")
     if theta != 1.0 and np.any(vals < 0.0):
         raise NegativeBase("theta != 1 requires nonnegative nodal values")
-    v = vals if theta == 1.0 else vals**theta
-    return op.energy(v)
+    v = vals[: op.folded.n]
+    return op.folded.energy(v if theta == 1.0 else v**theta)

@@ -204,9 +204,10 @@ class _Factor:
     factorization costs an eighth.
 
     One object serves every Newton step of a solve, or of every stage of a
-    continuation, so the buffer is allocated once.  cho is the upper Cholesky
-    factor U, H = U^T U, of the last Hessian factored (None when the buffer
-    holds none): the F-ordered transpose of the buffer, whose upper triangle
+    continuation, so the buffer is allocated once, and so is scratch, where
+    the pair passes work at p != 2.  cho is the upper Cholesky factor U,
+    H = U^T U, of the last Hessian factored (None when the buffer holds
+    none): the F-ordered transpose of the buffer, whose upper triangle
     LAPACK has overwritten, so each solve with it is two BLAS triangular
     solves that read it in place.  factorizations and cg_steps count the work
     done through this object.
@@ -220,6 +221,7 @@ class _Factor:
 
     def __init__(self, n: int, dtype):
         self.buffer = np.empty((n, n), dtype=dtype)
+        self.scratch = (None, None) if dtype == np.float32 else np.empty((2, n, n))
         self.cho = None
         self.factorizations = 0
         self.cg_steps = 0
@@ -332,11 +334,11 @@ def _newton(op, reaction, v0, tol, factor):
     """
 
     def objective(v):
-        energy, g = op.energy_and_apply(v)
+        energy, g = op.energy_and_apply(v, factor.scratch)
         return energy / op.p - reaction.value(v), g - reaction.grad(v)
 
     def hess(v, out):
-        op.hessian(v, out)
+        op.hessian(v, out, factor.scratch)
         out.flat[:: op.n + 1] += reaction.curvature(v)
 
     def hvp(v):

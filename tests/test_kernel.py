@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -380,8 +381,9 @@ class TestAssembleOperator:
 
     def test_weights_symmetric_nonnegative(self):
         # bitwise symmetric, since the p = 2 product reads one triangle, and
-        # persymmetric like the mesh, w[i, j] = w[n-1-i, n-1-j]; odd and even
-        # middles, s p below, at and above 1
+        # exactly persymmetric like the mesh, w[i, j] = w[n-1-i, n-1-j], since
+        # w is built from one half; odd and even middles, s p below, at and
+        # above 1
         def mirror_defect(a):
             pos = a > 0.0
             return (np.abs(a - np.flip(a))[pos] / a[pos]).max()
@@ -395,7 +397,45 @@ class TestAssembleOperator:
                     assert np.abs(np.diag(op.w)).max() == 0.0
                     assert np.all(op.b > 0) and np.all(op.m > 0)
                     for a in (op.w, op.b, op.m):
-                        assert mirror_defect(a) <= 1e-14
+                        assert mirror_defect(a) == 0.0
+
+    def test_folded_weights_match_the_reference_fold(self):
+        # S, built from the half store by diagonals and anti-diagonals,
+        # against the fold of the full w: w[:h, :h] plus the mirrored right
+        # columns, times c, symmetrized
+        def reference_fold(w):
+            n = len(w)
+            h = (n + 1) // 2
+            c = np.full(h, 2.0)
+            if n % 2:
+                c[-1] = 1.0
+            X = w[:h, :h].copy()
+            X[:, : n - h] += w[:h, h:][:, ::-1]
+            X *= c[:, None]
+            return 0.5 * (X + X.T)
+
+        for n in (95, 96):
+            for q in (1.0, 2.0, 3.0, 4.0):
+                for s in (0.25, 0.5, 0.75):
+                    op = assemble_operator(build_grid(0, 1, n, q), s, 2.0)
+                    S, ref = op.folded.w, reference_fold(op.w)
+                    assert np.array_equal(S, S.T)
+                    assert np.array_equal(S == 0.0, ref == 0.0)
+                    pos = ref > 0.0
+                    assert (np.abs(S - ref)[pos] / ref[pos]).max() <= 1e-14
+
+    def test_assembly_keeps_no_n_by_n_array(self):
+        # the half store holds about n^2/4 numbers, so no n x n array of
+        # n^2 * 8 bytes is ever allocated, and w waits for a caller
+        grid = build_grid(0, 1, 1024, 2.0)
+        tracemalloc.start()
+        try:
+            op = assemble_operator(grid, 0.5, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024**2 * 8
+        assert "w" not in vars(op)
 
     @pytest.mark.parametrize("s", [0.25, 0.75])
     def test_p2_product_reads_one_triangle(self, s):
@@ -405,7 +445,7 @@ class TestAssembleOperator:
         ref = 2.0 * ((op.w.sum(axis=1) + op.m * op.b) * v - op.w @ v)
         w = op.w.copy()
         w[np.triu_indices(n, 1)] = np.nan  # the triangle dsymv leaves unread
-        half = dataclasses.replace(op, w=w)
+        half = dataclasses.replace(op, pairs=w)
         got = half.apply(v)
         assert np.all(np.isfinite(got))
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -724,6 +764,7 @@ class TestGagliardoEnergy:
         g = build_grid(0, 1, 32, 1)
         rng = np.random.default_rng(3)
         v = rng.uniform(0, 1, 32)
+        v += v[::-1]  # mirror-symmetric, as gagliardo_energy requires
         theta, s, p = 1.5, 0.4, 2.0
         e1 = self.energy(v, theta, s, p, g)
         e2 = self.energy(2 * v, theta, s, p, g)
@@ -754,3 +795,8 @@ class TestGagliardoEnergy:
             gagliardo_energy(GridFunction(g, -np.ones(16), Zero()), 2.0, op)
         with pytest.raises(ExtensionUnsupported):
             gagliardo_energy(GridFunction(g, np.ones(16), Constant(1.0)), 1.0, op)
+        # the energy is taken on the left half, so u must be its own mirror image
+        with pytest.raises(OutOfRange):
+            gagliardo_energy(GridFunction(g, g.nodes, Zero()), 1.0, op)
+        with pytest.raises(ShapeMismatch):
+            gagliardo_energy(GridFunction(build_grid(0, 1, 17, 1), np.ones(17), Zero()), 1.0, op)

@@ -9,6 +9,7 @@ from fracp import (
     build_grid,
     continuation,
     default_grading,
+    gagliardo_energy,
     make_params,
     solve_approximated,
     solve_fixed_rhs,
@@ -113,11 +114,11 @@ class TestSolveFixedRhs:
         iterates = []
         hessian = half.hessian
 
-        def recording_hessian(v, out):
+        def recording_hessian(v, out, *scratch):
             assert out.shape == (24, 24)
             if not iterates or np.any(iterates[-1] != v):
                 iterates.append(v.copy())
-            return hessian(v, out)
+            return hessian(v, out, *scratch)
 
         half.hessian = recording_hessian
         v, iters, res, _ = solver._newton(
@@ -140,9 +141,9 @@ class TestOneSweepPerTrial:
         for name in calls:
             method = getattr(DiscreteOperator, name)
 
-            def counting(self, v, _method=method, _name=name):
+            def counting(self, v, *scratch, _method=method, _name=name):
                 calls[_name] += 1
-                return _method(self, v)
+                return _method(self, v, *scratch)
 
             monkeypatch.setattr(DiscreteOperator, name, counting)
         return calls
@@ -329,6 +330,16 @@ class TestContinuation:
         H.flat[:: op.n + 1] += reaction.curvature(v)
         step = np.linalg.solve(H, reaction.grad(v) - smoothed.apply(v))
         assert np.abs(step).max() <= 1e-10 * v.max()
+
+    def test_solves_never_build_the_full_weights(self, singular_preset):
+        # every solve and the seminorm run on op.folded, built from the half
+        # store, so the n x n w is built only when a caller asks for it
+        grid = build_grid(0, 1, 64, 2.0)
+        op = assemble_operator(grid, 0.5, 2.0)
+        _, u_min, _ = continuation(singular_preset, grid, halvings=4, op=op)
+        solve_fixed_rhs(op, np.ones(64))
+        gagliardo_energy(u_min, 2.0, op)
+        assert "w" not in vars(op)
 
     def test_early_stop(self, singular_preset):
         grid = build_grid(0, 1, 64, 2.0)
