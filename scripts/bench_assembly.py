@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Layer timings: operator assembly, the pair sweep and the Hessian pass of
-a Newton step, a torsion solve, principal-value probes and three continuations.
+"""Layer timings: operator assembly and its fold, the pair sweep and the
+Hessian pass of a Newton step, a torsion solve, principal-value probes and
+three continuations.
 
 Times `assemble_operator` (s = 1/2, graded mesh of [0, 1] with grading 2) at
 each n and p, five times each, alone ("assemble") and followed by building
@@ -11,9 +12,11 @@ fold, each read in a fresh process that imported fracp and built the mesh
 runs, the mirror defect of the operator's w, b and m: the largest
 |a - a mirrored| / a over the positive entries, with w mirrored as
 w[n-1-i, n-1-j]; w is built on request, so its defect is left out at
-n = 8192, where w alone is 512 MB.  The two passes of a Newton step on the
-operator a solve runs on (the folded h x h one, h = ceil(n/2), smoothed at
-mu = `solver.MU_FLOOR` for p < 2) at n = 1024 and 2048 for each p:
+n = 8192, where w alone is 512 MB.  Times `DiscreteOperator.folded` alone
+("folded", its cache bypassed) five times on one assembly per n in FOLD_NS
+(s = 1/2, p = 2, grading 2), in milliseconds.  The two passes of a Newton
+step on the operator a solve runs on (the folded h x h one, h = ceil(n/2),
+smoothed at mu = `solver.MU_FLOOR` for p < 2) at n = 1024 and 2048 for each p:
 `energy_and_apply`, the one pair sweep per line-search trial ("sweep"), and
 `hessian` into a buffer of the solver's dtype (float32 at p = 2), both
 working in the solver's kept scratch, on the left half of the profile
@@ -72,6 +75,7 @@ REPEATS = 3
 ASSEMBLY_REPEATS = 5
 #: largest n whose full w the mirror defect reads
 DEFECT_N_MAX = 4096
+FOLD_NS = (256, 512, 2048)
 SWEEP_NS = (1024, 2048)
 SWEEP_CALLS = 10
 IMPORT_PROCESSES = 7
@@ -121,6 +125,21 @@ def time_assembly():
             row["mirror_defect"] = {name: float(f"{mirror_defect(a):.2e}") for name, a in arrays}
             del op
             rows.append(row)
+    return rows
+
+
+def time_folded():
+    rows = []
+    for n in FOLD_NS:
+        op = assemble_operator(build_grid(0.0, 1.0, n, 2.0), 0.5, 2.0)
+        fold = type(op).folded.func  # the body of the cached property, uncached
+        runs = []
+        for _ in range(ASSEMBLY_REPEATS):
+            t0 = time.perf_counter()
+            fold(op)
+            runs.append(time.perf_counter() - t0)
+        rows.append({"n": n, "runs_ms": [round(1e3 * t, 3) for t in runs],
+                     "min_ms": round(1e3 * min(runs), 3)})
     return rows
 
 
@@ -227,6 +246,7 @@ def main():
                       "p3_continuation_n512": p3,
                       "p2_case2_continuation_n1024": p2,
                       "p15_continuation_n1024": p15,
+                      "folded": time_folded(),
                       "sweep_hessian": time_sweep_hessian(),
                       "torsion_solve_n2048": torsion,
                       "pv_probe_n2048": pv,

@@ -18,13 +18,13 @@ Conventions fixed here and recorded in every report:
     and at p = 2 the operator reads one triangle of it (BLAS dsymv);
   * every Grid is mirror-symmetric, so w is persymmetric, w[i, j] =
     w[n-1-i, n-1-j]: assembly integrates the left half of the mesh and keeps
-    half of each diagonal of w, from which w is built, exactly persymmetric,
-    only on request; b and m are mirror images to the last bit;
+    half of each diagonal of w in one h x h array and builds w, exactly
+    persymmetric, only on request; b and m are mirror images to the last bit;
   * on mirror-symmetric vectors v = P v_L, with v_L the values at the
     h = ceil(n/2) left-half nodes and P stacking I over the reversal, the
     energy, apply and hessian of DiscreteOperator.folded are energy(P v_L),
     P^T apply(P v_L) and P^T hessian(P v_L) P: the same formulas on h nodes,
-    whose h x h pair weights are read straight from the store.
+    whose h x h pair weights come from that array and its transpose.
 """
 
 from __future__ import annotations
@@ -387,13 +387,16 @@ def _hat_weights(g, hX, hY, sp):
     return out
 
 
-def _half_offsets(n: int) -> list:
-    """Offsets of the half store of n-node pair weights: diagonal d of w keeps
-    its first (n + 1 - d) // 2 entries, the persymmetric half, at
-    [off[d], off[d + 1]); diagonals 0, n and n + 1 keep none."""
-    count = (n + 1 - np.arange(n + 2)) // 2
-    count[0] = 0
-    return [0, *np.cumsum(count).tolist()]
+def _half_diagonal(F, n: int, d: int):
+    """The two views of the fold store F (h x h, h = ceil(n/2)) that hold the
+    persymmetric half of diagonal d of the n-node pair weights, w[i, i + d]
+    for i <= (n - 1 - d) / 2: the entries with i + d < h on diagonal d of F,
+    the rest, w[i, n-1-j] with j = n-1-d-i >= i, at F[j, i] on the
+    anti-diagonal row + col = n-1-d."""
+    h, flat = len(F), F.reshape(-1)
+    top, count = max(h - d, 0), (n + 1 - d) // 2
+    start = (n - 1 - d - top) * h + top  # F[n-1-d-top, top]
+    return flat[d :: h + 1][:top], flat[start :: -max(h - 1, 1)][: count - top]
 
 
 @dataclass
@@ -408,13 +411,15 @@ class DiscreteOperator:
     primitive (t^2 + mu^2)^(p/2) - mu^p in place of |t|^p; assembly leaves
     it 0 and the solver sets it for p < 2.  energy_and_apply gives energy
     and apply from one pair sweep.
-    pairs is w itself or, as assemble_operator leaves it, the half store of
-    w's diagonals (_half_offsets), which folded reads and w is built from on
-    first access.  w is bitwise symmetric; at p = 2, apply and energy read
-    one triangle of it (w.T is the F-ordered view BLAS dsymv takes, lower=0
-    reads the lower triangle of w).  n is the number of nodes the operator
-    acts on: grid.n, or h = ceil(grid.n / 2) for the folded operator (see
-    folded).
+    pairs is the dense w, as folded leaves it, or, as assemble_operator
+    leaves it, the h x h fold store F, h = ceil(n/2): its strict upper
+    triangle holds w[:h, :h] and its lower one, diagonal included, the fold
+    block B[i, j] = w[i, n-1-j], both symmetric; folded reads F, and w is
+    built from it on first access.  w is bitwise symmetric; at p = 2, apply
+    and energy read one triangle of it (w.T is the Fortran-ordered view
+    dsymv takes, lower=0 reads the lower triangle of w).  n is the number of
+    nodes the operator acts on: grid.n, or h = ceil(grid.n / 2) for the
+    folded operator (see folded).
     """
 
     grid: Grid
@@ -435,18 +440,21 @@ class DiscreteOperator:
 
     @functools.cached_property
     def w(self) -> np.ndarray:
-        """The n x n pair weights; built from the half store on first access,
-        exactly symmetric and persymmetric, w[i, j] = w[n-1-i, n-1-j]."""
-        if self.pairs.ndim == 2:
-            return self.pairs
-        n, off = self.n, _half_offsets(self.n)
-        flat = np.zeros(n * n)
-        for d in range(1, n):
-            kept = self.pairs[off[d] : off[d + 1]]
-            line = np.concatenate((kept, kept[: n - d - len(kept)][::-1]))
-            flat[d :: n + 1][: n - d] = line  # w[i, i + d]
-            flat[d * n :: n + 1][: n - d] = line  # w[i + d, i]
-        return flat.reshape(n, n)
+        """The n x n pair weights; built from the fold store F on first
+        access, exactly symmetric and persymmetric, w[i, j] = w[n-1-i, n-1-j]."""
+        F, n = self.pairs, self.n
+        h, k = len(F), n // 2
+        if h == n:
+            return F
+        A, B = np.triu(F, 1), np.tril(F)
+        B += np.tril(F, -1).T  # the fold block, B[i, j] = w[i, n-1-j]
+        if n % 2:  # its middle row is column k of w[:h, :h]: w[k, n-1-j] = w[j, k]
+            B[k] = B[:, k] = F[:, k]
+        w = np.empty((n, n))
+        w[:h, :h] = A + A.T
+        w[:h, k:] = B[:, ::-1]
+        w[h:] = w[k - 1 :: -1, ::-1]  # w[n-1-i, n-1-j] = w[i, j]
+        return w
 
     @functools.cached_property
     def _diag(self) -> np.ndarray:
@@ -457,7 +465,7 @@ class DiscreteOperator:
     @functools.cached_property
     def folded(self) -> "DiscreteOperator":
         """The operator on mirror-symmetric vectors, in their h = ceil(n/2)
-        left-half values, built once from the half store.
+        left-half values, built once from the fold store.
 
         For v = P v_L, with P stacking I over the reversal, row i < h of
         every pair sum reads v_j = v_{n-1-j}, so column j >= h folds onto
@@ -467,27 +475,21 @@ class DiscreteOperator:
         middle row and column.  Then energy(v_L) = energy(P v_L),
         apply(v_L) = P^T apply(P v_L) = c * apply(P v_L)[:h] and
         hessian(v_L) = P^T H P: the full Newton direction and decrement from
-        h x h pair passes.  For i <= j, w[i, j] and w[i, n-1-j] are entry i
-        of diagonals j - i and n-1-i-j of the half store, so each diagonal of
-        S, and each anti-diagonal of its second terms, is one slice of the
-        store above the diagonal of S and its transpose below.  The pair
-        (i, n-1-i) lands on the diagonal of S, where its difference is 0.  At
-        p = 2, folded._diag caches the diagonal of 2 (diag(_diag) - S).
+        h x h pair passes.  The fold store F holds w[i, j] above its diagonal
+        and w[i, n-1-j] on and below it, and nothing in the middle row of an
+        odd n, so S = 2 (F + F^T) off the diagonal.  The pair (i, n-1-i)
+        lands on the diagonal of S, where its difference is 0.  At p = 2,
+        folded._diag caches the diagonal of 2 (diag(_diag) - S).  Raises
+        ShapeMismatch on an operator whose pairs is already a dense w.
         """
-        n = self.n
+        n, F = self.n, self.pairs
         h = (n + 1) // 2
-        k = n // 2  # nodes i < k have a mirror image; node k of an odd n is the middle
-        off, store = _half_offsets(n), self.pairs
-        U = np.zeros((h, h))  # S / 2 on and above the diagonal
-        flat = U.reshape(-1)
-        for d in range(1, h):  # w[i, i + d], i < h - d
-            flat[d :: h + 1][: h - d] = store[off[d] : off[d] + h - d]
-        for a in range(2 * k - 1):  # w[i, n-1-j], i + j = a, i <= j < k; one if h = 1
-            lo, hi, D = max(0, a - k + 1), a // 2 + 1, off[n - 1 - a]
-            flat[a + lo * (h - 1) :: h - 1 or 1][: hi - lo] += store[D + lo : D + hi]
-        S = U + U.T
+        if len(F) != h:
+            raise ShapeMismatch(f"folded reads the {h} x {h} fold store of an assembled "
+                                f"operator, not pairs of shape {F.shape}")
+        S = F + F.T
         S *= 2.0
-        S.flat[:: h + 1] *= 0.5  # U + U.T counts the diagonal twice
+        S.flat[:: h + 1] *= 0.5  # F + F.T counts the diagonal twice
         c = np.full(h, 2.0)
         if n % 2:
             c[-1] = 1.0
@@ -577,7 +579,8 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     reflection; cell widths, b and m take their right half from the left
     half, whose small cells near a are free of the rounding that edges near
     b carry.  w is persymmetric, w[i, j] = w[n-1-i, n-1-j], so the operator
-    keeps half of each of its diagonals, about n^2/4 numbers (_half_offsets).
+    keeps half of each of its diagonals, about n^2/4 numbers, in the two
+    triangles of the h x h fold store F (DiscreteOperator, _half_diagonal).
     """
     check_sp(s, p)
     sp = s * p
@@ -586,7 +589,7 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
             f"s*p = {sp} exceeds {_HAT_SP_MAX}, the largest value the Gauss "
             "orders of the cell pairs are verified for"
         )
-    n = grid.n
+    n, h = grid.n, (grid.n + 1) // 2
     t = grid.edges
     # cell widths t_{k+1} - t_k, k = 0..n, the right half taken from the left
     # (the Grid invariant): edges near b carry b's rounding, their mirror
@@ -597,9 +600,8 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     # node pairs (i, i + d) at a time: gap g writes the halves of diagonals
     # g - 1, g and g + 1 (three rolling buffers), after which diagonal
     # d = g - 1 is complete; its pair (t_0, t_d) goes to edge[d] and the
-    # persymmetric half of its interior pairs, w[i - 1, i - 1 + d], to the store.
-    off = _half_offsets(n)
-    store = np.empty(off[-1])
+    # persymmetric half of its interior pairs, w[i - 1, i - 1 + d], into F.
+    F = np.zeros((h, h))
     edge = np.zeros(n + 2)
     lo, mid, hi = (np.zeros(n // 2 + 2) for _ in range(3))
 
@@ -619,43 +621,45 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
         mid[1:K] += C[3, : K - 1]
         d = gap - 1
         edge[d] = lo[0]
-        store[off[d] : off[d + 1]] = lo[1 : H + 1]
+        up, down = _half_diagonal(F, n, d)
+        up[:], down[:] = lo[1 : len(up) + 1], lo[len(up) + 1 : H + 1]
         lo[:] = 0.0
         lo, mid, hi = mid, hi, lo
     edge[n], edge[n + 1] = lo[0], mid[0]
 
-    rho = p - 1.0 - sp
-    # same-cell band: exact for the interpolant, slope (v_{k+1}-v_k)/h_k
-    h = wd[1:n]  # interior cells [t_k, t_{k+1}], k = 1..n-1: w[k - 1, k]
-    store[off[1] : off[2]] += (h ** (1.0 - sp) / ((p - sp) * (p + 1.0 - sp)))[: off[2] - off[1]]
-
+    # same-cell band: exact for the interpolant, slope (v_{k+1}-v_k)/h_k, on
+    # the interior cells [t_k, t_{k+1}], k = 1..n-1: w[k - 1, k]
+    same = wd[1:n] ** (1.0 - sp) / ((p - sp) * (p + 1.0 - sp))
     # corner-touching band around each node t_k, secant slope across both
     # cells: the pair (t_{k-1}, t_{k+1}), k = 1..n
     hA, hB = wd[:n], wd[1:]
-    corner = _corner_rect(hA, hB, rho) / (hA + hB) ** p
+    corner = _corner_rect(hA, hB, p - 1.0 - sp) / (hA + hB) ** p
     edge[2] += corner[0]
-    store[off[2] : off[3]] += corner[1 : 1 + off[3] - off[2]]
+    for d, band in ((1, same), (2, corner[1:])):
+        up, down = _half_diagonal(F, n, d)
+        up += band[: len(up)]
+        down += band[len(up) : len(up) + len(down)]
 
-    # pairs with t_0 move onto the first node, (t_0, t_{d+1}) onto w[0, d];
-    # pairs with t_{n+1} onto the last, their mirror images, so only w[0, n-1]
-    # takes more: (t_1, t_{n+1}), the image of (t_0, t_n), and (t_0, t_{n+1})
-    first = off[1:n]  # w[0, d], d = 1..n-1
-    store[first] += edge[2 : n + 1]
-    store[first[-1]] += edge[n]
-    store[first[-1]] += edge[n + 1]
+    # pairs with t_0 move onto the first node, (t_0, t_{d+1}) onto w[0, d]:
+    # row 0 of F for d < h, column 0 for d >= h; pairs with t_{n+1} onto the
+    # last, their mirror images, so only w[0, n-1] = F[0, 0] takes more:
+    # (t_1, t_{n+1}), the image of (t_0, t_n), and (t_0, t_{n+1})
+    F[0, 1:] += edge[2 : h + 1]
+    F[: n - h, 0] += edge[n:h:-1]
+    F[0, 0] = F[0, 0] + edge[n] + edge[n + 1]
 
-    wmin = float(store.min())
+    wmin = float(F.min())
     if wmin < 0.0:
-        if wmin < -1e-9 * float(store.max()):
+        if wmin < -1e-9 * float(F.max()):
             raise FracpError(
                 f"assembly instability: negative pair weight {wmin:.3e} detected"
             )
-        np.clip(store, 0.0, None, out=store)
+        np.clip(F, 0.0, None, out=F)
 
     x = grid.nodes
     b = mirror_left_half(((x - grid.a) ** (-sp) + (grid.b - x) ** (-sp)) / sp)
     m = grid.masses
-    return DiscreteOperator(grid=grid, s=s, p=p, pairs=store, b=b, m=m)
+    return DiscreteOperator(grid=grid, s=s, p=p, pairs=F, b=b, m=m)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from fracp import (
 from fracp.errors import (
     AlphaOutOfRange,
     ExtensionUnsupported,
+    FracpError,
     NegativeBase,
     OutOfRange,
     PointTooCloseToBoundary,
@@ -383,12 +384,12 @@ class TestAssembleOperator:
         # bitwise symmetric, since the p = 2 product reads one triangle, and
         # exactly persymmetric like the mesh, w[i, j] = w[n-1-i, n-1-j], since
         # w is built from one half; odd and even middles, s p below, at and
-        # above 1
+        # above 1, and the smallest meshes, whose fold store is 1 x 1 or 2 x 2
         def mirror_defect(a):
             pos = a > 0.0
             return (np.abs(a - np.flip(a))[pos] / a[pos]).max()
 
-        for n in (95, 96):
+        for n in (2, 3, 4, 5, 95, 96):
             for q in (1.0, 2.0, 3.0, 4.0):
                 for s in (0.25, 0.5, 0.75):
                     op = assemble_operator(build_grid(0, 1, n, q), s, 2.0)
@@ -400,9 +401,9 @@ class TestAssembleOperator:
                         assert mirror_defect(a) == 0.0
 
     def test_folded_weights_match_the_reference_fold(self):
-        # S, built from the half store by diagonals and anti-diagonals,
-        # against the fold of the full w: w[:h, :h] plus the mirrored right
-        # columns, times c, symmetrized
+        # S, the fold store plus its transpose, against the fold of the full
+        # w: w[:h, :h] plus the mirrored right columns, times c, symmetrized;
+        # n = 2 has h = 1, and odd n a middle row that folds onto nothing
         def reference_fold(w):
             n = len(w)
             h = (n + 1) // 2
@@ -414,7 +415,7 @@ class TestAssembleOperator:
             X *= c[:, None]
             return 0.5 * (X + X.T)
 
-        for n in (95, 96):
+        for n in (2, 3, 4, 5, 95, 96):
             for q in (1.0, 2.0, 3.0, 4.0):
                 for s in (0.25, 0.5, 0.75):
                     op = assemble_operator(build_grid(0, 1, n, q), s, 2.0)
@@ -425,8 +426,8 @@ class TestAssembleOperator:
                     assert (np.abs(S - ref)[pos] / ref[pos]).max() <= 1e-14
 
     def test_assembly_keeps_no_n_by_n_array(self):
-        # the half store holds about n^2/4 numbers, so no n x n array of
-        # n^2 * 8 bytes is ever allocated, and w waits for a caller
+        # the h x h fold store holds about n^2/4 numbers, so no n x n array
+        # of n^2 * 8 bytes is ever allocated, and w waits for a caller
         grid = build_grid(0, 1, 1024, 2.0)
         tracemalloc.start()
         try:
@@ -436,6 +437,28 @@ class TestAssembleOperator:
             tracemalloc.stop()
         assert peak < 1024**2 * 8
         assert "w" not in vars(op)
+
+    def test_folded_allocates_one_h_by_h_array(self):
+        # S = F + F.T is the only h x h array the fold allocates, and it
+        # leaves w unbuilt
+        op = assemble_operator(build_grid(0, 1, 1024, 2.0), 0.5, 2.0)
+        h = (op.n + 1) // 2
+        tracemalloc.start()
+        try:
+            op.folded
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * h * h * 8
+        assert "w" not in vars(op)
+
+    def test_folded_refuses_a_dense_pair_matrix(self):
+        # folding reads the fold store of an assembled operator; a folded
+        # operator, or one whose pairs is its dense w, has none
+        op = assemble_operator(build_grid(0, 1, 96, 2.0), 0.5, 2.0)
+        for dense in (op.folded, dataclasses.replace(op, pairs=op.w)):
+            with pytest.raises(FracpError):
+                dense.folded
 
     @pytest.mark.parametrize("s", [0.25, 0.75])
     def test_p2_product_reads_one_triangle(self, s):
