@@ -8,10 +8,10 @@ under DIR, where another checkout ran this script, and one line per artifact
 gives the largest relative difference between their numbers, with where it
 is, or "identical" for equal bytes, or "numbers identical" where only the
 skipped timings differ.  Text that is not a number must match.
-In report.json the timings (wall_time_s, seconds, total_s, import_s) are
-skipped, also where only one side has them; any other key that only one side
-has is listed by its path, the keys both sides share are still compared, and
-the artifact counts as differing beyond its numbers.  A preset whose
+In report.json the timings (wall_time_s, seconds, total_s, import_s,
+assembly_s) are skipped, also where only one side has them; any other key
+that only one side has is listed by its path, the keys both sides share are
+still compared, and the artifact counts as differing beyond its numbers.  A preset whose
 output directory is absolute cannot be compared and counts as differing.
 
 Usage: python3 scripts/run_presets.py [--quick] [--against DIR]
@@ -27,7 +27,7 @@ from fracp.cli import run
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 #: report.json keys that hold wall-clock seconds
-TIMINGS = {"wall_time_s", "seconds", "total_s", "import_s"}
+TIMINGS = {"wall_time_s", "seconds", "total_s", "import_s", "assembly_s"}
 
 
 class Mismatch(Exception):

@@ -247,6 +247,14 @@ class NonexistenceTable:
         return all(b < a for a, b in zip(e, e[1:]))
 
 
+def check_delta_list(params: ProblemParams, delta_list) -> None:
+    """RegimeError unless every delta of delta_list lies in the existence
+    range [0, s p) of params; load_config reports it as a config error."""
+    for dl in delta_list:
+        if dl >= params.sp:
+            raise RegimeError(f"delta = {dl} is outside the solvable range [0, {params.sp})")
+
+
 def nonexistence_scan(
     params_base: ProblemParams,
     delta_list,
@@ -260,10 +268,7 @@ def nonexistence_scan(
     op is the operator of (op.grid, s, p); it does not depend on delta, so
     every delta shares it.
     """
-    sp = params_base.sp
-    for dl in delta_list:
-        if dl >= sp:
-            raise RegimeError(f"delta = {dl} is outside the solvable range [0, {sp})")
+    check_delta_list(params_base, delta_list)
     rows = []
     for dl in delta_list:
         pars = params_base.with_delta(float(dl))

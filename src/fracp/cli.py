@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _IMPORT_T0, __version__
 from .core import CASE_ALPHA_STAR, CASE_S, build_grid, classify_regime, default_grading, make_params
-from .errors import ConfigParse, FracpError, OutOfRange
+from .errors import ConfigParse, FracpError, OutOfRange, RegimeError
 from .kernel import assemble_operator, phi_constant
 from .barrier import (
     BarrierSpec,
@@ -44,6 +44,7 @@ from .barrier import (
 from .solver import continuation
 from .analysis import (
     barrier_scales,
+    check_delta_list,
     comparison_check,
     fit_boundary_exponent,
     nonexistence_scan,
@@ -81,10 +82,11 @@ def _is_number(v, lo=-math.inf, strict=False, integer=False) -> bool:
     return v > lo if strict else v >= lo
 
 
-# (description, test) per config value; the params and grid blocks, and the
-# mesh of each analysis.n_list entry, are checked as a whole by make_params
-# and build_grid, and ranges that depend on the problem (delta < s p, ...)
-# stay with the modules that own them
+# (description, test) per config value; the params and grid blocks, the
+# mesh of each analysis.n_list entry and the existence range of each
+# analysis.delta_list entry are checked as a whole by make_params,
+# build_grid and check_delta_list, and other ranges that depend on the
+# problem stay with the modules that own them
 _REAL = ("a number", _is_number)
 _POSITIVE = ("a positive number", lambda v: _is_number(v, 0.0, strict=True))
 _NONNEGATIVE = ("a nonnegative number", lambda v: _is_number(v, 0.0))
@@ -184,6 +186,10 @@ def load_config(path: str) -> dict:
             _grid(params, {**cfg["grid"], "n": n})
     except OutOfRange as exc:
         raise ConfigParse(f"analysis.n_list: {exc}") from exc
+    try:
+        check_delta_list(params, cfg["analysis"]["delta_list"])
+    except RegimeError as exc:
+        raise ConfigParse(f"analysis.delta_list: {exc}") from exc
     return cfg
 
 
@@ -237,10 +243,13 @@ _WRITERS = {".csv": ("csv", write_csv), ".dat": ("plotdata", write_plotdata)}
 class _Rung:
     """The mesh of n nodes at the run's grading, the operator on it and the
     configured continuation there, each built on first use.  A failure is
-    not cached, so each experiment that needs the value raises it again."""
+    not cached, so each experiment that needs the value raises it again.
+    assembly_s sums the seconds spent in assemble_operator, None before
+    the first attempt."""
 
     def __init__(self, run, n):
         self.run, self.n = run, n
+        self.assembly_s = None
 
     @functools.cached_property
     def grid(self):
@@ -249,7 +258,12 @@ class _Rung:
     @functools.cached_property
     def operator(self):
         """The operator of (grid, s, p); it does not depend on delta or eps."""
-        return assemble_operator(self.grid, self.run.params.s, self.run.params.p)
+        grid = self.grid
+        t0 = time.perf_counter()
+        try:
+            return assemble_operator(grid, self.run.params.s, self.run.params.p)
+        finally:
+            self.assembly_s = (self.assembly_s or 0.0) + time.perf_counter() - t0
 
     @functools.cached_property
     def solution(self):
@@ -284,6 +298,12 @@ class _Run:
     @property
     def base(self) -> _Rung:
         return self.rung(self.cfg["grid"]["n"])
+
+    def assembly_seconds(self) -> dict:
+        """Seconds in assemble_operator by rung n, for the rungs that
+        assembled or tried to."""
+        return {str(n): r.assembly_s for n, r in sorted(self._rungs.items())
+                if r.assembly_s is not None}
 
     def converged(self, increments) -> bool:
         """Every continuation's last increment is at most solver.tol."""
@@ -601,7 +621,8 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int
         "regime": dataclasses.asdict(shared.regime),
         "experiments": experiments,
         "overall_passed": bool(overall),
-        "timings": {"total_s": time.time() - t_start, "import_s": IMPORT_S},
+        "timings": {"total_s": time.time() - t_start, "import_s": IMPORT_S,
+                    "assembly_s": shared.assembly_seconds()},
     }
     if not _written(outdir / "report.json", write_report, report):
         return 1

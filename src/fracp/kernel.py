@@ -5,7 +5,8 @@ Phi(alpha, s, p) with its bracketing constants, principal-value evaluation of
 the operator on grid functions, assembly of the discrete energy/operator and
 Gagliardo-type energies.  Assembly integrates every separated cell pair by
 one positive tensor Gauss rule whose order is set by the pair's separation
-ratio.  Every Gauss-Legendre rule here reads one cached leggauss, and the
+ratio, in blocks of consecutive gaps of a fixed budget of kernel
+evaluations.  Every Gauss-Legendre rule here reads one cached leggauss, and the
 panel rules of Phi, of the PV and of its tail all come from gauss_panels.
 
 Conventions fixed here and recorded in every report:
@@ -343,13 +344,61 @@ _HAT_R_MIN = 0.2
 _HAT_R_MAX = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 256.0])
 _HAT_RULES = tuple(_hat_rule(q) for q in (25, 16, 12, 9, 7, 6, 4, 3))
 _HAT_SP_MAX = 7.0
+#: kernel evaluations per step of _hat_weights, 0.5 MB of them; an assembly
+#: block takes whole gaps, at least one, of at most 2 * _EVAL_BUDGET // 9
+#: cell pairs counted as _block_weights lays them out, two steps of the
+#: cheapest rule (3 points, 9 evaluations).  So assembly's temporaries stay
+#: near 3 MB at every n.  Of the steps tried, 2^15 to 2^17 evaluations,
+#: 2^17 assembled n = 2048 within 4% but n = 256 1.5 times slower (its one
+#: block then holds many pairs past H_g), and 2^15 n = 2048 18% slower.
+_EVAL_BUDGET = 2**16
 
-#: rows of _hat_weights for the mirror image of a cell pair: the hats
-#: 1-u, v become v', 1-u' there, so (1-u)(1-v) and u v trade places
-_MIRROR_HATS = [3, 1, 2, 0]
+
+class _Scratch:
+    """Buffers that one assembly reuses from block to block, each grown to
+    the largest request.  Arrays of a few MB allocated and freed once per
+    block make glibc hand their pages back to the system and fault them in
+    again for the next block: in a fresh process an n = 2048 assembly (at
+    twice this _EVAL_BUDGET) took about 29000 minor faults and 0.19-0.20 s
+    of CPU time without these buffers, against about 1400 faults and
+    0.10-0.12 s with them (bench_assembly's fresh_process_assembly)."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __call__(self, name: str, shape) -> np.ndarray:
+        """An uninitialized float array of this shape in the buffer name."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or len(buf) < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
-def _hat_weights(g, hX, hY, sp):
+def _hat_tiers(r):
+    """Index into _HAT_RULES of each pair's Gauss order, by its separation
+    ratio r, and the number of pairs of each; raises OutOfRange below
+    _HAT_R_MIN."""
+    r_min = float(r.min())
+    if r_min < _HAT_R_MIN:
+        raise OutOfRange(
+            f"cell pair separation ratio {r_min:.3g} is below {_HAT_R_MIN}, the "
+            "smallest the Gauss orders are verified for"
+        )
+    # _HAT_R_MAX.searchsorted(r), comparing r only with the bounds above its
+    # least value, and the pairs at tier i or beyond
+    lo = int(_HAT_R_MAX.searchsorted(r_min))
+    tier = np.full(len(r), lo, np.uint8)
+    at_least = np.zeros(len(_HAT_RULES) + 1, int)
+    at_least[: lo + 1] = len(r)
+    for i in range(lo + 1, len(_HAT_RULES)):
+        above = r > _HAT_R_MAX[i - 1]
+        tier += above
+        at_least[i] = np.count_nonzero(above)
+    return tier, at_least[:-1] - at_least[1:]
+
+
+def _hat_weights(g, hX, hY, sp, scratch=None):
     """Hat-weighted kernel integrals of disjoint cell pairs [X0,X1] x [Y0,Y1]
     with gap g = Y0 - X1 > 0 and widths hX = X1 - X0, hY = Y1 - Y0.
 
@@ -358,45 +407,149 @@ def _hat_weights(g, hX, hY, sp):
     tensor Gauss-Legendre rule whose order is set by the separation ratio r
     (see _HAT_R_MAX).  Each entry is a sum of positive terms.  Raises
     OutOfRange for a pair with r < _HAT_R_MIN, nearer than the orders are
-    verified for.
+    verified for.  The pairs of one order are evaluated _EVAL_BUDGET
+    kernels at a time, in the buffers of scratch (a _Scratch), which also
+    holds the result.
     """
-    r = g / np.maximum(hX, hY)
-    r_min = float(r.min())
-    if r_min < _HAT_R_MIN:
-        raise OutOfRange(
-            f"cell pair separation ratio {r_min:.3g} is below {_HAT_R_MIN}, the "
-            "smallest the Gauss orders are verified for"
-        )
-    tier = _HAT_R_MAX.searchsorted(r)
-    out = np.empty((4, len(g)))
-    for i in range(tier.min(), tier.max() + 1):
+    scratch = scratch or _Scratch()
+    P = len(g)
+    out = scratch("out", (4, P))
+    r = np.maximum(hX, hY, out=out[0])  # until the integrals overwrite it
+    tier, counts = _hat_tiers(np.divide(g, r, out=r))
+    # the commonest order runs on every pair, so that its pairs need no
+    # copies, unless that wastes more kernel evaluations on the others than
+    # it has pairs; each other order then overwrites its own pairs
+    main = int(counts.argmax())
+    everywhere = (P - counts[main]) * _HAT_RULES[main][1].shape[1] <= counts[main]
+    for i in sorted(np.flatnonzero(counts), key=lambda i: i != main):
         u, W = _HAT_RULES[i]
-        sel = tier == i
-        if sel.all():
-            sel = slice(None)  # the usual case: no copies
-        elif not sel.any():
-            continue
-        gs, hx, hy = g[sel], hX[sel], hY[sel]
-        # y - x = (Y0 - X1) + hX (1 - u_i) + hY v_j, a sum of nonnegative
-        # terms; the pair index runs last so every ufunc loop is long
-        d = np.multiply.outer(1.0 - u, hx)
-        d += gs
-        d = d[:, None, :] + np.multiply.outer(u, hy)
-        d **= -1.0 - sp
-        out[:, sel] = (W @ d.reshape(-1, len(gs))) * (hx * hy)
+        q = len(u)
+        pairs = None if i == main and everywhere else np.flatnonzero(tier == i)
+        step = max(_EVAL_BUDGET // (q * q), 1)
+        for first in range(0, P if pairs is None else len(pairs), step):
+            sel = slice(first, first + step) if pairs is None else pairs[first : first + step]
+            gs, hx, hy = g[sel], hX[sel], hY[sel]
+            m = len(gs)
+            # y - x = (Y0 - X1) + hX (1 - u_i) + hY v_j, a sum of nonnegative
+            # terms; the pair index runs last so every ufunc loop is long
+            a = np.multiply.outer(1.0 - u, hx, out=scratch("a", (q, m)))
+            a += gs
+            d = np.add(a[:, None, :], np.multiply.outer(u, hy, out=scratch("b", (q, m))),
+                       out=scratch("d", (q, q, m)))
+            d **= -1.0 - sp
+            part = out[:, sel] if pairs is None else scratch("a", (4, m))  # a is spent
+            np.matmul(W, d.reshape(q * q, m), out=part)
+            part *= hx * hy
+            if pairs is not None:
+                out[:, sel] = part
     return out
 
 
-def _half_diagonal(F, n: int, d: int):
-    """The two views of the fold store F (h x h, h = ceil(n/2)) that hold the
-    persymmetric half of diagonal d of the n-node pair weights, w[i, i + d]
-    for i <= (n - 1 - d) / 2: the entries with i + d < h on diagonal d of F,
-    the rest, w[i, n-1-j] with j = n-1-d-i >= i, at F[j, i] on the
-    anti-diagonal row + col = n-1-d."""
-    h, flat = len(F), F.reshape(-1)
-    top, count = max(h - d, 0), (n + 1 - d) // 2
-    start = (n - 1 - d - top) * h + top  # F[n-1-d-top, top]
-    return flat[d :: h + 1][:top], flat[start :: -max(h - 1, 1)][: count - top]
+def _block_weights(tp, wdp, n: int, g0: int, g1: int, sp: float, scratch):
+    """Hat integrals C[:, g - g0, k] of x cell k against y cell k + g for the
+    gaps g0 <= g < g1 and k <= H = (n + 2 - g0) // 2, from the edges tp and
+    widths wdp of the extended cells padded past the last, in the buffers
+    of scratch.  Pairs k < H_g are integrated; the rest come out 0, except
+    C0 of pair H_g, which is the mirror image of pair H_g - 1,
+    x -> a + b - x, and takes its C3."""
+    nb, hmax = g1 - g0, (n + 2 - g0) // 2
+    shape = (nb, hmax + 1)
+    gap = np.subtract(_strided(tp, g0, (1, 1), shape), tp[1 : hmax + 2],
+                      out=scratch("gap", shape))
+    beyond = np.arange(g0, g0 + 2 * hmax + nb) > n  # k >= H_g at 2 k + g
+    np.copyto(gap, np.inf, where=_strided(beyond, 0, (1, 2), shape))
+    hX, hY = scratch("hX", shape), scratch("hY", shape)
+    np.copyto(hX, wdp[: hmax + 1])
+    np.copyto(hY, _strided(wdp, g0, (1, 1), shape))
+    C = _hat_weights(gap.ravel(), hX.ravel(), hY.ravel(), sp, scratch).reshape(4, *shape)
+    rows, last = np.arange(nb), (n + 2 - np.arange(g0, g1)) // 2  # H_g
+    C[0, rows, last] = C[3, rows, last - 1]
+    return C
+
+
+def _fold_block(F, edge, carry, C, n: int, g0: int, bands, scratch):
+    """Add a block's hat integrals C (_block_weights) to the diagonals they
+    touch and write the diagonals they complete into F and edge; returns
+    the two diagonals begun, for the next block.
+
+    Diagonals g0 - 1..g1 of the extended-node pairs (t_k, t_{k+d}), positions
+    0..H+1, start from carry and zeros and take C1, C0, C3 and C2 in that
+    order, as four shifted slices, which is each entry's order of gaps, so
+    the zeros add nothing and the blocks do not change any sum.  A
+    diagonal is complete when its last gap is in: it takes its singular
+    band of bands (diagonal, first position, values) last, then its position
+    0 goes to edge and its kept half to F (_write_diagonals).
+    """
+    nb, hmax = C.shape[1], C.shape[2] - 1
+    d0, g1 = g0 - 1, g0 + nb
+    done = nb if g1 <= n else nb + 2  # the last block completes them all
+    m = min(done, n - d0)  # of which diagonals d0..d0+m-1 have pairs in F
+    # positions 0..hmax+1 take the sums; the lower runs of _write_diagonals
+    # read, masked, past them
+    lo, hi = 0, hmax + 1
+    r_lo, r_hi = _lower_rows(n, d0, d0 + m)
+    if r_lo <= r_hi:
+        lo, hi = min(lo, n - r_hi - d0 - m + 1), max(hi, n - r_lo - d0)
+    D = scratch("d", (nb + 2, hi - lo + 1))  # the kernel values are spent
+    D.fill(0.0)
+    B = D[:, -lo : hmax + 2 - lo]  # positions 0..hmax+1 of diagonals d0..g1
+    B[:2] = carry[:, : hmax + 2]
+    B[2:, :-1] += C[1]
+    B[1:-1, :-1] += C[0]
+    B[1:-1, 1:] += C[3]
+    B[:-2, 1:] += C[2]
+    for d, first, band in bands:
+        if d0 <= d < d0 + done:
+            row = B[d - d0, first : first + len(band)]
+            row += band[: len(row)]
+    edge[d0 : d0 + done] = B[:done, 0]
+    _write_diagonals(F, D, -lo, n, d0, m)
+    return B[-2:].copy()
+
+
+def _strided(a, start: int, steps, shape):
+    """The view v[i, j] = a.flat[start + i steps[0] + j steps[1]] of the
+    C-contiguous array a; the constructor refuses one reaching outside a."""
+    return np.ndarray(shape, a.dtype, a, start * a.itemsize, [k * a.itemsize for k in steps])
+
+
+def _lower_rows(n: int, d0: int, e: int):
+    """First and last row of the fold store whose lower triangle takes pairs
+    of diagonals d0..e-1 of w: F[r, c] = w[c, n-1-r] with c <= r < n - h
+    lies on diagonal n-1-r-c."""
+    return max(0, (n - e + 1) // 2), min(n - 1 - d0, n // 2 - 1)
+
+
+def _write_diagonals(F, D, top: int, n: int, d0: int, m: int) -> None:
+    """Write diagonals d0..d0+m-1 of the kept half of w into the fold store F
+    (h x h, h = ceil(n/2)), each row of F taking its run of them as one
+    contiguous masked copy.
+
+    D[j, top + k] holds the weight of the extended-node pair (t_k, t_{k+d}),
+    d = d0 + j, which is w[k-1, k-1+d] for 1 <= k <= (n + 1 - d) // 2.  While
+    i + d < h it is F[i, i + d]: row i of F takes diagonals d0, d0 + 1, ...
+    from column i + 1 of D.  Beyond, w[c, c + d] is F[r, c] with
+    r = n-1-d-c >= c: row r takes diagonals n-1-r-c as c runs, along an
+    anti-diagonal of D.
+    """
+    h, width = len(F), D.shape[1]
+    rows = h - d0
+    if rows > 0:  # F[i, i + d0 + j] while i + d0 + j < h
+        k = min(m, rows)
+        inside = np.arange(rows + k - 1) < rows  # at i + j
+        dst = _strided(F, d0, (h + 1, 1), (rows, k))
+        src = _strided(D, top + 1, (1, width), (rows, k))
+        np.copyto(dst, src, where=_strided(inside, 0, (1, 1), (rows, k)))
+    e = d0 + m
+    r_lo, r_hi = _lower_rows(n, d0, e)
+    if r_lo <= r_hi:  # F[r, c], c = n - e - r + j on diagonal e - 1 - j, while 0 <= c <= r
+        R = r_hi - r_lo + 1
+        dst = _strided(F, r_lo * h + n - e - r_lo, (h - 1, 1), (R, m))
+        src = _strided(D, (m - 1) * width + top + n - e - r_lo + 1, (-1, 1 - width), (R, m))
+        nonneg = np.arange(1 - R, m) >= e + r_lo - n  # c >= 0 at j - (r - r_lo)
+        lower = np.arange(2 - 2 * R, m) <= e + 2 * r_lo - n  # c <= r at j - 2 (r - r_lo)
+        np.copyto(dst, src, where=_strided(nonneg, R - 1, (-1, 1), (R, m))
+                  & _strided(lower, 2 * R - 2, (-2, 1), (R, m)))
 
 
 @dataclass
@@ -580,7 +733,15 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     half, whose small cells near a are free of the rounding that edges near
     b carry.  w is persymmetric, w[i, j] = w[n-1-i, n-1-j], so the operator
     keeps half of each of its diagonals, about n^2/4 numbers, in the two
-    triangles of the h x h fold store F (DiscreteOperator, _half_diagonal).
+    triangles of the h x h fold store F (DiscreteOperator).
+
+    The cell pairs go through _hat_weights in blocks of consecutive gaps,
+    one call per block of at most 2 * _EVAL_BUDGET // 9 pairs in buffers
+    reused from block to block, so the temporaries stay a few MB at every
+    n.  A block adds its integrals to the diagonals they touch as four
+    shifted slices, in each entry's order of gaps, and writes the diagonals
+    it completes into F as one contiguous run per row of F (_fold_block,
+    _write_diagonals).
     """
     check_sp(s, p)
     sp = s * p
@@ -596,49 +757,36 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     # images near a do not
     wd = mirror_left_half(np.diff(t))
 
-    # Weights accumulate over the extended nodes t_0..t_{n+1}, one diagonal of
-    # node pairs (i, i + d) at a time: gap g writes the halves of diagonals
-    # g - 1, g and g + 1 (three rolling buffers), after which diagonal
-    # d = g - 1 is complete; its pair (t_0, t_d) goes to edge[d] and the
-    # persymmetric half of its interior pairs, w[i - 1, i - 1 + d], into F.
-    F = np.zeros((h, h))
-    edge = np.zeros(n + 2)
-    lo, mid, hi = (np.zeros(n // 2 + 2) for _ in range(3))
-
-    # cell pairs at index distance >= 2: positive-weight Gauss (_hat_weights)
-    for gap in range(2, n + 1):
-        L = n + 1 - gap  # x cells k = 0..L-1 against y cells k + gap
-        H = (L + 1) // 2  # pairs k < H are integrated, the rest mirrored
-        C = _hat_weights(t[gap : gap + H] - t[1 : H + 1], wd[:H], wd[gap : gap + H], sp)
-        # x -> a + b - x maps pair k onto pair L-1-k, swapping the hat
-        # products (1-u)(1-v) and u v; the halves need only pair k = H
-        C = np.concatenate((C, C[_MIRROR_HATS, L - 1 - H : L - H]), axis=1)
-        # hats at t_k, t_{k+1} against hats at t_{k+gap}, t_{k+gap+1}
-        K = L // 2 + 1  # the half of diagonal gap, positions 0..L//2
-        mid[:K] += C[0, :K]
-        hi[:H] += C[1, :H]
-        lo[1 : H + 1] += C[2, :H]
-        mid[1:K] += C[3, : K - 1]
-        d = gap - 1
-        edge[d] = lo[0]
-        up, down = _half_diagonal(F, n, d)
-        up[:], down[:] = lo[1 : len(up) + 1], lo[len(up) + 1 : H + 1]
-        lo[:] = 0.0
-        lo, mid, hi = mid, hi, lo
-    edge[n], edge[n + 1] = lo[0], mid[0]
-
     # same-cell band: exact for the interpolant, slope (v_{k+1}-v_k)/h_k, on
-    # the interior cells [t_k, t_{k+1}], k = 1..n-1: w[k - 1, k]
+    # the interior cells [t_k, t_{k+1}], k = 1..n-1: diagonal 1 from
+    # position 1, the pair (t_k, t_{k+1}), w[k - 1, k]
     same = wd[1:n] ** (1.0 - sp) / ((p - sp) * (p + 1.0 - sp))
     # corner-touching band around each node t_k, secant slope across both
-    # cells: the pair (t_{k-1}, t_{k+1}), k = 1..n
+    # cells: diagonal 2 from position 0, the pair (t_{k-1}, t_{k+1}), k = 1..n
     hA, hB = wd[:n], wd[1:]
     corner = _corner_rect(hA, hB, p - 1.0 - sp) / (hA + hB) ** p
-    edge[2] += corner[0]
-    for d, band in ((1, same), (2, corner[1:])):
-        up, down = _half_diagonal(F, n, d)
-        up += band[: len(up)]
-        down += band[len(up) : len(up) + len(down)]
+    bands = ((1, 1, same), (2, 0, corner))
+
+    # Weights accumulate over the extended nodes t_0..t_{n+1}, the pair
+    # (t_k, t_{k+d}) at position k of diagonal d, gap by gap: x cell k
+    # against y cell k + g adds its hat integrals C0..C3 to diagonals g,
+    # g + 1, g - 1 and g at positions k, k, k + 1 and k + 1.  Each block of
+    # consecutive gaps leaves its completed diagonals in F and edge
+    # (_fold_block).
+    F = np.zeros((h, h))
+    edge = np.zeros(n + 2)
+    starts = [2]
+    while starts[-1] <= n:  # nb gaps of H_g0 + 1 pairs each (_block_weights)
+        g0 = starts[-1]
+        starts.append(min(g0 + max(2 * _EVAL_BUDGET // 9 // ((n + 4 - g0) // 2), 1), n + 1))
+    # edges t_0..t_n and widths, padded past the last cell for the strided
+    # views of _block_weights, whose pairs there are integrated as gap inf
+    tp, wdp = (np.concatenate((a[: n + 1], np.zeros(n))) for a in (t, wd))
+    carry = np.zeros((2, n // 2 + 2))  # diagonals g0 - 1 and g0, begun
+    scratch = _Scratch()
+    for g0, g1 in zip(starts, starts[1:]):
+        C = _block_weights(tp, wdp, n, g0, g1, sp, scratch)
+        carry = _fold_block(F, edge, carry, C, n, g0, bands, scratch)
 
     # pairs with t_0 move onto the first node, (t_0, t_{d+1}) onto w[0, d]:
     # row 0 of F for d < h, column 0 for d >= h; pairs with t_{n+1} onto the

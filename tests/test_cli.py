@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,8 @@ class TestConfig:
             {"analysis": {"delta_list": [-0.5]}},
             # each n_list entry is a mesh, checked at load as grid.n is
             {"analysis": {"n_list": [1, 64, 128]}},
+            # each delta_list entry lies in the existence range [0, s p)
+            {"analysis": {"delta_list": [0.6, 1.0]}},
         ],
     )
     def test_bad_value_is_config_error_exit_1(self, tmp_path, capsys, payload):
@@ -155,6 +158,19 @@ class TestConfig:
         assert len(err) == 1
         assert err[0].startswith(f"error: cannot write {out / taken}: ")
         assert (out / taken).is_dir()
+
+    def test_delta_list_outside_existence_range_exit_1(self, tmp_path, capsys):
+        # delta_list is in absolute units: quick at p = 1.5 has 0.8 >= s p =
+        # 0.75, refused at load rather than by nonexistence-scan with exit 2
+        payload = {**QUICK, "params": {**QUICK["params"], "p": 1.5}}
+        cfg = write_cfg(tmp_path, payload)
+        message = "analysis.delta_list: delta = 0.8 is outside the solvable range [0, 0.75)"
+        with pytest.raises(ConfigParse, match=re.escape(message)):
+            load_config(cfg)
+        out = tmp_path / "out"
+        assert main(["nonexistence-scan", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_integral_float_count_accepted(self, tmp_path):
         assert load_config(write_cfg(tmp_path, {"grid": {"n": 64.0}}))["grid"]["n"] == 64.0
@@ -328,11 +344,13 @@ class TestSubcommands:
         assert len(run_grid) >= len(needs_op)
 
     def test_unconverged_continuation_fails_solve(self, tmp_path):
-        # four halvings at p = 1.5 leave the last increment far above tol
+        # four halvings at p = 1.5 leave the last increment far above tol;
+        # the default delta_list reaches past s p = 0.75
         payload = {
             "params": {"s": 0.5, "p": 1.5, "gamma": 1.0, "delta": 0.5},
             "grid": {"n": 64, "grading": "auto"},
             "solver": {"halvings": 4, "tol": 1e-4},
+            "analysis": {"delta_list": [0.6, 0.7]},
         }
         cfg = write_cfg(tmp_path, payload)
         out = tmp_path / "out"
@@ -419,3 +437,15 @@ class TestStartup:
         rep = json.loads((tmp_path / "o" / "report.json").read_text())
         jsonschema.validate(rep, SCHEMA)
         assert rep["timings"]["import_s"] == cli.IMPORT_S > 0.0
+
+    def test_report_records_the_assembly_seconds_of_each_rung(self, tmp_path):
+        # solve assembles the run grid's operator (n = 96), classify none;
+        # each run reports its own rungs
+        for sub, rungs in (("solve", {"96"}), ("classify", set())):
+            out = tmp_path / sub
+            assert run(sub, write_cfg(tmp_path, QUICK), str(out)) == 0
+            rep = json.loads((out / "report.json").read_text())
+            jsonschema.validate(rep, SCHEMA)
+            seconds = rep["timings"]["assembly_s"]
+            assert set(seconds) == rungs
+            assert all(t > 0.0 for t in seconds.values())

@@ -438,6 +438,36 @@ class TestAssembleOperator:
         assert peak < 1024**2 * 8
         assert "w" not in vars(op)
 
+    def test_assembly_temporaries_stay_bounded(self):
+        # besides the h x h fold store, assembly holds one block of cell
+        # pairs and one step of kernel evaluations, a few MB at every n
+        n, h = 4096, 2048
+        grid = build_grid(0, 1, n, 2.0)
+        tracemalloc.start()
+        try:
+            assemble_operator(grid, 0.5, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * h * h * 8
+
+    def test_block_boundaries_change_no_weight(self, monkeypatch):
+        # a budget of a few pairs puts a block boundary after nearly every
+        # gap and a step boundary after every pair or few; the sums are the
+        # default assembly's up to the rounding of the Gauss sums over other
+        # column counts (measured: 7.0e-16)
+        cases = [(n, 9) for n in (2, 3, 4, 5, 95, 96)] + [(513, 288)]
+        for n, budget in cases:
+            for q in (1.0, 2.0, 4.0):
+                grid = build_grid(0, 1, n, q)
+                ref = assemble_operator(grid, 0.5, 2.0).pairs
+                with monkeypatch.context() as patch:
+                    patch.setattr(kernel, "_EVAL_BUDGET", budget)
+                    F = assemble_operator(grid, 0.5, 2.0).pairs
+                assert np.array_equal(F == 0.0, ref == 0.0)
+                pos = ref > 0.0
+                assert (np.abs(F - ref)[pos] / ref[pos]).max() <= 1e-15
+
     def test_folded_allocates_one_h_by_h_array(self):
         # S = F + F.T is the only h x h array the fold allocates, and it
         # leaves w unbuilt
@@ -490,6 +520,17 @@ class TestAssembleOperator:
         off = ~np.eye(128, dtype=bool)
         assert np.all(ref[off] > 0.0)
         assert np.abs(w[off] / ref[off] - 1.0).max() <= 1e-12
+
+    def test_smallest_meshes_match_fixed_order_reference(self):
+        # assembly's first block is its last here, and for n = 2 it ends
+        # with the corner band's diagonal still open
+        for n in (2, 3, 4, 5, 6, 7):
+            for grading in (1.0, 2.0, 4.0):
+                for s, p in ((0.5, 2.0), (0.75, 1.5)):
+                    g = build_grid(0, 1, n, grading)
+                    w, ref = assemble_operator(g, s, p).w, _reference_weights(g, s, p)
+                    off = ~np.eye(n, dtype=bool)
+                    assert np.abs(w[off] / ref[off] - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("s,p,mu", [(0.5, 3.0, 0.0), (0.6, 1.5, 1e-2), (0.5, 3.0, 1e-3)])
     def test_in_place_passes_match_plain_formulas(self, s, p, mu):
