@@ -8,9 +8,8 @@ each n and p, five times each, alone ("assemble") and followed by building
 `DiscreteOperator.folded` ("assemble_folded"), the operator every solve
 runs on; prints next to the times the peak RSS of one assembly and of its
 fold, each read in a fresh process that imported fracp and built the mesh
-(`rss_mb`: import and mesh, assemble, folded), with the CPU time and minor
-page faults of that process's one assembly (`fresh_process_assembly`), and,
-untimed after the runs, the mirror defect of the operator's w, b and m: the largest
+(`rss_mb`: import and mesh, assemble, folded), and, untimed after the
+runs, the mirror defect of the operator's w, b and m: the largest
 |a - a mirrored| / a over the positive entries, with w mirrored as
 w[n-1-i, n-1-j]; w is built on request, so its defect is left out at
 n = 8192, where w alone is 512 MB.  Times `DiscreteOperator.folded` alone
@@ -90,24 +89,16 @@ def mirror_defect(a):
 def assembly_rss(n, p):
     """Peak RSS in MB of a fresh process after import and mesh, after one
     assembly and after its fold: VmHWM of /proc/self/status (Linux), since a
-    child's ru_maxrss starts from the RSS of the process that spawned it;
-    and the CPU seconds (user + system) and minor page faults of that
-    first assembly, which pays for every page its arrays take from the
-    system."""
-    code = ("import resource\n"
-            "from fracp import assemble_operator, build_grid\n"
+    child's ru_maxrss starts from the RSS of the process that spawned it."""
+    code = ("from fracp import assemble_operator, build_grid\n"
             "def mb(): return round(int(next(line for line in open('/proc/self/status')\n"
             "    if line.startswith('VmHWM:')).split()[1]) / 1024, 1)\n"
             f"grid = build_grid(0.0, 1.0, {n}, 2.0); base = mb()\n"
-            "r0 = resource.getrusage(resource.RUSAGE_SELF)\n"
             f"op = assemble_operator(grid, 0.5, {p}); assembled = mb()\n"
-            "r1 = resource.getrusage(resource.RUSAGE_SELF)\n"
-            "cpu = r1.ru_utime + r1.ru_stime - r0.ru_utime - r0.ru_stime\n"
-            "op.folded; print(base, assembled, mb(), round(cpu, 4), r1.ru_minflt - r0.ru_minflt)")
+            "op.folded; print(base, assembled, mb())")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout.split()
-    rss = dict(zip(("import_and_mesh", "assemble", "folded"), map(float, out[:3])))
-    return rss, {"cpu_s": float(out[3]), "minor_faults": int(out[4])}
+    return dict(zip(("import_and_mesh", "assemble", "folded"), map(float, out)))
 
 
 def time_assembly():
@@ -128,7 +119,7 @@ def time_assembly():
             for name, ts in (("assemble", runs), ("assemble_folded", folded_runs)):
                 row[name] = {"runs_s": [round(t, 4) for t in ts], "min_s": round(min(ts), 4),
                              "median_s": round(statistics.median(ts), 4)}
-            row["rss_mb"], row["fresh_process_assembly"] = assembly_rss(n, p)
+            row["rss_mb"] = assembly_rss(n, p)
             op = assemble_operator(grid, 0.5, p)
             arrays = [("b", op.b), ("m", op.m)] + ([("w", op.w)] if n <= DEFECT_N_MAX else [])
             row["mirror_defect"] = {name: float(f"{mirror_defect(a):.2e}") for name, a in arrays}

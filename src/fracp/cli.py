@@ -84,9 +84,9 @@ def _is_number(v, lo=-math.inf, strict=False, integer=False) -> bool:
 
 # (description, test) per config value; the params and grid blocks, the
 # mesh of each analysis.n_list entry and the existence range of each
-# analysis.delta_list entry are checked as a whole by make_params,
-# build_grid and check_delta_list, and other ranges that depend on the
-# problem stay with the modules that own them
+# analysis.delta_list entry the config gives are checked as a whole by
+# make_params, build_grid and check_delta_list, and other ranges that
+# depend on the problem stay with the modules that own them
 _REAL = ("a number", _is_number)
 _POSITIVE = ("a positive number", lambda v: _is_number(v, 0.0, strict=True))
 _NONNEGATIVE = ("a nonnegative number", lambda v: _is_number(v, 0.0))
@@ -186,8 +186,8 @@ def load_config(path: str) -> dict:
             _grid(params, {**cfg["grid"], "n": n})
     except OutOfRange as exc:
         raise ConfigParse(f"analysis.n_list: {exc}") from exc
-    try:
-        check_delta_list(params, cfg["analysis"]["delta_list"])
+    try:  # the default list is nonexistence-scan's to refuse, at its s p
+        check_delta_list(params, raw.get("analysis", {}).get("delta_list", []))
     except RegimeError as exc:
         raise ConfigParse(f"analysis.delta_list: {exc}") from exc
     return cfg

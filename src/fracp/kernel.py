@@ -348,9 +348,10 @@ _HAT_SP_MAX = 7.0
 #: block takes whole gaps, at least one, of at most 2 * _EVAL_BUDGET // 9
 #: cell pairs counted as _block_weights lays them out, two steps of the
 #: cheapest rule (3 points, 9 evaluations).  So assembly's temporaries stay
-#: near 3 MB at every n.  Of the steps tried, 2^15 to 2^17 evaluations,
-#: 2^17 assembled n = 2048 within 4% but n = 256 1.5 times slower (its one
-#: block then holds many pairs past H_g), and 2^15 n = 2048 18% slower.
+#: near 2.4 MB at every n (tracemalloc).  Of the steps tried, 2^15 to 2^17
+#: evaluations, 2^17 assembled n = 2048 within 4% but n = 256 1.5 times
+#: slower (its one block then holds many pairs past H_g), and 2^15 n = 2048
+#: 13-18% slower.
 _EVAL_BUDGET = 2**16
 
 
@@ -358,10 +359,10 @@ class _Scratch:
     """Buffers that one assembly reuses from block to block, each grown to
     the largest request.  Arrays of a few MB allocated and freed once per
     block make glibc hand their pages back to the system and fault them in
-    again for the next block: in a fresh process an n = 2048 assembly (at
-    twice this _EVAL_BUDGET) took about 29000 minor faults and 0.19-0.20 s
-    of CPU time without these buffers, against about 1400 faults and
-    0.10-0.12 s with them (bench_assembly's fresh_process_assembly)."""
+    again for the next block: in fresh processes (eight each, one BLAS
+    thread) an n = 2048 assembly took 23000-25100 minor faults and
+    0.19-0.21 s of CPU time without these buffers, against 1450-1520
+    faults and 0.15-0.16 s with them."""
 
     def __init__(self):
         self._buffers = {}
@@ -416,19 +417,18 @@ def _hat_weights(g, hX, hY, sp, scratch=None):
     out = scratch("out", (4, P))
     r = np.maximum(hX, hY, out=out[0])  # until the integrals overwrite it
     tier, counts = _hat_tiers(np.divide(g, r, out=r))
-    # the commonest order runs on every pair, so that its pairs need no
-    # copies, unless that wastes more kernel evaluations on the others than
-    # it has pairs; each other order then overwrites its own pairs
-    main = int(counts.argmax())
-    everywhere = (P - counts[main]) * _HAT_RULES[main][1].shape[1] <= counts[main]
-    for i in sorted(np.flatnonzero(counts), key=lambda i: i != main):
+    for i in np.flatnonzero(counts):
         u, W = _HAT_RULES[i]
         q = len(u)
-        pairs = None if i == main and everywhere else np.flatnonzero(tier == i)
+        # steps of at most _EVAL_BUDGET kernels: the spans [lo, hi) of pairs
+        # that hold `step` pairs of this order each, taken out by a mask
+        # unless the order has them all
         step = max(_EVAL_BUDGET // (q * q), 1)
-        for first in range(0, P if pairs is None else len(pairs), step):
-            sel = slice(first, first + step) if pairs is None else pairs[first : first + step]
-            gs, hx, hy = g[sel], hX[sel], hY[sel]
+        mine = tier == i
+        starts = np.flatnonzero(mine)[::step].tolist()
+        for lo, hi in zip(starts, starts[1:] + [P]):
+            keep = None if counts[i] == P else mine[lo:hi]
+            gs, hx, hy = (v[lo:hi] if keep is None else v[lo:hi][keep] for v in (g, hX, hY))
             m = len(gs)
             # y - x = (Y0 - X1) + hX (1 - u_i) + hY v_j, a sum of nonnegative
             # terms; the pair index runs last so every ufunc loop is long
@@ -437,11 +437,12 @@ def _hat_weights(g, hX, hY, sp, scratch=None):
             d = np.add(a[:, None, :], np.multiply.outer(u, hy, out=scratch("b", (q, m))),
                        out=scratch("d", (q, q, m)))
             d **= -1.0 - sp
-            part = out[:, sel] if pairs is None else scratch("a", (4, m))  # a is spent
+            part = out[:, lo:hi] if keep is None else scratch("a", (4, m))  # a is spent
             np.matmul(W, d.reshape(q * q, m), out=part)
             part *= hx * hy
-            if pairs is not None:
-                out[:, sel] = part
+            if keep is not None:  # by rows: 4-5 times faster than out[:, sel] = part
+                for row, val in zip(out[:, lo:hi], part):
+                    row[keep] = val
     return out
 
 

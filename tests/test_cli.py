@@ -172,6 +172,16 @@ class TestConfig:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
+    def test_default_delta_list_is_not_checked_at_load(self, tmp_path, capsys):
+        # the default list reaches past s p = 0.75; only nonexistence-scan
+        # reads it, and refuses it there
+        cfg = write_cfg(tmp_path, {"params": {"p": 1.5}, "grid": {"n": 32}})
+        assert load_config(cfg)["analysis"]["delta_list"] == [0.6, 0.8, 0.9, 0.95]
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+        capsys.readouterr()
+        assert main(["nonexistence-scan", "--config", cfg, "--out", str(tmp_path / "n")]) == 2
+        assert "delta = 0.8 is outside the solvable range [0, 0.75)" in capsys.readouterr().err
+
     def test_integral_float_count_accepted(self, tmp_path):
         assert load_config(write_cfg(tmp_path, {"grid": {"n": 64.0}}))["grid"]["n"] == 64.0
 
@@ -344,13 +354,11 @@ class TestSubcommands:
         assert len(run_grid) >= len(needs_op)
 
     def test_unconverged_continuation_fails_solve(self, tmp_path):
-        # four halvings at p = 1.5 leave the last increment far above tol;
-        # the default delta_list reaches past s p = 0.75
+        # four halvings at p = 1.5 leave the last increment far above tol
         payload = {
             "params": {"s": 0.5, "p": 1.5, "gamma": 1.0, "delta": 0.5},
             "grid": {"n": 64, "grading": "auto"},
             "solver": {"halvings": 4, "tol": 1e-4},
-            "analysis": {"delta_list": [0.6, 0.7]},
         }
         cfg = write_cfg(tmp_path, payload)
         out = tmp_path / "out"
