@@ -172,7 +172,7 @@ def time_sweep_hessian():
 
 def time_torsion_and_pv_probes():
     grid = build_grid(0.0, 1.0, 2048, 2.0)
-    spec = BarrierSpec(alpha=0.25, lam=0.1, rho=1.0, s=0.5, p=2.0)
+    spec = BarrierSpec(alpha=0.25, lam=0.1, s=0.5, p=2.0)
     op = assemble_operator(grid, 0.5, 2.0)
     runs = []
     for _ in range(REPEATS):

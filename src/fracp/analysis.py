@@ -41,54 +41,36 @@ DIVERGENCE_SLOPE = 0.1
 
 @dataclass
 class ExponentFit:
-    """Log-log regression of u against d on each boundary side."""
+    """Log-log regression of u against the distance d = x - a to the left
+    endpoint; every solution is mirror-symmetric, so the right side repeats
+    it.  reference is the exponent the regime predicts."""
 
-    slope_left: float
-    slope_right: float
-    residual_left: float
-    residual_right: float
+    slope: float
+    residual: float
     window: tuple
-    reference: float | None = None
-
-    @property
-    def deviation(self) -> float | None:
-        if self.reference is None:
-            return None
-        return max(abs(self.slope_left - self.reference), abs(self.slope_right - self.reference))
+    reference: float
 
 
-def _side_fit(dvals, uvals):
+def fit_boundary_exponent(u: GridFunction, params: ProblemParams) -> ExponentFit:
+    """Least-squares slope of log u against log d at the left endpoint.
+
+    The fit window is [8 h_min, 0.1 |Omega|]: below is discretization noise,
+    above is interior behaviour.  It must hold at least 8 nodes.
+    """
+    grid = u.grid
+    lo, hi = 8.0 * grid.h_min, 0.1 * (grid.b - grid.a)
+    d = grid.nodes - grid.a
+    mask = (d >= lo) & (d <= hi)
+    if mask.sum() < 8:
+        raise WindowTooThin(f"window {(lo, hi)} holds {int(mask.sum())} nodes; need >= 8")
+    dvals, uvals = d[mask], u.values[mask]
     if np.any(uvals <= 0.0):
         raise NonPositiveValues("boundary fit needs u > 0 on the window")
     lx, ly = np.log(dvals), np.log(uvals)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return float(slope), resid
-
-
-def fit_boundary_exponent(u: GridFunction, params: ProblemParams | None = None) -> ExponentFit:
-    """Least-squares slope of log u against log d per boundary side.
-
-    The fit window is [8 h_min, 0.1 |Omega|]: below is discretization noise,
-    above is interior behaviour.  It must hold at least 8 nodes per side.
-    """
-    grid = u.grid
-    lo, hi = 8.0 * grid.h_min, 0.1 * (grid.b - grid.a)
-    d_left = grid.nodes - grid.a
-    d_right = grid.b - grid.nodes
-    mask_l = (d_left >= lo) & (d_left <= hi)
-    mask_r = (d_right >= lo) & (d_right <= hi)
-    if mask_l.sum() < 8 or mask_r.sum() < 8:
-        raise WindowTooThin(
-            f"window {(lo, hi)} holds {int(mask_l.sum())}/{int(mask_r.sum())} nodes; need >= 8 per side"
-        )
-    sl, rl = _side_fit(d_left[mask_l], u.values[mask_l])
-    sr, rr = _side_fit(d_right[mask_r], u.values[mask_r])
-    ref = None
-    if params is not None:
-        report = classify_regime(params)
-        ref = report.reference_exponent(params.s)
-    return ExponentFit(sl, sr, rl, rr, (lo, hi), ref)
+    ref = classify_regime(params).reference_exponent(params.s)
+    return ExponentFit(float(slope), resid, (lo, hi), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +89,6 @@ class ScanTable:
     lambda_cap: float
     consistent: dict
     increments: dict
-
-    def classification_monotone(self) -> bool:
-        thetas = sorted(self.classes)
-        divergent = [self.classes[t] == "Divergent" for t in thetas]
-        # once bounded, never divergent again at larger theta
-        seen_bounded = False
-        for flag in divergent:
-            if seen_bounded and flag:
-                return False
-            if not flag:
-                seen_bounded = True
-        return True
 
 
 def sobolev_scan(params: ProblemParams, theta_list, rungs) -> ScanTable:
@@ -161,8 +131,8 @@ def sobolev_scan(params: ProblemParams, theta_list, rungs) -> ScanTable:
     return ScanTable(rows, slopes, classes, report.lambda_cap, consistent, increments)
 
 
-def hardy_quotient(u: GridFunction, theta: float, s: float, p: float) -> float:
-    """Discrete int_Omega (u**theta / d**s)**p dx on the function's grid.
+def hardy_quotient(u: GridFunction, s: float, p: float) -> float:
+    """Discrete int_Omega (|u| / d**s)**p dx on the function's grid.
 
     A single grid always yields a finite value; nonexistence_scan reads its
     growth as delta approaches s p on one mesh.
@@ -170,8 +140,7 @@ def hardy_quotient(u: GridFunction, theta: float, s: float, p: float) -> float:
     grid = u.grid
     d = grid.distance()
     m = grid.masses
-    vals = np.abs(u.values) ** theta
-    return float((m * (vals / d**s) ** p).sum())
+    return float((m * (np.abs(u.values) / d**s) ** p).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -179,25 +148,29 @@ def hardy_quotient(u: GridFunction, theta: float, s: float, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: largest violation of either comparison that still passes
+COMPARISON_TOL = 1e-3
+
+
 @dataclass
 class ComparisonReport:
     max_sub_violation: float
     max_super_violation: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_sub_violation <= self.tol and self.max_super_violation <= self.tol
+        return (self.max_sub_violation <= COMPARISON_TOL
+                and self.max_super_violation <= COMPARISON_TOL)
 
 
-def comparison_check(u_sub, u, u_super, tol: float = 1e-3) -> ComparisonReport:
+def comparison_check(u_sub, u, u_super) -> ComparisonReport:
     """Max positive parts of (u_sub - u) and (u - u_super) over the nodes."""
     a, b, c = (np.asarray(v, dtype=float) for v in (u_sub, u, u_super))
     if not (a.shape == b.shape == c.shape):
         raise ShapeMismatch(f"shapes {a.shape}, {b.shape}, {c.shape} differ")
     sub_viol = float(np.maximum(a - b, 0.0).max())
     super_viol = float(np.maximum(b - c, 0.0).max())
-    return ComparisonReport(sub_viol, super_viol, tol)
+    return ComparisonReport(sub_viol, super_viol)
 
 
 def barrier_scales(u: GridFunction, params: ProblemParams, alpha: float, eta: float,
@@ -273,13 +246,13 @@ def nonexistence_scan(
     for dl in delta_list:
         pars = params_base.with_delta(float(dl))
         results, u_min, incs = continuation(pars, op.grid, halvings=halvings, tol=tol, op=op)
-        fit = fit_boundary_exponent(u_min, params=pars)
-        hq = hardy_quotient(u_min, 1.0, pars.s, pars.p)
+        fit = fit_boundary_exponent(u_min, pars)
+        hq = hardy_quotient(u_min, pars.s, pars.p)
         rows.append(
             {
                 "delta": float(dl),
                 "alpha_star": classify_regime(pars).alpha_star,
-                "fitted_exponent": 0.5 * (fit.slope_left + fit.slope_right),
+                "fitted_exponent": fit.slope,
                 "hardy_quotient": hq,
                 "last_increment": incs[-1],
                 "newton_steps": sum(r.iterations for r in results),

@@ -23,13 +23,7 @@ from .core import (
     build_grid,
     check_eta,
 )
-from .errors import (
-    CollarTooThin,
-    MembershipViolation,
-    RegimeError,
-    SpecInvalid,
-    WindowTooThin,
-)
+from .errors import MembershipViolation, RegimeError, SpecInvalid, WindowTooThin
 from .kernel import (
     QUAD_ORDERS,
     check_alpha,
@@ -52,12 +46,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BarrierSpec:
-    """Power barrier data: exponent alpha in (0, s), shift lambda >= 0 and
-    exterior collar width rho > lambda**(1/alpha)."""
+    """Power barrier data: exponent alpha in (0, s) and shift lambda >= 0."""
 
     alpha: float
     lam: float
-    rho: float
     s: float
     p: float
 
@@ -67,10 +59,6 @@ class BarrierSpec:
             raise SpecInvalid(f"lambda must be nonnegative, got {self.lam}")
         if self.beta <= 0.0:
             raise SpecInvalid(f"beta = {self.beta} must be positive")
-        if self.rho <= self.shift:
-            raise CollarTooThin(
-                f"rho = {self.rho} must exceed lambda**(1/alpha) = {self.shift}"
-            )
 
     @property
     def beta(self) -> float:
@@ -245,8 +233,7 @@ def verify_power_estimate(
     chain_ok = oracle.c1 - 1e-10 <= oracle.phi <= oracle.c2 + 1e-10
 
     grid = build_grid(0.0, 1.0, n, _POWER_GRADING)
-    rho = 1.0 + 2.0 * barrier_shift(alpha, lam)
-    spec = BarrierSpec(alpha=alpha, lam=lam, rho=rho, s=s, p=p)
+    spec = BarrierSpec(alpha=alpha, lam=lam, s=s, p=p)
     u = barrier_profile(spec, grid, "U")
     sh = spec.shift
     ratios = []
@@ -278,7 +265,6 @@ def verify_power_estimate(
             "ratio_tol": _RATIO_TOL,
             "window_seminorm_log10": sem_log / math.log(10.0),
             "window_seminorm_rel_err": sem_err,
-            "pv_includes_factor_2": True,
         },
     )
 
@@ -345,7 +331,6 @@ def verify_boundary_barrier(
         details={
             "alpha": spec.alpha,
             "lambda": spec.lam,
-            "rho": spec.rho,
             "eta": eta,
             "beta": spec.beta,
             "n_probes": int(len(probes)),
@@ -353,6 +338,5 @@ def verify_boundary_barrier(
             "c6_hat": c6,
             "c5_hat_refined": c5f,
             "c6_hat_refined": c6f,
-            "pv_includes_factor_2": True,
         },
     )

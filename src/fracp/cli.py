@@ -12,10 +12,11 @@ that cannot be written.  Reruns of an unchanged config byte-reproduce all
 CSV and plotdata artifacts (report.json additionally carries wall-clock
 timings).
 
-The run (_Run) owns every mesh, operator and continuation: a ladder of rungs
-at the run's grading, one per n, the run grid's (grid.n) and the scan meshes'
-(analysis.n_list) among them.  Experiments read rungs and never assemble or
-solve on their own.
+The run (_Run) owns every mesh, operator and configured continuation: a
+ladder of rungs at the run's grading, one per n, the run grid's (grid.n) and
+the scan meshes' (analysis.n_list) among them.  Experiments read rungs and
+never assemble; nonexistence-scan alone solves, one continuation per delta on
+the run grid's operator.
 """
 
 from __future__ import annotations
@@ -68,9 +69,8 @@ DEFAULTS = {
     "output": {"directory": "out", "formats": ["csv"]},
 }
 
-#: collar width rho of the barriers and width eta of the boundary strip in
-#: which barrier-check and compare probe them
-_RHO = 0.5
+#: width eta of the boundary strip in which barrier-check and compare probe
+#: the barriers
 _ETA = 0.1
 
 
@@ -109,6 +109,10 @@ def _list_of(rule):
     )
 
 
+def _increasing(v) -> bool:
+    return all(a < b for a, b in zip(v, v[1:]))
+
+
 RULES = {
     "params": {key: _REAL for key in DEFAULTS["params"]},
     "grid": {"n": _COUNT, "grading": _or_auto(_REAL)},
@@ -117,14 +121,18 @@ RULES = {
         "tol": _POSITIVE,
     },
     "analysis": {
-        "theta_list": _list_of(("a number >= 1", lambda v: _is_number(v, 1.0))),
+        "theta_list": (
+            "a nonempty list of distinct numbers >= 1",
+            lambda v: _list_of(_REAL)[1](v) and min(v) >= 1.0 and len(set(v)) == len(v),
+        ),
         "n_list": (
             "an increasing list of at least 3 positive integers",
-            lambda v: (
-                _list_of(_COUNT)[1](v) and len(v) >= 3 and all(a < b for a, b in zip(v, v[1:]))
-            ),
+            lambda v: _list_of(_COUNT)[1](v) and len(v) >= 3 and _increasing(v),
         ),
-        "delta_list": _list_of(_NONNEGATIVE),
+        "delta_list": (
+            "an increasing list of nonnegative numbers",
+            lambda v: _list_of(_NONNEGATIVE)[1](v) and _increasing(v),
+        ),
     },
     "oracle": {
         "alpha_fracs": _list_of(_FRACTION),
@@ -310,12 +318,12 @@ class _Run:
         return all(inc <= float(self.cfg["solver"]["tol"]) for inc in increments)
 
     def barrier_spec(self, lam) -> BarrierSpec:
-        """The barrier of shift lam and collar _RHO whose power is alpha* in
-        Case alpha* and alpha*_0 / 2 otherwise, clamped to [1e-3, 0.95 s]."""
+        """The barrier of shift lam whose power is alpha* in Case alpha* and
+        alpha*_0 / 2 otherwise, clamped to [1e-3, 0.95 s]."""
         params, report = self.params, self.regime
         alpha = report.alpha_star if report.case_flag == CASE_ALPHA_STAR else 0.5 * report.alpha_star0
         alpha = min(max(alpha, 1e-3), 0.95 * params.s)
-        return BarrierSpec(alpha=alpha, lam=lam, rho=_RHO, s=params.s, p=params.p)
+        return BarrierSpec(alpha=alpha, lam=lam, s=params.s, p=params.p)
 
 
 # ---------------------------------------------------------------------------
@@ -413,33 +421,23 @@ def _fit_band(report, s):
 def _exp_exponent_fit(run):
     grid = run.base.grid
     _, u_min, _ = run.base.solution
-    fit = fit_boundary_exponent(u_min, params=run.params)
+    fit = fit_boundary_exponent(u_min, run.params)
     lo, hi = _fit_band(run.regime, run.params.s)
-    ok = lo <= fit.slope_left <= hi and lo <= fit.slope_right <= hi
+    ok = lo <= fit.slope <= hi
     lo_d, hi_d = fit.window
-    ref = fit.reference
-    rows = [
-        {
-            "side": side, "d_lo": lo_d, "d_hi": hi_d, "slope": slope, "reference": ref,
-            "deviation": None if ref is None else slope - ref, "residual": res,
-        }
-        for side, slope, res in (
-            ("left", fit.slope_left, fit.residual_left),
-            ("right", fit.slope_right, fit.residual_right),
-        )
-    ]
+    row = {
+        "d_lo": lo_d, "d_hi": hi_d, "slope": fit.slope, "reference": fit.reference,
+        "deviation": fit.slope - fit.reference, "residual": fit.residual,
+    }
     mask = (grid.nodes - grid.a >= lo_d) & (grid.nodes - grid.a <= hi_d)
     record = {
-        "slope_left": fit.slope_left,
-        "slope_right": fit.slope_right,
-        "reference": ref,
+        "slope": fit.slope,
+        "reference": fit.reference,
         "band": [lo, hi],
         "window": list(fit.window),
     }
     files = {
-        "exponent_fit.csv": (
-            ["side", "d_lo", "d_hi", "slope", "reference", "deviation", "residual"], rows
-        ),
+        "exponent_fit.csv": (["d_lo", "d_hi", "slope", "reference", "deviation", "residual"], [row]),
         "boundary_left.dat": (grid.nodes[mask] - grid.a, u_min.values[mask]),
     }
     return ok, record, files
@@ -450,7 +448,7 @@ def _exp_sobolev_scan(run):
     rungs = [run.rung(n) for n in ab["n_list"]]
     table = sobolev_scan(run.params, ab["theta_list"], [(r.operator, r.solution) for r in rungs])
     converged = run.converged(table.increments.values())
-    ok = all(table.consistent.values()) and table.classification_monotone() and converged
+    ok = all(table.consistent.values()) and converged
     rows = [
         {
             "theta": r["theta"], "n": r["n"], "energy": r["energy"],

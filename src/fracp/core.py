@@ -329,7 +329,7 @@ class CollarTail:
 
     offset = -lambda gives the subsolution branch (constant -lambda far out),
     offset = 0 the supersolution branch (constant 0 far out).  The collar is
-    lambda**(1/alpha) wide; BarrierSpec checks that it is thinner than rho.
+    lambda**(1/alpha) wide.
     """
 
     alpha: float

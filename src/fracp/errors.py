@@ -59,10 +59,6 @@ class MembershipViolation(FracpError, ValueError):
     """Barrier with lambda = 0 outside the local energy-space range."""
 
 
-class CollarTooThin(SpecInvalid):
-    """Exterior collar width rho does not exceed lambda**(1/alpha)."""
-
-
 class EtaTooLarge(FracpError, ValueError):
     """Boundary strip exceeds half the domain width."""
 

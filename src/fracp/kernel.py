@@ -577,7 +577,6 @@ class DiscreteOperator:
     """
 
     grid: Grid
-    s: float
     p: float
     pairs: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
@@ -647,7 +646,7 @@ class DiscreteOperator:
         c = np.full(h, 2.0)
         if n % 2:
             c[-1] = 1.0
-        return DiscreteOperator(grid=self.grid, s=self.s, p=self.p, pairs=S, b=self.b[:h],
+        return DiscreteOperator(grid=self.grid, p=self.p, pairs=S, b=self.b[:h],
                                 m=c * self.m[:h], mu=self.mu)
 
     def _check(self, v) -> np.ndarray:
@@ -808,7 +807,7 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     x = grid.nodes
     b = mirror_left_half(((x - grid.a) ** (-sp) + (grid.b - x) ** (-sp)) / sp)
     m = grid.masses
-    return DiscreteOperator(grid=grid, s=s, p=p, pairs=F, b=b, m=m)
+    return DiscreteOperator(grid=grid, p=p, pairs=F, b=b, m=m)
 
 
 # ---------------------------------------------------------------------------

@@ -427,8 +427,8 @@ def solve_approximated(
     params: ProblemParams,
     grid: Grid,
     eps: float,
+    op: DiscreteOperator,
     tol: float = 1e-10,
-    op: DiscreteOperator | None = None,
     v0=None,
     factor: _Factor | None = None,
 ) -> SolveResult:
@@ -436,15 +436,13 @@ def solve_approximated(
 
     The minimizer satisfies apply(u) = m * K_eps * h_eps(u) up to the
     requested tolerance and is strictly positive at interior nodes.
-    delta >= sp raises RegimeError from weight_values, before any assembly.
-    op, when given, is the operator assembled for (grid, s, p).  v0, when
-    given, is a start point at the n nodes, of which the solve reads the
-    left half.  factor, when given, is the h x h Hessian buffer and kept
-    Cholesky factor of the continuation this solve is a stage of.
+    delta >= sp raises RegimeError from weight_values.  op is the operator
+    assembled for (grid, s, p).  v0, when given, is a start point at the n
+    nodes, of which the solve reads the left half.  factor, when given, is
+    the h x h Hessian buffer and kept Cholesky factor of the continuation
+    this solve is a stage of.
     """
     weights = weight_values(params, grid.distance(), eps)
-    if op is None:
-        op = assemble_operator(grid, params.s, params.p)
     return _minimize(op, params.gamma, eps, weights, v0, tol, factor)
 
 

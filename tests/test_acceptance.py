@@ -120,7 +120,7 @@ def test_c3_pv_calibration():
     alpha, s, p, lam = 0.25, 0.5, 2.0, 0.1
     oracle = phi_constant(alpha, s, p)
     grid = build_grid(0.0, 1.0, 2048, 2.0)
-    spec = BarrierSpec(alpha=alpha, lam=lam, rho=1.0, s=s, p=p)
+    spec = BarrierSpec(alpha=alpha, lam=lam, s=s, p=p)
     u = barrier_profile(spec, grid, "U")
     devs = []
     for x in np.linspace(0.15, 0.85, 10):
@@ -154,11 +154,11 @@ def test_c4_solver_consistency(torsion_runs):
 def test_c5_boundary_behavior_strongly_singular(case2_run):
     params, grid, results, u_min, incs = case2_run
     assert incs[-1] <= 1e-4
-    fit = fit_boundary_exponent(u_min, params=params)
-    ok = 0.20 <= fit.slope_left <= 0.30 and 0.20 <= fit.slope_right <= 0.30
+    fit = fit_boundary_exponent(u_min, params)
+    ok = 0.20 <= fit.slope <= 0.30
     record_criterion(
         f"[{'PASS' if ok else 'FAIL'}] C5 boundary exponent (case 2): "
-        f"slopes {fit.slope_left:.4f}/{fit.slope_right:.4f} in [0.20, 0.30], alpha*=0.25"
+        f"slope {fit.slope:.4f} in [0.20, 0.30], alpha*=0.25"
     )
     assert ok
 
@@ -169,13 +169,13 @@ def test_c6_boundary_behavior_weakly_singular():
     # graded mesh resolves the d^s layer; the criterion fixes n only
     grid = build_grid(params.a, params.b, 1024, 2.0)
     _, u_min, incs = continuation(params, grid, eps0=0.5, halvings=20, tol=1e-4)
-    fit = fit_boundary_exponent(u_min, params=params)
+    fit = fit_boundary_exponent(u_min, params)
     s = params.s
     lo, hi = s - 0.1, s + 0.05
-    ok = lo <= fit.slope_left <= hi and lo <= fit.slope_right <= hi
+    ok = lo <= fit.slope <= hi
     record_criterion(
         f"[{'PASS' if ok else 'FAIL'}] C6 boundary exponent (case 1): "
-        f"slopes {fit.slope_left:.4f}/{fit.slope_right:.4f} in [{lo}, {hi}]"
+        f"slope {fit.slope:.4f} in [{lo}, {hi}]"
     )
     assert ok
 
@@ -240,7 +240,7 @@ def test_c9_comparison_bracketing(case2_run):
     alpha = rep.alpha_star
     eps_fin = 0.5 * 2.0 ** -(len(results) - 1)
     lam = eps_fin  # alpha = alpha* aligns the barrier and weight scales
-    spec = BarrierSpec(alpha=alpha, lam=lam, rho=0.5, s=params.s, p=params.p)
+    spec = BarrierSpec(alpha=alpha, lam=lam, s=params.s, p=params.p)
     eta = 0.1
     rec = verify_boundary_barrier(params, spec, grid, eta)
     c_sub, c_super = barrier_scales(
@@ -251,7 +251,7 @@ def test_c9_comparison_bracketing(case2_run):
     u = u_min.values
     strip = grid.distance() < eta
     cmp = comparison_check(
-        c_sub * sub.values[strip], u[strip], c_super * sup.values[strip], tol=1e-3
+        c_sub * sub.values[strip], u[strip], c_super * sup.values[strip]
     )
     ok = cmp.passed and rec.passed
     record_criterion(

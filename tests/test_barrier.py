@@ -18,7 +18,6 @@ from fracp import barrier
 from fracp.barrier import _exprel, _window_seminorm, weight_values
 from fracp.errors import (
     AlphaOutOfRange,
-    CollarTooThin,
     EtaTooLarge,
     MembershipViolation,
     RegimeError,
@@ -28,7 +27,7 @@ from fracp.errors import (
 
 @pytest.fixture
 def spec():
-    return BarrierSpec(alpha=0.25, lam=0.05, rho=0.6, s=0.5, p=2.0)
+    return BarrierSpec(alpha=0.25, lam=0.05, s=0.5, p=2.0)
 
 
 @pytest.fixture
@@ -43,12 +42,7 @@ class TestBarrierSpec:
 
     def test_alpha_validation(self):
         with pytest.raises(AlphaOutOfRange):
-            BarrierSpec(alpha=0.6, lam=0.1, rho=1.0, s=0.5, p=2.0)
-
-    def test_collar_too_thin(self):
-        lam = 0.5
-        with pytest.raises(CollarTooThin):
-            BarrierSpec(alpha=0.25, lam=lam, rho=0.5 * lam**4, s=0.5, p=2.0)
+            BarrierSpec(alpha=0.6, lam=0.1, s=0.5, p=2.0)
 
 
 class TestBarrierProfile:
@@ -271,7 +265,7 @@ class TestVerifyBoundaryBarrier:
     def test_passes_on_preset(self):
         pars = make_params(0.5, 2.0, 1.0, 0.5)
         grid = build_grid(0, 1, 384, 2.0)
-        spec = BarrierSpec(alpha=0.25, lam=0.05, rho=0.5, s=0.5, p=2.0)
+        spec = BarrierSpec(alpha=0.25, lam=0.05, s=0.5, p=2.0)
         rec = verify_boundary_barrier(pars, spec, grid, eta=0.1)
         assert rec.passed
         assert rec.details["c5_hat"] > 0
@@ -304,7 +298,7 @@ class TestVerifyBoundaryBarrier:
         pv = barrier.eval_fplap_pv
         monkeypatch.setattr(barrier, "eval_fplap_pv", spy)
         pars = make_params(0.5, 2.0, 1.0, 0.5)
-        spec = BarrierSpec(alpha=0.25, lam=0.05, rho=0.5, s=0.5, p=2.0)
+        spec = BarrierSpec(alpha=0.25, lam=0.05, s=0.5, p=2.0)
         rec = verify_boundary_barrier(pars, spec, build_grid(0, 1, 384, 2.0), eta=0.1)
         assert len(calls) == 2 * rec.details["n_probes"]
         assert rec.details["c5_hat"] <= rec.details["c6_hat"]
@@ -317,7 +311,7 @@ class TestVerifyBoundaryBarrier:
         # operator maps both to one function: what lets one sweep give c6_hat
         s, alpha = 0.5, 0.2
         grid = build_grid(0, 1, 256, 2.0)
-        spec = BarrierSpec(alpha=alpha, lam=lam, rho=0.5, s=s, p=p)
+        spec = BarrierSpec(alpha=alpha, lam=lam, s=s, p=p)
         sub, sup = (barrier_profile(spec, grid, kind) for kind in ("Sub", "Super"))
         probes = grid.nodes[barrier._probe_indices(grid, 0.1)]
         assert len(probes) > 0
@@ -329,6 +323,6 @@ class TestVerifyBoundaryBarrier:
     def test_eta_too_large(self):
         pars = make_params(0.5, 2.0, 1.0, 0.5)
         grid = build_grid(0, 1, 64, 1.0)
-        spec = BarrierSpec(alpha=0.25, lam=0.05, rho=0.5, s=0.5, p=2.0)
+        spec = BarrierSpec(alpha=0.25, lam=0.05, s=0.5, p=2.0)
         with pytest.raises(EtaTooLarge):
             verify_boundary_barrier(pars, spec, grid, eta=0.9)

@@ -49,7 +49,7 @@ class TestConfig:
     def test_unknown_block_rejected(self, tmp_path):
         for payload in (
             {"nope": {}},
-            # the barrier's rho and eta, alpha and lambda are constants of the code
+            # the barrier's eta, alpha and lambda are constants of the code
             {"barrier": {"tol": 1e-3}},
             {"barrier": {"eta": 0.1, "rho": 0.5}},
         ):
@@ -124,6 +124,12 @@ class TestConfig:
             {"analysis": {"n_list": [1, 64, 128]}},
             # each delta_list entry lies in the existence range [0, s p)
             {"analysis": {"delta_list": [0.6, 1.0]}},
+            # sobolev-scan fits one energy per theta and mesh, and the
+            # nonexistence trend is read in increasing delta
+            {"analysis": {"theta_list": [1.0, 1.0]}},
+            {"analysis": {"theta_list": [3.0, 1, 1.0]}},
+            {"analysis": {"delta_list": [0.6, 0.6]}},
+            {"analysis": {"delta_list": [0.8, 0.6]}},
         ],
     )
     def test_bad_value_is_config_error_exit_1(self, tmp_path, capsys, payload):
@@ -398,8 +404,8 @@ class TestSubcommands:
         out = tmp_path / "out"
         code = run("exponent-fit", cfg, str(out))
         lines = (out / "exponent_fit.csv").read_text().splitlines()
-        assert lines[0] == "side,d_lo,d_hi,slope,reference,deviation,residual"
-        assert len(lines) == 3
+        assert lines[0] == "d_lo,d_hi,slope,reference,deviation,residual"
+        assert len(lines) == 2
         assert code in (0, 2)
 
     def test_module_error_surfaces_with_name(self, tmp_path):

@@ -535,6 +535,19 @@ class TestAssembleOperator:
                     off = ~np.eye(n, dtype=bool)
                     assert np.abs(w[off] / ref[off] - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [127, 128])
+    def test_many_blocks_match_fixed_order_reference(self, monkeypatch, n):
+        # at this budget the assembly takes 39 or 40 blocks of 1 to 11 gaps;
+        # a diagonal takes integrals from three consecutive gaps, so most
+        # are begun in one block and completed and written to F in the next
+        monkeypatch.setattr(kernel, "_EVAL_BUDGET", 576)
+        off = ~np.eye(n, dtype=bool)
+        for grading in (1.0, 2.0, 4.0):
+            g = build_grid(0, 1, n, grading)
+            w, ref = assemble_operator(g, 0.5, 2.0).w, _reference_weights(g, 0.5, 2.0)
+            assert np.array_equal(w, w.T)
+            assert np.abs(w[off] / ref[off] - 1.0).max() <= 1e-12
+
     @pytest.mark.parametrize("s,p,mu", [(0.5, 3.0, 0.0), (0.6, 1.5, 1e-2), (0.5, 3.0, 1e-3)])
     def test_in_place_passes_match_plain_formulas(self, s, p, mu):
         n = 32
@@ -761,7 +774,7 @@ class TestEvalPV:
             profiles = [solve_fixed_rhs(op, np.ones(grid.n), tol=1e-11).u]
         else:
             profiles = [
-                barrier_profile(BarrierSpec(alpha=alpha, lam=lam, rho=1.0, s=s, p=p), grid, kind)
+                barrier_profile(BarrierSpec(alpha=alpha, lam=lam, s=s, p=p), grid, kind)
                 for lam in (0.0, 0.2)
             ]
         for u in profiles:
@@ -782,7 +795,7 @@ class TestEvalPV:
         alpha, s, p, lam = 0.25, 0.5, 2.0, 0.1
         o = phi_constant(alpha, s, p)
         grid = build_grid(0, 1, 1024, 2.0)
-        spec = BarrierSpec(alpha=alpha, lam=lam, rho=1.0, s=s, p=p)
+        spec = BarrierSpec(alpha=alpha, lam=lam, s=s, p=p)
         u = barrier_profile(spec, grid, "U")
         for x in (0.3, 0.5, 0.7):
             pv = eval_fplap_pv(u, x, s, p)
@@ -792,7 +805,7 @@ class TestEvalPV:
     def test_ratio_constant_in_x(self):
         from fracp import BarrierSpec, barrier_profile
 
-        spec = BarrierSpec(alpha=0.25, lam=0.1, rho=1.0, s=0.5, p=2.0)
+        spec = BarrierSpec(alpha=0.25, lam=0.1, s=0.5, p=2.0)
         grid = build_grid(0, 1, 1024, 2.0)
         u = barrier_profile(spec, grid, "U")
         ratios = [

@@ -230,22 +230,24 @@ class TestSolveApproximated:
 
     def test_positivity_at_interior_nodes(self, singular_preset):
         grid = build_grid(0, 1, 64, 2.0)
-        res = solve_approximated(singular_preset, grid, 0.25, tol=1e-10)
+        op = assemble_operator(grid, 0.5, 2.0)
+        res = solve_approximated(singular_preset, grid, 0.25, tol=1e-10, op=op)
         assert res.positivity_margin > 0
 
     def test_start_point_shape_mismatch(self, singular_preset):
         # the solve reads the left half of v0, which must still be n long
         grid = build_grid(0, 1, 32, 1)
+        op = assemble_operator(grid, 0.5, 2.0)
         with pytest.raises(ShapeMismatch):
-            solve_approximated(singular_preset, grid, 0.25, v0=np.ones(20))
+            solve_approximated(singular_preset, grid, 0.25, op=op, v0=np.ones(20))
 
-    def test_regime_error(self, assembly_calls):
-        # delta >= sp = 1 fails in weight_values, before the operator is built
+    def test_regime_error(self):
+        # delta >= sp = 1 fails in weight_values
         grid = build_grid(0, 1, 32, 1)
+        op = assemble_operator(grid, 0.5, 2.0)
         for delta in (1.0, 1.5):
             with pytest.raises(RegimeError, match="existence range requires delta < s\\*p"):
-                solve_approximated(make_params(0.5, 2.0, 1.0, delta), grid, 0.25)
-        assert assembly_calls == []
+                solve_approximated(make_params(0.5, 2.0, 1.0, delta), grid, 0.25, op=op)
 
     def test_uniqueness_two_initializations(self, singular_preset):
         grid = build_grid(0, 1, 64, 2.0)
@@ -261,7 +263,8 @@ class TestSolveApproximated:
     def test_p_below_two_with_smoothing(self):
         pars = make_params(0.6, 1.5, 0.5, 0.2)
         grid = build_grid(0, 1, 48, 1.5)
-        res = solve_approximated(pars, grid, 0.25, tol=1e-8)
+        op = assemble_operator(grid, pars.s, pars.p)
+        res = solve_approximated(pars, grid, 0.25, tol=1e-8, op=op)
         assert res.positivity_margin > 0
 
     def test_weight_comparison(self):
