@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Solve a singular preset by epsilon-continuation and report how the fitted
-boundary exponent tracks the predicted one as the mesh refines.
+boundary exponent tracks the predicted one as the mesh refines, with the
+last eps increment of each continuation (converged when at most 1e-4).
 
 Usage: python3 scripts/boundary_exponent_study.py [--gamma G] [--delta D]
 """
@@ -35,7 +36,7 @@ def main():
         f"case {report.case_flag}, alpha*={report.alpha_star:.4f}, "
         f"reference exponent {ref:.4f}, grading {q:.2f}"
     )
-    print(f"{'n':>6} {'slope':>9} {'dev':>9} {'eps_final':>10} {'time':>7}")
+    print(f"{'n':>6} {'slope':>9} {'dev':>9} {'eps_final':>10} {'last_inc':>9} {'time':>7}")
     for n in args.sizes:
         grid = build_grid(params.a, params.b, n, q)
         t0 = time.time()
@@ -43,7 +44,7 @@ def main():
         fit = fit_boundary_exponent(u_min, params)
         print(
             f"{n:6d} {fit.slope:9.4f} {abs(fit.slope - ref):9.4f} "
-            f"{results[-1].eps:10.2e} {time.time() - t0:6.1f}s"
+            f"{results[-1].eps:10.2e} {incs[-1]:9.2e} {time.time() - t0:6.1f}s"
         )
     return 0
 

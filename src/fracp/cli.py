@@ -420,10 +420,11 @@ def _fit_band(report, s):
 
 def _exp_exponent_fit(run):
     grid = run.base.grid
-    _, u_min, _ = run.base.solution
+    _, u_min, incs = run.base.solution
     fit = fit_boundary_exponent(u_min, run.params)
     lo, hi = _fit_band(run.regime, run.params.s)
-    ok = lo <= fit.slope <= hi
+    converged = run.converged(incs[-1:])
+    ok = lo <= fit.slope <= hi and converged
     lo_d, hi_d = fit.window
     row = {
         "d_lo": lo_d, "d_hi": hi_d, "slope": fit.slope, "reference": fit.reference,
@@ -435,6 +436,7 @@ def _exp_exponent_fit(run):
         "reference": fit.reference,
         "band": [lo, hi],
         "window": list(fit.window),
+        "continuation_converged": converged,
     }
     files = {
         "exponent_fit.csv": (["d_lo", "d_hi", "slope", "reference", "deviation", "residual"], [row]),
@@ -508,7 +510,7 @@ def _exp_nonexistence(run):
 
 def _exp_compare(run):
     params, grid = run.params, run.base.grid
-    results, u_min, _ = run.base.solution
+    results, u_min, incs = run.base.solution
     # matched scales: with alpha = alpha_star the barrier shift equals the
     # weight regularization length, so lambda = eps is the aligned choice
     spec = run.barrier_spec(results[-1].eps)
@@ -521,7 +523,8 @@ def _exp_compare(run):
     u = u_min.values
     strip = grid.distance() < _ETA
     cmp_strip = comparison_check(c_sub * sub.values[strip], u[strip], c_super * sup.values[strip])
-    ok = cmp_strip.passed and rec.passed
+    converged = run.converged(incs[-1:])
+    ok = cmp_strip.passed and rec.passed and converged
     rows = [
         {
             "region": "strip",
@@ -541,6 +544,7 @@ def _exp_compare(run):
         "max_sub_violation": cmp_strip.max_sub_violation,
         "max_super_violation": cmp_strip.max_super_violation,
         "barrier_record": rec.to_dict(),
+        "continuation_converged": converged,
     }
     files = {
         "compare.csv": (

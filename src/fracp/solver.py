@@ -109,6 +109,11 @@ class SingularEnergy:
     def __post_init__(self):
         if self.eps <= 0.0:
             raise OutOfRange(f"eps must be positive, got {self.eps}")
+        try:  # h_eps(0), the reaction's largest value
+            math.pow(self.eps, -self.gamma)
+        except OverflowError:
+            raise OutOfRange(f"eps**-gamma overflows at eps = {self.eps:.4g}, "
+                             f"gamma = {self.gamma}") from None
 
     def h_eps(self, t):
         t = np.asarray(t, dtype=float)

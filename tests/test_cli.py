@@ -236,7 +236,7 @@ class TestSubcommands:
         jsonschema.validate(rep, SCHEMA)
         assert rep["overall_passed"] is True
         for e in rep["experiments"]:
-            if e["id"] in ("solve", "sobolev-scan", "nonexistence-scan"):
+            if e["id"] in ("solve", "exponent-fit", "sobolev-scan", "nonexistence-scan", "compare"):
                 assert e["record"]["continuation_converged"] is True, e["id"]
         ids = [e["id"] for e in rep["experiments"]]
         assert ids == [
@@ -397,6 +397,23 @@ class TestSubcommands:
             incs = [r["last_increment"] for r in rec["record"]["rows"]]
         assert min(incs) > 1e-4
 
+    @pytest.mark.parametrize("subcommand", ["exponent-fit", "compare"])
+    def test_unconverged_continuation_fails_what_reads_it(self, tmp_path, subcommand):
+        # exponent-fit and compare read solve's minimal solution; two
+        # halvings leave its last increment far above tol
+        payload = {**QUICK, "solver": {"halvings": 2, "tol": 1e-4}}
+        out = tmp_path / "out"
+        assert run(subcommand, write_cfg(tmp_path, payload), str(out)) == 2
+        rep = json.loads((out / "report.json").read_text())
+        jsonschema.validate(rep, SCHEMA)
+        rec = rep["experiments"][0]
+        assert rec["passed"] is False
+        assert rec["record"]["continuation_converged"] is False
+        # and the schema requires the flag
+        del rec["record"]["continuation_converged"]
+        with pytest.raises(jsonschema.ValidationError, match="continuation_converged"):
+            jsonschema.validate(rep, SCHEMA)
+
     def test_exponent_fit_csv_columns(self, tmp_path):
         payload = dict(QUICK)
         payload["grid"] = {"n": 256, "grading": "auto"}
@@ -419,6 +436,16 @@ class TestSubcommands:
         assert exp["id"] == "solve"
         assert exp["passed"] is False
         assert exp["error"]["type"] == "RegimeError"
+
+    def test_reaction_out_of_float_range_is_an_error_line(self, tmp_path, capsys):
+        # at gamma = 60, eps**-gamma leaves the float range at eps = 2**-18
+        payload = {"params": {"gamma": 60}, "grid": {"n": 64}, "solver": {"halvings": 20}}
+        out = tmp_path / "out"
+        assert run("solve", write_cfg(tmp_path, payload), str(out)) == 2
+        assert "error in experiment solve: OutOfRange: eps**-gamma overflows" in capsys.readouterr().err
+        rep = json.loads((out / "report.json").read_text())
+        jsonschema.validate(rep, SCHEMA)
+        assert rep["experiments"][0]["error"]["type"] == "OutOfRange"
 
 
 class TestMain:

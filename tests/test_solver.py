@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,12 @@ class TestSingularEnergy:
             ts = np.linspace(-1, 3, 101)
             assert np.all(np.diff(se.h_eps(ts)) <= 1e-15)
 
+    def test_eps_power_out_of_float_range_refused(self):
+        # h_eps(0) = eps**-gamma: 2**1020 is a float at gamma = 60, 2**1080 not
+        assert self.make(60.0, eps=2.0**-17).h_eps(0.0) == 2.0**1020
+        with pytest.raises(OutOfRange, match="overflows at eps = 3.815e-06, gamma = 60.0"):
+            self.make(60.0, eps=2.0**-18)
+
 
 class TestSolveApproximated:
     def test_gamma_delta_zero_reduces_to_fixed_rhs(self):
@@ -284,6 +291,15 @@ class TestContinuation:
         grid = build_grid(0, 1, 32, 1)
         with pytest.raises(OutOfRange):
             continuation(singular_preset, grid, halvings=1)
+
+    def test_reaction_out_of_float_range_raises_out_of_range(self):
+        # the stage at eps = 2**-18 is refused before any float overflows
+        params = make_params(0.5, 2.0, 60.0, 0.5)
+        grid = build_grid(0, 1, 64, default_grading(params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OutOfRange, match="eps\\*\\*-gamma overflows"):
+                continuation(params, grid, halvings=20)
 
     def test_increments_nonnegative_and_decaying(self, singular_preset):
         grid = build_grid(0, 1, 96, 2.0)
