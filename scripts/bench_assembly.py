@@ -6,9 +6,12 @@ three continuations.
 Times `assemble_operator` (s = 1/2, graded mesh of [0, 1] with grading 2) at
 each n and p, five times each, alone ("assemble") and followed by building
 `DiscreteOperator.folded` ("assemble_folded"), the operator every solve
-runs on; prints next to the times the peak RSS of one assembly and of its
-fold, each read in a fresh process that imported fracp and built the mesh
-(`rss_mb`: import and mesh, assemble, folded), and, untimed after the
+runs on; prints next to the times the fold store's pairs that Gauss rules
+integrate, in the band of gaps next to the diagonal, and those beyond it,
+which low-rank far blocks give (`pairs`: band, near, far, far_blocks), the
+peak RSS of one assembly and of its fold, each read in a fresh process that
+imported fracp and built the mesh (`rss_mb`: import and mesh, assemble,
+folded), and, untimed after the
 runs, the mirror defect of the operator's w, b and m: the largest
 |a - a mirrored| / a over the positive entries, with w mirrored as
 w[n-1-i, n-1-j]; w is built on request, so its defect is left out at
@@ -54,7 +57,7 @@ import time
 
 import numpy as np
 
-from fracp import solver
+from fracp import kernel, solver
 from fracp import (
     BarrierSpec,
     assemble_operator,
@@ -67,7 +70,7 @@ from fracp import (
     solve_fixed_rhs,
 )
 from fracp.cli import DEFAULTS
-from fracp.core import default_grading
+from fracp.core import default_grading, mirror_left_half
 
 NS = (256, 1024, 2048, 4096, 8192)
 PS = (1.5, 2.0, 3.0)
@@ -101,6 +104,17 @@ def assembly_rss(n, p):
     return dict(zip(("import_and_mesh", "assemble", "folded"), map(float, out)))
 
 
+def pair_counts(grid):
+    """The band of gaps j - i that assembly integrates by Gauss rules, the
+    fold store's pairs in it and beyond it (half of each diagonal d of w,
+    (n - d + 1) // 2 pairs), and the number of far blocks."""
+    n = grid.n
+    _, _, far, band = kernel._far_partition(grid, mirror_left_half(np.diff(grid.edges)))
+    per_gap = (n - np.arange(1, n) + 1) // 2
+    return {"band": band, "near": int(per_gap[:band].sum()), "far": int(per_gap[band:].sum()),
+            "far_blocks": len(far)}
+
+
 def time_assembly():
     rows = []
     for n in NS:
@@ -115,7 +129,7 @@ def time_assembly():
                 folded_runs.append(time.perf_counter() - t0)
                 runs.append(t1 - t0)
                 del op
-            row = {"n": n, "p": p}
+            row = {"n": n, "p": p, "pairs": pair_counts(grid)}
             for name, ts in (("assemble", runs), ("assemble_folded", folded_runs)):
                 row[name] = {"runs_s": [round(t, 4) for t in ts], "min_s": round(min(ts), 4),
                              "median_s": round(statistics.median(ts), 4)}

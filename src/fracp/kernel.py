@@ -3,11 +3,13 @@
 Contents: the nonlinear difference [a - b]**(p-1), the power-barrier scalar
 Phi(alpha, s, p) with its bracketing constants, principal-value evaluation of
 the operator on grid functions, assembly of the discrete energy/operator and
-Gagliardo-type energies.  Assembly integrates every separated cell pair by
-one positive tensor Gauss rule whose order is set by the pair's separation
-ratio, in blocks of consecutive gaps of a fixed budget of kernel
-evaluations.  Every Gauss-Legendre rule here reads one cached leggauss, and the
-panel rules of Phi, of the PV and of its tail all come from gauss_panels.
+Gagliardo-type energies.  Assembly integrates the separated cell pairs in a
+band of gaps next to the diagonal by one positive tensor Gauss rule whose
+order is set by the pair's separation ratio, in blocks of consecutive gaps
+of a fixed budget of kernel evaluations, and writes the far field beyond
+the band as low-rank blocks of Chebyshev-interpolated kernel.  Every
+Gauss-Legendre rule here reads one cached leggauss, and the panel rules of
+Phi, of the PV and of its tail all come from gauss_panels.
 
 Conventions fixed here and recorded in every report:
   * the pointwise operator carries a factor 2 in front of the principal
@@ -468,7 +470,7 @@ def _block_weights(tp, wdp, n: int, g0: int, g1: int, sp: float, scratch):
     return C
 
 
-def _fold_block(F, edge, carry, C, n: int, g0: int, bands, scratch):
+def _fold_block(F, edge, carry, C, n: int, g0: int, bands, stop: int, scratch):
     """Add a block's hat integrals C (_block_weights) to the diagonals they
     touch and write the diagonals they complete into F and edge; returns
     the two diagonals begun, for the next block.
@@ -479,12 +481,13 @@ def _fold_block(F, edge, carry, C, n: int, g0: int, bands, scratch):
     the zeros add nothing and the blocks do not change any sum.  A
     diagonal is complete when its last gap is in: it takes its singular
     band of bands (diagonal, first position, values) last, then its position
-    0 goes to edge and its kept half to F (_write_diagonals).
+    0 goes to edge and, below diagonal stop, its kept half to F
+    (_write_diagonals).
     """
     nb, hmax = C.shape[1], C.shape[2] - 1
     d0, g1 = g0 - 1, g0 + nb
     done = nb if g1 <= n else nb + 2  # the last block completes them all
-    m = min(done, n - d0)  # of which diagonals d0..d0+m-1 have pairs in F
+    m = min(done, stop - d0)  # of which diagonals d0..d0+m-1 go to F
     # positions 0..hmax+1 take the sums; the lower runs of _write_diagonals
     # read, masked, past them
     lo, hi = 0, hmax + 1
@@ -504,7 +507,8 @@ def _fold_block(F, edge, carry, C, n: int, g0: int, bands, scratch):
             row = B[d - d0, first : first + len(band)]
             row += band[: len(row)]
     edge[d0 : d0 + done] = B[:done, 0]
-    _write_diagonals(F, D, -lo, n, d0, m)
+    if m > 0:
+        _write_diagonals(F, D, -lo, n, d0, m)
     return B[-2:].copy()
 
 
@@ -551,6 +555,204 @@ def _write_diagonals(F, D, top: int, n: int, d0: int, m: int) -> None:
         lower = np.arange(2 - 2 * R, m) <= e + 2 * r_lo - n  # c <= r at j - 2 (r - r_lo)
         np.copyto(dst, src, where=_strided(nonneg, R - 1, (-1, 1), (R, m))
                   & _strided(lower, 2 * R - 2, (-2, 1), (R, m)))
+
+
+# Far field.  The node indices 0..h-1 of the fold store's rows and columns
+# are bisected into clusters of at most _FAR_LEAF nodes (_cluster_tree).  A
+# pair of clusters is admissible when the gap between their hat supports, in
+# the upper triangle of F or across the mirror in its fold block, is at
+# least _FAR_ETA times the larger support (_far_blocks).  There the kernel
+# is analytic in a Bernstein ellipse of parameter 5 + 24^(1/2) = 9.9 around
+# each support, and its tensor interpolant at _FAR_ORDER Chebyshev points
+# of the two supports gives the block's weights as U_I K_IJ U_J^T
+# (_moments, _far_field).  Against a 16-point tensor Gauss rule on every
+# cell pair, sampled far weights at n = 512 and 1024, gradings 1, 2 and 4,
+# sp in {0.3, 1, 1.5, 7} are within 1.6e-13 relative, columns next to b and
+# the pair (0, n-1) included; 20 points give the same, 16 points 1.3e-10.
+# Every pair outside the admissible blocks lies in a band of gaps next to
+# the diagonal, which the Gauss pipeline integrates as before.
+_FAR_LEAF = 16
+_FAR_ETA = 2.0
+_FAR_ORDER = 24
+#: fewer gaps than this beyond the band save less Gauss work than the far
+#: field costs, so the pipeline takes them: with them n = 64 and 96
+#: assembled 1.2-1.4 times slower, and n = 128 (4 to 64 gaps) no faster;
+#: every n <= 160 skips the partition too
+_FAR_MIN_GAPS = 128
+#: Chebyshev points cos(pi (a + 1/2) / m) on [-1, 1] and the coefficients
+#: C[k, a] = (2 - [k = 0]) T_k(c_a) / m of their Lagrange polynomials,
+#: L_a = sum_k C[k, a] T_k
+_CHEB = np.cos(np.pi * (np.arange(_FAR_ORDER) + 0.5) / _FAR_ORDER)
+_CHEB_COEF = np.cos(np.outer(np.arange(_FAR_ORDER), np.arccos(_CHEB))) * (2.0 / _FAR_ORDER)
+_CHEB_COEF[0] *= 0.5
+
+
+def _chebyshev(z, V=None):
+    """T_k(z) for k < _FAR_ORDER, stacked first; with a matrix V, each
+    T_k(z) @ V in its place."""
+    out = np.empty((_FAR_ORDER,) + (z.shape if V is None else z.shape[:-1] + V.shape[1:]))
+    prev, t = z, np.ones_like(z)  # T_{-1} = T_1 = z continues the recurrence
+    for k in range(_FAR_ORDER):
+        if V is None:
+            out[k] = t
+        else:
+            np.matmul(t, V, out=out[k])
+        prev, t = t, 2.0 * z * t - prev
+    return out
+
+
+def _cluster_tree(h: int):
+    """The bisection of node indices 0..h-1: lists lo, hi and kids of the
+    clusters [lo, hi), parents first, kids the two halves of a cluster of
+    more than _FAR_LEAF nodes and () for a leaf."""
+    lo, hi, kids = [0], [h], []
+    while len(kids) < len(lo):
+        a, b = lo[len(kids)], hi[len(kids)]
+        if b - a > _FAR_LEAF:
+            kids.append((len(lo), len(lo) + 1))
+            lo += [a, (a + b) // 2]
+            hi += [(a + b) // 2, b]
+        else:
+            kids.append(())
+    return lo, hi, kids
+
+
+def _far_blocks(x, to_mid, n: int, tree):
+    """The admissible blocks of the fold store, as (row cluster, column
+    cluster, gap, fold), fold blocks first, and the band: the largest gap
+    j - i of a pair w[i, j] in none of them.
+
+    x holds the edges t_0..t_{h+1} of the mirror-exact left half and to_mid
+    their distances (a + b)/2 - x to the middle; cluster [lo, hi) has the
+    support [x[lo], x[hi + 1]].  An upper block holds the pairs
+    F[i, j] = w[i, j] of i in its row cluster and j in its column cluster,
+    right of it, with gap x[lo_J] - x[hi_I + 1].  A fold block holds
+    F[r, c] = w[c, n-1-r], c <= r, of c in its column cluster I and r in
+    its row cluster J, not left of I: y runs over the mirror image of r's
+    support, and the gap is to_mid[hi_I + 1] + to_mid[hi_J + 1]."""
+    lo, hi, kids = tree
+    x, to_mid = x.tolist(), to_mid.tolist()
+    size = [x[b + 1] - x[a] for a, b in zip(lo, hi)]
+    far, band = [], 0
+
+    def visit(i, j, fold):  # cluster i not right of cluster j
+        nonlocal band
+        if fold:
+            gap = to_mid[hi[i] + 1] + to_mid[hi[j] + 1]
+        else:
+            gap = x[lo[j]] - x[hi[i] + 1]
+        if gap >= _FAR_ETA * max(size[i], size[j]):
+            far.append((j, i, gap, True) if fold else (i, j, gap, False))
+        elif not kids[i] and not kids[j]:
+            band = max(band, n - 1 - lo[i] - lo[j] if fold else hi[j] - 1 - lo[i])
+        elif i == j:
+            a, b = kids[i]
+            for pair in ((a, a), (a, b), (b, b)):
+                visit(*pair, fold)
+        else:
+            for a in kids[i] or (i,):
+                for b in kids[j] or (j,):
+                    visit(a, b, fold)
+
+    visit(0, 0, True)
+    visit(0, 0, False)
+    return far, band
+
+
+def _far_partition(grid: Grid, wd):
+    """(x, tree, far, band): the edges t_0..t_{h+1} of the mirror-exact left
+    half, t_{h+1} the mirror image of t_h or t_{h-1}, from the cell widths
+    wd; the cluster tree; its admissible blocks; and the band of gaps j - i
+    that the Gauss pipeline integrates.  With fewer than _FAR_MIN_GAPS gaps
+    beyond the band there are no far blocks and the band is every gap,
+    n - 1; adjacent leaves are never admissible, so the band is at least
+    2 _FAR_LEAF - 1, and smaller meshes are not partitioned at all."""
+    n, h, t = grid.n, (grid.n + 1) // 2, grid.edges
+    if n - 2 * _FAR_LEAF <= _FAR_MIN_GAPS:
+        return None, None, [], n - 1
+    x = np.append(t[: h + 1], t[h] + wd[h])
+    tree = _cluster_tree(h)
+    far, band = _far_blocks(x, 0.5 * (grid.a + grid.b) - x, n, tree)
+    if n - 1 - band < _FAR_MIN_GAPS:
+        return x, tree, [], n - 1
+    return x, tree, far, band
+
+
+def _moments(x, wd, tree):
+    """U[c][i, a]: the integral of node lo_c + i's basis function against
+    the Lagrange polynomial L_a of the Chebyshev points of cluster c's
+    support, for every cluster c but the root.
+
+    A node's basis is its hat, constant 1 on the boundary cell [t_0, t_1]
+    for node 0, where the pairs of t_0 are folded onto it.  On a leaf the
+    integrals take a Gauss rule on each cell that is exact for the degree
+    _FAR_ORDER of hat times polynomial; a parent's are its kids' times
+    L_b at the kids' Chebyshev points, which interpolate L_b exactly."""
+    lo, hi, kids = tree
+    m = _FAR_ORDER
+    size = np.array([x[b + 1] - x[a] for a, b in zip(lo, hi)])
+    leaves = np.array(sorted((lo[c], hi[c]) for c in range(len(lo)) if not kids[c]))
+    count = leaves[:, 1] - leaves[:, 0]
+    # cell k of leaf j, [x_k, x_{k+1}], is entry k + j: a leaf takes its
+    # cells lo..hi, its last one shared with the next leaf
+    leaf = np.repeat(np.arange(len(leaves)), count + 1)
+    k = np.arange(len(leaf)) - leaf
+    first = leaves[leaf, 0]
+    xi, om = _legendre(m // 2 + 1)
+    u = 0.5 * (1.0 + xi)
+    z = (x[k] - x[first])[:, None] + np.multiply.outer(wd[k], u)
+    z *= (2.0 / (x[leaves[leaf, 1] + 1] - x[first]))[:, None]
+    z -= 1.0
+    # the rising and falling hat parts u and 1 - u on each cell, by T_k(z)
+    # times the Gauss weights of the cell's unit rule, then times its width
+    M = _chebyshev(z, np.column_stack((u, 1.0 - u)) * (0.5 * om)[:, None])
+    M *= wd[k][:, None]
+    rise, fall = (np.tensordot(M[..., j], _CHEB_COEF, (0, 0)) for j in (0, 1))
+    # node i of leaf j rises on cell i and falls on cell i + 1
+    e = np.arange(x.size - 2) + np.repeat(np.arange(len(leaves)), count)
+    U_leaves = rise[e] + fall[e + 1]
+    U_leaves[0] += fall[0]
+    # each kid's Chebyshev points in its parent's unit coordinates, and the
+    # parent's Lagrange polynomials there, S[kid][a, b] = L_b(point a)
+    parent, kid = np.array([(c, kid) for c in range(len(lo)) for kid in kids[c]]).T
+    start = x[np.array(lo)]
+    z = (2.0 * (start[kid] - start[parent])[:, None]
+         + np.multiply.outer(size[kid], 1.0 + _CHEB)) / size[parent, None] - 1.0
+    S = dict(zip(kid.tolist(), np.tensordot(_chebyshev(z), _CHEB_COEF, (0, 0))))
+    U = [None] * len(lo)
+    for c in reversed(range(1, len(lo))):  # the root, across the middle, is never admissible
+        if not kids[c]:
+            U[c] = U_leaves[lo[c] : hi[c]]
+            continue
+        U[c] = np.empty((hi[c] - lo[c], m))
+        for kid in kids[c]:
+            np.matmul(U[kid], S[kid], out=U[c][lo[kid] - lo[c] : hi[kid] - lo[c]])
+    return U, size
+
+
+def _far_field(F, far, tree, U, size, sp: float, scratch) -> None:
+    """Write the admissible blocks (_far_blocks) into F: rows lo_I..hi_I - 1
+    and columns lo_J..hi_J - 1 of F take U_I K U_J^T, K[a, b] the kernel
+    at distance gap + the distances of Chebyshev point a of I's support to
+    its right end and of point b of J's to its left end, or to its right
+    end across the mirror in a fold block.  Fold blocks go first: those
+    on F's diagonal write their whole square, and the upper blocks and
+    the band overwrite its upper triangle."""
+    lo, hi, _ = tree
+    m = _FAR_ORDER
+    right, left = 0.5 * (1.0 - _CHEB), 0.5 * (1.0 + _CHEB)
+    step = max(_EVAL_BUDGET // (m * m), 1)
+    for s0 in range(0, len(far), step):
+        blocks = far[s0 : s0 + step]
+        I, J, gap, fold = (np.array(v) for v in zip(*blocks))
+        d = np.multiply.outer(size[I], right, out=scratch("a", (len(I), m)))
+        d += gap[:, None]
+        to_J = np.where(fold[:, None], right, left)
+        to_J *= size[J][:, None]
+        K = np.add(d[:, :, None], to_J[:, None, :], out=scratch("d", (len(I), m, m)))
+        K **= -1.0 - sp
+        for (i, j, _, _), k in zip(blocks, K):
+            np.matmul(U[i] @ k, U[j].T, out=F[lo[i] : hi[i], lo[j] : hi[j]])
 
 
 @dataclass
@@ -715,17 +917,19 @@ class DiscreteOperator:
 def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     """Assemble pair weights by kernel integration against the hat basis.
 
-    Cell pairs at index distance >= 2 integrate the kernel times products of
-    the piecewise-linear hat weights by one tensor Gauss-Legendre rule whose
-    order, 25 points down to 3, is set by the separation ratio r (gap over
-    the larger width, _hat_weights); those orders are verified for
-    r >= 0.2, which every build_grid mesh of grading <= 4 keeps, and for
-    s*p <= 7, and larger s*p raises OutOfRange.  Every such contribution is a
-    sum of positive terms.  The singular band (same-cell and corner-touching
-    cell pairs) is treated symmetrically through the local secant slope,
-    which is exact on same-cell pairs and positive, so every pair weight is
-    nonnegative by construction and the scheme is monotone.  Boundary cells
-    carry the constant extension of the adjacent nodal value.
+    Cell pairs at index distance >= 2 near the diagonal integrate the kernel
+    times products of the piecewise-linear hat weights by one tensor
+    Gauss-Legendre rule whose order, 25 points down to 3, is set by the
+    separation ratio r (gap over the larger width, _hat_weights); those
+    orders are verified for r >= 0.2, which every build_grid mesh of
+    grading <= 4 keeps, and for s*p <= 7, and larger s*p raises OutOfRange.
+    Every such contribution is a sum of positive terms.  The singular band
+    (same-cell and corner-touching cell pairs) is treated symmetrically
+    through the local secant slope, which is exact on same-cell pairs and
+    positive, so every weight of the band is nonnegative by construction;
+    the far weights below are positive to their accuracy, and a negative
+    weight beyond rounding raises FracpError.  Boundary cells carry the
+    constant extension of the adjacent nodal value.
 
     The mesh is mirror-symmetric (a Grid invariant), so only the left half of
     each diagonal of cell pairs is integrated, and the right half is its
@@ -735,13 +939,25 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     keeps half of each of its diagonals, about n^2/4 numbers, in the two
     triangles of the h x h fold store F (DiscreteOperator).
 
-    The cell pairs go through _hat_weights in blocks of consecutive gaps,
-    one call per block of at most 2 * _EVAL_BUDGET // 9 pairs in buffers
-    reused from block to block, so the temporaries stay a few MB at every
-    n.  A block adds its integrals to the diagonals they touch as four
-    shifted slices, in each entry's order of gaps, and writes the diagonals
-    it completes into F as one contiguous run per row of F (_fold_block,
-    _write_diagonals).
+    Pairs w[i, j] whose clusters of nodes lie far apart (_far_blocks: gap
+    at least _FAR_ETA times the larger hat support) are not integrated cell
+    pair by cell pair: their block of F is U_I K U_J^T, the kernel
+    interpolated at _FAR_ORDER Chebyshev points of each cluster's support
+    against the moments of the hat basis (_moments, _far_field), within
+    1.6e-13 of a 16-point Gauss rule on every cell pair (measured up to
+    n = 1024, gradings 1 to 4, sp <= 7).  They leave a band of gaps j - i
+    next to the diagonal, 63 to 159 at gradings 1 to 4, and only its pairs
+    take the Gauss rules above, so their weights are the pipeline's to the
+    last bit.  A mesh with fewer than _FAR_MIN_GAPS gaps beyond the band
+    (every n < 161) has no far field.
+
+    The band's cell pairs go through _hat_weights in blocks of consecutive
+    gaps, one call per block of at most 2 * _EVAL_BUDGET // 9 pairs in
+    buffers reused from block to block, so the temporaries stay a few MB at
+    every n.  A block adds its integrals to the diagonals they touch as
+    four shifted slices, in each entry's order of gaps, and writes the
+    diagonals it completes into F as one contiguous run per row of F
+    (_fold_block, _write_diagonals), over the far field's values there.
     """
     check_sp(s, p)
     sp = s * p
@@ -767,34 +983,44 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     corner = _corner_rect(hA, hB, p - 1.0 - sp) / (hA + hB) ** p
     bands = ((1, 1, same), (2, 0, corner))
 
-    # Weights accumulate over the extended nodes t_0..t_{n+1}, the pair
-    # (t_k, t_{k+d}) at position k of diagonal d, gap by gap: x cell k
-    # against y cell k + g adds its hat integrals C0..C3 to diagonals g,
+    F = np.zeros((h, h))
+    scratch = _Scratch()
+    x, tree, far, band = _far_partition(grid, wd)
+    if far:
+        _far_field(F, far, tree, *_moments(x, wd, tree), sp, scratch)
+        if n % 2:  # the middle row of an odd n holds nothing
+            F[-1] = 0.0
+
+    # Weights of the band accumulate over the extended nodes t_0..t_{n+1},
+    # the pair (t_k, t_{k+d}) at position k of diagonal d, gap by gap: x cell
+    # k against y cell k + g adds its hat integrals C0..C3 to diagonals g,
     # g + 1, g - 1 and g at positions k, k, k + 1 and k + 1.  Each block of
     # consecutive gaps leaves its completed diagonals in F and edge
-    # (_fold_block).
-    F = np.zeros((h, h))
+    # (_fold_block), up to diagonal band; gaps up to band + 2 complete
+    # diagonal band + 1, whose position 0 w[0, band] takes from edge.
+    last = min(band + 2, n)
     edge = np.zeros(n + 2)
     starts = [2]
-    while starts[-1] <= n:  # nb gaps of H_g0 + 1 pairs each (_block_weights)
+    while starts[-1] <= last:  # nb gaps of H_g0 + 1 pairs each (_block_weights)
         g0 = starts[-1]
-        starts.append(min(g0 + max(2 * _EVAL_BUDGET // 9 // ((n + 4 - g0) // 2), 1), n + 1))
+        starts.append(min(g0 + max(2 * _EVAL_BUDGET // 9 // ((n + 4 - g0) // 2), 1), last + 1))
     # edges t_0..t_n and widths, padded past the last cell for the strided
     # views of _block_weights, whose pairs there are integrated as gap inf
     tp, wdp = (np.concatenate((a[: n + 1], np.zeros(n))) for a in (t, wd))
     carry = np.zeros((2, n // 2 + 2))  # diagonals g0 - 1 and g0, begun
-    scratch = _Scratch()
     for g0, g1 in zip(starts, starts[1:]):
         C = _block_weights(tp, wdp, n, g0, g1, sp, scratch)
-        carry = _fold_block(F, edge, carry, C, n, g0, bands, scratch)
+        carry = _fold_block(F, edge, carry, C, n, g0, bands, band + 1, scratch)
 
     # pairs with t_0 move onto the first node, (t_0, t_{d+1}) onto w[0, d]:
-    # row 0 of F for d < h, column 0 for d >= h; pairs with t_{n+1} onto the
-    # last, their mirror images, so only w[0, n-1] = F[0, 0] takes more:
-    # (t_1, t_{n+1}), the image of (t_0, t_n), and (t_0, t_{n+1})
-    F[0, 1:] += edge[2 : h + 1]
-    F[: n - h, 0] += edge[n:h:-1]
-    F[0, 0] = F[0, 0] + edge[n] + edge[n + 1]
+    # row 0 of F for d < h, column 0 for d >= h, within the band; pairs with
+    # t_{n+1} onto the last, their mirror images, so only w[0, n-1] = F[0, 0]
+    # takes more: (t_1, t_{n+1}), the image of (t_0, t_n), and (t_0, t_{n+1})
+    k, r = min(h, band + 1), n - 1 - band
+    F[0, 1:k] += edge[2 : k + 1]
+    F[r : n - h, 0] += edge[n - r : h : -1]
+    if r == 0:
+        F[0, 0] = F[0, 0] + edge[n] + edge[n + 1]
 
     wmin = float(F.min())
     if wmin < 0.0:

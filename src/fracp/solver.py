@@ -335,8 +335,17 @@ def _newton(op, reaction, v0, tol, factor):
     decrease below the rounding of f.  After each step the squared Newton
     decrement lambda^2 = g^T H^-1 g is taken with the kept factor, and the
     solve returns (v, steps, lambda / sqrt|f|, evaluations of objective) once
-    lambda^2 <= tol^2 |f|.
+    lambda^2 <= tol^2 |f|.  A gradient or Hessian diagonal beyond the range
+    of the factor's dtype (float32 at p = 2), which its solves would round
+    to inf, raises OutOfRange before it reaches them.
     """
+    limit = float(np.finfo(factor.buffer.dtype).max)
+
+    def in_range(a, what):
+        if not float(np.abs(a).max()) <= limit:
+            raise OutOfRange(f"the Newton {what} at eps = {reaction.eps:.4g}, gamma = "
+                             f"{reaction.gamma} leaves the {factor.buffer.dtype} range")
+        return a
 
     def objective(v):
         energy, g = op.energy_and_apply(v, factor.scratch)
@@ -344,7 +353,9 @@ def _newton(op, reaction, v0, tol, factor):
 
     def hess(v, out):
         op.hessian(v, out, factor.scratch)
-        out.flat[:: op.n + 1] += reaction.curvature(v)
+        curv = reaction.curvature(v)
+        in_range(out.diagonal() + curv, "Hessian")
+        out.flat[:: op.n + 1] += curv
 
     def hvp(v):
         # at p = 2 the Hessian is the operator plus the reaction curvature
@@ -353,6 +364,7 @@ def _newton(op, reaction, v0, tol, factor):
 
     v = np.array(v0, dtype=float)
     fv, g = objective(v)
+    in_range(g, "gradient")
     evaluations = 1
     # the kept factor's solve of H x = -g at v, reused as the first CG iterate
     x = None
@@ -372,7 +384,7 @@ def _newton(op, reaction, v0, tol, factor):
             raise NoConvergence(
                 f"line search stalled at lambda^2 = {-slope:.3e} (|f| = {abs(fv):.3e})"
             )
-        v, fv, g = v_new, f_new, g_new
+        v, fv, g = v_new, f_new, in_range(g_new, "gradient")
         x = factor._solve(-g)
         lam2 = -float(g @ x)
         if lam2 <= tol * tol * abs(fv):

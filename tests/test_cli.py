@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -445,6 +446,21 @@ class TestSubcommands:
         assert "error in experiment solve: OutOfRange: eps**-gamma overflows" in capsys.readouterr().err
         rep = json.loads((out / "report.json").read_text())
         jsonschema.validate(rep, SCHEMA)
+        assert rep["experiments"][0]["error"]["type"] == "OutOfRange"
+
+    def test_reaction_out_of_factor_range_is_one_error_line(self, tmp_path, capsys):
+        # at gamma = 120 the gradient leaves the float32 range of the p = 2
+        # factor at eps = 1/4, long before eps**-gamma leaves float64's
+        payload = {"params": {"gamma": 120}, "grid": {"n": 64}, "solver": {"halvings": 20}}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("solve", write_cfg(tmp_path, payload), str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error in experiment solve: OutOfRange: the Newton gradient at eps = 0.25, "
+            "gamma = 120.0 leaves the float32 range"
+        ]
+        rep = json.loads((out / "report.json").read_text())
         assert rep["experiments"][0]["error"]["type"] == "OutOfRange"
 
 

@@ -92,6 +92,45 @@ def _reference_weights(grid, s, p):
     return M + M.T
 
 
+def _far_reference(grid, sp, i, j):
+    """w[i, j], i < j, by a 16-point tensor rule on each of the four cell
+    pairs of the two hats, on mirror-exact geometry: the mesh's mirrored
+    widths, and gaps as sums of them.  Node 0 is constant 1 on the boundary
+    cell [t_0, t_1] and node n - 1 on [t_n, t_{n+1}]; the pairs' cells must
+    lie at least two apart."""
+    n = grid.n
+    wd = mirror_left_half(np.diff(grid.edges))
+    left = np.concatenate(([0.0], np.cumsum(wd)))  # left edge of cell k, from a
+    one = np.ones(len(i))
+    total = np.zeros(len(i))
+    # node k rises (u) on cell k and falls (1 - u) on cell k + 1; the hat
+    # parts (1 - u, u) each cell carries, for x and for y
+    for dx, kx in ((0, i), (1, i + 1)):
+        cx = (one, (i == n - 1) * 1.0) if dx else ((i == 0) * 1.0, one)
+        for dy, ky in ((0, j), (1, j + 1)):
+            cy = (one, (j == n - 1) * 1.0) if dy else ((j == 0) * 1.0, one)
+            C = _tensor_hat_integrals(left[ky] - left[kx + 1], wd[kx], wd[ky], sp, 16)
+            total += sum(cx[a] * cy[b] * C[2 * a + b] for a in (0, 1) for b in (0, 1))
+    return total
+
+
+def _far_band(grid):
+    """The band of gaps j - i that assembly integrates pair by pair, and the
+    fold store's gap n - 1 - r - c or j - i at each entry F[r, c]."""
+    n, h = grid.n, (grid.n + 1) // 2
+    band = kernel._far_partition(grid, mirror_left_half(np.diff(grid.edges)))[3]
+    r, c = np.indices((h, h))
+    return band, np.where(c > r, c - r, n - 1 - r - c)
+
+
+def _stored(F, n, i, j):
+    """w[i, j], i < j, read from the fold store F."""
+    h = len(F)
+    mirror = i + j > n - 1  # then w[i, j] = w[n-1-j, n-1-i]
+    i, j = np.where(mirror, n - 1 - j, i), np.where(mirror, n - 1 - i, j)
+    return np.where(j < h, F[i, np.minimum(j, h - 1)], F[np.clip(n - 1 - j, 0, h - 1), i])
+
+
 class TestUpdiff:
     def test_examples(self):
         assert updiff(2, 1, 3) == pytest.approx(1.0)
@@ -547,6 +586,61 @@ class TestAssembleOperator:
             w, ref = assemble_operator(g, 0.5, 2.0).w, _reference_weights(g, 0.5, 2.0)
             assert np.array_equal(w, w.T)
             assert np.abs(w[off] / ref[off] - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("grading", [1.0, 2.0, 4.0])
+    def test_far_blocks_against_16_point_rule(self, n, grading):
+        # pairs beyond the band come from the interpolated cluster blocks;
+        # measured within 1.6e-13 (sp = 7, n = 512, grading 1), and the
+        # sample holds columns next to b and the pair (0, n-1)
+        grid = build_grid(0, 1, n, grading)
+        band, _ = _far_band(grid)
+        assert band < n - 1 - kernel._FAR_MIN_GAPS
+        rng = np.random.default_rng(n)
+        i = rng.integers(0, n - band - 1, 400)
+        j = i + band + 1 + rng.integers(0, n - band - 1 - i)
+        i = np.concatenate((i, [0, 0, 1, 5, 20, 100], np.arange(10)))
+        j = np.concatenate((j, [n - 1, n - 2, n - 1, n - 1, n - 2, n - 1], n - 11 + np.arange(10)))
+        assert np.all(j - i > band) and np.all(j < n)
+        for sp in (0.3, 1.0, 1.5, 7.0):
+            F = assemble_operator(grid, sp / 10.0, 10.0).pairs
+            ref = _far_reference(grid, sp, i, j)
+            assert np.abs(_stored(F, n, i, j) / ref - 1.0).max() <= 1e-11
+
+    @pytest.mark.parametrize("n", [513, 1024])
+    def test_band_weights_are_the_pipelines(self, monkeypatch, n):
+        # the band's weights are the Gauss pipeline's to the last bit, and
+        # a mesh with no admissible block runs the pipeline alone; measured
+        # 1.1e-13 between the far weights and the pipeline's
+        for grading in (1.0, 4.0):
+            grid = build_grid(0, 1, n, grading)
+            F = assemble_operator(grid, 0.5, 2.0).pairs
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, "_FAR_MIN_GAPS", n)
+                ref = assemble_operator(grid, 0.5, 2.0).pairs
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, "_FAR_ETA", math.inf)
+                patch.setattr(kernel, "_FAR_MIN_GAPS", 0)
+                assert np.array_equal(assemble_operator(grid, 0.5, 2.0).pairs, ref)
+            band, gap = _far_band(grid)
+            near = (gap >= 1) & (gap <= band)
+            assert np.array_equal(F[near], ref[near])
+            pos = ref > 0.0
+            assert np.array_equal(F == 0.0, ref == 0.0)
+            assert (np.abs(F - ref)[pos] / ref[pos]).max() <= 1e-12
+
+    def test_far_field_weights_symmetric_nonnegative(self):
+        # with far blocks, w stays bitwise symmetric, exactly persymmetric
+        # and nonnegative, and the middle row of an odd n's fold store empty
+        for n in (513, 514):
+            for q in (1.0, 4.0):
+                op = assemble_operator(build_grid(0, 1, n, q), 0.5, 2.0)
+                w = op.w
+                assert np.array_equal(w, w.T)
+                assert np.array_equal(w, w[::-1, ::-1])
+                assert w.min() >= 0.0 and np.all(w[~np.eye(n, dtype=bool)] > 0.0)
+                if n % 2:
+                    assert not op.pairs[-1].any()
 
     @pytest.mark.parametrize("s,p,mu", [(0.5, 3.0, 0.0), (0.6, 1.5, 1e-2), (0.5, 3.0, 1e-3)])
     def test_in_place_passes_match_plain_formulas(self, s, p, mu):
