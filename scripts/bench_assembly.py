@@ -72,7 +72,7 @@ from fracp import (
 from fracp.cli import DEFAULTS
 from fracp.core import default_grading, mirror_left_half
 
-NS = (256, 1024, 2048, 4096, 8192)
+NS = (64, 128, 192, 256, 1024, 2048, 4096, 8192)
 PS = (1.5, 2.0, 3.0)
 REPEATS = 3
 ASSEMBLY_REPEATS = 5

@@ -70,7 +70,7 @@ DEFAULTS = {
 }
 
 #: width eta of the boundary strip in which barrier-check and compare probe
-#: the barriers
+#: the barriers, as a fraction of |Omega| = b - a, like exponent-fit's window
 _ETA = 0.1
 
 
@@ -360,7 +360,7 @@ def _exp_barrier_check(run):
     params, grid = run.params, run.base.grid
     spec = run.barrier_spec(0.05)
     rec1 = verify_power_estimate(spec.alpha, params.s, params.p, spec.lam, n=max(grid.n, 512))
-    rec2 = verify_boundary_barrier(params, spec, grid, _ETA)
+    rec2 = verify_boundary_barrier(params, spec, grid, _ETA * (params.b - params.a))
     rows = []
     for rec in (rec1, rec2):
         for key, val in rec.details.items():
@@ -514,14 +514,15 @@ def _exp_compare(run):
     # matched scales: with alpha = alpha_star the barrier shift equals the
     # weight regularization length, so lambda = eps is the aligned choice
     spec = run.barrier_spec(results[-1].eps)
-    rec = verify_boundary_barrier(params, spec, grid, _ETA)
+    eta = _ETA * (params.b - params.a)
+    rec = verify_boundary_barrier(params, spec, grid, eta)
     c_sub, c_super = barrier_scales(
-        u_min, params, spec.alpha, _ETA, rec.details["c5_hat"], rec.details["c6_hat"]
+        u_min, params, spec.alpha, eta, rec.details["c5_hat"], rec.details["c6_hat"]
     )
     sub = barrier_profile(spec, grid, "Sub")
     sup = barrier_profile(spec, grid, "Super")
     u = u_min.values
-    strip = grid.distance() < _ETA
+    strip = grid.distance() < eta
     cmp_strip = comparison_check(c_sub * sub.values[strip], u[strip], c_super * sup.values[strip])
     converged = run.converged(incs[-1:])
     ok = cmp_strip.passed and rec.passed and converged
@@ -538,7 +539,7 @@ def _exp_compare(run):
     record = {
         "lambda": spec.lam,
         "alpha": spec.alpha,
-        "eta": _ETA,
+        "eta": eta,
         "c_sub": c_sub,
         "c_super": c_super,
         "max_sub_violation": cmp_strip.max_sub_violation,

@@ -7,9 +7,11 @@ Gagliardo-type energies.  Assembly integrates the separated cell pairs in a
 band of gaps next to the diagonal by one positive tensor Gauss rule whose
 order is set by the pair's separation ratio, in blocks of consecutive gaps
 of a fixed budget of kernel evaluations, and writes the far field beyond
-the band as low-rank blocks of Chebyshev-interpolated kernel.  Every
-Gauss-Legendre rule here reads one cached leggauss, and the panel rules of
-Phi, of the PV and of its tail all come from gauss_panels.
+the band as low-rank blocks of Chebyshev-interpolated kernel, on every
+mesh; each completed diagonal goes to the fold store through two strided
+views (_half_diagonal).  Every Gauss-Legendre rule here reads one cached
+leggauss, and the panel rules of Phi, of the PV and of its tail all come
+from gauss_panels.
 
 Conventions fixed here and recorded in every report:
   * the pointwise operator carries a factor 2 in front of the principal
@@ -481,23 +483,15 @@ def _fold_block(F, edge, carry, C, n: int, g0: int, bands, stop: int, scratch):
     the zeros add nothing and the blocks do not change any sum.  A
     diagonal is complete when its last gap is in: it takes its singular
     band of bands (diagonal, first position, values) last, then its position
-    0 goes to edge and, below diagonal stop, its kept half to F
-    (_write_diagonals).
+    0 goes to edge and, below diagonal stop, its positions 1.. to the two
+    views of F that _half_diagonal gives.
     """
     nb, hmax = C.shape[1], C.shape[2] - 1
     d0, g1 = g0 - 1, g0 + nb
     done = nb if g1 <= n else nb + 2  # the last block completes them all
-    m = min(done, stop - d0)  # of which diagonals d0..d0+m-1 go to F
-    # positions 0..hmax+1 take the sums; the lower runs of _write_diagonals
-    # read, masked, past them
-    lo, hi = 0, hmax + 1
-    r_lo, r_hi = _lower_rows(n, d0, d0 + m)
-    if r_lo <= r_hi:
-        lo, hi = min(lo, n - r_hi - d0 - m + 1), max(hi, n - r_lo - d0)
-    D = scratch("d", (nb + 2, hi - lo + 1))  # the kernel values are spent
-    D.fill(0.0)
-    B = D[:, -lo : hmax + 2 - lo]  # positions 0..hmax+1 of diagonals d0..g1
+    B = scratch("d", (nb + 2, hmax + 2))  # the kernel values are spent
     B[:2] = carry[:, : hmax + 2]
+    B[2:] = 0.0
     B[2:, :-1] += C[1]
     B[1:-1, :-1] += C[0]
     B[1:-1, 1:] += C[3]
@@ -507,8 +501,10 @@ def _fold_block(F, edge, carry, C, n: int, g0: int, bands, stop: int, scratch):
             row = B[d - d0, first : first + len(band)]
             row += band[: len(row)]
     edge[d0 : d0 + done] = B[:done, 0]
-    if m > 0:
-        _write_diagonals(F, D, -lo, n, d0, m)
+    for d, row in zip(range(d0, min(d0 + done, stop)), B):
+        up, down = _half_diagonal(F, n, d)
+        k = len(up) + 1
+        up[:], down[:] = row[1:k], row[k : k + len(down)]
     return B[-2:].copy()
 
 
@@ -518,43 +514,16 @@ def _strided(a, start: int, steps, shape):
     return np.ndarray(shape, a.dtype, a, start * a.itemsize, [k * a.itemsize for k in steps])
 
 
-def _lower_rows(n: int, d0: int, e: int):
-    """First and last row of the fold store whose lower triangle takes pairs
-    of diagonals d0..e-1 of w: F[r, c] = w[c, n-1-r] with c <= r < n - h
-    lies on diagonal n-1-r-c."""
-    return max(0, (n - e + 1) // 2), min(n - 1 - d0, n // 2 - 1)
-
-
-def _write_diagonals(F, D, top: int, n: int, d0: int, m: int) -> None:
-    """Write diagonals d0..d0+m-1 of the kept half of w into the fold store F
-    (h x h, h = ceil(n/2)), each row of F taking its run of them as one
-    contiguous masked copy.
-
-    D[j, top + k] holds the weight of the extended-node pair (t_k, t_{k+d}),
-    d = d0 + j, which is w[k-1, k-1+d] for 1 <= k <= (n + 1 - d) // 2.  While
-    i + d < h it is F[i, i + d]: row i of F takes diagonals d0, d0 + 1, ...
-    from column i + 1 of D.  Beyond, w[c, c + d] is F[r, c] with
-    r = n-1-d-c >= c: row r takes diagonals n-1-r-c as c runs, along an
-    anti-diagonal of D.
-    """
-    h, width = len(F), D.shape[1]
-    rows = h - d0
-    if rows > 0:  # F[i, i + d0 + j] while i + d0 + j < h
-        k = min(m, rows)
-        inside = np.arange(rows + k - 1) < rows  # at i + j
-        dst = _strided(F, d0, (h + 1, 1), (rows, k))
-        src = _strided(D, top + 1, (1, width), (rows, k))
-        np.copyto(dst, src, where=_strided(inside, 0, (1, 1), (rows, k)))
-    e = d0 + m
-    r_lo, r_hi = _lower_rows(n, d0, e)
-    if r_lo <= r_hi:  # F[r, c], c = n - e - r + j on diagonal e - 1 - j, while 0 <= c <= r
-        R = r_hi - r_lo + 1
-        dst = _strided(F, r_lo * h + n - e - r_lo, (h - 1, 1), (R, m))
-        src = _strided(D, (m - 1) * width + top + n - e - r_lo + 1, (-1, 1 - width), (R, m))
-        nonneg = np.arange(1 - R, m) >= e + r_lo - n  # c >= 0 at j - (r - r_lo)
-        lower = np.arange(2 - 2 * R, m) <= e + 2 * r_lo - n  # c <= r at j - 2 (r - r_lo)
-        np.copyto(dst, src, where=_strided(nonneg, R - 1, (-1, 1), (R, m))
-                  & _strided(lower, 2 * R - 2, (-2, 1), (R, m)))
+def _half_diagonal(F, n: int, d: int):
+    """The two views of the fold store F (h x h, h = ceil(n/2)) that hold the
+    persymmetric half of diagonal d of the n-node pair weights, w[i, i + d]
+    for i <= (n - 1 - d) / 2: the entries with i + d < h on diagonal d of F,
+    the rest, w[i, n-1-j] with j = n-1-d-i >= i, at F[j, i] on the
+    anti-diagonal row + col = n-1-d."""
+    h, flat = len(F), F.reshape(-1)
+    top, count = max(h - d, 0), (n + 1 - d) // 2
+    start = (n - 1 - d - top) * h + top  # F[n-1-d-top, top]
+    return flat[d :: h + 1][:top], flat[start :: -max(h - 1, 1)][: count - top]
 
 
 # Far field.  The node indices 0..h-1 of the fold store's rows and columns
@@ -574,11 +543,6 @@ def _write_diagonals(F, D, top: int, n: int, d0: int, m: int) -> None:
 _FAR_LEAF = 16
 _FAR_ETA = 2.0
 _FAR_ORDER = 24
-#: fewer gaps than this beyond the band save less Gauss work than the far
-#: field costs, so the pipeline takes them: with them n = 64 and 96
-#: assembled 1.2-1.4 times slower, and n = 128 (4 to 64 gaps) no faster;
-#: every n <= 160 skips the partition too
-_FAR_MIN_GAPS = 128
 #: Chebyshev points cos(pi (a + 1/2) / m) on [-1, 1] and the coefficients
 #: C[k, a] = (2 - [k = 0]) T_k(c_a) / m of their Lagrange polynomials,
 #: L_a = sum_k C[k, a] T_k
@@ -663,18 +627,14 @@ def _far_partition(grid: Grid, wd):
     """(x, tree, far, band): the edges t_0..t_{h+1} of the mirror-exact left
     half, t_{h+1} the mirror image of t_h or t_{h-1}, from the cell widths
     wd; the cluster tree; its admissible blocks; and the band of gaps j - i
-    that the Gauss pipeline integrates.  With fewer than _FAR_MIN_GAPS gaps
-    beyond the band there are no far blocks and the band is every gap,
-    n - 1; adjacent leaves are never admissible, so the band is at least
-    2 _FAR_LEAF - 1, and smaller meshes are not partitioned at all."""
+    that the Gauss pipeline integrates.  Every mesh is partitioned; one
+    with no admissible block has far = [] and the band n - 1, as has every
+    mesh of h <= _FAR_LEAF nodes, a single leaf: adjacent leaves are never
+    admissible."""
     n, h, t = grid.n, (grid.n + 1) // 2, grid.edges
-    if n - 2 * _FAR_LEAF <= _FAR_MIN_GAPS:
-        return None, None, [], n - 1
     x = np.append(t[: h + 1], t[h] + wd[h])
     tree = _cluster_tree(h)
     far, band = _far_blocks(x, 0.5 * (grid.a + grid.b) - x, n, tree)
-    if n - 1 - band < _FAR_MIN_GAPS:
-        return x, tree, [], n - 1
     return x, tree, far, band
 
 
@@ -946,18 +906,19 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     against the moments of the hat basis (_moments, _far_field), within
     1.6e-13 of a 16-point Gauss rule on every cell pair (measured up to
     n = 1024, gradings 1 to 4, sp <= 7).  They leave a band of gaps j - i
-    next to the diagonal, 63 to 159 at gradings 1 to 4, and only its pairs
-    take the Gauss rules above, so their weights are the pipeline's to the
-    last bit.  A mesh with fewer than _FAR_MIN_GAPS gaps beyond the band
-    (every n < 161) has no far field.
+    next to the diagonal, 63 to 159 at gradings 1 to 4 for n = 1024 to
+    8192, and only its pairs take the Gauss rules above, so their weights
+    are the pipeline's to the last bit.  Every mesh takes this one path;
+    on one with no admissible block (h <= _FAR_LEAF among them) the band
+    is every gap.
 
     The band's cell pairs go through _hat_weights in blocks of consecutive
     gaps, one call per block of at most 2 * _EVAL_BUDGET // 9 pairs in
     buffers reused from block to block, so the temporaries stay a few MB at
     every n.  A block adds its integrals to the diagonals they touch as
-    four shifted slices, in each entry's order of gaps, and writes the
-    diagonals it completes into F as one contiguous run per row of F
-    (_fold_block, _write_diagonals), over the far field's values there.
+    four shifted slices, in each entry's order of gaps, and copies each
+    diagonal it completes into its two strided views of F (_fold_block,
+    _half_diagonal), over the far field's values there.
     """
     check_sp(s, p)
     sp = s * p

@@ -415,6 +415,21 @@ class TestSubcommands:
         with pytest.raises(jsonschema.ValidationError, match="continuation_converged"):
             jsonschema.validate(rep, SCHEMA)
 
+    @pytest.mark.parametrize("a,b", [(0.0, 0.15), (-1e6, 1e6)])
+    def test_barrier_strip_is_a_tenth_of_the_domain(self, tmp_path, a, b):
+        # the strip of barrier-check and compare scales with |Omega| = b - a,
+        # like exponent-fit's window; an absolute 0.1 is wider than the
+        # domain allows on the first and holds no node on the second
+        payload = {**QUICK, "params": {**QUICK["params"], "a": a, "b": b}}
+        cfg = write_cfg(tmp_path, payload)
+        for subcommand in ("barrier-check", "compare"):
+            out = tmp_path / subcommand
+            assert run(subcommand, cfg, str(out)) == 0
+            rec = json.loads((out / "report.json").read_text())["experiments"][0]["record"]
+            barrier = rec["boundary_barrier" if subcommand == "barrier-check" else "barrier_record"]
+            assert barrier["passed"] is True
+        assert rec["eta"] == pytest.approx(0.1 * (b - a), rel=1e-15)
+
     def test_exponent_fit_csv_columns(self, tmp_path):
         payload = dict(QUICK)
         payload["grid"] = {"n": 256, "grading": "auto"}

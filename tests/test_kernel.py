@@ -439,6 +439,27 @@ class TestAssembleOperator:
                     for a in (op.w, op.b, op.m):
                         assert mirror_defect(a) == 0.0
 
+    def test_half_diagonals_cover_the_fold_store_once(self):
+        # the views of diagonals 1..n-1 tile the fold store, all but the
+        # middle row of an odd n, and entry i of diagonal d is w[i, i + d]
+        for n in range(2, 71):
+            h = (n + 1) // 2
+            cells = np.arange(h * h, dtype=float).reshape(h, h)
+            F, hits = np.full((h, h), -1.0), np.zeros(h * h, int)
+            for d in range(1, n):
+                views = kernel._half_diagonal(cells, n, d)
+                assert sum(map(len, views)) == (n + 1 - d) // 2
+                np.add.at(hits, np.concatenate(views).astype(int), 1)
+                up, down = kernel._half_diagonal(F, n, d)
+                up[:], down[:] = d, d
+                i = np.arange((n + 1 - d) // 2)
+                assert np.all(_stored(F, n, i, i + d) == d)
+            hits = hits.reshape(h, h)
+            if n % 2:
+                assert not hits[-1].any()
+                hits = hits[:-1]
+            assert np.all(hits == 1)
+
     def test_folded_weights_match_the_reference_fold(self):
         # S, the fold store plus its transpose, against the fold of the full
         # w: w[:h, :h] plus the mirrored right columns, times c, symmetrized;
@@ -576,10 +597,12 @@ class TestAssembleOperator:
 
     @pytest.mark.parametrize("n", [127, 128])
     def test_many_blocks_match_fixed_order_reference(self, monkeypatch, n):
-        # at this budget the assembly takes 39 or 40 blocks of 1 to 11 gaps;
-        # a diagonal takes integrals from three consecutive gaps, so most
-        # are begun in one block and completed and written to F in the next
+        # with no far blocks, at this budget the assembly takes 39 or 40
+        # blocks of 1 to 11 gaps; a diagonal takes integrals from three
+        # consecutive gaps, so most are begun in one block and completed and
+        # written to F in the next
         monkeypatch.setattr(kernel, "_EVAL_BUDGET", 576)
+        monkeypatch.setattr(kernel, "_FAR_ETA", math.inf)
         off = ~np.eye(n, dtype=bool)
         for grading in (1.0, 2.0, 4.0):
             g = build_grid(0, 1, n, grading)
@@ -587,20 +610,23 @@ class TestAssembleOperator:
             assert np.array_equal(w, w.T)
             assert np.abs(w[off] / ref[off] - 1.0).max() <= 1e-12
 
-    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("n", [96, 192, 512, 1024])
     @pytest.mark.parametrize("grading", [1.0, 2.0, 4.0])
     def test_far_blocks_against_16_point_rule(self, n, grading):
-        # pairs beyond the band come from the interpolated cluster blocks;
-        # measured within 1.6e-13 (sp = 7, n = 512, grading 1), and the
-        # sample holds columns next to b and the pair (0, n-1)
+        # pairs beyond the band come from the interpolated cluster blocks,
+        # 4 to 26 of them at n = 96 and 192; measured within 1.6e-13
+        # (sp = 7, n = 512, grading 1), and the sample holds columns next to
+        # b and the pair (0, n-1), with the named pairs beyond the band
         grid = build_grid(0, 1, n, grading)
         band, _ = _far_band(grid)
-        assert band < n - 1 - kernel._FAR_MIN_GAPS
+        assert band < n - 1
         rng = np.random.default_rng(n)
         i = rng.integers(0, n - band - 1, 400)
         j = i + band + 1 + rng.integers(0, n - band - 1 - i)
-        i = np.concatenate((i, [0, 0, 1, 5, 20, 100], np.arange(10)))
-        j = np.concatenate((j, [n - 1, n - 2, n - 1, n - 1, n - 2, n - 1], n - 11 + np.arange(10)))
+        i0, j0 = np.array([0, 0, 1, 5, 20, 100]), n - np.array([1, 2, 1, 1, 2, 1])
+        named = j0 - i0 > band
+        i = np.concatenate((i, i0[named], np.arange(10)))
+        j = np.concatenate((j, j0[named], n - 11 + np.arange(10)))
         assert np.all(j - i > band) and np.all(j < n)
         for sp in (0.3, 1.0, 1.5, 7.0):
             F = assemble_operator(grid, sp / 10.0, 10.0).pairs
@@ -609,19 +635,15 @@ class TestAssembleOperator:
 
     @pytest.mark.parametrize("n", [513, 1024])
     def test_band_weights_are_the_pipelines(self, monkeypatch, n):
-        # the band's weights are the Gauss pipeline's to the last bit, and
-        # a mesh with no admissible block runs the pipeline alone; measured
+        # the band's weights are the Gauss pipeline's to the last bit, the
+        # pipeline alone being the assembly with no admissible block; measured
         # 1.1e-13 between the far weights and the pipeline's
         for grading in (1.0, 4.0):
             grid = build_grid(0, 1, n, grading)
             F = assemble_operator(grid, 0.5, 2.0).pairs
             with monkeypatch.context() as patch:
-                patch.setattr(kernel, "_FAR_MIN_GAPS", n)
-                ref = assemble_operator(grid, 0.5, 2.0).pairs
-            with monkeypatch.context() as patch:
                 patch.setattr(kernel, "_FAR_ETA", math.inf)
-                patch.setattr(kernel, "_FAR_MIN_GAPS", 0)
-                assert np.array_equal(assemble_operator(grid, 0.5, 2.0).pairs, ref)
+                ref = assemble_operator(grid, 0.5, 2.0).pairs
             band, gap = _far_band(grid)
             near = (gap >= 1) & (gap <= band)
             assert np.array_equal(F[near], ref[near])
