@@ -328,7 +328,7 @@ def inequality_props(
     params, eps, theta = _PROPS_PARAMS, _PROPS_EPS, _PROPS_THETA
     grid = build_grid(params.a, params.b, n, default_grading(params))
     op = assemble_operator(grid, params.s, params.p)
-    res = solve_approximated(params, grid, eps, tol=1e-11, op=op)
+    res = solve_approximated(params, eps, tol=1e-11, op=op)
     u = res.u.values
     weights = weight_values(params, grid.distance(), eps)
     reaction = SingularEnergy(gamma=params.gamma, eps=eps, kvals=weights, masses=op.m)

@@ -8,10 +8,10 @@ band of gaps next to the diagonal by one positive tensor Gauss rule whose
 order is set by the pair's separation ratio, in blocks of consecutive gaps
 of a fixed budget of kernel evaluations, and writes the far field beyond
 the band as low-rank blocks of Chebyshev-interpolated kernel, on every
-mesh; each completed diagonal goes to the fold store through two strided
-views (_half_diagonal).  Every Gauss-Legendre rule here reads one cached
-leggauss, and the panel rules of Phi, of the PV and of its tail all come
-from gauss_panels.
+mesh; the blocks add into one store of the band's diagonals, each copied
+once into the fold store through two strided views (_half_diagonal).
+Every Gauss-Legendre rule here reads one cached leggauss, and the panel
+rules of Phi, of the PV and of its tail all come from gauss_panels.
 
 Conventions fixed here and recorded in every report:
   * the pointwise operator carries a factor 2 in front of the principal
@@ -454,9 +454,9 @@ def _block_weights(tp, wdp, n: int, g0: int, g1: int, sp: float, scratch):
     """Hat integrals C[:, g - g0, k] of x cell k against y cell k + g for the
     gaps g0 <= g < g1 and k <= H = (n + 2 - g0) // 2, from the edges tp and
     widths wdp of the extended cells padded past the last, in the buffers
-    of scratch.  Pairs k < H_g are integrated; the rest come out 0, except
-    C0 of pair H_g, which is the mirror image of pair H_g - 1,
-    x -> a + b - x, and takes its C3."""
+    of scratch, for assemble_operator's diagonal store.  Pairs k < H_g are
+    integrated; the rest come out 0, except C0 of pair H_g, the mirror
+    image of pair H_g - 1, x -> a + b - x, which takes its C3."""
     nb, hmax = g1 - g0, (n + 2 - g0) // 2
     shape = (nb, hmax + 1)
     gap = np.subtract(_strided(tp, g0, (1, 1), shape), tp[1 : hmax + 2],
@@ -470,42 +470,6 @@ def _block_weights(tp, wdp, n: int, g0: int, g1: int, sp: float, scratch):
     rows, last = np.arange(nb), (n + 2 - np.arange(g0, g1)) // 2  # H_g
     C[0, rows, last] = C[3, rows, last - 1]
     return C
-
-
-def _fold_block(F, edge, carry, C, n: int, g0: int, bands, stop: int, scratch):
-    """Add a block's hat integrals C (_block_weights) to the diagonals they
-    touch and write the diagonals they complete into F and edge; returns
-    the two diagonals begun, for the next block.
-
-    Diagonals g0 - 1..g1 of the extended-node pairs (t_k, t_{k+d}), positions
-    0..H+1, start from carry and zeros and take C1, C0, C3 and C2 in that
-    order, as four shifted slices, which is each entry's order of gaps, so
-    the zeros add nothing and the blocks do not change any sum.  A
-    diagonal is complete when its last gap is in: it takes its singular
-    band of bands (diagonal, first position, values) last, then its position
-    0 goes to edge and, below diagonal stop, its positions 1.. to the two
-    views of F that _half_diagonal gives.
-    """
-    nb, hmax = C.shape[1], C.shape[2] - 1
-    d0, g1 = g0 - 1, g0 + nb
-    done = nb if g1 <= n else nb + 2  # the last block completes them all
-    B = scratch("d", (nb + 2, hmax + 2))  # the kernel values are spent
-    B[:2] = carry[:, : hmax + 2]
-    B[2:] = 0.0
-    B[2:, :-1] += C[1]
-    B[1:-1, :-1] += C[0]
-    B[1:-1, 1:] += C[3]
-    B[:-2, 1:] += C[2]
-    for d, first, band in bands:
-        if d0 <= d < d0 + done:
-            row = B[d - d0, first : first + len(band)]
-            row += band[: len(row)]
-    edge[d0 : d0 + done] = B[:done, 0]
-    for d, row in zip(range(d0, min(d0 + done, stop)), B):
-        up, down = _half_diagonal(F, n, d)
-        k = len(up) + 1
-        up[:], down[:] = row[1:k], row[k : k + len(down)]
-    return B[-2:].copy()
 
 
 def _strided(a, start: int, steps, shape):
@@ -817,6 +781,12 @@ class DiscreteOperator:
             raise ShapeMismatch(f"vector shape {v.shape}, operator size {self.n}")
         return v
 
+    def _check_grid(self, grid: Grid) -> None:
+        g = self.grid
+        if (grid.a, grid.b) != (g.a, g.b) or not np.array_equal(grid.nodes, g.nodes):
+            raise ShapeMismatch(f"operator assembled on the mesh of n = {g.n}, grading "
+                                f"{g.q:g}, not on this one of n = {grid.n}, grading {grid.q:g}")
+
     def _apply_linear(self, v) -> np.ndarray:
         # 2 (diag(_diag) v - w v) in one symmetric product
         return dsymv(-2.0, self.w.T, v, beta=2.0, y=self._diag * v, overwrite_y=1)
@@ -915,10 +885,11 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     The band's cell pairs go through _hat_weights in blocks of consecutive
     gaps, one call per block of at most 2 * _EVAL_BUDGET // 9 pairs in
     buffers reused from block to block, so the temporaries stay a few MB at
-    every n.  A block adds its integrals to the diagonals they touch as
-    four shifted slices, in each entry's order of gaps, and copies each
-    diagonal it completes into its two strided views of F (_fold_block,
-    _half_diagonal), over the far field's values there.
+    every n.  Each block adds its integrals into one store of the band's
+    diagonals as four shifted slices, in each entry's order of gaps; then
+    the singular bands go in, the pairs of t_0 fold onto node 0, and each
+    diagonal is copied once into its two strided views of F
+    (_half_diagonal), over the far field's values there.
     """
     check_sp(s, p)
     sp = s * p
@@ -934,16 +905,6 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     # images near a do not
     wd = mirror_left_half(np.diff(t))
 
-    # same-cell band: exact for the interpolant, slope (v_{k+1}-v_k)/h_k, on
-    # the interior cells [t_k, t_{k+1}], k = 1..n-1: diagonal 1 from
-    # position 1, the pair (t_k, t_{k+1}), w[k - 1, k]
-    same = wd[1:n] ** (1.0 - sp) / ((p - sp) * (p + 1.0 - sp))
-    # corner-touching band around each node t_k, secant slope across both
-    # cells: diagonal 2 from position 0, the pair (t_{k-1}, t_{k+1}), k = 1..n
-    hA, hB = wd[:n], wd[1:]
-    corner = _corner_rect(hA, hB, p - 1.0 - sp) / (hA + hB) ** p
-    bands = ((1, 1, same), (2, 0, corner))
-
     F = np.zeros((h, h))
     scratch = _Scratch()
     x, tree, far, band = _far_partition(grid, wd)
@@ -952,36 +913,51 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
         if n % 2:  # the middle row of an odd n holds nothing
             F[-1] = 0.0
 
-    # Weights of the band accumulate over the extended nodes t_0..t_{n+1},
-    # the pair (t_k, t_{k+d}) at position k of diagonal d, gap by gap: x cell
-    # k against y cell k + g adds its hat integrals C0..C3 to diagonals g,
-    # g + 1, g - 1 and g at positions k, k, k + 1 and k + 1.  Each block of
-    # consecutive gaps leaves its completed diagonals in F and edge
-    # (_fold_block), up to diagonal band; gaps up to band + 2 complete
-    # diagonal band + 1, whose position 0 w[0, band] takes from edge.
+    # The band accumulates in one diagonal store over the extended nodes
+    # t_0..t_{n+1}, D[d, k] the pair (t_k, t_{k+d}), gap by gap: x cell k
+    # against y cell k + g adds its hat integrals C0..C3 to D[g, k],
+    # D[g + 1, k], D[g - 1, k + 1] and D[g, k + 1], in the order C1, C0, C3,
+    # C2 of each entry's gaps, so the blocks change no sum.  Gaps up to
+    # band + 2 complete diagonal band + 1, whose position 0 w[0, band] takes.
     last = min(band + 2, n)
-    edge = np.zeros(n + 2)
-    starts = [2]
-    while starts[-1] <= last:  # nb gaps of H_g0 + 1 pairs each (_block_weights)
-        g0 = starts[-1]
-        starts.append(min(g0 + max(2 * _EVAL_BUDGET // 9 // ((n + 4 - g0) // 2), 1), last + 1))
+    D = np.zeros((last + 2, n // 2 + 2))
     # edges t_0..t_n and widths, padded past the last cell for the strided
     # views of _block_weights, whose pairs there are integrated as gap inf
     tp, wdp = (np.concatenate((a[: n + 1], np.zeros(n))) for a in (t, wd))
-    carry = np.zeros((2, n // 2 + 2))  # diagonals g0 - 1 and g0, begun
-    for g0, g1 in zip(starts, starts[1:]):
+    g0 = 2
+    while g0 <= last:  # nb gaps of H_g0 + 1 pairs each (_block_weights)
+        g1 = min(g0 + max(2 * _EVAL_BUDGET // 9 // ((n + 4 - g0) // 2), 1), last + 1)
         C = _block_weights(tp, wdp, n, g0, g1, sp, scratch)
-        carry = _fold_block(F, edge, carry, C, n, g0, bands, band + 1, scratch)
+        cols = C.shape[2]  # positions 0..H
+        D[g0 + 1 : g1 + 1, :cols] += C[1]
+        D[g0:g1, :cols] += C[0]
+        D[g0:g1, 1 : cols + 1] += C[3]
+        D[g0 - 1 : g1 - 1, 1 : cols + 1] += C[2]
+        g0 = g1
 
-    # pairs with t_0 move onto the first node, (t_0, t_{d+1}) onto w[0, d]:
-    # row 0 of F for d < h, column 0 for d >= h, within the band; pairs with
-    # t_{n+1} onto the last, their mirror images, so only w[0, n-1] = F[0, 0]
-    # takes more: (t_1, t_{n+1}), the image of (t_0, t_n), and (t_0, t_{n+1})
-    k, r = min(h, band + 1), n - 1 - band
-    F[0, 1:k] += edge[2 : k + 1]
-    F[r : n - h, 0] += edge[n - r : h : -1]
-    if r == 0:
-        F[0, 0] = F[0, 0] + edge[n] + edge[n + 1]
+    # the singular bands, last in each sum.  Same-cell: exact for the
+    # interpolant, slope (v_{k+1}-v_k)/h_k, on the interior cells
+    # [t_k, t_{k+1}], k = 1..n-1, the pair (t_k, t_{k+1}) at D[1, k]
+    same = wd[1:n] ** (1.0 - sp) / ((p - sp) * (p + 1.0 - sp))
+    # corner-touching around each node t_k, secant slope across both cells:
+    # the pair (t_{k-1}, t_{k+1}) at D[2, k - 1], k = 1..n
+    hA, hB = wd[:n], wd[1:]
+    corner = _corner_rect(hA, hB, p - 1.0 - sp) / (hA + hB) ** p
+    for row, values in ((D[1, 1:], same), (D[2], corner)):
+        row[: len(values)] += values[: len(row)]
+    # pairs with t_0 move onto the first node, (t_0, t_{d+1}) onto
+    # w[0, d] = D[d, 1]; pairs with t_{n+1} onto the last, their mirror
+    # images, so only w[0, n-1] takes more: (t_1, t_{n+1}), the image of
+    # (t_0, t_n), and (t_0, t_{n+1})
+    D[1 : band + 1, 1] += D[2 : band + 2, 0]
+    if band == n - 1:
+        D[n - 1, 1] = D[n - 1, 1] + D[n, 0] + D[n + 1, 0]
+    # diagonal d holds w[i, i + d] at D[d, i + 1]; it goes once into its two
+    # views of F, over the far field's values there
+    for d in range(1, band + 1):
+        up, down = _half_diagonal(F, n, d)
+        k = len(up) + 1
+        up[:], down[:] = D[d, 1:k], D[d, k : k + len(down)]
 
     wmin = float(F.min())
     if wmin < 0.0:
@@ -1077,10 +1053,11 @@ def eval_fplap_pv(u: GridFunction, x: float, s: float, p: float):
 def gagliardo_energy(u: GridFunction, theta: float, op: DiscreteOperator) -> float:
     """Discrete [u**theta]_{s,p}^p for the zero-extended grid function.
 
-    op is the operator assembled on u's grid for the (s, p) of the seminorm.
-    Interior double sum plus twice the mass-weighted confinement term, taken
-    on the left half by op.folded: u must be mirror-symmetric exactly, as
-    every solution fracp computes is, or OutOfRange is raised.  The
+    op is the operator assembled on u's grid for the (s, p) of the seminorm;
+    a u on other nodes raises ShapeMismatch.  Interior double sum plus twice
+    the mass-weighted confinement term, taken on the left half by op.folded:
+    u must be mirror-symmetric exactly, as every solution fracp computes is,
+    or OutOfRange is raised.  The
     divergence decision under mesh refinement belongs to the scan driver;
     this returns the single-grid value.
     """
@@ -1090,6 +1067,7 @@ def gagliardo_energy(u: GridFunction, theta: float, op: DiscreteOperator) -> flo
         raise ExtensionUnsupported(
             "gagliardo_energy is defined for the zero exterior extension"
         )
+    op._check_grid(u.grid)
     vals = op._check(u.values)
     if not np.array_equal(vals, vals[::-1]):
         raise OutOfRange("gagliardo_energy needs mirror-symmetric values, u[i] = u[n-1-i]")

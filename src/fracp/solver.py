@@ -442,7 +442,6 @@ def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
 
 def solve_approximated(
     params: ProblemParams,
-    grid: Grid,
     eps: float,
     op: DiscreteOperator,
     tol: float = 1e-10,
@@ -454,12 +453,12 @@ def solve_approximated(
     The minimizer satisfies apply(u) = m * K_eps * h_eps(u) up to the
     requested tolerance and is strictly positive at interior nodes.
     delta >= sp raises RegimeError from weight_values.  op is the operator
-    assembled for (grid, s, p).  v0, when given, is a start point at the n
-    nodes, of which the solve reads the left half.  factor, when given, is
-    the h x h Hessian buffer and kept Cholesky factor of the continuation
-    this solve is a stage of.
+    assembled for (op.grid, s, p), and the solve runs on op.grid.  v0, when
+    given, is a start point at the n nodes, of which the solve reads the
+    left half.  factor, when given, is the h x h Hessian buffer and kept
+    Cholesky factor of the continuation this solve is a stage of.
     """
-    weights = weight_values(params, grid.distance(), eps)
+    weights = weight_values(params, op.grid.distance(), eps)
     return _minimize(op, params.gamma, eps, weights, v0, tol, factor)
 
 
@@ -479,10 +478,10 @@ def continuation(
     Stops early once the sup-norm increment between consecutive minimizers
     falls below tol (at k >= 2); the last iterate approximates the minimal
     solution and the recorded increment is its honest error proxy.  op, when
-    given, is the operator assembled for (grid, s, p); otherwise it is
-    assembled here.  Every stage solves at solve_approximated's default tol
-    on the left half and shares one h x h Hessian buffer, and at p = 2 one
-    kept factor.
+    given, is the operator assembled for (grid, s, p), and one assembled on
+    other nodes raises ShapeMismatch; otherwise it is assembled here.  Every
+    stage solves at solve_approximated's default tol on the left half and
+    shares one h x h Hessian buffer, and at p = 2 one kept factor.
 
     Returns (results, u_min, increments).
     """
@@ -490,13 +489,14 @@ def continuation(
         raise OutOfRange(f"need at least 2 halvings, got {halvings}")
     if op is None:
         op = assemble_operator(grid, params.s, params.p)
+    op._check_grid(grid)
     factor = _Factor.for_operator(op.folded)
     results = []
     increments = []
     v0 = None
     for k in range(halvings + 1):
         eps = eps0 * 2.0**-k
-        res = solve_approximated(params, grid, eps, op=op, v0=v0, factor=factor)
+        res = solve_approximated(params, eps, op=op, v0=v0, factor=factor)
         results.append(res)
         v = res.u.values
         if k == 0:

@@ -49,15 +49,24 @@ def experiment():
     return run
 
 
-@pytest.fixture(scope="module")
-def torsion_runs():
-    """p = 2, gamma = delta = 0, f = 1 solves at n = 512 and 1024 (criterion 4)."""
-    out = {}
+def _check_torsion_residual(s, p, label):
+    """Criterion 4 at (s, p): the largest strong-form residual |PV(u_h) - 1|
+    at probes with d(x) > 0.1 of the f = 1 solve (gamma = delta = 0) on the
+    uniform meshes of n = 512 and 1024 is at most 0.05 and decreases."""
+    maxres = {}
     for n in (512, 1024):
         grid = build_grid(0.0, 1.0, n, 1.0)
-        op = assemble_operator(grid, 0.5, 2.0)
-        out[n] = (grid, solve_fixed_rhs(op, np.ones(n), tol=1e-10))
-    return out
+        res = solve_fixed_rhs(assemble_operator(grid, s, p), np.ones(n), tol=1e-10)
+        probes = [x for x in grid.nodes if min(x, 1.0 - x) > 0.1]
+        probes = probes[:: max(1, len(probes) // 100)]
+        maxres[n] = max(abs(eval_fplap_pv(res.u, float(x), s, p) - 1.0) for x in probes)
+    ok = maxres[1024] <= 0.05 and maxres[1024] < maxres[512]
+    record_criterion(
+        f"[{'PASS' if ok else 'FAIL'}] {label}: "
+        f"max residual n=512: {maxres[512]:.4f}, n=1024: {maxres[1024]:.4f} (tol 0.05, decreasing)"
+    )
+    assert maxres[1024] <= 0.05
+    assert maxres[1024] < maxres[512]
 
 
 def test_c1_exponent_arithmetic():
@@ -117,20 +126,15 @@ def test_c3_pv_calibration():
     assert rec.passed
 
 
-def test_c4_solver_consistency(torsion_runs):
-    maxres = {}
-    for n, (grid, res) in torsion_runs.items():
-        probes = [x for x in grid.nodes if min(x, 1.0 - x) > 0.1]
-        probes = probes[:: max(1, len(probes) // 100)]
-        rel = [abs(eval_fplap_pv(res.u, float(x), 0.5, 2.0) - 1.0) for x in probes]
-        maxres[n] = max(rel)
-    ok = maxres[1024] <= 0.05 and maxres[1024] < maxres[512]
-    record_criterion(
-        f"[{'PASS' if ok else 'FAIL'}] C4 solver consistency: "
-        f"max residual n=512: {maxres[512]:.4f}, n=1024: {maxres[1024]:.4f} (tol 0.05, decreasing)"
-    )
-    assert maxres[1024] <= 0.05
-    assert maxres[1024] < maxres[512]
+def test_c4_solver_consistency():
+    _check_torsion_residual(0.5, 2.0, "C4 solver consistency")
+
+
+def test_c4_solver_consistency_p3():
+    # the p = 3 operator against the continuum value 1; measured 2.94e-3 at
+    # n = 512 and 1.06e-3 at 1024.  p = 1.5 stays out: near x = 1/2 its
+    # probe fails, not the solver (ROADMAP item 16)
+    _check_torsion_residual(0.5, 3.0, "C4 solver consistency at p = 3")
 
 
 def test_c5_boundary_behavior_strongly_singular(experiment):
@@ -163,7 +167,7 @@ def test_c7_monotone_regularization():
         op = assemble_operator(grid, params.s, params.p)
         prev = v0 = None
         for k in range(1, 7):
-            res = solve_approximated(params, grid, 2.0**-k, tol=1e-10, op=op, v0=v0)
+            res = solve_approximated(params, 2.0**-k, tol=1e-10, op=op, v0=v0)
             v0 = res.u.values
             if prev is not None:
                 worst = min(worst, float(np.min(res.u.values - prev)))

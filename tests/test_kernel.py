@@ -585,8 +585,9 @@ class TestAssembleOperator:
         assert np.abs(w[off] / ref[off] - 1.0).max() <= 1e-12
 
     def test_smallest_meshes_match_fixed_order_reference(self):
-        # assembly's first block is its last here, and for n = 2 it ends
-        # with the corner band's diagonal still open
+        # assembly's first block is its last here, and for n = 2 the corner
+        # band's diagonal 2 lies past the last band diagonal, 1, and only
+        # its position 0 reaches F, folded onto node 0
         for n in (2, 3, 4, 5, 6, 7):
             for grading in (1.0, 2.0, 4.0):
                 for s, p in ((0.5, 2.0), (0.75, 1.5)):
@@ -599,8 +600,8 @@ class TestAssembleOperator:
     def test_many_blocks_match_fixed_order_reference(self, monkeypatch, n):
         # with no far blocks, at this budget the assembly takes 39 or 40
         # blocks of 1 to 11 gaps; a diagonal takes integrals from three
-        # consecutive gaps, so most are begun in one block and completed and
-        # written to F in the next
+        # consecutive gaps, so most of them take adds from two blocks into
+        # the diagonal store before they go to F
         monkeypatch.setattr(kernel, "_EVAL_BUDGET", 576)
         monkeypatch.setattr(kernel, "_FAR_ETA", math.inf)
         off = ~np.eye(n, dtype=bool)
@@ -996,3 +997,12 @@ class TestGagliardoEnergy:
             gagliardo_energy(GridFunction(g, g.nodes, Zero()), 1.0, op)
         with pytest.raises(ShapeMismatch):
             gagliardo_energy(GridFunction(build_grid(0, 1, 17, 1), np.ones(17), Zero()), 1.0, op)
+
+    def test_u_on_other_nodes_refused(self):
+        # same n, other grading: unchecked, the grading-2 operator reads
+        # 5.51 for this u on the uniform mesh, against 3.60 from its own
+        g1, g2 = build_grid(0, 1, 64, 1.0), build_grid(0, 1, 64, 2.0)
+        u = GridFunction(g1, g1.distance() ** 0.5, Zero())
+        assert gagliardo_energy(u, 1.0, assemble_operator(g1, 0.5, 2.0)) == pytest.approx(3.60, abs=0.01)
+        with pytest.raises(ShapeMismatch, match="grading 2, not on this one of n = 64, grading 1"):
+            gagliardo_energy(u, 1.0, assemble_operator(g2, 0.5, 2.0))

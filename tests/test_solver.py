@@ -168,7 +168,7 @@ class TestOneSweepPerTrial:
         op = assemble_operator(grid, 0.5, 1.5)
         v0 = continuation(params, grid, eps0=0.5, halvings=2, op=op)[1].values
         calls = self.spy(monkeypatch)
-        res = solve_approximated(params, grid, 0.0625, op=op, v0=v0)
+        res = solve_approximated(params, 0.0625, op=op, v0=v0)
         assert res.iterations >= 2
         self.check(calls, res)
 
@@ -208,7 +208,7 @@ class TestSolveApproximated:
         for p in (1.5, 2.0, 3.0):
             pars = make_params(0.5, p, 0.0, 0.0)
             op = assemble_operator(grid, 0.5, p)
-            ra = solve_approximated(pars, grid, eps=0.3, tol=1e-11, op=op)
+            ra = solve_approximated(pars, eps=0.3, tol=1e-11, op=op)
             rb = solve_fixed_rhs(op, np.ones(48), tol=1e-11)
             assert np.array_equal(ra.u.values, rb.u.values), p
             assert ra.iterations == rb.iterations, p
@@ -218,7 +218,7 @@ class TestSolveApproximated:
         op = assemble_operator(grid, 0.5, 2.0)
         prev = None
         for k in range(1, 6):
-            res = solve_approximated(singular_preset, grid, 2.0**-k, tol=1e-10, op=op)
+            res = solve_approximated(singular_preset, 2.0**-k, tol=1e-10, op=op)
             if prev is not None:
                 assert np.min(res.u.values - prev) >= -1e-6
             prev = res.u.values
@@ -229,7 +229,7 @@ class TestSolveApproximated:
         interior = np.abs(grid.nodes - 0.5) < 0.25
         lows = []
         for k in range(1, 7):
-            res = solve_approximated(singular_preset, grid, 2.0**-k, tol=1e-10, op=op)
+            res = solve_approximated(singular_preset, 2.0**-k, tol=1e-10, op=op)
             lows.append(res.u.values[interior].min())
         sigma = lows[0]
         assert sigma > 0
@@ -238,7 +238,7 @@ class TestSolveApproximated:
     def test_positivity_at_interior_nodes(self, singular_preset):
         grid = build_grid(0, 1, 64, 2.0)
         op = assemble_operator(grid, 0.5, 2.0)
-        res = solve_approximated(singular_preset, grid, 0.25, tol=1e-10, op=op)
+        res = solve_approximated(singular_preset, 0.25, tol=1e-10, op=op)
         assert res.positivity_margin > 0
 
     def test_start_point_shape_mismatch(self, singular_preset):
@@ -246,7 +246,7 @@ class TestSolveApproximated:
         grid = build_grid(0, 1, 32, 1)
         op = assemble_operator(grid, 0.5, 2.0)
         with pytest.raises(ShapeMismatch):
-            solve_approximated(singular_preset, grid, 0.25, op=op, v0=np.ones(20))
+            solve_approximated(singular_preset, 0.25, op=op, v0=np.ones(20))
 
     def test_regime_error(self):
         # delta >= sp = 1 fails in weight_values
@@ -254,24 +254,34 @@ class TestSolveApproximated:
         op = assemble_operator(grid, 0.5, 2.0)
         for delta in (1.0, 1.5):
             with pytest.raises(RegimeError, match="existence range requires delta < s\\*p"):
-                solve_approximated(make_params(0.5, 2.0, 1.0, delta), grid, 0.25, op=op)
+                solve_approximated(make_params(0.5, 2.0, 1.0, delta), 0.25, op=op)
 
     def test_uniqueness_two_initializations(self, singular_preset):
         grid = build_grid(0, 1, 64, 2.0)
         op = assemble_operator(grid, 0.5, 2.0)
         tol = 1e-11
-        ra = solve_approximated(singular_preset, grid, 0.25, tol=tol, op=op)
+        ra = solve_approximated(singular_preset, 0.25, tol=tol, op=op)
         rng = np.random.default_rng(5)
         rb = solve_approximated(
-            singular_preset, grid, 0.25, tol=tol, op=op, v0=rng.uniform(0, 1, 64)
+            singular_preset, 0.25, tol=tol, op=op, v0=rng.uniform(0, 1, 64)
         )
         assert np.abs(ra.u.values - rb.u.values).max() <= 10 * 1e-8
+
+    def test_solves_on_the_operators_mesh(self, singular_preset):
+        # the weights K_eps are sampled on op.grid, the mesh of the operator
+        grid = build_grid(0, 1, 64, 2.0)
+        op = assemble_operator(grid, 0.5, 2.0)
+        res = solve_approximated(singular_preset, 0.25, op=op)
+        assert res.u.grid is op.grid
+        weights = weight_values(singular_preset, grid.distance(), 0.25)
+        g = weights * SingularEnergy(singular_preset.gamma, 0.25, weights, op.m).h_eps(res.u.values)
+        assert np.abs(op.apply(res.u.values) - op.m * g).max() <= 1e-8 * np.abs(op.m * g).max()
 
     def test_p_below_two_with_smoothing(self):
         pars = make_params(0.6, 1.5, 0.5, 0.2)
         grid = build_grid(0, 1, 48, 1.5)
         op = assemble_operator(grid, pars.s, pars.p)
-        res = solve_approximated(pars, grid, 0.25, tol=1e-8, op=op)
+        res = solve_approximated(pars, 0.25, tol=1e-8, op=op)
         assert res.positivity_margin > 0
 
     def test_weight_comparison(self):
@@ -291,6 +301,16 @@ class TestContinuation:
         grid = build_grid(0, 1, 32, 1)
         with pytest.raises(OutOfRange):
             continuation(singular_preset, grid, halvings=1)
+
+    def test_operator_of_other_nodes_refused(self, singular_preset):
+        # unchecked, an operator of n = 64 gives 64 values for a 65-node
+        # grid, and one of grading 2 solves on its own mesh for a uniform one
+        op = assemble_operator(build_grid(0, 1, 64, 2.0), 0.5, 2.0)
+        for grid in (build_grid(0, 1, 65, 2.0), build_grid(0, 1, 64, 1.0)):
+            with pytest.raises(ShapeMismatch, match="assembled on the mesh of n = 64, grading 2"):
+                continuation(singular_preset, grid, halvings=4, op=op)
+        _, u, _ = continuation(singular_preset, build_grid(0, 1, 64, 2.0), halvings=4, op=op)
+        assert u.grid is op.grid
 
     def test_reaction_out_of_float_range_raises_out_of_range(self):
         # the stage at eps = 2**-18 is refused before any float overflows
