@@ -381,6 +381,7 @@ def _stages(results):
             "cg_steps": r.cg_steps,
             "evaluations": r.evaluations,
             "residual": r.residual,
+            "newton_tol": r.newton_tol,
             "seconds": r.seconds,
         }
         for r in results

@@ -41,11 +41,12 @@ curvature, so a Cholesky factor stays a good preconditioner after v and eps
 move.  There the Newton system is solved by conjugate gradients against the
 float64 operator, preconditioned with the last factor kept (inexact Newton
 with a stale-factor preconditioner, run to a sup-norm residual of
-_CG_RTOL |g| so that the minimizers do not move); the Hessian is rebuilt and
-refactored only when CG needs more than _CG_MAX steps, and CG then runs again
-with the fresh factor.  Since that factor only preconditions, it is kept in
-single precision, in a float32 Hessian buffer (Carson & Higham, SIAM J. Sci.
-Comput. 40, 2018, use a low-precision factor the same way).  A continuation
+_CG_RTOL |g| so that the minimizers do not move, or _STAGE_CG_RTOL |g| in an
+intermediate stage); the Hessian is rebuilt and refactored only when CG
+needs more than _CG_MAX steps, and CG then runs again with the fresh factor.
+Since that factor only preconditions, it is kept in single precision, in a
+float32 Hessian buffer (Carson & Higham, SIAM J. Sci. Comput. 40, 2018, use
+a low-precision factor the same way).  A continuation
 keeps one factor across all its eps stages, and the solve that gives the
 decrement is the first CG iterate of the next step.  Each solve with the
 factor is two level-2 BLAS triangular solves (?trsv of the factor's dtype)
@@ -58,7 +59,10 @@ On a fixed mesh the eps-path is close to linear in eps, so with eps halved
 at each stage a continuation starts stage k + 1 from the secant prediction
 v_k + (v_k - v_{k-1}) / 2 (Allgower & Georg, Numerical Continuation
 Methods, ch. 2); each stage is a strictly convex solve, so only its start
-point moves, not its minimizer.
+point moves, not its minimizer.  Only the last stage is the answer, so the
+stages between serve as warm starts and increments and are solved only as
+accurately as those need (inexact Newton, see continuation); the last one is
+always solved to the full tol.
 """
 
 from __future__ import annotations
@@ -159,8 +163,11 @@ class SolveResult:
     u holds all n nodal values, the mirror image P v_L of the left-half
     values the solve found.  residual is lambda / sqrt|f| at the solution:
     the Newton decrement lambda = sqrt(g^T H^-1 g), relative to the
-    objective value f, at most the solve's tol.  lambda is taken with the
-    solve's last Cholesky factor of the folded Hessian, whose decrement and
+    objective value f.  It is at most the solve's tol for a full-accuracy
+    solve (newton_tol None); an intermediate stage of a continuation stops
+    on its Newton step instead, and its residual may be far larger.  lambda
+    is taken with the solve's last Cholesky factor of the folded Hessian,
+    whose decrement and
     objective are those of the full n-node system.  At p != 2 that factor is
     of the Hessian at the previous iterate; at p = 2 it is the kept factor,
     which may be stale and is single precision, so there lambda is
@@ -181,8 +188,14 @@ class SolveResult:
     evaluations: int = 0
     #: wall-clock seconds of the solve
     seconds: float = 0.0
+    #: the Newton-step sup-norm at which an intermediate stage of a
+    #: continuation stopped (_STAGE_STEP_RTOL of the previous increment), or
+    #: None for a solve run to full accuracy
+    newton_tol: float | None = None
 
 
+#: the relative Newton decrement of a full-accuracy solve
+_TOL = 1e-10
 #: Armijo sufficient-decrease constant
 _ARMIJO = 1e-4
 #: predicted decrease, relative to the objective, below which energy
@@ -197,6 +210,12 @@ _SHIFTS = 24
 _MAX_ITER = 50
 #: CG stops once the residual sup-norm is at most _CG_RTOL |g|
 _CG_RTOL = 1e-12
+#: an intermediate eps stage of a continuation stops once the sup-norm of its
+#: Newton step is at most _STAGE_STEP_RTOL of the previous increment
+#: |v_{k-1} - v_{k-2}|, and its CG once the residual is at most
+#: _STAGE_CG_RTOL |g|
+_STAGE_STEP_RTOL = 1e-4
+_STAGE_CG_RTOL = 1e-5
 #: CG steps before the kept factor counts as stale and the Hessian is refactored
 _CG_MAX = 8
 
@@ -215,7 +234,10 @@ class _Factor:
     none): the F-ordered transpose of the buffer, whose upper triangle
     LAPACK has overwritten, so each solve with it is two BLAS triangular
     solves that read it in place.  factorizations and cg_steps count the work
-    done through this object.
+    done through this object.  step_tol is the stop of the stage it serves:
+    None for a full-accuracy solve, or the Newton-step sup-norm at which an
+    intermediate stage of a continuation stops, whose CG then runs to
+    _STAGE_CG_RTOL in place of _CG_RTOL.
 
     The dtype of the buffer, and so of the factor, follows the factor's role
     (for_operator).  At p = 2 the factor only preconditions CG, and CG
@@ -230,6 +252,7 @@ class _Factor:
         self.cho = None
         self.factorizations = 0
         self.cg_steps = 0
+        self.step_tol = None
 
     @classmethod
     def for_operator(cls, op: DiscreteOperator) -> "_Factor":
@@ -280,11 +303,13 @@ class _Factor:
     def pcg(self, hvp, b, x):
         """Solve H x = b by CG preconditioned with the kept factor, where
         hvp(x) = H x, from x, the kept factor's solve of b (computed when
-        None).  Returns x once the sup-norm residual is at most _CG_RTOL |b|,
-        or None after _CG_MAX steps or without a factor."""
+        None).  Returns x once the sup-norm residual is at most _CG_RTOL |b|
+        (_STAGE_CG_RTOL |b| in an intermediate stage), or None after _CG_MAX
+        steps or without a factor."""
         if self.cho is None:
             return None
-        tol = _CG_RTOL * float(np.abs(b).max())
+        rtol = _CG_RTOL if self.step_tol is None else _STAGE_CG_RTOL
+        tol = rtol * float(np.abs(b).max())
         if x is None:
             x = self._solve(b)
         r = b - hvp(x)
@@ -332,12 +357,14 @@ def _newton(op, reaction, v0, tol, factor):
     Newton system is first solved by CG preconditioned with the kept factor.
     Steps are Armijo-backtracked, except that a step whose predicted
     decrease is below _FLOOR |f| is taken in full: Armijo cannot resolve a
-    decrease below the rounding of f.  After each step the squared Newton
-    decrement lambda^2 = g^T H^-1 g is taken with the kept factor, and the
-    solve returns (v, steps, lambda / sqrt|f|, evaluations of objective) once
-    lambda^2 <= tol^2 |f|.  A gradient or Hessian diagonal beyond the range
-    of the factor's dtype (float32 at p = 2), which its solves would round
-    to inf, raises OutOfRange before it reaches them.
+    decrease below the rounding of f.  After each step the Newton step
+    x = H^-1 (-g) at the new iterate is solved with the kept factor, with it
+    the squared Newton decrement lambda^2 = -g^T x, and the solve returns
+    (v, steps, lambda / sqrt|f|, evaluations of objective) once lambda^2 <=
+    tol^2 |f|, or, in an intermediate stage of a continuation, once x has a
+    sup-norm of at most factor.step_tol.  A gradient or Hessian diagonal
+    beyond the range of the factor's dtype (float32 at p = 2), which its
+    solves would round to inf, raises OutOfRange before it reaches them.
     """
     limit = float(np.finfo(factor.buffer.dtype).max)
 
@@ -387,7 +414,9 @@ def _newton(op, reaction, v0, tol, factor):
         v, fv, g = v_new, f_new, in_range(g_new, "gradient")
         x = factor._solve(-g)
         lam2 = -float(g @ x)
-        if lam2 <= tol * tol * abs(fv):
+        if lam2 <= tol * tol * abs(fv) or (
+            factor.step_tol is not None and float(np.abs(x).max()) <= factor.step_tol
+        ):
             return v, it, math.sqrt(lam2 / abs(fv)) if lam2 > 0.0 else 0.0, evaluations
     raise NoConvergence(f"no convergence after {_MAX_ITER} Newton steps (lambda^2 = {lam2:.3e})")
 
@@ -417,10 +446,11 @@ def _minimize(op: DiscreteOperator, gamma, eps, kvals, v0, tol, factor) -> Solve
     margin = float(v.min())
     u = GridFunction(op.grid, np.concatenate((v, v[: op.n // 2][::-1])), Zero())
     seconds = time.perf_counter() - t0
-    return SolveResult(u, eps, iters, res, margin, margin >= -1e-12, nfac, ncg, nev, seconds)
+    return SolveResult(u, eps, iters, res, margin, margin >= -1e-12, nfac, ncg, nev, seconds,
+                       factor.step_tol)
 
 
-def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = 1e-10) -> SolveResult:
+def solve_fixed_rhs(op: DiscreteOperator, f, tol: float = _TOL) -> SolveResult:
     """Minimize (1/p) energy(v) - <f, v>_m for nodal data f >= 0: the
     gamma = 0 member of the regularized family.
 
@@ -444,7 +474,7 @@ def solve_approximated(
     params: ProblemParams,
     eps: float,
     op: DiscreteOperator,
-    tol: float = 1e-10,
+    tol: float = _TOL,
     v0=None,
     factor: _Factor | None = None,
 ) -> SolveResult:
@@ -460,6 +490,22 @@ def solve_approximated(
     """
     weights = weight_values(params, op.grid.distance(), eps)
     return _minimize(op, params.gamma, eps, weights, v0, tol, factor)
+
+
+def _finish(params: ProblemParams, op: DiscreteOperator, stage: SolveResult, factor: _Factor):
+    """The intermediate stage `stage` solved on to full accuracy from its own
+    iterate, with the counts and seconds of both solves added up."""
+    factor.step_tol = None
+    weights = weight_values(params, op.grid.distance(), stage.eps)
+    res = _minimize(op, params.gamma, stage.eps, weights, stage.u.values, _TOL, factor)
+    return dataclasses.replace(
+        res,
+        iterations=stage.iterations + res.iterations,
+        factorizations=stage.factorizations + res.factorizations,
+        cg_steps=stage.cg_steps + res.cg_steps,
+        evaluations=stage.evaluations + res.evaluations,
+        seconds=stage.seconds + res.seconds,
+    )
 
 
 def continuation(
@@ -480,8 +526,21 @@ def continuation(
     solution and the recorded increment is its honest error proxy.  op, when
     given, is the operator assembled for (grid, s, p), and one assembled on
     other nodes raises ShapeMismatch; otherwise it is assembled here.  Every
-    stage solves at solve_approximated's default tol on the left half and
-    shares one h x h Hessian buffer, and at p = 2 one kept factor.
+    stage solves on the left half and shares one h x h Hessian buffer, and
+    at p = 2 one kept factor.
+
+    Only the last stage is the answer; the others are warm starts and
+    increments.  So a stage k in 2 .. halvings - 1 is solved inexactly
+    (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): it stops
+    once its Newton step is at most _STAGE_STEP_RTOL of the previous
+    increment, which it records as its newton_tol, with CG at _STAGE_CG_RTOL.
+    Stages 0 and 1, which have no increment before them, the last allowed
+    one, k = halvings, and the stage that the secant predicts to meet tol
+    (its increment half the previous one) solve at solve_approximated's
+    default tol.  An inexact stage whose increment meets tol after all is
+    solved on to that tol from its own iterate before its increment is
+    recorded.  So the returned u_min is always a full-accuracy minimizer,
+    whether or not the continuation met tol.
 
     Returns (results, u_min, increments).
     """
@@ -496,16 +555,22 @@ def continuation(
     v0 = None
     for k in range(halvings + 1):
         eps = eps0 * 2.0**-k
+        loose = 2 <= k < halvings and 0.5 * increments[-1] > tol
+        factor.step_tol = _STAGE_STEP_RTOL * increments[-1] if loose else None
         res = solve_approximated(params, eps, op=op, v0=v0, factor=factor)
-        results.append(res)
-        v = res.u.values
         if k == 0:
-            v0 = v
+            results.append(res)
+            v0 = res.u.values
             continue
-        v_prev = results[-2].u.values
-        inc = float(np.abs(v - v_prev).max())
+        v_prev = results[-1].u.values
+        inc = float(np.abs(res.u.values - v_prev).max())
+        if res.newton_tol is not None and inc <= tol:
+            res = _finish(params, op, res, factor)
+            inc = float(np.abs(res.u.values - v_prev).max())
+        results.append(res)
         increments.append(inc)
         if inc <= tol and k >= 2:
             break
+        v = res.u.values
         v0 = v + 0.5 * (v - v_prev)
     return results, results[-1].u, increments

@@ -244,10 +244,18 @@ class TestSubcommands:
             "classify", "oracle", "barrier-check", "solve",
             "exponent-fit", "sobolev-scan", "nonexistence-scan", "compare",
         ]
-        # each stage's relative Newton decrement met the solver's 1e-10
+        # each full-accuracy stage's relative Newton decrement met the
+        # solver's 1e-10, the last among them, and each intermediate stage
+        # stopped at 1e-4 of the increment before it
         solve = rep["experiments"][3]
         stages = solve["record"]["stages"]
-        assert all(0.0 <= st["residual"] <= 1e-10 for st in stages)
+        incs = solve["record"]["increments"]
+        assert stages[-1]["newton_tol"] is None
+        for k, st in enumerate(stages):
+            if st["newton_tol"] is None:
+                assert 0.0 <= st["residual"] <= 1e-10, k
+            else:
+                assert st["newton_tol"] == 1e-4 * incs[k - 2], k
         # each stage's seconds lie within the experiment's wall time
         assert all(st["seconds"] > 0.0 for st in stages)
         assert sum(st["seconds"] for st in stages) <= solve["wall_time_s"]
@@ -344,7 +352,9 @@ class TestSubcommands:
         assert sorted(rec["stages"], key=int) == ["48", "96", "192"]
         for n, stages in rec["stages"].items():
             assert [st["eps"] for st in stages] == [0.5 * 2.0**-k for k in range(len(stages))]
-            assert all(0.0 <= st["residual"] <= 1e-10 for st in stages)
+            assert stages[-1]["newton_tol"] is None
+            assert all(0.0 <= st["residual"] <= 1e-10 for st in stages if st["newton_tol"] is None)
+            assert all(st["newton_tol"] > 0.0 for st in stages if st["newton_tol"] is not None)
 
     def test_failed_assembly_is_not_cached(self, tmp_path, assembly_calls):
         # s p = 7.2 lies beyond the verified Gauss range: every experiment
@@ -377,6 +387,9 @@ class TestSubcommands:
         assert rec["record"]["continuation_converged"] is False
         assert rec["record"]["increments"][-1] > 1e-4
         assert rec["record"]["positivity_margin"] > 0.0
+        # the last allowed stage is solved at full accuracy all the same
+        last = rec["record"]["stages"][-1]
+        assert last["newton_tol"] is None and last["residual"] <= 1e-10
 
     @pytest.mark.parametrize("subcommand", ["sobolev-scan", "nonexistence-scan"])
     def test_unconverged_continuation_fails_scan(self, tmp_path, subcommand):
