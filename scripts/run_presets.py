@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run `fracp all` once on each shipped preset config and summarize the
-verdicts; exits with the worst exit code.
+verdicts; exits with the worst exit code.  Under each preset's exit line,
+one line per experiment that did not pass gives its state and its false
+checks, or the type of the error it raised.
 
 With --against DIR, each artifact written (every file in each preset's
 output directory) is then compared with the file of the same relative path
@@ -105,6 +107,21 @@ def largest_difference(mine: Path, theirs: Path):
     return (*max(diffs, default=(0.0, "no numbers")), one_sided)
 
 
+def not_passed(report) -> list:
+    """One line per experiment of a report.json whose state is not passed:
+    its id, its state and its false checks or its error type."""
+    lines = []
+    for e in report["experiments"]:
+        if e["state"] == "passed":
+            continue
+        if "error" in e:
+            why = e["error"]["type"]
+        else:
+            why = "false: " + ", ".join(k for k, ok in e["checks"].items() if not ok)
+        lines.append(f"  {e['id']}: {e['state']} ({why})")
+    return lines
+
+
 def compare(out_dir: Path, against: Path) -> int:
     """Print one line per artifact of out_dir against its copy under
     against; returns the number of artifacts missing there or differing in
@@ -157,6 +174,9 @@ def main():
         code = run("all", str(cfg_path))
         out_dir = json.loads(cfg_path.read_text())["output"]["directory"]
         print(f"{cfg_path.name:24s} -> exit {code} (artifacts in {out_dir})")
+        if code != 1:  # exit 1 writes no report.json
+            for line in not_passed(json.loads((Path(out_dir) / "report.json").read_text())):
+                print(line)
         worst = max(worst, code)
         if args.against is not None and compare(Path(out_dir), args.against):
             worst = max(worst, 1)

@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 from .core import (
     CASE_ALPHA_STAR,
     CASE_S,
-    Constant,
     Grid,
     GridFunction,
     PowerTail,

@@ -3,14 +3,14 @@ plotdata out.
 
 Subcommands: classify, oracle, barrier-check, solve, exponent-fit,
 sobolev-scan, nonexistence-scan, compare, all.  Each experiment returns its
-verdict, its report record and its artifacts as data, a map from file name to
-(header, rows) for a .csv table and to (xs, ys) for a .dat series; run writes
-the artifacts whose format the config's output.formats requests, and
-report.json always.  Exit code 0 when every enabled check passes, 2 on a
-check failure, 1 on usage or config errors or an output directory or file
-that cannot be written.  Reruns of an unchanged config byte-reproduce all
-CSV and plotdata artifacts (report.json additionally carries wall-clock
-timings).
+named checks, its report record and its artifacts as data, a map from file
+name to (header, rows) for a .csv table and to (xs, ys) for a .dat series;
+run alone turns the checks into a state (see verdict), writes the artifacts
+whose format the config's output.formats requests, and report.json always.
+Exit code 0 when every experiment passed, 2 otherwise, 1 on usage or config
+errors or an output directory or file that cannot be written.  Reruns of
+an unchanged config byte-reproduce all CSV and plotdata artifacts
+(report.json additionally carries wall-clock timings).
 
 The run (_Run) owns every mesh, operator and configured continuation: a
 ladder of rungs at the run's grading, one per n, the run grid's (grid.n) and
@@ -332,19 +332,17 @@ class _Run:
 
 
 def _exp_classify(run):
-    return True, dataclasses.asdict(run.regime), {}
+    return {}, dataclasses.asdict(run.regime), {}
 
 
 def _exp_oracle(run):
     ob = run.cfg["oracle"]
     rows = []
-    all_ok = True
     for s in ob["s_list"]:
         for p in ob["p_list"]:
             for frac in ob["alpha_fracs"]:
                 o = phi_constant(frac * s, s, p)
                 ok = o.c1 - 1e-10 <= o.phi <= o.c2 + 1e-10
-                all_ok &= ok
                 rows.append(
                     {
                         "alpha": o.alpha, "s": s, "p": p, "beta": o.beta,
@@ -353,7 +351,7 @@ def _exp_oracle(run):
                 )
     record = {"cases": len(rows), "failures": sum(not r["pass"] for r in rows)}
     files = {"phi_table.csv": (["alpha", "s", "p", "beta", "phi", "c1", "c2", "pass"], rows)}
-    return all_ok, record, files
+    return {"phi_bracketed": all(r["pass"] for r in rows)}, record, files
 
 
 def _exp_barrier_check(run):
@@ -366,9 +364,9 @@ def _exp_barrier_check(run):
         for key, val in rec.details.items():
             if isinstance(val, (int, float, bool, np.floating, np.integer, np.bool_)):
                 rows.append({"check": rec.name, "quantity": key, "value": val, "passed": rec.passed})
-    ok = rec1.passed and rec2.passed
+    checks = {"power_estimate": rec1.passed, "boundary_barrier": rec2.passed}
     record = {"power_estimate": rec1.to_dict(), "boundary_barrier": rec2.to_dict()}
-    return ok, record, {"barrier_check.csv": (["check", "quantity", "value", "passed"], rows)}
+    return checks, record, {"barrier_check.csv": (["check", "quantity", "value", "passed"], rows)}
 
 
 def _stages(results):
@@ -392,13 +390,11 @@ def _exp_solve(run):
     grid = run.base.grid
     results, u_min, incs = run.base.solution
     last = results[-1]
-    converged = run.converged(incs[-1:])
-    ok = last.positivity_ok and converged
+    checks = {"positive": last.positivity_ok, "continuation_converged": run.converged(incs[-1:])}
     record = {
         "solves": len(results),
         "final_eps": last.eps,
         "increments": [float(i) for i in incs],
-        "continuation_converged": converged,
         "positivity_margin": last.positivity_margin,
         "iterations_total": int(sum(r.iterations for r in results)),
         "stages": _stages(results),
@@ -408,7 +404,7 @@ def _exp_solve(run):
         "solution_profile.dat": (grid.nodes, u_min.values),
         "increments.dat": (range(1, len(incs) + 1), incs),
     }
-    return ok, record, files
+    return checks, record, files
 
 
 def _fit_band(report, s):
@@ -424,8 +420,8 @@ def _exp_exponent_fit(run):
     _, u_min, incs = run.base.solution
     fit = fit_boundary_exponent(u_min, run.params)
     lo, hi = _fit_band(run.regime, run.params.s)
-    converged = run.converged(incs[-1:])
-    ok = lo <= fit.slope <= hi and converged
+    checks = {"slope_in_band": lo <= fit.slope <= hi,
+              "continuation_converged": run.converged(incs[-1:])}
     lo_d, hi_d = fit.window
     row = {
         "d_lo": lo_d, "d_hi": hi_d, "slope": fit.slope, "reference": fit.reference,
@@ -437,21 +433,20 @@ def _exp_exponent_fit(run):
         "reference": fit.reference,
         "band": [lo, hi],
         "window": list(fit.window),
-        "continuation_converged": converged,
     }
     files = {
         "exponent_fit.csv": (["d_lo", "d_hi", "slope", "reference", "deviation", "residual"], [row]),
         "boundary_left.dat": (grid.nodes[mask] - grid.a, u_min.values[mask]),
     }
-    return ok, record, files
+    return checks, record, files
 
 
 def _exp_sobolev_scan(run):
     ab = run.cfg["analysis"]
     rungs = [run.rung(n) for n in ab["n_list"]]
     table = sobolev_scan(run.params, ab["theta_list"], [(r.operator, r.solution) for r in rungs])
-    converged = run.converged(table.increments.values())
-    ok = all(table.consistent.values()) and converged
+    checks = {"classes_consistent": all(table.consistent.values()),
+              "continuation_converged": run.converged(table.increments.values())}
     rows = [
         {
             "theta": r["theta"], "n": r["n"], "energy": r["energy"],
@@ -467,7 +462,6 @@ def _exp_sobolev_scan(run):
         "classes": {str(k): v for k, v in table.classes.items()},
         "consistent": {str(k): bool(v) for k, v in table.consistent.items()},
         "last_increments": {str(k): v for k, v in table.increments.items()},
-        "continuation_converged": converged,
         "stages": {str(r.n): _stages(r.solution[0]) for r in rungs},
     }
     files = {
@@ -478,7 +472,7 @@ def _exp_sobolev_scan(run):
     for theta in table.classes:
         pts = [(r["n"], r["energy"]) for r in table.rows if r["theta"] == theta]
         files[f"sobolev_theta_{_fmt(theta)}.dat"] = ([n for n, _ in pts], [e for _, e in pts])
-    return ok, record, files
+    return checks, record, files
 
 
 def _exp_nonexistence(run):
@@ -490,14 +484,9 @@ def _exp_nonexistence(run):
         halvings=int(sb["halvings"]),
         tol=float(sb["tol"]),
     )
-    decreasing = table.exponents_decreasing()
-    converged = run.converged([r["last_increment"] for r in table.rows])
-    ok = decreasing and converged
-    record = {
-        "rows": table.rows,
-        "exponents_decreasing": decreasing,
-        "continuation_converged": converged,
-    }
+    checks = {"exponents_decreasing": table.exponents_decreasing(),
+              "continuation_converged": run.converged([r["last_increment"] for r in table.rows])}
+    record = {"rows": table.rows, "exponents_decreasing": checks["exponents_decreasing"]}
     deltas = [r["delta"] for r in table.rows]
     files = {
         "nonexistence_scan.csv": (
@@ -506,7 +495,7 @@ def _exp_nonexistence(run):
         "nonexistence_exponent.dat": (deltas, [r["fitted_exponent"] for r in table.rows]),
         "nonexistence_hardy.dat": (deltas, [r["hardy_quotient"] for r in table.rows]),
     }
-    return ok, record, files
+    return checks, record, files
 
 
 def _exp_compare(run):
@@ -525,8 +514,8 @@ def _exp_compare(run):
     u = u_min.values
     strip = grid.distance() < eta
     cmp_strip = comparison_check(c_sub * sub.values[strip], u[strip], c_super * sup.values[strip])
-    converged = run.converged(incs[-1:])
-    ok = cmp_strip.passed and rec.passed and converged
+    checks = {"bracketed": cmp_strip.passed, "boundary_barrier": rec.passed,
+              "continuation_converged": run.converged(incs[-1:])}
     rows = [
         {
             "region": "strip",
@@ -546,7 +535,6 @@ def _exp_compare(run):
         "max_sub_violation": cmp_strip.max_sub_violation,
         "max_super_violation": cmp_strip.max_super_violation,
         "barrier_record": rec.to_dict(),
-        "continuation_converged": converged,
     }
     files = {
         "compare.csv": (
@@ -554,7 +542,7 @@ def _exp_compare(run):
             rows,
         ),
     }
-    return ok, record, files
+    return checks, record, files
 
 
 EXPERIMENTS = {
@@ -569,6 +557,15 @@ EXPERIMENTS = {
 }
 
 SUBCOMMANDS = (*EXPERIMENTS, "all")
+
+
+def verdict(checks) -> str:
+    """The state of an experiment from its named checks: "not-converged"
+    when it has a continuation_converged check and that is false, else
+    "failed" when any check is false, else "passed"."""
+    if not checks.get("continuation_converged", True):
+        return "not-converged"
+    return "passed" if all(checks.values()) else "failed"
 
 
 def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int = 0) -> int:
@@ -598,17 +595,19 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None, seed: int
         t0 = time.time()
         entry = {"id": name}
         try:
-            ok, record, files = EXPERIMENTS[name](shared)
-            entry["passed"] = bool(ok)
-            entry["record"] = record
+            checks, record, files = EXPERIMENTS[name](shared)
+            if "continuation_converged" in checks:
+                record["continuation_converged"] = checks["continuation_converged"]
+            entry.update(state=verdict(checks), checks=checks, record=record)
             for fname, data in files.items():
                 fmt, write = _WRITERS[Path(fname).suffix]
                 if fmt in formats and not _written(outdir / fname, write, *data):
                     return 1
         except FracpError as exc:
-            entry["passed"] = False
+            entry["state"] = "failed"
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
             print(f"error in experiment {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        entry["passed"] = entry["state"] == "passed"
         entry["wall_time_s"] = time.time() - t0
         overall &= entry["passed"]
         experiments.append(entry)

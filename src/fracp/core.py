@@ -277,21 +277,6 @@ class Zero:
         return ()
 
 
-@dataclass(frozen=True)
-class Constant:
-    """u = c outside Omega."""
-
-    c: float
-
-    def value(self, z, a, b):
-        z = np.asarray(z, dtype=float)
-        out = np.full_like(z, self.c)
-        return out if out.ndim else float(self.c)
-
-    def kinks(self, a, b):
-        return ()
-
-
 def barrier_shift(alpha: float, lam: float) -> float:
     """lambda**(1/alpha), the shift of the power barrier (0 at lambda = 0)."""
     return lam ** (1.0 / alpha) if lam > 0.0 else 0.0

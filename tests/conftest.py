@@ -1,4 +1,5 @@
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,6 +7,23 @@ import pytest
 from fracp import assemble_operator, build_grid, continuation, make_params
 
 ACCEPTANCE_LINES = []
+
+
+@dataclass(frozen=True)
+class Constant:
+    """The exterior extension u = c outside Omega, which no library path
+    builds: a grid function's exterior beyond Zero, for the tests that
+    evaluate one or that an operator must refuse."""
+
+    c: float
+
+    def value(self, z, a, b):
+        z = np.asarray(z, dtype=float)
+        out = np.full_like(z, self.c)
+        return out if out.ndim else float(self.c)
+
+    def kinks(self, a, b):
+        return ()
 
 
 def record_criterion(line: str) -> None:

@@ -237,8 +237,11 @@ class TestSubcommands:
         jsonschema.validate(rep, SCHEMA)
         assert rep["overall_passed"] is True
         for e in rep["experiments"]:
+            assert e["passed"] == (e["state"] == "passed"), e["id"]
+            assert e["state"] == "passed" and all(e["checks"].values()), e["id"]
             if e["id"] in ("solve", "exponent-fit", "sobolev-scan", "nonexistence-scan", "compare"):
                 assert e["record"]["continuation_converged"] is True, e["id"]
+                assert e["checks"]["continuation_converged"] is True, e["id"]
         ids = [e["id"] for e in rep["experiments"]]
         assert ids == [
             "classify", "oracle", "barrier-check", "solve",
@@ -384,12 +387,20 @@ class TestSubcommands:
         jsonschema.validate(rep, SCHEMA)
         rec = rep["experiments"][0]
         assert rec["passed"] is False
+        assert rec["state"] == "not-converged"
+        assert rec["checks"] == {"positive": True, "continuation_converged": False}
         assert rec["record"]["continuation_converged"] is False
         assert rec["record"]["increments"][-1] > 1e-4
         assert rec["record"]["positivity_margin"] > 0.0
         # the last allowed stage is solved at full accuracy all the same
         last = rec["record"]["stages"][-1]
         assert last["newton_tol"] is None and last["residual"] <= 1e-10
+        # an unconverged continuation outranks a false check: the slope read
+        # from it leaves the band, and the state still names the continuation
+        assert run("exponent-fit", cfg, str(out)) == 2
+        fit = json.loads((out / "report.json").read_text())["experiments"][0]
+        assert fit["checks"] == {"slope_in_band": False, "continuation_converged": False}
+        assert fit["state"] == "not-converged" and fit["passed"] is False
 
     @pytest.mark.parametrize("subcommand", ["sobolev-scan", "nonexistence-scan"])
     def test_unconverged_continuation_fails_scan(self, tmp_path, subcommand):
@@ -403,6 +414,8 @@ class TestSubcommands:
         jsonschema.validate(rep, SCHEMA)
         rec = rep["experiments"][0]
         assert rec["passed"] is False
+        assert rec["state"] == "not-converged"
+        assert rec["checks"]["continuation_converged"] is False
         assert rec["record"]["continuation_converged"] is False
         if subcommand == "sobolev-scan":
             incs = list(rec["record"]["last_increments"].values())
@@ -422,6 +435,8 @@ class TestSubcommands:
         jsonschema.validate(rep, SCHEMA)
         rec = rep["experiments"][0]
         assert rec["passed"] is False
+        assert rec["state"] == "not-converged"
+        assert rec["checks"]["continuation_converged"] is False
         assert rec["record"]["continuation_converged"] is False
         # and the schema requires the flag
         del rec["record"]["continuation_converged"]
@@ -464,7 +479,52 @@ class TestSubcommands:
         exp = rep["experiments"][0]
         assert exp["id"] == "solve"
         assert exp["passed"] is False
+        assert exp["state"] == "failed" and "checks" not in exp
         assert exp["error"]["type"] == "RegimeError"
+
+    @pytest.mark.parametrize("subcommand, check", [("exponent-fit", "slope_in_band"),
+                                                   ("compare", "bracketed")])
+    def test_a_false_check_on_a_converged_continuation_fails(self, tmp_path, subcommand, check):
+        # quick.json at p = 1.5: the continuation converges, and the fitted
+        # slope 0.1077 lies below its band [0.1167, 0.2167] and the super
+        # barrier misses u_min by 8.2e-3; quick's delta_list reaches s p =
+        # 0.75 and neither experiment reads it
+        payload = json.loads((REPO / "configs" / "quick.json").read_text())
+        payload["params"]["p"] = 1.5
+        del payload["analysis"]["delta_list"]
+        out = tmp_path / "out"
+        assert run(subcommand, write_cfg(tmp_path, payload), str(out)) == 2
+        rep = json.loads((out / "report.json").read_text())
+        jsonschema.validate(rep, SCHEMA)
+        exp = rep["experiments"][0]
+        assert exp["state"] == "failed" and exp["passed"] is False
+        assert exp["checks"]["continuation_converged"] is True
+        assert [name for name, ok in exp["checks"].items() if not ok] == [check]
+
+    @pytest.mark.parametrize("checks, state", [
+        ({}, "passed"),
+        ({"a": True, "continuation_converged": True}, "passed"),
+        ({"a": False, "continuation_converged": True}, "failed"),
+        ({"a": False}, "failed"),
+        ({"a": True, "continuation_converged": False}, "not-converged"),
+        ({"a": False, "continuation_converged": False}, "not-converged"),
+    ])
+    def test_verdict_precedence(self, checks, state):
+        assert cli.verdict(checks) == state
+
+    def test_schema_requires_state_and_checks(self, tmp_path):
+        assert run("oracle", write_cfg(tmp_path, QUICK), str(tmp_path / "out")) == 0
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        jsonschema.validate(rep, SCHEMA)
+        exp = rep["experiments"][0]
+        assert exp["state"] == "passed" and exp["checks"] == {"phi_bracketed": True}
+        for key, message in (("state", "'state' is a required property"),
+                             ("checks", "'checks' is a required property")):
+            missing = {k: v for k, v in exp.items() if k != key}
+            with pytest.raises(jsonschema.ValidationError, match=message):
+                jsonschema.validate({**rep, "experiments": [missing]}, SCHEMA)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**rep, "experiments": [{**exp, "state": "unknown"}]}, SCHEMA)
 
     def test_reaction_out_of_float_range_is_an_error_line(self, tmp_path, capsys):
         # at gamma = 60, eps**-gamma leaves the float range at eps = 2**-18

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fracp import (
     CASE_ALPHA_STAR,
     CASE_S,
-    Constant,
     Grid,
     GridFunction,
     build_grid,
@@ -17,6 +16,8 @@ from fracp import (
     make_params,
 )
 from fracp.errors import BadGrading, OutOfRange
+
+from conftest import Constant
 
 
 class TestMakeParams:

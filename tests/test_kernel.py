@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from fracp import (
-    Constant,
     GridFunction,
     Zero,
     assemble_operator,
@@ -40,6 +39,8 @@ from fracp.kernel import (
     doubling_panels,
     gauss_panels,
 )
+
+from conftest import Constant
 
 
 def _tensor_hat_integrals(g, hX, hY, sp, q):

@@ -62,3 +62,37 @@ class TestAgainst:
         out = capsys.readouterr().out
         assert "not comparable" in out and str(mine) in out
         assert "identical" not in out
+
+
+class TestVerdictLines:
+    def test_a_failing_preset_says_why(self, tmp_path, monkeypatch, capsys):
+        # quick.json at p = 1.5: the slope leaves its band, the super barrier
+        # misses u_min, and the default delta_list reaches s p = 0.75
+        payload = json.loads((REPO / "configs" / "quick.json").read_text())
+        payload["params"]["p"] = 1.5
+        del payload["analysis"]["delta_list"]
+        (tmp_path / "configs").mkdir()
+        (tmp_path / "configs" / "quick.json").write_text(json.dumps(payload))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(run_presets, "CONFIGS", tmp_path / "configs")
+        monkeypatch.setattr("sys.argv", ["run_presets.py"])
+        assert run_presets.main() == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "quick.json               -> exit 2 (artifacts in out/quick)",
+            "  exponent-fit: failed (false: slope_in_band)",
+            "  nonexistence-scan: failed (RegimeError)",
+            "  compare: failed (false: bracketed)",
+        ]
+
+    def test_only_experiments_that_did_not_pass_are_listed(self):
+        report = {"experiments": [
+            {"id": "classify", "state": "passed", "checks": {}},
+            {"id": "solve", "state": "not-converged",
+             "checks": {"positive": True, "continuation_converged": False}},
+            {"id": "compare", "state": "not-converged",
+             "checks": {"bracketed": False, "continuation_converged": False}},
+        ]}
+        assert run_presets.not_passed(report) == [
+            "  solve: not-converged (false: continuation_converged)",
+            "  compare: not-converged (false: bracketed, continuation_converged)",
+        ]
