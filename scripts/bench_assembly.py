@@ -11,7 +11,8 @@ integrate, in the band of gaps next to the diagonal, and those beyond it,
 which low-rank far blocks give (`pairs`: band, near, far, far_blocks), the
 peak RSS of one assembly and of its fold, each read in a fresh process that
 imported fracp and built the mesh (`rss_mb`: import and mesh, assemble,
-folded), and, untimed after the
+folded), the CPU time and minor page faults that `getrusage` counts over
+that first assembly of the process (`cold`), and, untimed after the
 runs, the mirror defect of the operator's w, b and m: the largest
 |a - a mirrored| / a over the positive entries, with w mirrored as
 w[n-1-i, n-1-j]; w is built on request, so its defect is left out at
@@ -89,19 +90,26 @@ def mirror_defect(a):
     return float((np.abs(a - np.flip(a))[pos] / a[pos]).max())
 
 
-def assembly_rss(n, p):
-    """Peak RSS in MB of a fresh process after import and mesh, after one
-    assembly and after its fold: VmHWM of /proc/self/status (Linux), since a
-    child's ru_maxrss starts from the RSS of the process that spawned it."""
-    code = ("from fracp import assemble_operator, build_grid\n"
+def cold_assembly(n, p):
+    """One assembly in a fresh process, the first it makes: the peak RSS in
+    MB after import and mesh, after the assembly and after its fold, from
+    VmHWM of /proc/self/status (Linux), since a child's ru_maxrss starts
+    from the RSS of the process that spawned it; and the assembly's CPU
+    time (user and system) and minor page faults."""
+    code = ("import resource\n"
+            "from fracp import assemble_operator, build_grid\n"
             "def mb(): return round(int(next(line for line in open('/proc/self/status')\n"
             "    if line.startswith('VmHWM:')).split()[1]) / 1024, 1)\n"
             f"grid = build_grid(0.0, 1.0, {n}, 2.0); base = mb()\n"
-            f"op = assemble_operator(grid, 0.5, {p}); assembled = mb()\n"
-            "op.folded; print(base, assembled, mb())")
+            "r0 = resource.getrusage(resource.RUSAGE_SELF)\n"
+            f"op = assemble_operator(grid, 0.5, {p})\n"
+            "r1 = resource.getrusage(resource.RUSAGE_SELF); assembled = mb()\n"
+            "op.folded; print(base, assembled, mb(),\n"
+            "    r1.ru_utime + r1.ru_stime - r0.ru_utime - r0.ru_stime, r1.ru_minflt - r0.ru_minflt)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout.split()
-    return dict(zip(("import_and_mesh", "assemble", "folded"), map(float, out)))
+    rss = dict(zip(("import_and_mesh", "assemble", "folded"), map(float, out)))
+    return rss, {"cpu_ms": round(1e3 * float(out[3]), 2), "minor_faults": int(out[4])}
 
 
 def pair_counts(grid):
@@ -133,7 +141,7 @@ def time_assembly():
             for name, ts in (("assemble", runs), ("assemble_folded", folded_runs)):
                 row[name] = {"runs_s": [round(t, 4) for t in ts], "min_s": round(min(ts), 4),
                              "median_s": round(statistics.median(ts), 4)}
-            row["rss_mb"] = assembly_rss(n, p)
+            row["rss_mb"], row["cold"] = cold_assembly(n, p)
             op = assemble_operator(grid, 0.5, p)
             arrays = [("b", op.b), ("m", op.m)] + ([("w", op.w)] if n <= DEFECT_N_MAX else [])
             row["mirror_defect"] = {name: float(f"{mirror_defect(a):.2e}") for name, a in arrays}

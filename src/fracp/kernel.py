@@ -158,7 +158,7 @@ def bracket_constants(alpha: float, s: float, p: float):
     beta = power_beta(alpha, s, p)
     if beta < 1.0:
         st = 0.5 * (s + beta)
-        c1 = (st - s) / (st * s) / p
+        c1 = (st - s) / st / s / p
         c2 = 1.0 / sp
     else:
         c1 = 1.0 / sp
@@ -352,121 +352,74 @@ _HAT_SP_MAX = 7.0
 #: block takes whole gaps, at least one, of at most 2 * _EVAL_BUDGET // 9
 #: cell pairs counted as _block_weights lays them out, two steps of the
 #: cheapest rule (3 points, 9 evaluations).  So assembly's temporaries stay
-#: near 2.4 MB at every n (tracemalloc).  Of the steps tried, 2^15 to 2^17
+#: a few MB above F (tracemalloc, gradings 1 to 4): 2.5-3.6 MB at n = 512
+#: and 4.0-4.8 MB at n = 2048.  Of the steps tried, 2^15 to 2^17
 #: evaluations, 2^17 assembled n = 2048 within 4% but n = 256 1.5 times
 #: slower (its one block then holds many pairs past H_g), and 2^15 n = 2048
 #: 13-18% slower.
 _EVAL_BUDGET = 2**16
 
 
-class _Scratch:
-    """Buffers that one assembly reuses from block to block, each grown to
-    the largest request.  Arrays of a few MB allocated and freed once per
-    block make glibc hand their pages back to the system and fault them in
-    again for the next block: in fresh processes (eight each, one BLAS
-    thread) an n = 2048 assembly took 23000-25100 minor faults and
-    0.19-0.21 s of CPU time without these buffers, against 1450-1520
-    faults and 0.15-0.16 s with them."""
+def _hat_weights(g, hX, hY, sp):
+    """Hat-weighted kernel integrals of disjoint cell pairs [X0,X1] x [Y0,Y1]
+    with gap g = Y0 - X1 > 0 and widths hX = X1 - X0, hY = Y1 - Y0, arrays
+    of one shape.
 
-    def __init__(self):
-        self._buffers = {}
-
-    def __call__(self, name: str, shape) -> np.ndarray:
-        """An uninitialized float array of this shape in the buffer name."""
-        size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or len(buf) < size:
-            buf = self._buffers[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-
-def _hat_tiers(r):
-    """Index into _HAT_RULES of each pair's Gauss order, by its separation
-    ratio r, and the number of pairs of each; raises OutOfRange below
-    _HAT_R_MIN."""
+    out[:, b] holds the integrals of (1-u)(1-v), (1-u) v, u (1-v) and u v
+    times (y-x)^(-1-sp) over the pair at index b of g, u = (x-X0)/hX,
+    v = (y-Y0)/hY, by one tensor Gauss-Legendre rule whose order is set by
+    the separation ratio r (see _HAT_R_MAX).  Each entry is a sum of
+    positive terms.  Raises OutOfRange for a pair with r < _HAT_R_MIN,
+    nearer than the orders are verified for.  The pairs of one order are
+    evaluated _EVAL_BUDGET kernels at a time.
+    """
+    r = np.maximum(hX, hY)
+    np.divide(g, r, out=r)
     r_min = float(r.min())
     if r_min < _HAT_R_MIN:
         raise OutOfRange(
             f"cell pair separation ratio {r_min:.3g} is below {_HAT_R_MIN}, the "
             "smallest the Gauss orders are verified for"
         )
-    # _HAT_R_MAX.searchsorted(r), comparing r only with the bounds above its
-    # least value, and the pairs at tier i or beyond
-    lo = int(_HAT_R_MAX.searchsorted(r_min))
-    tier = np.full(len(r), lo, np.uint8)
-    at_least = np.zeros(len(_HAT_RULES) + 1, int)
-    at_least[: lo + 1] = len(r)
-    for i in range(lo + 1, len(_HAT_RULES)):
-        above = r > _HAT_R_MAX[i - 1]
-        tier += above
-        at_least[i] = np.count_nonzero(above)
-    return tier, at_least[:-1] - at_least[1:]
-
-
-def _hat_weights(g, hX, hY, sp, scratch=None):
-    """Hat-weighted kernel integrals of disjoint cell pairs [X0,X1] x [Y0,Y1]
-    with gap g = Y0 - X1 > 0 and widths hX = X1 - X0, hY = Y1 - Y0.
-
-    Column b holds the integrals of (1-u)(1-v), (1-u) v, u (1-v) and u v
-    times (y-x)^(-1-sp) over the pair, u = (x-X0)/hX, v = (y-Y0)/hY, by one
-    tensor Gauss-Legendre rule whose order is set by the separation ratio r
-    (see _HAT_R_MAX).  Each entry is a sum of positive terms.  Raises
-    OutOfRange for a pair with r < _HAT_R_MIN, nearer than the orders are
-    verified for.  The pairs of one order are evaluated _EVAL_BUDGET
-    kernels at a time, in the buffers of scratch (a _Scratch), which also
-    holds the result.
-    """
-    scratch = scratch or _Scratch()
-    P = len(g)
-    out = scratch("out", (4, P))
-    r = np.maximum(hX, hY, out=out[0])  # until the integrals overwrite it
-    tier, counts = _hat_tiers(np.divide(g, r, out=r))
-    for i in np.flatnonzero(counts):
+    # the index into _HAT_RULES: the number of bounds strictly below r
+    tier = _HAT_R_MAX.searchsorted(r)
+    out = np.empty((4,) + r.shape)
+    for i in np.flatnonzero(np.bincount(tier.ravel(), minlength=len(_HAT_RULES))):
         u, W = _HAT_RULES[i]
         q = len(u)
-        # steps of at most _EVAL_BUDGET kernels: the spans [lo, hi) of pairs
-        # that hold `step` pairs of this order each, taken out by a mask
-        # unless the order has them all
         step = max(_EVAL_BUDGET // (q * q), 1)
         mine = tier == i
-        starts = np.flatnonzero(mine)[::step].tolist()
-        for lo, hi in zip(starts, starts[1:] + [P]):
-            keep = None if counts[i] == P else mine[lo:hi]
-            gs, hx, hy = (v[lo:hi] if keep is None else v[lo:hi][keep] for v in (g, hX, hY))
-            m = len(gs)
+        gs, hx, hy = g[mine], hX[mine], hY[mine]
+        part = np.empty((4, len(gs)))
+        for lo in range(0, len(gs), step):
+            hi = lo + step
             # y - x = (Y0 - X1) + hX (1 - u_i) + hY v_j, a sum of nonnegative
             # terms; the pair index runs last so every ufunc loop is long
-            a = np.multiply.outer(1.0 - u, hx, out=scratch("a", (q, m)))
-            a += gs
-            d = np.add(a[:, None, :], np.multiply.outer(u, hy, out=scratch("b", (q, m))),
-                       out=scratch("d", (q, q, m)))
+            a = np.multiply.outer(1.0 - u, hx[lo:hi])
+            a += gs[lo:hi]
+            d = np.add(a[:, None, :], np.multiply.outer(u, hy[lo:hi]))
             d **= -1.0 - sp
-            part = out[:, lo:hi] if keep is None else scratch("a", (4, m))  # a is spent
-            np.matmul(W, d.reshape(q * q, m), out=part)
-            part *= hx * hy
-            if keep is not None:  # by rows: 4-5 times faster than out[:, sel] = part
-                for row, val in zip(out[:, lo:hi], part):
-                    row[keep] = val
+            np.matmul(W, d.reshape(q * q, -1), out=part[:, lo:hi])
+        part *= hx * hy
+        for row, val in zip(out, part):  # by rows: faster than integer indices
+            row[mine] = val
     return out
 
 
-def _block_weights(tp, wdp, n: int, g0: int, g1: int, sp: float, scratch):
+def _block_weights(tp, wdp, n: int, g0: int, g1: int, sp: float):
     """Hat integrals C[:, g - g0, k] of x cell k against y cell k + g for the
     gaps g0 <= g < g1 and k <= H = (n + 2 - g0) // 2, from the edges tp and
-    widths wdp of the extended cells padded past the last, in the buffers
-    of scratch, for assemble_operator's diagonal store.  Pairs k < H_g are
-    integrated; the rest come out 0, except C0 of pair H_g, the mirror
-    image of pair H_g - 1, x -> a + b - x, which takes its C3."""
+    widths wdp of the extended cells padded past the last, for
+    assemble_operator's diagonal store.  Pairs k < H_g are integrated; the
+    rest come out 0, except C0 of pair H_g, the mirror image of pair
+    H_g - 1, x -> a + b - x, which takes its C3."""
     nb, hmax = g1 - g0, (n + 2 - g0) // 2
     shape = (nb, hmax + 1)
-    gap = np.subtract(_strided(tp, g0, (1, 1), shape), tp[1 : hmax + 2],
-                      out=scratch("gap", shape))
+    gap = np.subtract(_strided(tp, g0, (1, 1), shape), tp[1 : hmax + 2])
     beyond = np.arange(g0, g0 + 2 * hmax + nb) > n  # k >= H_g at 2 k + g
     np.copyto(gap, np.inf, where=_strided(beyond, 0, (1, 2), shape))
-    hX, hY = scratch("hX", shape), scratch("hY", shape)
-    np.copyto(hX, wdp[: hmax + 1])
-    np.copyto(hY, _strided(wdp, g0, (1, 1), shape))
-    C = _hat_weights(gap.ravel(), hX.ravel(), hY.ravel(), sp, scratch).reshape(4, *shape)
+    C = _hat_weights(gap, np.broadcast_to(wdp[: hmax + 1], shape),
+                     _strided(wdp, g0, (1, 1), shape), sp)
     rows, last = np.arange(nb), (n + 2 - np.arange(g0, g1)) // 2  # H_g
     C[0, rows, last] = C[3, rows, last - 1]
     return C
@@ -654,7 +607,7 @@ def _moments(x, wd, tree):
     return U, size
 
 
-def _far_field(F, far, tree, U, size, sp: float, scratch) -> None:
+def _far_field(F, far, tree, U, size, sp: float) -> None:
     """Write the admissible blocks (_far_blocks) into F: rows lo_I..hi_I - 1
     and columns lo_J..hi_J - 1 of F take U_I K U_J^T, K[a, b] the kernel
     at distance gap + the distances of Chebyshev point a of I's support to
@@ -669,11 +622,11 @@ def _far_field(F, far, tree, U, size, sp: float, scratch) -> None:
     for s0 in range(0, len(far), step):
         blocks = far[s0 : s0 + step]
         I, J, gap, fold = (np.array(v) for v in zip(*blocks))
-        d = np.multiply.outer(size[I], right, out=scratch("a", (len(I), m)))
+        d = np.multiply.outer(size[I], right)
         d += gap[:, None]
         to_J = np.where(fold[:, None], right, left)
         to_J *= size[J][:, None]
-        K = np.add(d[:, :, None], to_J[:, None, :], out=scratch("d", (len(I), m, m)))
+        K = np.add(d[:, :, None], to_J[:, None, :])
         K **= -1.0 - sp
         for (i, j, _, _), k in zip(blocks, K):
             np.matmul(U[i] @ k, U[j].T, out=F[lo[i] : hi[i], lo[j] : hi[j]])
@@ -883,13 +836,12 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     is every gap.
 
     The band's cell pairs go through _hat_weights in blocks of consecutive
-    gaps, one call per block of at most 2 * _EVAL_BUDGET // 9 pairs in
-    buffers reused from block to block, so the temporaries stay a few MB at
-    every n.  Each block adds its integrals into one store of the band's
-    diagonals as four shifted slices, in each entry's order of gaps; then
-    the singular bands go in, the pairs of t_0 fold onto node 0, and each
-    diagonal is copied once into its two strided views of F
-    (_half_diagonal), over the far field's values there.
+    gaps, one call per block of at most 2 * _EVAL_BUDGET // 9 pairs, so the
+    temporaries stay a few MB at every n.  Each block adds its integrals
+    into one store of the band's diagonals as four shifted slices, in each
+    entry's order of gaps; then the singular bands go in, the pairs of t_0
+    fold onto node 0, and each diagonal is copied once into its two strided
+    views of F (_half_diagonal), over the far field's values there.
     """
     check_sp(s, p)
     sp = s * p
@@ -906,10 +858,9 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     wd = mirror_left_half(np.diff(t))
 
     F = np.zeros((h, h))
-    scratch = _Scratch()
     x, tree, far, band = _far_partition(grid, wd)
     if far:
-        _far_field(F, far, tree, *_moments(x, wd, tree), sp, scratch)
+        _far_field(F, far, tree, *_moments(x, wd, tree), sp)
         if n % 2:  # the middle row of an odd n holds nothing
             F[-1] = 0.0
 
@@ -927,7 +878,7 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
     g0 = 2
     while g0 <= last:  # nb gaps of H_g0 + 1 pairs each (_block_weights)
         g1 = min(g0 + max(2 * _EVAL_BUDGET // 9 // ((n + 4 - g0) // 2), 1), last + 1)
-        C = _block_weights(tp, wdp, n, g0, g1, sp, scratch)
+        C = _block_weights(tp, wdp, n, g0, g1, sp)
         cols = C.shape[2]  # positions 0..H
         D[g0 + 1 : g1 + 1, :cols] += C[1]
         D[g0:g1, :cols] += C[0]

@@ -551,6 +551,25 @@ class TestSubcommands:
         rep = json.loads((out / "report.json").read_text())
         assert rep["experiments"][0]["error"]["type"] == "OutOfRange"
 
+    @pytest.mark.parametrize("subcommand, payload", [
+        ("oracle", {"oracle": {"alpha_fracs": [0.5], "s_list": [1e-300], "p_list": [2.0]}}),
+        ("barrier-check", {"params": {"s": 1e-300, "delta": 0.0}}),
+    ])
+    def test_tiny_s_is_a_verdict_not_a_traceback(self, tmp_path, capsys, subcommand, payload):
+        # the bracket constant c1 divides by st * s, which underflows to 0
+        # below s ~ 1e-154 unless the two divisions are taken one by one.
+        # Phi is then near 1/(sp) ~ 1e299, where the oracle's two rules agree
+        # or differ by an ulp with the BLAS build and threads, so its verdict
+        # may go either way; what must hold is a verdict and its exit code
+        out = tmp_path / "out"
+        code = run(subcommand, write_cfg(tmp_path, payload), str(out))
+        (exp,) = json.loads((out / "report.json").read_text())["experiments"]
+        assert code == (0 if exp["passed"] else 2)
+        assert exp.get("error", {}).get("type") in (None, "QuadratureFail")
+        if subcommand == "barrier-check":
+            assert exp["checks"] == {"power_estimate": False, "boundary_barrier": True}
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestMain:
     def test_usage_error_exit_1(self):

@@ -385,6 +385,49 @@ class TestCellPairIntegrals:
             assert np.all(C > 0.0)
             assert np.abs(C / ref - 1.0).max() <= 1e-11
 
+    def test_tier_bounds_take_the_lower_tiers_rule(self):
+        # r on a bound of _HAT_R_MAX takes the lower tier's (larger) rule and
+        # the next float above it the next tier's; at sp = 7 neighbouring
+        # orders differ by 4.6e-13 or more there, so 1e-15 tells them apart.
+        # Widths 1 and 1/2 keep r = g / max(hX, hY) exact.
+        orders = [len(u) for u, _ in kernel._HAT_RULES]
+        hX, hY = np.array([1.0, 1.0]), np.array([1.0, 0.5])
+        for i, bound in enumerate(_HAT_R_MAX):
+            for r, q in ((bound, orders[i]), (np.nextafter(bound, np.inf), orders[i + 1])):
+                g = np.full(2, r)
+                C = _hat_weights(g, hX, hY, 7.0)
+                ref = _tensor_hat_integrals(g, hX, hY, 7.0, q)
+                assert np.abs(C / ref - 1.0).max() <= 1e-15, (r, q)
+
+    def test_block_views_match_raveled_pairs(self):
+        # _block_weights passes 2-D views: the widths of x cells broadcast
+        # over the gaps and a strided view of the y cells' widths; the first
+        # block of this mesh holds all eight tiers, six steps of the 6-point
+        # rule among them, and the pairs past H_g at gap inf
+        n = 513
+        t = build_grid(0, 1, n, 4.0).edges
+        tp, wdp = (np.concatenate((a[: n + 1], np.zeros(n)))
+                   for a in (t, mirror_left_half(np.diff(t))))
+        g0, g1 = 2, 58
+        hmax = (n + 2 - g0) // 2
+        shape = (g1 - g0, hmax + 1)
+        C = kernel._block_weights(tp, wdp, n, g0, g1, 1.0)
+        gap = kernel._strided(tp, g0, (1, 1), shape) - tp[1 : hmax + 2]
+        gap[kernel._strided(np.arange(g0, g0 + 2 * hmax + g1 - g0) > n, 0, (1, 2), shape)] = np.inf
+        hX = np.broadcast_to(wdp[: hmax + 1], shape)
+        hY = kernel._strided(wdp, g0, (1, 1), shape)
+        views = _hat_weights(gap, hX, hY, 1.0)
+        flat = _hat_weights(gap.ravel(), hX.ravel(), hY.ravel(), 1.0)
+        assert views.shape == C.shape == (4,) + shape
+        tiers = _HAT_R_MAX.searchsorted(gap / np.maximum(hX, hY))
+        assert len(np.unique(tiers)) == len(kernel._HAT_RULES)
+        assert np.array_equal(views, flat.reshape(views.shape))
+        # _block_weights changes only C0 of pair H_g
+        last = (n + 2 - np.arange(g0, g1)) // 2
+        keep = np.ones(views.shape, bool)
+        keep[0, np.arange(len(last)), last] = False
+        assert np.array_equal(C[keep], views[keep])
+
     def test_pairs_nearer_than_verified_range(self):
         g, h = np.array([0.19, 0.5]), np.ones(2)
         with pytest.raises(OutOfRange):
