@@ -29,7 +29,14 @@ repeats of ten calls each, in milliseconds per call; on the n = 2048 mesh of
 grading 2, for s = 1/2 and p = 2, the torsion solve `solve_fixed_rhs` with
 f = 1, three times, and one `eval_fplap_pv` probe at x = 0.37, three times
 each, one per exterior kind: the torsion function (zero exterior) and the Super and U
-barriers (alpha = 1/4, lambda = 1/10); and three continuations (s = 1/2,
+barriers (alpha = 1/4, lambda = 1/10), with the points each probe evaluates
+u at (`u_evaluations`); the case-2 probe set, every `eval_fplap_pv` call
+that `fracp barrier-check` and `fracp compare` make on
+`configs/boundary_case2.json` (the U barrier on the n = 1024 power chart,
+and the Super barrier on n = 1024 and 2048 in each boundary-barrier
+check), recorded once and replayed PV_REPEATS times: the CPU time of each
+replay, the points u is evaluated at per probe, and the largest
+tracemalloc peak of one probe above what it started with; and three continuations (s = 1/2,
 gamma = 1, delta = 1/2, eps0 = 1/2, tol = 1e-4, default grading), each with
 the minor page faults and user and system time that `getrusage` counts over
 it and the Cholesky factorizations, CG steps and objective evaluations its
@@ -46,6 +53,9 @@ a process that has computed no Phi yet.
 Prints one JSON object.  One BLAS thread gives the steadiest numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_assembly.py
+
+With the argument `pv` it runs the principal-value layer alone: the torsion
+solve it needs (untimed), the three probes and the case-2 probe set.
 """
 
 import dataclasses
@@ -55,10 +65,13 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
-from fracp import kernel, solver
+from fracp import barrier, cli, kernel, solver
 from fracp import (
     BarrierSpec,
     assemble_operator,
@@ -71,7 +84,7 @@ from fracp import (
     solve_fixed_rhs,
 )
 from fracp.cli import DEFAULTS
-from fracp.core import default_grading, mirror_left_half
+from fracp.core import GridFunction, default_grading, mirror_left_half
 
 NS = (64, 128, 192, 256, 1024, 2048, 4096, 8192)
 PS = (1.5, 2.0, 3.0)
@@ -83,6 +96,8 @@ FOLD_NS = (256, 512, 2048)
 SWEEP_NS = (1024, 2048)
 SWEEP_CALLS = 10
 IMPORT_PROCESSES = 7
+PV_REPEATS = 5
+CASE2 = Path(__file__).resolve().parent.parent / "configs" / "boundary_case2.json"
 
 
 def mirror_defect(a):
@@ -192,16 +207,40 @@ def time_sweep_hessian():
     return rows
 
 
-def time_torsion_and_pv_probes():
+def u_evaluations(probe):
+    """The points GridFunction evaluates u at while probe() runs."""
+    count, call = 0, GridFunction.__call__
+
+    def counted(self, z):
+        nonlocal count
+        count += np.size(z)
+        return call(self, z)
+
+    GridFunction.__call__ = counted
+    try:
+        probe()
+    finally:
+        GridFunction.__call__ = call
+    return count
+
+
+def torsion_n2048():
     grid = build_grid(0.0, 1.0, 2048, 2.0)
-    spec = BarrierSpec(alpha=0.25, lam=0.1, s=0.5, p=2.0)
-    op = assemble_operator(grid, 0.5, 2.0)
+    return assemble_operator(grid, 0.5, 2.0), grid
+
+
+def time_torsion_solve(op):
     runs = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        torsion = solve_fixed_rhs(op, np.ones(grid.n)).u
+        torsion = solve_fixed_rhs(op, np.ones(op.n)).u
         runs.append(time.perf_counter() - t0)
-    solve = {"runs_s": [round(t, 4) for t in runs], "median_s": round(statistics.median(runs), 4)}
+    return {"runs_s": [round(t, 4) for t in runs],
+            "median_s": round(statistics.median(runs), 4)}, torsion
+
+
+def time_pv_probes(torsion, grid):
+    spec = BarrierSpec(alpha=0.25, lam=0.1, s=0.5, p=2.0)
     rows = []
     for kind, u in (("Zero", torsion),
                     ("Super", barrier_profile(spec, grid, "Super")),
@@ -212,8 +251,57 @@ def time_torsion_and_pv_probes():
             eval_fplap_pv(u, 0.37, 0.5, 2.0)
             runs.append(time.perf_counter() - t0)
         rows.append({"exterior": kind, "runs_ms": [round(1e3 * t, 3) for t in runs],
-                     "median_ms": round(1e3 * statistics.median(runs), 3)})
-    return solve, rows
+                     "median_ms": round(1e3 * statistics.median(runs), 3),
+                     "u_evaluations": u_evaluations(lambda: eval_fplap_pv(u, 0.37, 0.5, 2.0))})
+    return rows
+
+
+def case2_probes():
+    """The arguments (u, x, s, p) of every eval_fplap_pv call of the
+    barrier-check and compare experiments on configs/boundary_case2.json."""
+    run = cli._Run(cli.load_config(str(CASE2)))
+    probes, real = [], barrier.eval_fplap_pv
+    barrier.eval_fplap_pv = lambda *args: probes.append(args) or real(*args)
+    try:
+        for name in ("barrier-check", "compare"):
+            cli.EXPERIMENTS[name](run)
+    finally:
+        barrier.eval_fplap_pv = real
+    return probes
+
+
+def time_case2_probes():
+    probes = case2_probes()
+
+    def replay():
+        for args in probes:
+            eval_fplap_pv(*args)
+
+    runs = []
+    for _ in range(PV_REPEATS):
+        t0 = time.process_time()
+        replay()
+        runs.append(time.process_time() - t0)
+    peak = 0
+    tracemalloc.start()
+    for args in probes:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        eval_fplap_pv(*args)
+        peak = max(peak, tracemalloc.get_traced_memory()[1] - base)
+    tracemalloc.stop()
+    groups = Counter(f"{type(u.exterior).__name__} n={u.grid.n}" for u, *_ in probes)
+    return {"probes": len(probes), "groups": dict(groups),
+            "cpu_ms_runs": [round(1e3 * t, 2) for t in runs],
+            "cpu_ms_min": round(1e3 * min(runs), 2),
+            "cpu_ms_median": round(1e3 * statistics.median(runs), 2),
+            "u_evaluations_per_probe": round(u_evaluations(replay) / len(probes), 1),
+            "temporaries_peak_mb": round(peak / 2**20, 3)}
+
+
+def pv_layer(torsion, grid):
+    return {"pv_probe_n2048": time_pv_probes(torsion, grid),
+            "pv_case2_probes": time_case2_probes()}
 
 
 def time_continuation(p, n, halvings):
@@ -255,14 +343,19 @@ def time_phi_sweep():
             "median_ms": round(1e3 * statistics.median(runs), 3)}
 
 
-def main():
+def main(argv):
+    op, grid = torsion_n2048()
+    if argv == ["pv"]:
+        print(json.dumps(pv_layer(solve_fixed_rhs(op, np.ones(grid.n)).u, grid)))
+        return
     # the continuations first, in a fresh process, so the page faults of the
     # p = 3 one are its own
     p3 = time_continuation(3.0, 512, 12)
     p2 = time_continuation(2.0, 1024, 20)
     p15 = time_continuation(1.5, 1024, 18)
     phi = time_phi_sweep()
-    torsion, pv = time_torsion_and_pv_probes()
+    torsion, u = time_torsion_solve(op)
+    pv = pv_layer(u, grid)
     print(json.dumps({"import_fracp_cli": time_import(),
                       "phi_sweep": phi,
                       "p3_continuation_n512": p3,
@@ -271,9 +364,9 @@ def main():
                       "folded": time_folded(),
                       "sweep_hessian": time_sweep_hessian(),
                       "torsion_solve_n2048": torsion,
-                      "pv_probe_n2048": pv,
+                      **pv,
                       "assemble_operator": time_assembly()}))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -263,8 +263,9 @@ def verify_power_estimate(
             "ratios": ratios,
             "max_ratio_deviation": max_dev,
             "ratio_tol": _RATIO_TOL,
-            "window_seminorm_log10": sem_log / math.log(10.0),
-            "window_seminorm_rel_err": sem_err,
+            # null, not NaN, where the seminorm is not finite: JSON has no NaN
+            "window_seminorm_log10": sem_log / math.log(10.0) if sem_ok else None,
+            "window_seminorm_rel_err": sem_err if sem_ok else None,
         },
     )
 

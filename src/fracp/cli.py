@@ -362,7 +362,8 @@ def _exp_barrier_check(run):
     rows = []
     for rec in (rec1, rec2):
         for key, val in rec.details.items():
-            if isinstance(val, (int, float, bool, np.floating, np.integer, np.bool_)):
+            # None, a quantity that is not finite, is written as an empty value
+            if val is None or isinstance(val, (int, float, bool, np.floating, np.integer, np.bool_)):
                 rows.append({"check": rec.name, "quantity": key, "value": val, "passed": rec.passed})
     checks = {"power_estimate": rec1.passed, "boundary_barrier": rec2.passed}
     record = {"power_estimate": rec1.to_dict(), "boundary_barrier": rec2.to_dict()}

@@ -172,7 +172,9 @@ def bracket_constants(alpha: float, s: float, p: float):
 #: and 1.4e-14 at 16 on s in {0.05, 0.3, 0.5, 0.7, 0.95},
 #: p in {1.1, 1.5, 2, 3, 5} and alpha / s in {0.05, 0.1, ..., 0.95}.
 QUAD_ORDERS = (12, 16)
-#: largest difference of the two rules for Phi
+#: largest difference of the two rules for Phi, relative to the larger of 1
+#: and the size of their sums: Phi grows like 1/(sp) as s -> 0, and past
+#: about 1e8 an absolute bound would ask for agreement finer than an ulp
 _PHI_TOL = 1e-8
 
 
@@ -210,13 +212,33 @@ def _legendre(n: int):
     return xi, om
 
 
-def gauss_panels(edges, n: int):
-    """The n-point Gauss-Legendre rule on each panel [edges[k], edges[k+1]],
-    as flat nodes and weights, panel by panel."""
-    xi, om = _legendre(n)
-    lo = edges[:-1, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    return (lo + half * (1.0 + xi)).ravel(), (half * om).ravel()
+@functools.lru_cache(maxsize=None)
+def _legendre_table(n_max: int):
+    # 1 + xi and om of the rules of 1, 2, ..., n_max points end to end: the
+    # n-point rule starts at entry n (n - 1) / 2; read-only
+    xi, om = (np.concatenate(part) for part in zip(*map(_legendre, range(1, n_max + 1))))
+    xi = 1.0 + xi
+    xi.flags.writeable = om.flags.writeable = False
+    return xi, om
+
+
+def gauss_panels(edges, n):
+    """The Gauss-Legendre rule of n[k] points on each panel
+    [edges[k], edges[k+1]], or of n points on each for an integer n, as flat
+    nodes and weights, panel by panel.  One gather from _legendre_table
+    builds every panel's rule, whatever the mix of orders."""
+    q = np.broadcast_to(n, (len(edges) - 1,))
+    xi1, om = _legendre_table(int(q.max()))
+    start = np.cumsum(q) - q
+    # node j of panel k is entry j of the n[k]-point rule
+    idx = np.repeat(q * (q - 1) // 2 - start, q)
+    idx += np.arange(len(idx))
+    half = np.repeat(0.5 * np.diff(edges), q)
+    t, w = xi1[idx], om[idx]
+    t *= half
+    t += np.repeat(edges[:-1], q)
+    w *= half
+    return t, w
 
 
 def doubling_panels(start: float, end: float, n: int):
@@ -281,7 +303,8 @@ def phi_constant(alpha: float, s: float, p: float) -> PowerKernelOracle:
     y = 0, so the slow tail of a small beta costs few panels: 11 at
     beta = 0.05, 13 at 0.01.
     Raises QuadratureFail when the rules of the two QUAD_ORDERS differ by
-    more than _PHI_TOL, or when Phi escapes its bracket [c1, c2].
+    more than _PHI_TOL times the larger of 1 and their size, or when Phi
+    escapes its bracket [c1, c2].
     """
     c1, c2 = bracket_constants(alpha, s, p)  # checks s, p and alpha
     sp = s * p
@@ -295,10 +318,11 @@ def phi_constant(alpha: float, s: float, p: float) -> PowerKernelOracle:
         return PowerKernelOracle(alpha, s, p, beta, phi, c1, c2)
 
     lo, hi = _phi_integrals(alpha, s, p, beta)
-    if not abs(hi - lo) <= _PHI_TOL:
+    tol = _PHI_TOL * max(1.0, abs(lo), abs(hi))
+    if not abs(hi - lo) <= tol:
         raise QuadratureFail(
             f"phi rules of orders {QUAD_ORDERS} differ by {abs(hi - lo):.3e}, "
-            f"more than {_PHI_TOL:.3e}"
+            f"more than {tol:.3e}"
         )
     phi = 1.0 / sp + hi
     if not (c1 - 1e-7 <= phi <= c2 + 1e-7):
@@ -928,8 +952,20 @@ def assemble_operator(grid: Grid, s: float, p: float) -> DiscreteOperator:
 # principal-value evaluation
 # ---------------------------------------------------------------------------
 
-#: Gauss-Legendre points per panel of eval_fplap_pv
+#: Gauss-Legendre orders of the near-field panels of eval_fplap_pv by the
+#: panel's separation ratio r, its distance to the nearest singular radius
+#: over its width: _PV_ORDER points up to r = 2, 8 up to 4.5, 6 up to 16,
+#: 5 up to 32, 4 up to 256, 3 beyond; the annulus below the cut keeps
+#: _PV_ORDER.  On t**(-1-sp) (A + B t), the integrand of a linear piece r
+#: widths from its singularity at t = 0, each tier errs most at its smallest
+#: r, and there it errs less than _PV_ORDER points at r = 1 for every sp in
+#: [0.05, 4.75], against 50-digit arithmetic: 8.9e-16 for _PV_ORDER points
+#: at r = 1 and sp = 0.05, 1.8e-11 at sp = 4.75, and at most 2.2e-12 in any
+#: other tier there.  6 points at r = 4 would err 1.6e-15 at sp = 0.05,
+#: hence the bound 4.5 (4.4e-16).
 _PV_ORDER = 10
+_PV_R_MAX = np.array([2.0, 4.5, 16.0, 32.0, 256.0])
+_PV_ORDERS = np.array([_PV_ORDER, 8, 6, 5, 4, 3])
 #: quadrature of the mapped exterior tail of eval_fplap_pv: 200 doubling
 #: panels leave out tau < 2**-200, whose share of the tail is below
 #: 2**(-200/p) for the PowerTail integrand of a barrier (alpha < s)
@@ -942,6 +978,42 @@ _TAIL_LOG_TAU = np.log(_TAIL_TAU)
 _TAIL_LOG_T_CAP = 690.0
 
 
+def _pv_panels(u: GridFunction, x: float, ux: float, cut: float):
+    """The near-field panels of eval_fplap_pv at x, where u(x) = ux: their
+    edges, from cut/2 to t_max, and the Gauss-Legendre order of each.
+
+    The singular radii of the integrand are 0, the boundary radii x - a and
+    b - x, the radii of the exterior's kinks and the level crossings, the
+    radii where the interpolant crosses ux (a linear root in each cell where
+    it changes sign), at which [ux - u(x +- t)]^{p-1} is not smooth for
+    p != 2; t_max is the largest of them.  Panels break at every singular
+    and every grid edge radius between cut/2 and t_max and at cut, so each
+    panel's integrand is smooth, and each takes its order from its
+    separation ratio (_PV_R_MAX); the annulus below cut takes _PV_ORDER.
+    """
+    grid = u.grid
+    a, b = grid.a, grid.b
+    xp, fp = u._interpolant
+    d = fp - ux
+    k = np.flatnonzero((d[:-1] * d[1:] <= 0.0) & (d[:-1] != d[1:]))
+    crossings = xp[k] + d[k] / (d[k] - d[k + 1]) * (xp[k + 1] - xp[k])
+    kinks = np.asarray(u.exterior.kinks(a, b), dtype=float)
+    singular = np.unique(np.abs(np.concatenate(([x, a, b], kinks, crossings)) - x))
+    t_max = singular[-1]
+
+    radii = np.concatenate((np.abs(xp - x), singular))
+    breaks = radii[(radii > 0.5 * cut) & (radii < t_max)]
+    edges = np.unique(np.concatenate(([0.5 * cut, cut, t_max], breaks)))
+    lo, hi = edges[:-1], edges[1:]
+    # no singular radius lies inside a panel: the nearest ones are the last
+    # at or below lo and the first at or above hi
+    gap = np.minimum(lo - singular[singular.searchsorted(lo, "right") - 1],
+                     singular[singular.searchsorted(hi)] - hi)
+    orders = _PV_ORDERS[_PV_R_MAX.searchsorted(gap / (hi - lo))]
+    orders[: edges.searchsorted(cut)] = _PV_ORDER
+    return edges, orders
+
+
 def eval_fplap_pv(u: GridFunction, x: float, s: float, p: float):
     """Principal value of the operator at an interior point x.
 
@@ -950,12 +1022,14 @@ def eval_fplap_pv(u: GridFunction, x: float, s: float, p: float):
     excluded and its contribution recovered by Richardson extrapolation over
     the two radii (cut, cut/2); the exclusion error scales like
     cut**(p(1-s)) for smooth profiles.  The radii from cut/2 to t_max, the
-    farthest grid edge or kink, take one pass of Gauss-Legendre panels
-    (gauss_panels, _PV_ORDER points each) broken at cut and at every edge
-    and kink radius, where the annulus below cut carries the Richardson
-    factor.  The exterior tail beyond t_max is mapped onto (0, 1] and
-    integrated by doubling panels geometric toward the end that carries
-    t = inf.
+    farthest boundary or kink radius, take one pass of Gauss-Legendre panels
+    (_pv_panels, gauss_panels) broken at cut, at every grid edge and kink
+    radius and at the level crossings of u(x), each panel with the order
+    its distance from the nearest singular radius calls for (_PV_R_MAX):
+    _PV_ORDER points beside the core and the crossings, 3 far from them.
+    The annulus below cut carries the Richardson factor.  The exterior tail
+    beyond t_max is mapped onto (0, 1] and integrated by doubling panels
+    geometric toward the end that carries t = inf.
     """
     grid = u.grid
     a, b = grid.a, grid.b
@@ -976,15 +1050,11 @@ def eval_fplap_pv(u: GridFunction, x: float, s: float, p: float):
     def diffs(tv):
         return updiff(ux, u(x + tv), p) + updiff(ux, u(x - tv), p)
 
-    kinks = np.asarray(u.exterior.kinks(a, b), dtype=float)
-    radii = np.abs(np.concatenate((grid.edges, kinks)) - x)
-    t_max = max(x - a, b - x, *np.abs(kinks - x))
-
-    breaks = radii[(radii > 0.5 * r0) & (radii < t_max)]
-    edges = np.unique(np.concatenate(([0.5 * r0, r0, t_max], breaks)))
-    t, w = gauss_panels(edges, _PV_ORDER)
+    edges, orders = _pv_panels(u, x, ux, r0)
+    t_max = edges[-1]
+    t, w = gauss_panels(edges, orders)
     kappa = p * (1.0 - s)
-    w[: _PV_ORDER * edges.searchsorted(r0)] *= 2.0**kappa / (2.0**kappa - 1.0)
+    w[: orders[: edges.searchsorted(r0)].sum()] *= 2.0**kappa / (2.0**kappa - 1.0)
     near = float((diffs(t) * t ** (-1.0 - sp)) @ w)
 
     # beyond t_max, t = t_max tau**(-1/sp) turns the tail into

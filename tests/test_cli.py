@@ -559,16 +559,50 @@ class TestSubcommands:
         # the bracket constant c1 divides by st * s, which underflows to 0
         # below s ~ 1e-154 unless the two divisions are taken one by one.
         # Phi is then near 1/(sp) ~ 1e299, where the oracle's two rules agree
-        # or differ by an ulp with the BLAS build and threads, so its verdict
-        # may go either way; what must hold is a verdict and its exit code
+        # to within the tolerance relative to their size, so the oracle
+        # passes; barrier-check fails its power estimate
         out = tmp_path / "out"
         code = run(subcommand, write_cfg(tmp_path, payload), str(out))
         (exp,) = json.loads((out / "report.json").read_text())["experiments"]
+        assert code == (0 if subcommand == "oracle" else 2)
         assert code == (0 if exp["passed"] else 2)
         assert exp.get("error", {}).get("type") in (None, "QuadratureFail")
         if subcommand == "barrier-check":
             assert exp["checks"] == {"power_estimate": False, "boundary_barrier": True}
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_report_of_a_non_finite_seminorm_is_strict_json(self, tmp_path):
+        # at s = 1e-300, delta = 0 the window seminorm is not finite; its two
+        # numbers are null, not the NaN token that JSON does not have
+        out = tmp_path / "out"
+        payload = {"params": {"s": 1e-300, "delta": 0.0}}
+        assert run("barrier-check", write_cfg(tmp_path, payload), str(out)) == 2
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        rep = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        jsonschema.validate(rep, SCHEMA)
+        details = rep["experiments"][0]["record"]["power_estimate"]["details"]
+        assert details["window_seminorm_log10"] is None
+        assert details["window_seminorm_rel_err"] is None
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_tiny_s_oracle_passes_with_any_blas_threads(self, tmp_path, threads):
+        # at s = 1e-300 Phi is near 1/(sp) ~ 1e299, and its two rules agree
+        # bitwise or differ by an ulp (1.9e283) with the BLAS threads; the
+        # rules' check is relative to the size of their sums, so the oracle
+        # passes under either
+        payload = {"oracle": {"alpha_fracs": [0.5], "s_list": [1e-300], "p_list": [2.0]}}
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracp.cli", "oracle", "--config", write_cfg(tmp_path, payload),
+             "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        (exp,) = json.loads((out / "report.json").read_text())["experiments"]
+        assert exp["state"] == "passed" and exp["checks"] == {"phi_bracketed": True}
 
 
 class TestMain:

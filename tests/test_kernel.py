@@ -876,34 +876,20 @@ class TestAssembleOperator:
         assert errs[-1] < errs[0]
 
 
-def _reference_pv(u, x, s, p):
-    """eval_fplap_pv with the same panels inside t_max and the exterior tail
-    from adaptive quadrature with the algebraic weight of its integrand.
+def _pair_terms(u, x, p):
+    # q(t) = [u(x) - u(x+t)]^{p-1} + [u(x) - u(x-t)]^{p-1}
+    ux = float(u(x))
+    return lambda t: updiff(ux, u(x + t), p) + updiff(ux, u(x - t), p)
 
-    In tau = (t_max / t)**sp the tail is t_max**-sp / sp * int_0^1 q dtau,
-    with q = [u(x) - u(x+t)]^{p-1} + [u(x) - u(x-t)]^{p-1}; q tau**beta is
-    bounded, with beta = alpha (p-1) / sp for the PowerTail exterior and 0
-    for the exteriors that are constant far out."""
-    grid, sp, ux = u.grid, s * p, float(u(x))
-    a, b = grid.a, grid.b
 
-    def q(t):
-        return updiff(ux, u(x + t), p) + updiff(ux, u(x - t), p)
+def _tail_reference(u, x, s, p, t_max):
+    """The exterior tail of eval_fplap_pv beyond t_max by adaptive quadrature
+    with the algebraic weight of its integrand.
 
-    def pair(t):
-        return q(t) * t ** (-1.0 - sp)
-
-    kinks = np.asarray(u.exterior.kinks(a, b), dtype=float)
-    radii = np.unique(np.abs(np.concatenate((grid.edges, kinks)) - x))
-    t_max = max(x - a, b - x, *np.abs(kinks - x))
-    r0 = 2.0 * grid.local_width(x)
-
-    def panels(lo, hi):
-        # 10-point Gauss-Legendre on [lo, hi], broken at the radii between
-        t, w = gauss_panels(np.concatenate(([lo], radii[(radii > lo) & (radii < hi)], [hi])), 10)
-        return float(pair(t) @ w)
-
-    base, annulus = panels(r0, t_max), panels(0.5 * r0, r0)
+    In tau = (t_max / t)**sp the tail is t_max**-sp / sp * int_0^1 q dtau;
+    q tau**beta is bounded, with beta = alpha (p-1) / sp for the PowerTail
+    exterior and 0 for the exteriors that are constant far out."""
+    sp, q = s * p, _pair_terms(u, x, p)
     beta = u.exterior.alpha * (p - 1.0) / sp if isinstance(u.exterior, PowerTail) else 0.0
     # the weighted rule also samples tau = 0, where t is infinite
     tau_min = max((t_max / 1e250) ** sp, 1e-300)
@@ -916,9 +902,71 @@ def _reference_pv(u, x, s, p):
         smooth, 0.0, 1.0, weight="alg", wvar=(-beta, 0.0),
         epsabs=1e-300, epsrel=1e-12, limit=500,
     )
+    return t_max**-sp / sp * tail
+
+
+def _richardson(s, p):
     kappa = p * (1.0 - s)
-    fac = 2.0**kappa / (2.0**kappa - 1.0)
-    return 2.0 * (base + t_max**-sp / sp * tail + annulus * fac)
+    return 2.0**kappa / (2.0**kappa - 1.0)
+
+
+def _reference_pv(u, x, s, p):
+    """eval_fplap_pv with the same near field, the panels and orders of
+    kernel._pv_panels, and the exterior tail from _tail_reference."""
+    q, r0 = _pair_terms(u, x, p), 2.0 * u.grid.local_width(x)
+    edges, orders = kernel._pv_panels(u, x, float(u(x)), r0)
+    core = edges.searchsorted(r0)
+
+    def panels(e, o):
+        t, w = gauss_panels(e, o)
+        return float(q(t) * t ** (-1.0 - s * p) @ w)
+
+    base = panels(edges[core:], orders[core:])
+    annulus = panels(edges[: core + 1], orders[:core])
+    tail = _tail_reference(u, x, s, p, edges[-1])
+    return 2.0 * (base + tail + annulus * _richardson(s, p))
+
+
+def _graded_reference_pv(u, x, s, p):
+    """eval_fplap_pv with its near field from 20-point Gauss-Legendre panels
+    that break at every grid edge radius and are graded geometrically, down
+    to 2**-40 of the interval, toward every singular radius beyond cut/2:
+    the boundary and kink radii and the radii where the interpolant crosses
+    u(x), found here independently of the kernel; the same Richardson core
+    and the tail from _tail_reference."""
+    grid, sp, ux = u.grid, s * p, float(u(x))
+    a, b = grid.a, grid.b
+    xp, fp = u._interpolant
+    kinks = np.asarray(u.exterior.kinks(a, b), dtype=float)
+    crossings = [
+        xp[k] + (ux - fp[k]) / (fp[k + 1] - fp[k]) * (xp[k + 1] - xp[k])
+        for k in range(len(xp) - 1)
+        if min(fp[k], fp[k + 1]) <= ux <= max(fp[k], fp[k + 1]) and fp[k] != fp[k + 1]
+    ]
+    singular = np.abs(np.concatenate(([a, b], kinks, crossings)) - x)
+    t_max = max(x - a, b - x, *np.abs(kinks - x))
+    r0 = 2.0 * grid.local_width(x)
+    radii = np.concatenate((np.abs(grid.edges - x), singular, [0.5 * r0, r0, t_max]))
+    breaks = np.unique(radii[(radii >= 0.5 * r0) & (radii <= t_max)])
+    steps = 2.0 ** -np.arange(1, 41)
+    pieces = [breaks]
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        half = 0.5 * (hi - lo)
+        if lo in singular:
+            pieces.append(lo + half * steps)
+        if hi in singular:
+            pieces.append(hi - half * steps)
+        pieces.append([lo + half])
+    edges = np.unique(np.concatenate(pieces))
+    t, w = gauss_panels(edges, 20)
+    w[t < r0] *= _richardson(s, p)
+    near = float(_pair_terms(u, x, p)(t) * t ** (-1.0 - sp) @ w)
+    return 2.0 * (near + _tail_reference(u, x, s, p, t_max))
+
+
+#: largest relative move of eval_fplap_pv from _PV_ORDER points on every
+#: panel to the tiered orders; measured at most 2.6e-14 (U at s = 0.9, p = 3)
+PV_TIER_REL = 1e-13
 
 
 class TestEvalPV:
@@ -944,6 +992,38 @@ class TestEvalPV:
                 # at sp = 0.1 the tail's radii would overflow without a cap
                 assert np.isfinite(pv)
                 assert pv == pytest.approx(_reference_pv(u, x, s, p), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("s, p", [(0.1, 1.5), (0.75, 1.5), (0.5, 2.0), (0.95, 2.0),
+                                      (0.3, 3.0), (0.9, 3.0), (0.9, 5.0)])
+    @pytest.mark.parametrize("kind", ["Zero", "Super", "U"])
+    def test_panel_orders_against_the_fixed_order(self, s, p, kind, monkeypatch):
+        # the same panels with _PV_ORDER points on every one: an empty tier
+        # table puts every panel in the first tier
+        from fracp import BarrierSpec, barrier_profile
+
+        grid = build_grid(0, 1, 512, 2.0)
+        if kind == "Zero":
+            u = GridFunction(grid, (grid.nodes * (1.0 - grid.nodes)) ** s, Zero())
+        else:
+            u = barrier_profile(BarrierSpec(alpha=0.5 * s, lam=0.1, s=s, p=p), grid, kind)
+        probes = (0.15, 0.37, 0.5, 0.8)
+        tiered = [eval_fplap_pv(u, x, s, p) for x in probes]
+        monkeypatch.setattr(kernel, "_PV_R_MAX", np.array([]))
+        fixed = [eval_fplap_pv(u, x, s, p) for x in probes]
+        assert tiered == pytest.approx(fixed, rel=PV_TIER_REL, abs=0.0)
+
+    @pytest.mark.parametrize("s, p, bound", [(0.75, 1.5, 1e-7), (0.08, 1.25, 1e-7),
+                                             (0.5, 3.0, 1e-12)])
+    def test_torsion_against_graded_reference(self, s, p, bound):
+        # at p != 2 the integrand is not smooth where u crosses u(x); panels
+        # that break there keep the quadrature's error at the reference's
+        from fracp import solve_fixed_rhs
+
+        grid = build_grid(0, 1, 256, 2.0)
+        u = solve_fixed_rhs(assemble_operator(grid, s, p), np.ones(grid.n), tol=1e-11).u
+        for x in (0.2, 0.37, 0.8):
+            ref = _graded_reference_pv(u, x, s, p)
+            assert abs(eval_fplap_pv(u, x, s, p) - ref) <= bound * abs(ref)
 
     def test_constant_function_maps_to_zero(self):
         g = build_grid(0, 1, 64, 1)
