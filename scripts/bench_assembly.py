@@ -53,9 +53,6 @@ a process that has computed no Phi yet.
 Prints one JSON object.  One BLAS thread gives the steadiest numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_assembly.py
-
-With the argument `pv` it runs the principal-value layer alone: the torsion
-solve it needs (untimed), the three probes and the case-2 probe set.
 """
 
 import dataclasses
@@ -224,23 +221,16 @@ def u_evaluations(probe):
     return count
 
 
-def torsion_n2048():
+def time_torsion_and_pv_probes():
     grid = build_grid(0.0, 1.0, 2048, 2.0)
-    return assemble_operator(grid, 0.5, 2.0), grid
-
-
-def time_torsion_solve(op):
+    spec = BarrierSpec(alpha=0.25, lam=0.1, s=0.5, p=2.0)
+    op = assemble_operator(grid, 0.5, 2.0)
     runs = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        torsion = solve_fixed_rhs(op, np.ones(op.n)).u
+        torsion = solve_fixed_rhs(op, np.ones(grid.n)).u
         runs.append(time.perf_counter() - t0)
-    return {"runs_s": [round(t, 4) for t in runs],
-            "median_s": round(statistics.median(runs), 4)}, torsion
-
-
-def time_pv_probes(torsion, grid):
-    spec = BarrierSpec(alpha=0.25, lam=0.1, s=0.5, p=2.0)
+    solve = {"runs_s": [round(t, 4) for t in runs], "median_s": round(statistics.median(runs), 4)}
     rows = []
     for kind, u in (("Zero", torsion),
                     ("Super", barrier_profile(spec, grid, "Super")),
@@ -253,7 +243,7 @@ def time_pv_probes(torsion, grid):
         rows.append({"exterior": kind, "runs_ms": [round(1e3 * t, 3) for t in runs],
                      "median_ms": round(1e3 * statistics.median(runs), 3),
                      "u_evaluations": u_evaluations(lambda: eval_fplap_pv(u, 0.37, 0.5, 2.0))})
-    return rows
+    return solve, rows
 
 
 def case2_probes():
@@ -299,11 +289,6 @@ def time_case2_probes():
             "temporaries_peak_mb": round(peak / 2**20, 3)}
 
 
-def pv_layer(torsion, grid):
-    return {"pv_probe_n2048": time_pv_probes(torsion, grid),
-            "pv_case2_probes": time_case2_probes()}
-
-
 def time_continuation(p, n, halvings):
     params = make_params(0.5, p, 1.0, 0.5)
     grid = build_grid(params.a, params.b, n, default_grading(params))
@@ -343,19 +328,14 @@ def time_phi_sweep():
             "median_ms": round(1e3 * statistics.median(runs), 3)}
 
 
-def main(argv):
-    op, grid = torsion_n2048()
-    if argv == ["pv"]:
-        print(json.dumps(pv_layer(solve_fixed_rhs(op, np.ones(grid.n)).u, grid)))
-        return
+def main():
     # the continuations first, in a fresh process, so the page faults of the
     # p = 3 one are its own
     p3 = time_continuation(3.0, 512, 12)
     p2 = time_continuation(2.0, 1024, 20)
     p15 = time_continuation(1.5, 1024, 18)
     phi = time_phi_sweep()
-    torsion, u = time_torsion_solve(op)
-    pv = pv_layer(u, grid)
+    torsion, pv = time_torsion_and_pv_probes()
     print(json.dumps({"import_fracp_cli": time_import(),
                       "phi_sweep": phi,
                       "p3_continuation_n512": p3,
@@ -364,9 +344,10 @@ def main(argv):
                       "folded": time_folded(),
                       "sweep_hessian": time_sweep_hessian(),
                       "torsion_solve_n2048": torsion,
-                      **pv,
+                      "pv_probe_n2048": pv,
+                      "pv_case2_probes": time_case2_probes(),
                       "assemble_operator": time_assembly()}))
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

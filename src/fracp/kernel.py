@@ -995,7 +995,10 @@ def _pv_panels(u: GridFunction, x: float, ux: float, cut: float):
     a, b = grid.a, grid.b
     xp, fp = u._interpolant
     d = fp - ux
-    k = np.flatnonzero((d[:-1] * d[1:] <= 0.0) & (d[:-1] != d[1:]))
+    # signs, not the product d[:-1] * d[1:], which underflows to 0 for tiny
+    # u and would put a root outside its cell
+    sgn = np.sign(d)
+    k = np.flatnonzero((sgn[:-1] * sgn[1:] <= 0.0) & (d[:-1] != d[1:]))
     crossings = xp[k] + d[k] / (d[k] - d[k + 1]) * (xp[k + 1] - xp[k])
     kinks = np.asarray(u.exterior.kinks(a, b), dtype=float)
     singular = np.unique(np.abs(np.concatenate(([x, a, b], kinks, crossings)) - x))

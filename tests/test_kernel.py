@@ -1064,6 +1064,17 @@ class TestEvalPV:
         b = eval_fplap_pv(u2, 0.37, 0.5, 3.0)
         assert b == pytest.approx(4 * a, rel=1e-10)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_homogeneity_of_a_tiny_u(self, p):
+        # below 1e-162 the product of two differences u - u(x) underflows;
+        # the level crossings must still be found by sign alone
+        g = build_grid(0, 1, 256, 2.0)
+        vals = g.nodes * (1.0 - g.nodes)
+        scale = 1e-170
+        a = eval_fplap_pv(GridFunction(g, vals, Zero()), 0.37, 0.5, p)
+        b = eval_fplap_pv(GridFunction(g, scale * vals, Zero()), 0.37, 0.5, p)
+        assert b == pytest.approx(scale ** (p - 1.0) * a, rel=1e-12, abs=0.0)
+
     def test_too_close_to_boundary(self):
         g = build_grid(0, 1, 64, 1)
         u = GridFunction(g, np.ones(64), Zero())
